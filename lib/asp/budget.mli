@@ -109,6 +109,11 @@ val tick_conflict : t -> unit
     or poll re-raises the same [info]. *)
 
 val tick_instance : t -> unit
+(** Ticked by the grounder once per rule derivation in the possible-atom
+    closure and once per emitted rule or minimize instance.  Integrity
+    constraints derive nothing and are skipped by the closure, so each
+    constraint instance counts once, at emission. *)
+
 val tick_opt_step : t -> unit
 
 val tick_verify_step : t -> unit

@@ -109,7 +109,8 @@ module Store = struct
           match K.find_opt st.index k with
           | Some v -> Vec.push v id
           | None ->
-            let v = Vec.create ~dummy:0 () in
+            (* most (pred, pos, value) keys hold one or two ids *)
+            let v = Vec.create ~capacity:2 ~dummy:0 () in
             Vec.push v id;
             K.add st.index k v)
         a.args;

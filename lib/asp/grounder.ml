@@ -418,7 +418,7 @@ let ground_atom st ctx (a : catom) : Gatom.t =
 let derive_heads st (rule : compiled) =
   Budget.tick_instance st.budget;
   match rule.c_head with
-  | C_none -> ()
+  | C_none -> assert false
   | C_atom a ->
     ignore (Gatom.Store.intern st.store (ground_atom st rule.c_text a))
   | C_choice { c_elems; _ } ->
@@ -432,7 +432,13 @@ let derive_heads st (rule : compiled) =
             ignore (Gatom.Store.intern st.store (ground_atom st rule.c_text ce_elem))))
       c_elems
 
+(* The rules that can derive atoms.  An integrity constraint derives
+   nothing, so the closure skips it; emission instantiates it once. *)
+let deriving (rules : compiled list) =
+  List.filter (fun r -> match r.c_head with C_none -> false | C_atom _ | C_choice _ -> true) rules
+
 let possible_closure st (rules : compiled list) =
+  let rules = deriving rules in
   let nfacts = Gatom.Store.count st.store in
   (* round 0: full evaluation over the facts *)
   List.iter (fun r -> enumerate st r.c_body (fun _ -> derive_heads st r)) rules;
@@ -1049,14 +1055,16 @@ let extend_onto st (out : Ground.t) (base : base) ~src_maps ~maps ~update_slots
   | Some stream ->
     stream (fun ga -> seed_ground_atom st.store ~taint:guard_taint ga)
   | None -> ());
-  (* Closure continuation.  Rules whose choice-element guards range over a
-     tainted predicate re-derive their heads in full: the guard (not the
-     body) changed, which the semi-naive body delta cannot see. *)
+  (* Closure continuation over the deriving rules.  Rules whose
+     choice-element guards range over a tainted predicate re-derive their
+     heads in full: the guard (not the body) changed, which the semi-naive
+     body delta cannot see. *)
+  let derivers = deriving base.b_rules in
   List.iter
     (fun r ->
       if List.exists (fun k -> Hashtbl.mem guard_taint k) r.c_cgpreds then
         enumerate st r.c_body (fun _ -> derive_heads st r))
-    base.b_rules;
+    derivers;
   let rounds = ref 0 in
   let frontier = ref pre_count in
   while !frontier < Gatom.Store.count st.store do
@@ -1069,7 +1077,7 @@ let extend_onto st (out : Ground.t) (base : base) ~src_maps ~maps ~update_slots
         for i = 0 to npos - 1 do
           enumerate st r.c_body ~delta:(i, lo) (fun _ -> derive_heads st r)
         done)
-      base.b_rules
+      derivers
   done;
   (* Predicates that gained possible atoms: any base instance that treated
      them as impossible (erased negs, missing Forall targets) is stale. *)

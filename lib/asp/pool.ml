@@ -46,7 +46,7 @@ let size t = Array.length t.workers
 
 let default_size () = max 1 (Domain.recommended_domain_count () - 1)
 
-let submit t f =
+let submit ?(on_done = ignore) t f =
   let fut = { fmutex = Mutex.create (); fdone = Condition.create (); cell = Pending } in
   let job () =
     let outcome =
@@ -57,7 +57,8 @@ let submit t f =
     Mutex.lock fut.fmutex;
     fut.cell <- outcome;
     Condition.broadcast fut.fdone;
-    Mutex.unlock fut.fmutex
+    Mutex.unlock fut.fmutex;
+    try on_done () with _ -> ()
   in
   let st = t.st in
   Mutex.lock st.mutex;

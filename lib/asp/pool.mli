@@ -30,8 +30,10 @@ val default_size : unit -> int
 
 type 'a future
 
-val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue a job.
+val submit : ?on_done:(unit -> unit) -> t -> (unit -> 'a) -> 'a future
+(** Enqueue a job.  [on_done] runs on the worker domain right after the
+    future resolved ({!is_done} already holds), also when the job raised;
+    an exception it raises is ignored.
     @raise Invalid_argument if the pool was {!shutdown}. *)
 
 val await : 'a future -> 'a

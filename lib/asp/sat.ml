@@ -60,6 +60,15 @@ type reason =
          reconstructed on demand in conflict analysis *)
 
 let dummy_clause = { lits = [||]; activity = 0.; learnt = false; deleted = true }
+let dummy_pb = { plits = [||]; pws = [||]; cap = 0; sumtrue = 0 }
+let dummy_occ = (dummy_pb, 0)
+
+(* Most literals are never watched and occur in no PB constraint, so every
+   literal starts on one of these shared lists, which are never mutated
+   (they are shared by all solvers, on every domain).  A literal gets its
+   own vector on its first push ([push_lit]). *)
+let no_watches : clause Vec.t = Vec.create ~capacity:1 ~dummy:dummy_clause ()
+let no_occs : (pb * int) Vec.t = Vec.create ~capacity:1 ~dummy:dummy_occ ()
 
 type t = {
   params : params;
@@ -107,17 +116,15 @@ let create ?(params = default_params) () =
     phases = Array.make 16 params.default_phase;
     seen = Array.make 16 false;
     heap_pos = Array.make 16 (-1);
-    watches = Array.init 32 (fun _ -> Vec.create ~dummy:dummy_clause ());
-    pb_occs =
-      Array.init 32 (fun _ ->
-          Vec.create ~dummy:({ plits = [||]; pws = [||]; cap = 0; sumtrue = 0 }, 0) ());
+    watches = Array.make 32 no_watches;
+    pb_occs = Array.make 32 no_occs;
     trail = Vec.create ~dummy:0 ();
     trail_lim = Vec.create ~dummy:0 ();
     qhead = 0;
     heap = Vec.create ~dummy:0 ();
     clauses = Vec.create ~dummy:dummy_clause ();
     learnts = Vec.create ~dummy:dummy_clause ();
-    pbs = Vec.create ~dummy:{ plits = [||]; pws = [||]; cap = 0; sumtrue = 0 } ();
+    pbs = Vec.create ~dummy:dummy_pb ();
     var_inc = 1.0;
     cla_inc = 1.0;
     unsat = false;
@@ -206,13 +213,10 @@ let grow_arrays s =
     s.phases <- copy s.phases s.params.default_phase;
     s.seen <- copy s.seen false;
     s.heap_pos <- copy s.heap_pos (-1);
-    s.watches <-
-      Array.append s.watches
-        (Array.init (2 * (m - n)) (fun _ -> Vec.create ~dummy:dummy_clause ()));
-    s.pb_occs <-
-      Array.append s.pb_occs
-        (Array.init (2 * (m - n)) (fun _ ->
-             Vec.create ~dummy:({ plits = [||]; pws = [||]; cap = 0; sumtrue = 0 }, 0) ()))
+    (* per-literal arrays: two entries per variable *)
+    let copy_lits a fill = Array.append a (Array.make (2 * (m - n)) fill) in
+    s.watches <- copy_lits s.watches no_watches;
+    s.pb_occs <- copy_lits s.pb_occs no_occs
   end
 
 let new_var s =
@@ -294,9 +298,24 @@ let cancel_until s level =
 
 (* ---------------- clause management ---------------- *)
 
+(* Push [x] onto literal [l]'s list in [lists]; on the literal's first
+   push its own vector replaces the [shared] empty one. *)
+let push_lit lists ~shared ~dummy l x =
+  let v = lists.(l) in
+  if v == shared then begin
+    let v = Vec.create ~capacity:4 ~dummy () in
+    Vec.push v x;
+    lists.(l) <- v
+  end
+  else Vec.push v x
+
+let push_watch s l c = push_lit s.watches ~shared:no_watches ~dummy:dummy_clause l c
+
 let attach_clause s c =
-  Vec.push s.watches.(c.lits.(0)) c;
-  Vec.push s.watches.(c.lits.(1)) c
+  push_watch s c.lits.(0) c;
+  push_watch s c.lits.(1) c
+
+let shared_lists_empty () = Vec.length no_watches = 0 && Vec.length no_occs = 0
 
 let locked s c =
   let l0 = c.lits.(0) in
@@ -369,7 +388,9 @@ let add_pb_le s wls cap =
          happen in unchecked_enqueue/cancel_until *)
       let pb = { plits; pws; cap; sumtrue = fixed_true } in
       Vec.push s.pbs pb;
-      Array.iteri (fun i l -> Vec.push s.pb_occs.(l) (pb, i)) plits;
+      Array.iteri
+        (fun i l -> push_lit s.pb_occs ~shared:no_occs ~dummy:dummy_occ l (pb, i))
+        plits;
       (* forced units at level 0 *)
       Array.iteri
         (fun i l ->
@@ -462,7 +483,7 @@ let propagate s =
                  if lit_value s c.lits.(!k) <> 0 then begin
                    c.lits.(1) <- c.lits.(!k);
                    c.lits.(!k) <- false_lit;
-                   Vec.push s.watches.(c.lits.(1)) c;
+                   push_watch s c.lits.(1) c;
                    found := true
                  end;
                  incr k

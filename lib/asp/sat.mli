@@ -91,6 +91,11 @@ val model_true_vars : t -> int list
 
 val stats : t -> stats
 
+val shared_lists_empty : unit -> bool
+(** Self-check of the per-literal list allocation: the one watch list and
+    the one PB-occurrence list that every solver shares for literals it has
+    never pushed to are still empty. *)
+
 val current_lit_value : t -> lit -> int
 (** Live value of a literal in the solver's current assignment: [1] true,
     [0] false, [-1] unassigned.  Meant for [on_model] hooks, where the

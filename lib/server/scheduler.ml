@@ -3,6 +3,7 @@ type 'a entry = {
   future : 'a Asp.Pool.future;
   cancel : Asp.Budget.cancel_token;
   mutable waiters : int;
+  notify : (unit -> unit) list ref;  (* one per waiter, run on completion *)
   mutable counted : bool;  (* bumped the completed counter already *)
   mutable cancelled : bool;
 }
@@ -65,12 +66,13 @@ let reap t =
       end)
     done_keys
 
-let submit t ~key job =
+let submit t ~key ?(notify = ignore) job =
   with_lock t (fun () ->
       reap t;
       match Hashtbl.find_opt t.inflight key with
       | Some e ->
         e.waiters <- e.waiters + 1;
+        e.notify := notify :: !(e.notify);
         t.deduped <- t.deduped + 1;
         `Accepted { entry = e; live = true }
       | None ->
@@ -80,9 +82,14 @@ let submit t ~key job =
         end
         else begin
           let cancel = Asp.Budget.token () in
-          let future = Asp.Pool.submit t.pool (fun () -> job ~cancel) in
+          let notify = ref [ notify ] in
+          (* Under the lock, a join either lands before the job finished
+             (its waiter is in [notify] by the time [on_done] reads it) or
+             finds the entry already done and reaped. *)
+          let on_done () = List.iter (fun f -> f ()) (with_lock t (fun () -> !notify)) in
+          let future = Asp.Pool.submit ~on_done t.pool (fun () -> job ~cancel) in
           let e =
-            { key; future; cancel; waiters = 1; counted = false; cancelled = false }
+            { key; future; cancel; waiters = 1; notify; counted = false; cancelled = false }
           in
           Hashtbl.replace t.inflight key e;
           t.submitted <- t.submitted + 1;

@@ -40,6 +40,10 @@ type t = {
   inq_mutex : Mutex.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
+  (* the pipe may be written from pool domains (job completion) after the
+     supervisor closed it: [wake] and [close_pipes] serialize on this lock *)
+  pipe_mutex : Mutex.t;
+  mutable pipes_closed : bool;
   heartbeat : float Atomic.t;
   status : status Atomic.t;
   quarantined : bool Atomic.t;
@@ -117,7 +121,15 @@ let take_tokens st conn n =
     else false
   end
 
-(* [Ok slot] or [Error ()] when the scheduler shed the solve. *)
+let wake w =
+  Mutex.lock w.pipe_mutex;
+  if not w.pipes_closed then (
+    try ignore (Unix.write_substring w.wake_w "x" 0 1)
+    with Unix.Unix_error _ -> ());
+  Mutex.unlock w.pipe_mutex
+
+(* [Ok slot] or [Error ()] when the scheduler shed the solve.  A finished
+   job wakes this worker's loop, which then polls the ticket. *)
 let admit lp ~deadline root =
   let st = lp.w.st in
   let key = State.request_key st root in
@@ -125,7 +137,9 @@ let admit lp ~deadline root =
   | Some result -> Ok (Ready (Protocol.Hit, result))
   | None -> (
     match
-      Scheduler.submit st.State.sched ~key (State.make_job st ~deadline root)
+      Scheduler.submit st.State.sched ~key
+        ~notify:(fun () -> wake lp.w)
+        (State.make_job st ~deadline root)
     with
     | `Accepted ticket -> Ok (Waiting { key; ticket })
     | `Overloaded -> Error ())
@@ -490,6 +504,8 @@ let run w =
     let wfds =
       List.filter_map (fun c -> if c.out <> "" then Some c.fd else None) lp.conns
     in
+    (* new connections and finished solves write the wake pipe; the
+       timeout only keeps the heartbeat ticking on an idle loop *)
     let r, wr, _ =
       match Unix.select rfds wfds [] 0.05 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
@@ -521,6 +537,8 @@ let start st ~id ~n_workers ~drain_grace =
       inq_mutex = Mutex.create ();
       wake_r;
       wake_w;
+      pipe_mutex = Mutex.create ();
+      pipes_closed = false;
       heartbeat = Atomic.make (Unix.gettimeofday ());
       status = Atomic.make Running;
       quarantined = Atomic.make false;
@@ -547,12 +565,7 @@ let assign w fd =
   Mutex.lock w.inq_mutex;
   Queue.push fd w.inq;
   Mutex.unlock w.inq_mutex;
-  (try ignore (Unix.write_substring w.wake_w "x" 0 1)
-   with Unix.Unix_error _ -> ())
-
-let wake w =
-  try ignore (Unix.write_substring w.wake_w "x" 0 1)
-  with Unix.Unix_error _ -> ()
+  wake w
 
 let status w = Atomic.get w.status
 let heartbeat_age w now = now -. Atomic.get w.heartbeat
@@ -570,8 +583,11 @@ let close_remaining w =
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds
 
 let close_pipes w =
+  Mutex.lock w.pipe_mutex;
+  w.pipes_closed <- true;
   (try Unix.close w.wake_r with Unix.Unix_error _ -> ());
-  try Unix.close w.wake_w with Unix.Unix_error _ -> ()
+  (try Unix.close w.wake_w with Unix.Unix_error _ -> ());
+  Mutex.unlock w.pipe_mutex
 
 let join w =
   match w.domain with

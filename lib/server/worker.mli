@@ -26,7 +26,9 @@ val assign : t -> Unix.file_descr -> unit
 (** Hand an accepted connection to this worker (supervisor side). *)
 
 val wake : t -> unit
-(** Nudge the event loop (used when lifecycle flags change). *)
+(** Nudge the event loop: when lifecycle flags change, and from the pool
+    domain when a solve this worker waits on finished.  A no-op once
+    {!close_pipes} ran. *)
 
 val status : t -> status
 

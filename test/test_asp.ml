@@ -589,6 +589,129 @@ let prop_usc_matches_bb =
       in
       solve Asp.Config.Bb = solve Asp.Config.Usc)
 
+(* ------------------------------------------------------------------ *)
+(* Solver per-literal lists                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every literal starts on a shared empty watch list and a shared empty
+   PB-occurrence list, and gets its own vector on its first push.  These
+   cases drive the pushes that happen late: constraints over variables
+   created after a completed solve (how Optimize adds its bound and level
+   literals), learnt-clause reduction, and solvers built on other
+   domains. *)
+
+module S = Asp.Sat
+
+let pos = S.Lit.pos
+and neg = S.Lit.neg
+
+let check_shared_empty msg =
+  Alcotest.(check bool) (msg ^ ": shared empty lists untouched") true
+    (S.shared_lists_empty ())
+
+let test_clauses_after_solve () =
+  let s = S.create () in
+  let a = S.new_var s and b = S.new_var s in
+  S.add_clause s [ pos a; pos b ];
+  Alcotest.(check bool) "first solve sat" true (S.solve s = S.Sat);
+  (* 40 fresh variables: the per-variable arrays double twice, and every
+     new literal's first watch is pushed after the solve *)
+  let xs = Array.init 40 (fun _ -> S.new_var s) in
+  for i = 0 to Array.length xs - 2 do
+    S.add_clause s [ neg xs.(i); pos xs.(i + 1) ]
+  done;
+  Alcotest.(check bool) "chain sat under x0" true
+    (S.solve ~assumptions:[ pos xs.(0) ] s = S.Sat);
+  Array.iteri
+    (fun i x -> Alcotest.(check bool) (Printf.sprintf "x%d propagated" i) true (S.value s (pos x)))
+    xs;
+  S.add_clause s [ neg xs.(39); neg a ];
+  S.add_clause s [ neg xs.(39); neg b ];
+  Alcotest.(check bool) "chain end conflicts with a or b" true
+    (S.solve ~assumptions:[ pos xs.(0) ] s = S.Unsat);
+  Alcotest.(check (list int)) "core is the chain start" [ pos xs.(0) ] (S.last_core s);
+  Alcotest.(check bool) "sat without the assumption" true (S.solve s = S.Sat);
+  Alcotest.(check bool) "x0 forced false" false (S.value s (pos xs.(0)));
+  check_shared_empty "clauses after solve"
+
+let test_pb_after_solve () =
+  let s = S.create () in
+  let a = S.new_var s in
+  S.add_clause s [ pos a ];
+  Alcotest.(check bool) "first solve sat" true (S.solve s = S.Sat);
+  let ys = Array.init 24 (fun _ -> S.new_var s) in
+  (* at most two of the fresh literals, the shape of a bound constraint *)
+  S.add_pb_le s (Array.to_list (Array.map (fun y -> (1, pos y)) ys)) 2;
+  Alcotest.(check bool) "two of them fit" true
+    (S.solve ~assumptions:[ pos ys.(3); pos ys.(17) ] s = S.Sat);
+  Array.iteri
+    (fun i y ->
+      Alcotest.(check bool) (Printf.sprintf "y%d" i) (i = 3 || i = 17) (S.value s (pos y)))
+    ys;
+  Alcotest.(check bool) "three overflow the cap" true
+    (S.solve ~assumptions:[ pos ys.(0); pos ys.(5); pos ys.(23) ] s = S.Unsat);
+  (* a weighted constraint over more fresh variables, forced at level 0 *)
+  let zs = Array.init 8 (fun _ -> S.new_var s) in
+  S.add_pb_le s [ (3, pos zs.(0)); (2, pos zs.(1)); (1, neg zs.(2)) ] 2;
+  S.add_clause s [ neg zs.(2); pos zs.(1) ];
+  Alcotest.(check bool) "weighted sat" true (S.solve s = S.Sat);
+  Alcotest.(check bool) "z0 propagated false" false (S.value s (pos zs.(0)));
+  Alcotest.(check bool) "z2 implies z1" true
+    ((not (S.value s (pos zs.(2)))) || S.value s (pos zs.(1)));
+  S.add_clause s [ pos zs.(0); pos zs.(3) ];
+  S.add_clause s [ pos zs.(0); neg zs.(3) ];
+  Alcotest.(check bool) "forcing z0 conflicts with its weight" true (S.solve s = S.Unsat);
+  check_shared_empty "pb after solve"
+
+let test_reduce_db_lists () =
+  (* a learnt cap of 2 makes every few conflicts run the learnt-clause
+     reduction, which compacts every literal's watch list *)
+  let params = { S.default_params with S.learnt_start = 2; learnt_inc = 1.05 } in
+  let s = S.create ~params () in
+  let np = 7 and nh = 6 in
+  let x = Array.init np (fun _ -> Array.init nh (fun _ -> S.new_var s)) in
+  (* never-watched literals around the instance *)
+  ignore (Array.init 50 (fun _ -> S.new_var s));
+  for p = 0 to np - 1 do
+    S.add_clause s (List.init nh (fun h -> pos x.(p).(h)))
+  done;
+  for h = 0 to nh - 1 do
+    for p1 = 0 to np - 1 do
+      for p2 = p1 + 1 to np - 1 do
+        S.add_clause s [ neg x.(p1).(h); neg x.(p2).(h) ]
+      done
+    done
+  done;
+  Alcotest.(check bool) "php(7,6) unsat" true (S.solve s = S.Unsat);
+  Alcotest.(check bool) "enough conflicts to reduce" true ((S.stats s).S.conflicts > 10);
+  check_shared_empty "reduce_db"
+
+let test_portfolio_lists () =
+  (* many atoms that no constraint mentions: their literals stay on the
+     shared lists while racers on other domains solve *)
+  let src =
+    {|n(1..60). pad(X) :- n(X).
+      item(1..6).
+      { pick(X) : item(X) }.
+      :- pick(X), pick(Y), X < Y, Y - X < 2.
+      #maximize { X@1,X : pick(X) }.|}
+  in
+  let ground, _ = Asp.Grounder.ground (Asp.Parser.parse src) in
+  let config = Asp.Config.default in
+  Asp.Pool.with_pool ~domains:2 (fun pool ->
+      let outcome =
+        Asp.Portfolio.race ~pool
+          ~racers:(Asp.Portfolio.racers ~config 3)
+          ~budget:(Asp.Budget.start Asp.Budget.no_limits)
+          ground
+      in
+      match outcome.Asp.Portfolio.attempt with
+      | Asp.Portfolio.Model { costs; quality; _ } ->
+        Alcotest.(check bool) "optimal" true (quality = `Optimal);
+        Alcotest.(check (list (pair int int))) "best pick 2,4,6" [ (1, -12) ] costs
+      | _ -> Alcotest.fail "portfolio found no model");
+  check_shared_empty "portfolio"
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -657,6 +780,13 @@ let () =
           Alcotest.test_case "unmet requirement" `Quick test_generalized_conditions_unmet;
           Alcotest.test_case "condition triggers choice" `Quick
             test_condition_triggers_choice;
+        ] );
+      ( "solver lists",
+        [
+          Alcotest.test_case "clauses after a solve" `Quick test_clauses_after_solve;
+          Alcotest.test_case "pb constraints after a solve" `Quick test_pb_after_solve;
+          Alcotest.test_case "learnt reduction" `Quick test_reduce_db_lists;
+          Alcotest.test_case "portfolio on other domains" `Quick test_portfolio_lists;
         ] );
       ("properties", qsuite);
     ]

@@ -152,6 +152,67 @@ let check_fixture name prog () =
     Alcotest.(check string) (name ^ " ground program unchanged") want got
 
 (* ------------------------------------------------------------------ *)
+(* Ground-program digests                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Unlike the canonical goldens above, these hash the id-ordered rendering
+   of [Asp.Ground.pp] exactly as the pipelines produce it (streamed reuse
+   and installed facts, substrate extension), so they pin atom interning
+   order and rule order too.  The expected digests were recorded before
+   the closure stopped enumerating integrity constraints. *)
+
+let spack_ground ~repo spec =
+  let roots = [ Specs.Spec_parser.parse spec ] in
+  let facts = Concretize.Facts.generate ~repo roots in
+  Asp.Grounder.ground ?facts_stream:facts.Concretize.Facts.reuse_stream
+    (Asp.Parser.parse Concretize.Logic_program.text @ facts.Concretize.Facts.statements)
+  |> fst
+
+(* The daemon's path: a skeleton base built cold, then the request's
+   extension of it. *)
+let spack_substrate_ground ~repo spec =
+  let roots = [ Specs.Spec_parser.parse spec ] in
+  let facts = Concretize.Facts.generate ~repo roots in
+  match
+    Concretize.Substrate.ground_request (Concretize.Substrate.create ())
+      ~env:Concretize.Facts.default_env ~prefs:Concretize.Preferences.empty ~repo
+      ~budget:Asp.Budget.unlimited ~facts roots
+  with
+  | Some g -> g.Concretize.Substrate.ground
+  | None -> Alcotest.failf "substrate declined %s" spec
+
+let cudf_ground stack =
+  let d = Cudf.Synth.universe ~seed:1 ~n:1000 () in
+  let enc = Cudf.Encode.generate d in
+  Asp.Grounder.ground ?facts_stream:enc.Cudf.Encode.installed_stream
+    (Asp.Parser.parse (Cudf.Logic.text stack) @ enc.Cudf.Encode.statements)
+  |> fst
+
+let synth_repo = lazy (Pkg.Repo_synth.repo (Pkg.Repo_synth.scaled 300))
+
+let digest_fixtures =
+  [
+    ("spack hdf5", (fun () -> spack_ground ~repo "hdf5"), "4616bb243d9b65d325fd9f94d4288b7c");
+    ( "repo300 app-007",
+      (fun () -> spack_ground ~repo:(Lazy.force synth_repo) "app-007"),
+      "b5c4ce89616a33c8dcf4b99b9a90c7a4" );
+    ( "repo300 app-007 via substrate",
+      (fun () -> spack_substrate_ground ~repo:(Lazy.force synth_repo) "app-007"),
+      "d23f16a031dcda01ce3452df3ca487db" );
+    ( "cudf synth 1k paranoid",
+      (fun () -> cudf_ground Cudf.Criteria.Paranoid),
+      "4edcdd6267c2d37ae31b4c93da5ef5ee" );
+    ( "cudf synth 1k trendy",
+      (fun () -> cudf_ground Cudf.Criteria.Trendy),
+      "9d1312dc8c06d91e54d739cf7f492b87" );
+  ]
+
+let check_digest mk want () =
+  let g = mk () in
+  let got = Digest.to_hex (Digest.string (Format.asprintf "%a" Asp.Ground.pp g)) in
+  Alcotest.(check string) "ground program digest" want got
+
+(* ------------------------------------------------------------------ *)
 (* Term interning invariants                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -225,5 +286,14 @@ let () =
       Alcotest.test_case "compare order" `Quick test_compare_order;
     ]
   in
+  let digest_tests =
+    List.map
+      (fun (name, mk, want) -> Alcotest.test_case name `Quick (check_digest mk want))
+      digest_fixtures
+  in
   Alcotest.run "ground_golden"
-    [ ("grounder equivalence", golden_tests); ("term interning", intern_tests) ]
+    [
+      ("grounder equivalence", golden_tests);
+      ("ground program digests", digest_tests);
+      ("term interning", intern_tests);
+    ]

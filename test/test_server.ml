@@ -269,6 +269,52 @@ let test_scheduler_single_flight () =
       Alcotest.(check int) "completed once" 1 s.Server.Scheduler.completed;
       Alcotest.(check int) "nothing pending" 0 s.Server.Scheduler.pending)
 
+(* A finished job notifies each of its waiters once, and only once [poll]
+   already reports it done: the daemon's event loop relies on this to wake
+   up for a completed solve. *)
+let test_scheduler_notify () =
+  Asp.Pool.with_pool ~domains:1 (fun pool ->
+      let sched = Server.Scheduler.create ~pool ~max_pending:4 in
+      let gate = Atomic.make false in
+      let job ~cancel =
+        ignore cancel;
+        while not (Atomic.get gate) do
+          Domain.cpu_relax ()
+        done;
+        5
+      in
+      let notified = Atomic.make 0 and early = Atomic.make false in
+      let tickets = ref [] in
+      let notify () =
+        List.iter
+          (fun t ->
+            match Server.Scheduler.poll sched t with
+            | `Pending -> Atomic.set early true
+            | `Done _ -> ())
+          !tickets;
+        Atomic.incr notified
+      in
+      let submit () =
+        match Server.Scheduler.submit sched ~key:"k" ~notify job with
+        | `Accepted t -> t
+        | `Overloaded -> Alcotest.fail "unexpected shed"
+      in
+      let t1 = submit () in
+      let t2 = submit () in
+      tickets := [ t1; t2 ];
+      Alcotest.(check int) "not before completion" 0 (Atomic.get notified);
+      Atomic.set gate true;
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while Atomic.get notified < 2 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      Alcotest.(check int) "both waiters notified" 2 (Atomic.get notified);
+      Alcotest.(check bool) "poll already done when notified" false (Atomic.get early);
+      (match (await_done sched t1, await_done sched t2) with
+      | Ok 5, Ok 5 -> ()
+      | _ -> Alcotest.fail "job failed");
+      Alcotest.(check int) "notified once each" 2 (Atomic.get notified))
+
 let test_scheduler_overload () =
   Asp.Pool.with_pool ~domains:1 (fun pool ->
       let sched = Server.Scheduler.create ~pool ~max_pending:1 in
@@ -600,6 +646,7 @@ let () =
       ( "scheduler",
         [
           Alcotest.test_case "single flight" `Quick test_scheduler_single_flight;
+          Alcotest.test_case "completion notifies waiters" `Quick test_scheduler_notify;
           Alcotest.test_case "overload" `Quick test_scheduler_overload;
           Alcotest.test_case "cancellation" `Quick test_scheduler_cancel;
         ] );
