@@ -89,7 +89,8 @@ type t = {
   trail : int Vec.t;
   trail_lim : int Vec.t;
   mutable qhead : int;
-  heap : int Vec.t;  (* binary max-heap of vars by activity *)
+  mutable heap : int array;  (* binary max-heap of vars by activity *)
+  mutable heap_len : int;
   clauses : clause Vec.t;
   learnts : clause Vec.t;
   pbs : pb Vec.t;
@@ -121,7 +122,8 @@ let create ?(params = default_params) () =
     trail = Vec.create ~dummy:0 ();
     trail_lim = Vec.create ~dummy:0 ();
     qhead = 0;
-    heap = Vec.create ~dummy:0 ();
+    heap = Array.make 16 0;
+    heap_len = 0;
     clauses = Vec.create ~dummy:dummy_clause ();
     learnts = Vec.create ~dummy:dummy_clause ();
     pbs = Vec.create ~dummy:dummy_pb ();
@@ -149,54 +151,99 @@ let stats s = s.stats
 
 (* ---------------- heap (max-heap on activity) ---------------- *)
 
-let heap_lt s a b = s.activities.(a) > s.activities.(b)
+(* [heap.(0 .. heap_len - 1)] holds variables, so every index below is
+   below [heap_len] and every variable below [nvars]: reads of [heap],
+   [activities] and [heap_pos] skip the bounds check.  Sifting moves a hole
+   instead of swapping.  Comparisons are strict: a variable passes another
+   only on strictly higher activity, which fixes the pick order among
+   ties. *)
 
-let heap_swap s i j =
-  let a = Vec.get s.heap i and b = Vec.get s.heap j in
-  Vec.set s.heap i b;
-  Vec.set s.heap j a;
-  s.heap_pos.(a) <- j;
-  s.heap_pos.(b) <- i
-
-let rec heap_up s i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if heap_lt s (Vec.get s.heap i) (Vec.get s.heap p) then begin
-      heap_swap s i p;
-      heap_up s p
-    end
+(* Settle [v] (activity [a]) into the hole at [i], moving it towards the root. *)
+let rec sift_up (heap : int array) (act : float array) (pos : int array) v (a : float) i =
+  let p = (i - 1) / 2 in
+  if i > 0 && a > Array.unsafe_get act (Array.unsafe_get heap p) then begin
+    let pv = Array.unsafe_get heap p in
+    Array.unsafe_set heap i pv;
+    Array.unsafe_set pos pv i;
+    sift_up heap act pos v a p
+  end
+  else begin
+    Array.unsafe_set heap i v;
+    Array.unsafe_set pos v i
   end
 
-let rec heap_down s i =
-  let n = Vec.length s.heap in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < n && heap_lt s (Vec.get s.heap l) (Vec.get s.heap !best) then best := l;
-  if r < n && heap_lt s (Vec.get s.heap r) (Vec.get s.heap !best) then best := r;
-  if !best <> i then begin
-    heap_swap s i !best;
-    heap_down s !best
+(* Settle [v] (activity [a]) into the hole at [i], moving it towards the
+   leaves of a heap of [n] variables. *)
+let rec sift_down (heap : int array) (act : float array) (pos : int array) n v (a : float) i
+    =
+  let l = (2 * i) + 1 in
+  let c =
+    if
+      l + 1 < n
+      && Array.unsafe_get act (Array.unsafe_get heap (l + 1))
+         > Array.unsafe_get act (Array.unsafe_get heap l)
+    then l + 1
+    else l
+  in
+  if l < n && Array.unsafe_get act (Array.unsafe_get heap c) > a then begin
+    let cv = Array.unsafe_get heap c in
+    Array.unsafe_set heap i cv;
+    Array.unsafe_set pos cv i;
+    sift_down heap act pos n v a c
   end
+  else begin
+    Array.unsafe_set heap i v;
+    Array.unsafe_set pos v i
+  end
+
+let heap_up s i =
+  let v = Array.unsafe_get s.heap i in
+  sift_up s.heap s.activities s.heap_pos v (Array.unsafe_get s.activities v) i
+
+let heap_down s i =
+  let v = Array.unsafe_get s.heap i in
+  sift_down s.heap s.activities s.heap_pos s.heap_len v (Array.unsafe_get s.activities v) i
 
 let heap_insert s v =
   if s.heap_pos.(v) < 0 then begin
-    Vec.push s.heap v;
-    s.heap_pos.(v) <- Vec.length s.heap - 1;
-    heap_up s (Vec.length s.heap - 1)
+    let n = s.heap_len in
+    if n = Array.length s.heap then begin
+      let heap = Array.make (2 * n) 0 in
+      Array.blit s.heap 0 heap 0 n;
+      s.heap <- heap
+    end;
+    s.heap.(n) <- v;
+    s.heap_len <- n + 1;
+    heap_up s n
   end
 
 let heap_pop s =
-  let v = Vec.get s.heap 0 in
-  let last = Vec.pop s.heap in
+  let v = s.heap.(0) in
+  let n = s.heap_len - 1 in
+  s.heap_len <- n;
   s.heap_pos.(v) <- -1;
-  if Vec.length s.heap > 0 then begin
-    Vec.set s.heap 0 last;
-    s.heap_pos.(last) <- 0;
+  if n > 0 then begin
+    s.heap.(0) <- s.heap.(n);
     heap_down s 0
   end;
   v
 
 let heap_update s v = if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
+
+let heap_ok s =
+  let ok = ref (s.heap_len <= Array.length s.heap) in
+  for i = 0 to s.heap_len - 1 do
+    let v = s.heap.(i) in
+    ok :=
+      !ok && v >= 0 && v < s.nvars
+      && s.heap_pos.(v) = i
+      && (i = 0 || s.activities.(s.heap.((i - 1) / 2)) >= s.activities.(v))
+  done;
+  for v = 0 to s.nvars - 1 do
+    let p = s.heap_pos.(v) in
+    ok := !ok && (p < 0 || (p < s.heap_len && s.heap.(p) = v))
+  done;
+  !ok
 
 (* ---------------- variables ---------------- *)
 
@@ -672,7 +719,7 @@ type result = Sat | Unsat
 
 let pick_branch_var s =
   let rec go () =
-    if Vec.length s.heap = 0 then -1
+    if s.heap_len = 0 then -1
     else
       let v = heap_pop s in
       if s.values.(v) = -1 then v else go ()

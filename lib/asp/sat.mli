@@ -96,6 +96,11 @@ val shared_lists_empty : unit -> bool
     the one PB-occurrence list that every solver shares for literals it has
     never pushed to are still empty. *)
 
+val heap_ok : t -> bool
+(** Self-check of the decision heap: every parent's activity is at least its
+    children's, and each variable's recorded heap position agrees with the
+    heap array ([-1] exactly for variables not in the heap). *)
+
 val current_lit_value : t -> lit -> int
 (** Live value of a literal in the solver's current assignment: [1] true,
     [0] false, [-1] unassigned.  Meant for [on_model] hooks, where the

@@ -98,12 +98,23 @@ let body_indicator t (b : Ground.body) =
 
 let add_support t id s = t.supports.(id) <- s :: t.supports.(id)
 
+(* Add the clause [guard \/ not body] of an integrity constraint: the negated
+   body literals, with no auxiliary variable.  A fact literal is dropped; an
+   impossible one means the body can never hold, so no clause is needed.
+   With no guard and an all-fact body the clause is empty: UNSAT. *)
+let add_constraint_clause t ?guard (b : Ground.body) =
+  let lits = ref (Option.to_list guard) and impossible = ref false in
+  let add = function
+    | `True -> ()
+    | `False -> impossible := true
+    | `Lit l -> lits := Sat.Lit.negate l :: !lits
+  in
+  Array.iter (fun id -> add (pos_occurrence t id)) b.pos;
+  Array.iter (fun id -> add (neg_occurrence t id)) b.neg;
+  if not !impossible then Sat.add_clause t.sat !lits
+
 let process_rule t = function
-  | Ground.Rconstraint b -> (
-    (* clause: not all body literals may hold *)
-    match body_indicator t b with
-    | None -> Sat.add_clause t.sat [] (* body unconditionally true: UNSAT *)
-    | Some l -> Sat.add_clause t.sat [ Sat.Lit.negate l ])
+  | Ground.Rconstraint b -> add_constraint_clause t b
   | Ground.Rnormal (h, b) ->
     if not (fact t h) then begin
       let hlit = Option.get (atom_lit t h) in
@@ -244,9 +255,7 @@ let build ~guard_constraints params (g : Ground.t) =
            selector is assumed, so a final conflict under the assumption set
            names the responsible constraint instances *)
         let sel = Sat.Lit.pos (Sat.new_var sat) in
-        (match body_indicator t b with
-        | None -> Sat.add_clause sat [ Sat.Lit.negate sel ]
-        | Some l -> Sat.add_clause sat [ Sat.Lit.negate sel; Sat.Lit.negate l ]);
+        add_constraint_clause t ~guard:(Sat.Lit.negate sel) b;
         selectors := (sel, i) :: !selectors
       | r -> process_rule t r)
     g.Ground.rules;

@@ -8,6 +8,11 @@
     constraints conditioned on the body.  Completion clauses close each atom
     under its set of supports.
 
+    An integrity constraint maps to one clause, the negated body literals,
+    with no auxiliary variable (clasp's nogood): a literal over a fact is
+    dropped, a body that can never hold adds no clause, and a body of facts
+    only adds the empty clause.
+
     The translation also records, per atom, its supporting rules (body
     auxiliary plus positive body atoms), which is what the unfounded-set check
     in {!Stable} consumes, and whether the positive dependency graph is
@@ -30,7 +35,8 @@ type t = {
   supports : support list array;  (** ground atom id -> supporting rules *)
   tight : bool;  (** no cycle in the positive dependency graph *)
   mutable false_lit : Sat.lit option;  (** lazily created constant-false literal *)
-  body_cache : Sat.lit option Body_tbl.t;  (** shared body auxiliaries *)
+  body_cache : Sat.lit option Body_tbl.t;
+      (** shared body auxiliaries of rules and minimize entries *)
 }
 
 val translate : ?params:Sat.params -> Ground.t -> t
@@ -40,8 +46,8 @@ val translate : ?params:Sat.params -> Ground.t -> t
 val translate_with_selectors :
   ?params:Sat.params -> Ground.t -> t * (Sat.lit * int) list
 (** Like {!translate}, but every integrity constraint is guarded by a fresh
-    {e selector} literal ([sel -> not body]) instead of being asserted
-    unconditionally.  Returns the selectors paired with the index of the
+    {e selector} literal: its clause is [not sel \/ not body], again with no
+    auxiliary variable for the body, instead of [not body] alone.  Returns the selectors paired with the index of the
     guarded rule in [ground.rules].  Solving with all selectors assumed is
     equisatisfiable with {!translate}; on UNSAT, {!Sat.last_core} is a set of
     selectors whose constraints suffice for the conflict (the aspcud-style

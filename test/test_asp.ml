@@ -712,6 +712,106 @@ let test_portfolio_lists () =
       | _ -> Alcotest.fail "portfolio found no model");
   check_shared_empty "portfolio"
 
+(* ------------------------------------------------------------------ *)
+(* Translation of integrity constraints                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Integrity constraints become one clause over the negated body literals,
+   with no body-indicator variable.  Each program below is built by hand on
+   [Ground.t]: a choice [{ a; b }] with an empty body (no indicator either),
+   facts [f] and [g], and one or more constraints. *)
+
+module G = Asp.Ground
+
+type hand = { hg : G.t; a : int; b : int; f : int; g : int }
+
+let add_rule hg r =
+  G.push_rule hg r { G.o_line = G.num_rules hg + 1; o_text = ""; o_pos = [||] }
+
+let hand_program () =
+  let store = Asp.Gatom.Store.create () in
+  let atom name = Asp.Gatom.Store.intern store (Asp.Gatom.make name []) in
+  let a = atom "a" and b = atom "b" and f = atom "f" and g = atom "g" in
+  Asp.Gatom.Store.mark_fact store f;
+  Asp.Gatom.Store.mark_fact store g;
+  let hg = G.create store in
+  add_rule hg (G.Rchoice { lb = None; ub = None; heads = [| a; b |]; cbody = G.empty_body });
+  { hg; a; b; f; g }
+
+let constr ?(pos = [||]) ?(neg = [||]) () = G.Rconstraint { G.pos; neg }
+
+let atom_vars (tr : Asp.Translate.t) =
+  Array.fold_left (fun n v -> if v >= 0 then n + 1 else n) 0 tr.Asp.Translate.var_of_atom
+
+let check_no_indicator msg tr ~extra =
+  Alcotest.(check int) (msg ^ ": no indicator variable") (atom_vars tr + extra)
+    (S.num_vars tr.Asp.Translate.sat)
+
+let lit_of tr id = Option.get (Asp.Translate.atom_lit tr id)
+
+let test_constraint_fact_pos () =
+  (* :- f, a.  The fact literal is dropped: the clause is [not a]. *)
+  let h = hand_program () in
+  add_rule h.hg (constr ~pos:[| h.f; h.a |] ());
+  let tr = Asp.Translate.translate h.hg in
+  check_no_indicator "fact positive" tr ~extra:0;
+  Alcotest.(check int) "a and b have variables" 2 (atom_vars tr);
+  Alcotest.(check bool) "a cannot hold" true
+    (S.solve ~assumptions:[ lit_of tr h.a ] tr.sat = S.Unsat);
+  Alcotest.(check bool) "b is free" true (S.solve ~assumptions:[ lit_of tr h.b ] tr.sat = S.Sat)
+
+let test_constraint_negated_fact () =
+  (* :- a, b, not f.  [not f] never holds, so the constraint adds no clause. *)
+  let h = hand_program () in
+  add_rule h.hg (constr ~pos:[| h.a; h.b |] ~neg:[| h.f |] ());
+  let tr = Asp.Translate.translate h.hg in
+  check_no_indicator "negated fact" tr ~extra:0;
+  Alcotest.(check bool) "a and b together" true
+    (S.solve ~assumptions:[ lit_of tr h.a; lit_of tr h.b ] tr.sat = S.Sat)
+
+let test_constraint_unsupported_atom () =
+  (* :- z, not a.  [z] heads no rule: it gets a variable that completion
+     fixes false, so the constraint never fires and [a] stays free. *)
+  let h = hand_program () in
+  let z = Asp.Gatom.Store.intern h.hg.G.store (Asp.Gatom.make "z" []) in
+  add_rule h.hg (constr ~pos:[| z |] ~neg:[| h.a |] ());
+  let tr = Asp.Translate.translate h.hg in
+  check_no_indicator "unsupported atom" tr ~extra:0;
+  Alcotest.(check int) "a, b and z have variables" 3 (atom_vars tr);
+  Alcotest.(check bool) "a false is allowed" true
+    (S.solve ~assumptions:[ S.Lit.negate (lit_of tr h.a) ] tr.sat = S.Sat);
+  Alcotest.(check bool) "z false" false (Asp.Translate.atom_is_true tr z)
+
+let test_constraint_all_facts () =
+  (* :- a, not b.  :- f, g.  The second body is all facts: the empty
+     clause. *)
+  let h = hand_program () in
+  add_rule h.hg (constr ~pos:[| h.a |] ~neg:[| h.b |] ());
+  add_rule h.hg (constr ~pos:[| h.f; h.g |] ());
+  let tr = Asp.Translate.translate h.hg in
+  check_no_indicator "all facts" tr ~extra:0;
+  Alcotest.(check bool) "unsat" true (S.solve tr.sat = S.Unsat)
+
+let test_constraint_selectors () =
+  (* :- not a.  :- a, f.  Together UNSAT; each is guarded by a selector and
+     the core names both rule indices (1 and 2; rule 0 is the choice). *)
+  let h = hand_program () in
+  add_rule h.hg (constr ~neg:[| h.a |] ());
+  add_rule h.hg (constr ~pos:[| h.a; h.f |] ());
+  add_rule h.hg (constr ~pos:[| h.a; h.b |] ());
+  let tr, sels = Asp.Translate.translate_with_selectors h.hg in
+  Alcotest.(check (list int)) "one selector per constraint" [ 1; 2; 3 ] (List.map snd sels);
+  check_no_indicator "selectors" tr ~extra:(List.length sels);
+  let assumptions = List.map fst sels in
+  Alcotest.(check bool) "unsat under all selectors" true
+    (S.solve ~assumptions tr.sat = S.Unsat);
+  let core, minimal = S.shrink_core tr.sat (S.last_core tr.sat) in
+  Alcotest.(check bool) "minimal" true minimal;
+  let rules = List.sort compare (List.map (fun l -> List.assoc l sels) core) in
+  Alcotest.(check (list int)) "core names the guarded rules" [ 1; 2 ] rules;
+  Alcotest.(check bool) "sat with the third alone" true
+    (S.solve ~assumptions:[ fst (List.nth sels 2) ] tr.sat = S.Sat)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -787,6 +887,15 @@ let () =
           Alcotest.test_case "pb constraints after a solve" `Quick test_pb_after_solve;
           Alcotest.test_case "learnt reduction" `Quick test_reduce_db_lists;
           Alcotest.test_case "portfolio on other domains" `Quick test_portfolio_lists;
+        ] );
+      ( "constraint translation",
+        [
+          Alcotest.test_case "fact positive literal" `Quick test_constraint_fact_pos;
+          Alcotest.test_case "negated fact" `Quick test_constraint_negated_fact;
+          Alcotest.test_case "unsupported positive atom" `Quick
+            test_constraint_unsupported_atom;
+          Alcotest.test_case "all-fact body" `Quick test_constraint_all_facts;
+          Alcotest.test_case "selectors name rules" `Quick test_constraint_selectors;
         ] );
       ("properties", qsuite);
     ]

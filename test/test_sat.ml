@@ -319,10 +319,61 @@ let prop_pb_bound_respected =
         in
         total <= k)
 
+(* The decision heap stays a max-heap on activity, with positions in sync,
+   across repeated solves: conflicts bump activities (sifting variables up),
+   decisions pop (sifting down), backtracking re-inserts, and variables
+   created after a solve push the heap past its initial capacity.  A
+   completed search pops every variable and rebuilds the heap by inserts,
+   so most solves here run under a small conflict budget: an interrupted
+   search leaves the heap partly popped. *)
+let prop_heap_invariant =
+  let open QCheck in
+  let clause nv =
+    Gen.(
+      list_size (int_range 2 3)
+        (map2 (fun v s -> if s then pos v else neg v) (int_range 0 (nv - 1)) bool))
+  in
+  let gen =
+    make
+      ~print:(fun (c1, c2, runs) ->
+        Printf.sprintf "%d initial clauses, %d later clauses, budgets [%s]"
+          (List.length c1) (List.length c2)
+          (String.concat ";" (List.map (fun (k, _) -> string_of_int k) runs)))
+      Gen.(
+        triple
+          (list_size (int_range 1 30) (clause 8))
+          (list_size (int_range 50 220) (clause 48))
+          (list_size (int_range 1 8)
+             (pair (int_range 1 6) (list_size (int_range 0 3) (clause 48 >|= List.hd)))))
+  in
+  Test.make ~count:200 ~name:"decision heap invariant holds after every solve" gen
+    (fun (c1, c2, runs) ->
+      let s, _ = mk 8 in
+      List.iter (S.add_clause s) c1;
+      let models_ok clauses = function
+        | S.Unsat -> true
+        | S.Sat -> List.for_all (fun c -> List.exists (S.value s) c) clauses
+      in
+      let ok = ref (models_ok c1 (S.solve s) && S.heap_ok s) in
+      (* 40 variables created after the first solve *)
+      ignore (Array.init 40 (fun _ -> S.new_var s));
+      List.iter (S.add_clause s) c2;
+      List.iter
+        (fun (k, assumptions) ->
+          let budget =
+            Asp.Budget.start { Asp.Budget.no_limits with Asp.Budget.conflicts = Some k }
+          in
+          (match S.solve ~assumptions ~budget s with
+          | r -> ok := !ok && models_ok (c1 @ c2) r
+          | exception Asp.Budget.Exhausted _ -> ());
+          ok := !ok && S.heap_ok s)
+        runs;
+      !ok && models_ok (c1 @ c2) (S.solve s) && S.heap_ok s)
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_cdcl_matches_brute_force; prop_pb_bound_respected ]
+      [ prop_cdcl_matches_brute_force; prop_pb_bound_respected; prop_heap_invariant ]
   in
   Alcotest.run "sat"
     [
