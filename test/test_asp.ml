@@ -888,7 +888,7 @@ let () =
           Alcotest.test_case "learnt reduction" `Quick test_reduce_db_lists;
           Alcotest.test_case "portfolio on other domains" `Quick test_portfolio_lists;
         ] );
-      ( "constraint translation",
+      ( "constraints",
         [
           Alcotest.test_case "fact positive literal" `Quick test_constraint_fact_pos;
           Alcotest.test_case "negated fact" `Quick test_constraint_negated_fact;
