@@ -62,12 +62,12 @@ module Store = struct
     offset : int;  (** ids below this live in [parent] *)
     ids : int H.t;
     atoms : atom Vec.t;
-    facts : bool Vec.t;
+    facts : Ivec.t;  (** 1 for a fact, 0 otherwise *)
     overlay : (int, unit) Hashtbl.t;  (** parent ids fact-marked by this layer *)
-    preds : (string * int, int Vec.t) Hashtbl.t;
-    index : int Vec.t K.t;
+    preds : (string * int, Ivec.t) Hashtbl.t;
+    index : Ivec.t K.t;
     mutable frozen : bool;
-    empty : int Vec.t;  (** shared empty vector for misses *)
+    empty : Ivec.t;  (** shared empty vector for misses *)
   }
 
   let create () =
@@ -76,12 +76,12 @@ module Store = struct
       offset = 0;
       ids = H.create 4096;
       atoms = Vec.create ~dummy:{ pred = ""; args = [] } ();
-      facts = Vec.create ~dummy:false ();
+      facts = Ivec.create ();
       overlay = Hashtbl.create 1;
       preds = Hashtbl.create 256;
       index = K.create 4096;
       frozen = false;
-      empty = Vec.create ~capacity:1 ~dummy:0 ();
+      empty = Ivec.create ~capacity:1 ();
     }
 
   let count st = st.offset + Vec.length st.atoms
@@ -94,24 +94,24 @@ module Store = struct
       let id = st.offset + Vec.length st.atoms in
       H.add st.ids a id;
       Vec.push st.atoms a;
-      Vec.push st.facts false;
+      Ivec.push st.facts 0;
       let arity = List.length a.args in
       let pk = (a.pred, arity) in
       (match Hashtbl.find_opt st.preds pk with
-      | Some v -> Vec.push v id
+      | Some v -> Ivec.push v id
       | None ->
-        let v = Vec.create ~dummy:0 () in
-        Vec.push v id;
+        let v = Ivec.create () in
+        Ivec.push v id;
         Hashtbl.add st.preds pk v);
       List.iteri
         (fun kpos value ->
           let k = { kpred = a.pred; karity = arity; kpos; kvalue = value } in
           match K.find_opt st.index k with
-          | Some v -> Vec.push v id
+          | Some v -> Ivec.push v id
           | None ->
             (* most (pred, pos, value) keys hold one or two ids *)
-            let v = Vec.create ~capacity:2 ~dummy:0 () in
-            Vec.push v id;
+            let v = Ivec.create ~capacity:2 () in
+            Ivec.push v id;
             K.add st.index k v)
         a.args;
       id
@@ -134,18 +134,18 @@ module Store = struct
   let mark_fact st id =
     if id < st.offset then begin
       let p = Option.get st.parent in
-      if not (Vec.get p.facts id) then Hashtbl.replace st.overlay id ()
+      if Ivec.get p.facts id = 0 then Hashtbl.replace st.overlay id ()
     end
     else begin
       if st.frozen then invalid_arg "Gatom.Store.mark_fact: store is frozen";
-      Vec.set st.facts (id - st.offset) true
+      Ivec.set st.facts (id - st.offset) 1
     end
 
   let is_fact st id =
     if id < st.offset then
       let p = Option.get st.parent in
-      Vec.get p.facts id || Hashtbl.mem st.overlay id
-    else Vec.get st.facts (id - st.offset)
+      Ivec.get p.facts id = 1 || Hashtbl.mem st.overlay id
+    else Ivec.get st.facts (id - st.offset) = 1
 
   let freeze st =
     if st.parent <> None then invalid_arg "Gatom.Store.freeze: not a root store";
@@ -159,7 +159,7 @@ module Store = struct
       offset = count st;
       ids = H.create 256;
       atoms = Vec.create ~dummy:{ pred = ""; args = [] } ();
-      facts = Vec.create ~dummy:false ();
+      facts = Ivec.create ();
       overlay = Hashtbl.create 16;
       preds = Hashtbl.create 64;
       index = K.create 256;
@@ -173,30 +173,30 @@ module Store = struct
   let clone st =
     if st.parent <> None then invalid_arg "Gatom.Store.clone: not a root store";
     let preds = Hashtbl.create (Hashtbl.length st.preds) in
-    Hashtbl.iter (fun k v -> Hashtbl.add preds k (Vec.copy v)) st.preds;
+    Hashtbl.iter (fun k v -> Hashtbl.add preds k (Ivec.copy v)) st.preds;
     let index = K.create (K.length st.index) in
-    K.iter (fun k v -> K.add index k (Vec.copy v)) st.index;
+    K.iter (fun k v -> K.add index k (Ivec.copy v)) st.index;
     {
       parent = None;
       offset = 0;
       ids = H.copy st.ids;
       atoms = Vec.copy st.atoms;
-      facts = Vec.copy st.facts;
+      facts = Ivec.copy st.facts;
       overlay = Hashtbl.create 1;
       preds;
       index;
       frozen = false;
-      empty = Vec.create ~capacity:1 ~dummy:0 ();
+      empty = Ivec.create ~capacity:1 ();
     }
 
   (* Candidate ids for a (pred, arity[, arg]) probe: at most two backing
      vectors (parent layer + local layer), exposed as one sequence. *)
-  type cands = { c_n : int; c_a : int Vec.t; c_b : int Vec.t }
+  type cands = { c_n : int; c_a : Ivec.t; c_b : Ivec.t }
 
   let cands_length c = c.c_n
   let cands_iter f c =
-    Vec.iter f c.c_a;
-    Vec.iter f c.c_b
+    Ivec.iter f c.c_a;
+    Ivec.iter f c.c_b
 
   let pred_vec st p a =
     match Hashtbl.find_opt st.preds (p, a) with Some v -> v | None -> st.empty
@@ -205,10 +205,10 @@ module Store = struct
     match st.parent with
     | None ->
       let v = pred_vec st p a in
-      { c_n = Vec.length v; c_a = v; c_b = st.empty }
+      { c_n = Ivec.length v; c_a = v; c_b = st.empty }
     | Some par ->
       let v1 = pred_vec par p a and v2 = pred_vec st p a in
-      { c_n = Vec.length v1 + Vec.length v2; c_a = v1; c_b = v2 }
+      { c_n = Ivec.length v1 + Ivec.length v2; c_a = v1; c_b = v2 }
 
   let arg_vec st p a ~pos ~value =
     match K.find_opt st.index { kpred = p; karity = a; kpos = pos; kvalue = value } with
@@ -219,10 +219,10 @@ module Store = struct
     match st.parent with
     | None ->
       let v = arg_vec st p a ~pos ~value in
-      { c_n = Vec.length v; c_a = v; c_b = st.empty }
+      { c_n = Ivec.length v; c_a = v; c_b = st.empty }
     | Some par ->
       let v1 = arg_vec par p a ~pos ~value and v2 = arg_vec st p a ~pos ~value in
-      { c_n = Vec.length v1 + Vec.length v2; c_a = v1; c_b = v2 }
+      { c_n = Ivec.length v1 + Ivec.length v2; c_a = v1; c_b = v2 }
 
   let fold_pred_names st f acc =
     let acc =

@@ -81,9 +81,9 @@ let pp_catom ppf a =
 (* ------------------------------------------------------------------ *)
 
 module Env = struct
-  type t = { mutable slots : Term.t option array; trail : int Vec.t }
+  type t = { mutable slots : Term.t option array; trail : Ivec.t }
 
-  let create () = { slots = Array.make 64 None; trail = Vec.create ~dummy:0 () }
+  let create () = { slots = Array.make 64 None; trail = Ivec.create () }
 
   let ensure env n =
     if Array.length env.slots < n then begin
@@ -92,11 +92,11 @@ module Env = struct
       env.slots <- ns
     end
 
-  let mark env = Vec.length env.trail
+  let mark env = Ivec.length env.trail
 
   let undo env m =
-    while Vec.length env.trail > m do
-      env.slots.(Vec.pop env.trail) <- None
+    while Ivec.length env.trail > m do
+      env.slots.(Ivec.pop env.trail) <- None
     done
 
   (* terms are interned, so the conflict check is pointer equality *)
@@ -105,7 +105,7 @@ module Env = struct
     | Some t' -> Term.equal t t'
     | None ->
       Array.unsafe_set env.slots v (Some t);
-      Vec.push env.trail v;
+      Ivec.push env.trail v;
       true
 
   let lookup env v = Array.unsafe_get env.slots v
@@ -301,6 +301,56 @@ let candidates st (pat : catom) : Gatom.Store.cands =
   | Some (_, c) -> c
   | None -> Gatom.Store.by_pred st.store pat.cpred pat.carity
 
+let ground_atom st ctx (a : catom) : Gatom.t =
+  Gatom.make a.cpred (List.map (fun t -> eval_exn st.env ctx t) a.cargs)
+
+type lit_state = Bound | Matchable | Blocked
+
+exception Unmatchable
+
+(* Whether arithmetic [t] evaluates once the variables in [fresh] are bound
+   too.  An interval never evaluates; it is left to [match_term] to report. *)
+let rec evaluable env fresh (t : cterm) =
+  match t with
+  | C_cst _ | C_interval _ -> true
+  | C_var (v, _) -> Option.is_some (Env.lookup env v) || List.mem v fresh
+  | C_binop (_, x, y) -> evaluable env fresh x && evaluable env fresh y
+  | C_fn (_, args) -> List.for_all (evaluable env fresh) args
+
+(* [fresh] plus the variables that matching [t] binds, walking left to right
+   as [match_term] does; an interval adds [-1], as it is never bound.
+   @raise Unmatchable if arithmetic in [t] uses a variable that neither the
+   env nor an earlier position binds: [t] can match no atom yet. *)
+let rec walk env fresh (t : cterm) =
+  match t with
+  | C_cst _ -> fresh
+  | C_var (v, _) ->
+    if Option.is_some (Env.lookup env v) || List.mem v fresh then fresh else v :: fresh
+  | C_fn (_, args) -> walk_args env fresh args
+  | C_interval _ -> -1 :: fresh
+  | C_binop _ -> if evaluable env fresh t then fresh else raise Unmatchable
+
+and walk_args env fresh = function
+  | [] -> fresh
+  | t :: rest -> walk_args env (walk env fresh t) rest
+
+(* How a positive literal stands under the current env.  Its arguments are
+   walked left to right, as [match_term] binds them, so a variable bound by
+   an earlier position of the same literal counts as bound for arithmetic
+   further right ([r(X, X + 1)] can match).  [Bound]: every argument
+   evaluates, so the literal matches at most one atom and binds nothing.
+   [Blocked]: some arithmetic uses a variable that nothing binds yet, so the
+   literal matches no atom until another literal binds it. *)
+let classify env (a : catom) =
+  match walk_args env [] a.cargs with
+  | [] -> Bound
+  | _ :: _ -> Matchable
+  | exception Unmatchable -> Blocked
+
+(* One step of the join in [enumerate]: look a bound literal's atom up, scan
+   a literal's candidates, or stop because every literal left is blocked. *)
+type join_step = Lookup of int | Scan of int * Gatom.Store.cands | Stuck
+
 (* Enumerate all substitutions satisfying the positive atoms and comparisons
    of [body] over the possible-atom store.  [delta] optionally restricts one
    positive literal (by index) to atoms with id >= the given bound, for
@@ -322,6 +372,51 @@ let enumerate st (body : split_body) ?delta (k : int array -> unit) =
         if eval_cmp c a b then check_cmps acc rest else false
       | _ -> check_cmps (cmp :: acc) rest)
   in
+  let state = Array.make npos Blocked in
+  (* The next join step: the delta-restricted literal when it can match
+     (semi-naive: only a handful of atoms pass its id filter, so it is the
+     most selective join start); then the first literal whose arguments are
+     all bound; otherwise the matchable literal with the fewest candidates.
+     [Stuck] when every literal left is blocked. *)
+  let next () =
+    let step i = function
+      | Bound -> Lookup i
+      | Matchable -> Scan (i, candidates st body.b_pos.(i))
+      | Blocked -> Stuck
+    in
+    let by_delta =
+      match delta with
+      | Some (j, _) when not done_pos.(j) -> step j (classify st.env body.b_pos.(j))
+      | _ -> Stuck
+    in
+    match by_delta with
+    | Lookup _ | Scan _ -> by_delta
+    | Stuck ->
+      let first_bound = ref (-1) and i = ref 0 in
+      while !first_bound < 0 && !i < npos do
+        if not done_pos.(!i) then begin
+          state.(!i) <- classify st.env body.b_pos.(!i);
+          match state.(!i) with Bound -> first_bound := !i | Matchable | Blocked -> ()
+        end;
+        incr i
+      done;
+      if !first_bound >= 0 then Lookup !first_bound
+      else begin
+        let best = ref Stuck and best_n = ref max_int in
+        for i = 0 to npos - 1 do
+          match state.(i) with
+          | Matchable when not done_pos.(i) ->
+            let c = candidates st body.b_pos.(i) in
+            let n = Gatom.Store.cands_length c in
+            if n < !best_n then begin
+              best := Scan (i, c);
+              best_n := n
+            end
+          | _ -> ()
+        done;
+        !best
+      end
+  in
   let rec go remaining =
     if remaining = 0 then begin
       (match !cmps_left with
@@ -332,47 +427,40 @@ let enumerate st (body : split_body) ?delta (k : int array -> unit) =
       k (Array.copy matched)
     end
     else begin
-      (* The delta-restricted literal goes first when present (semi-naive:
-         only a handful of atoms pass its id filter, so it is the most
-         selective join start); otherwise choose the unprocessed literal
-         with the fewest candidates. *)
-      let i, cands =
-        match delta with
-        | Some (j, _) when not done_pos.(j) -> (j, candidates st body.b_pos.(j))
-        | _ ->
-          let best = ref (-1) and best_c = ref None and best_n = ref max_int in
-          for i = 0 to npos - 1 do
-            if not done_pos.(i) then begin
-              let c = candidates st body.b_pos.(i) in
-              let n = Gatom.Store.cands_length c in
-              if n < !best_n then begin
-                best := i;
-                best_c := Some c;
-                best_n := n
-              end
-            end
-          done;
-          (!best, Option.get !best_c)
-      in
-      done_pos.(i) <- true;
-      let lo = match delta with Some (j, lo) when j = i -> lo | _ -> 0 in
-      Gatom.Store.cands_iter
-        (fun id ->
-          if id >= lo then begin
-            let m = Env.mark st.env in
-            let saved_cmps = !cmps_left in
-            if
-              match_atom st.env body.b_pos.(i) (Gatom.Store.atom st.store id)
-              && check_cmps [] !cmps_left
-            then begin
-              matched.(i) <- id;
-              go (remaining - 1)
-            end;
-            cmps_left := saved_cmps;
-            Env.undo st.env m
-          end)
-        cands;
-      done_pos.(i) <- false
+      let lo i = match delta with Some (j, lo) when j = i -> lo | _ -> 0 in
+      match next () with
+      | Stuck -> ()
+      | Lookup i -> (
+        (* A bound literal matches at most one atom and binds nothing, so
+           looking that atom up yields what the index scan would, in the
+           same order. *)
+        match Gatom.Store.find st.store (ground_atom st "positive literal" body.b_pos.(i)) with
+        | Some id when id >= lo i ->
+          done_pos.(i) <- true;
+          matched.(i) <- id;
+          go (remaining - 1);
+          done_pos.(i) <- false
+        | _ -> ())
+      | Scan (i, cands) ->
+        let lo = lo i in
+        done_pos.(i) <- true;
+        Gatom.Store.cands_iter
+          (fun id ->
+            if id >= lo then begin
+              let m = Env.mark st.env in
+              let saved_cmps = !cmps_left in
+              if
+                match_atom st.env body.b_pos.(i) (Gatom.Store.atom st.store id)
+                && check_cmps [] !cmps_left
+              then begin
+                matched.(i) <- id;
+                go (remaining - 1)
+              end;
+              cmps_left := saved_cmps;
+              Env.undo st.env m
+            end)
+          cands;
+        done_pos.(i) <- false
     end
   in
   let m = Env.mark st.env in
@@ -405,9 +493,6 @@ let enumerate_guard st (conds : catom list) rule_text (k : unit -> unit) =
         cands
     in
   go conds
-
-let ground_atom st ctx (a : catom) : Gatom.t =
-  Gatom.make a.cpred (List.map (fun t -> eval_exn st.env ctx t) a.cargs)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 1: possible-atom closure.                                     *)

@@ -1,0 +1,22 @@
+(** Growable [int] arrays: the trail, index and id lists of the grounder and
+    solver.  Unlike a polymorphic {!Vec}, writes skip the write barrier and
+    reads skip the float-array check. *)
+
+type t
+
+val create : ?capacity:int -> unit -> t
+val length : t -> int
+val get : t -> int -> int
+val set : t -> int -> int -> unit
+val push : t -> int -> unit
+val pop : t -> int
+(** @raise Invalid_argument on an empty vector. *)
+
+val clear : t -> unit
+val shrink : t -> int -> unit
+(** [shrink v n] truncates [v] to its first [n] elements. *)
+
+val iter : (int -> unit) -> t -> unit
+val to_array : t -> int array
+val copy : t -> t
+(** Independent copy. *)

@@ -55,6 +55,8 @@ type pb = {
 type reason =
   | Decision
   | RClause of clause
+  | RBin of int
+      (* binary clause (propagated ∨ l): the literal l, which is false *)
   | RPb of pb * int
       (* lazy PB reason: constraint + propagated literal; the clause is
          reconstructed on demand in conflict analysis *)
@@ -69,6 +71,7 @@ let dummy_occ = (dummy_pb, 0)
    own vector on its first push ([push_lit]). *)
 let no_watches : clause Vec.t = Vec.create ~capacity:1 ~dummy:dummy_clause ()
 let no_occs : (pb * int) Vec.t = Vec.create ~capacity:1 ~dummy:dummy_occ ()
+let no_bins : Ivec.t = Ivec.create ~capacity:1 ()
 
 type t = {
   params : params;
@@ -83,11 +86,12 @@ type t = {
   mutable seen : bool array;
   mutable heap_pos : int array;  (* -1 when not in heap *)
   (* per-literal state (length >= 2*nvars) *)
-  mutable watches : clause Vec.t array;
+  mutable watches : clause Vec.t array;  (* clauses of three or more literals *)
+  mutable bins : Ivec.t array;  (* binary partners: (l ∨ o) puts o on l's list *)
   mutable pb_occs : (pb * int) Vec.t array;
   (* search state *)
-  trail : int Vec.t;
-  trail_lim : int Vec.t;
+  trail : Ivec.t;
+  trail_lim : Ivec.t;
   mutable qhead : int;
   mutable heap : int array;  (* binary max-heap of vars by activity *)
   mutable heap_len : int;
@@ -100,7 +104,7 @@ type t = {
   mutable model : int array;  (* copy of values at last SAT *)
   mutable has_model : bool;  (* [model] holds a completed assignment *)
   stats : stats;
-  to_clear : int Vec.t;
+  to_clear : Ivec.t;
   mutable max_learnts : float;
   mutable core : int list;  (* assumption core of the last Unsat-under-assumptions *)
 }
@@ -118,9 +122,10 @@ let create ?(params = default_params) () =
     seen = Array.make 16 false;
     heap_pos = Array.make 16 (-1);
     watches = Array.make 32 no_watches;
+    bins = Array.make 32 no_bins;
     pb_occs = Array.make 32 no_occs;
-    trail = Vec.create ~dummy:0 ();
-    trail_lim = Vec.create ~dummy:0 ();
+    trail = Ivec.create ();
+    trail_lim = Ivec.create ();
     qhead = 0;
     heap = Array.make 16 0;
     heap_len = 0;
@@ -141,7 +146,7 @@ let create ?(params = default_params) () =
         learnt_literals = 0;
         pb_propagations = 0;
       };
-    to_clear = Vec.create ~dummy:0 ();
+    to_clear = Ivec.create ();
     max_learnts = float_of_int params.learnt_start;
     core = [];
   }
@@ -263,6 +268,7 @@ let grow_arrays s =
     (* per-literal arrays: two entries per variable *)
     let copy_lits a fill = Array.append a (Array.make (2 * (m - n)) fill) in
     s.watches <- copy_lits s.watches no_watches;
+    s.bins <- copy_lits s.bins no_bins;
     s.pb_occs <- copy_lits s.pb_occs no_occs
   end
 
@@ -281,7 +287,7 @@ let lit_value s l =
   let v = s.values.(l lsr 1) in
   if v < 0 then -1 else v lxor (l land 1)
 
-let decision_level s = Vec.length s.trail_lim
+let decision_level s = Ivec.length s.trail_lim
 
 (* ---------------- activity ---------------- *)
 
@@ -313,8 +319,8 @@ let unchecked_enqueue s l reason =
   s.values.(v) <- 1 - (l land 1);
   s.levels.(v) <- decision_level s;
   s.reasons.(v) <- reason;
-  s.trail_pos.(v) <- Vec.length s.trail;
-  Vec.push s.trail l;
+  s.trail_pos.(v) <- Ivec.length s.trail;
+  Ivec.push s.trail l;
   (* keep PB counters in sync with the assignment (mirrored in cancel_until) *)
   Vec.iter (fun ((pb : pb), i) -> pb.sumtrue <- pb.sumtrue + pb.pws.(i)) s.pb_occs.(l)
 
@@ -328,9 +334,9 @@ let enqueue s l reason =
 
 let cancel_until s level =
   if decision_level s > level then begin
-    let bound = Vec.get s.trail_lim level in
-    while Vec.length s.trail > bound do
-      let l = Vec.pop s.trail in
+    let bound = Ivec.get s.trail_lim level in
+    while Ivec.length s.trail > bound do
+      let l = Ivec.pop s.trail in
       let v = l lsr 1 in
       (* l was true: retract PB sums *)
       Vec.iter (fun ((pb : pb), i) -> pb.sumtrue <- pb.sumtrue - pb.pws.(i)) s.pb_occs.(l);
@@ -340,7 +346,7 @@ let cancel_until s level =
       heap_insert s v
     done;
     s.qhead <- bound;
-    Vec.shrink s.trail_lim level
+    Ivec.shrink s.trail_lim level
   end
 
 (* ---------------- clause management ---------------- *)
@@ -362,7 +368,22 @@ let attach_clause s c =
   push_watch s c.lits.(0) c;
   push_watch s c.lits.(1) c
 
-let shared_lists_empty () = Vec.length no_watches = 0 && Vec.length no_occs = 0
+let push_bin s l o =
+  let v = s.bins.(l) in
+  if v == no_bins then begin
+    let v = Ivec.create ~capacity:4 () in
+    Ivec.push v o;
+    s.bins.(l) <- v
+  end
+  else Ivec.push v o
+
+(* A binary clause (a ∨ b) is no record: each literal lists the other. *)
+let attach_binary s a b =
+  push_bin s a b;
+  push_bin s b a
+
+let shared_lists_empty () =
+  Vec.length no_watches = 0 && Vec.length no_occs = 0 && Ivec.length no_bins = 0
 
 let locked s c =
   let l0 = c.lits.(0) in
@@ -373,28 +394,38 @@ let locked s c =
 let add_clause s lits =
   if not s.unsat then begin
     assert (decision_level s = 0);
-    (* simplify: dedup, drop false lits, detect tautology/satisfied *)
-    let lits = List.sort_uniq Int.compare lits in
-    let tautology =
-      let rec go = function
-        | a :: (b :: _ as rest) -> (a lxor b) = 1 || go rest
-        | _ -> false
-      in
-      go lits
-    in
-    let satisfied = List.exists (fun l -> lit_value s l = 1) lits in
-    if not (tautology || satisfied) then begin
-      let lits = List.filter (fun l -> lit_value s l <> 0) lits in
-      match lits with
-      | [] -> s.unsat <- true
-      | [ l ] -> ignore (enqueue s l Decision)
-      | _ ->
-        let c =
-          { lits = Array.of_list lits; activity = 0.; learnt = false; deleted = false }
+    match lits with
+    | [ a; b ] when a lxor b > 1 -> (
+      (* two distinct variables, the common case: no list passes *)
+      match (lit_value s a, lit_value s b) with
+      | 1, _ | _, 1 -> ()
+      | 0, 0 -> s.unsat <- true
+      | 0, _ -> ignore (enqueue s b Decision)
+      | _, 0 -> ignore (enqueue s a Decision)
+      | _ -> attach_binary s a b)
+    | _ ->
+      (* simplify: dedup, drop false lits, detect tautology/satisfied *)
+      let lits = List.sort_uniq Int.compare lits in
+      let tautology =
+        let rec go = function
+          | a :: (b :: _ as rest) -> a lxor b = 1 || go rest
+          | _ -> false
         in
-        Vec.push s.clauses c;
-        attach_clause s c
-    end
+        go lits
+      in
+      let satisfied = List.exists (fun l -> lit_value s l = 1) lits in
+      if not (tautology || satisfied) then begin
+        match List.filter (fun l -> lit_value s l <> 0) lits with
+        | [] -> s.unsat <- true
+        | [ l ] -> ignore (enqueue s l Decision)
+        | [ a; b ] -> attach_binary s a b
+        | lits ->
+          let c =
+            { lits = Array.of_list lits; activity = 0.; learnt = false; deleted = false }
+          in
+          Vec.push s.clauses c;
+          attach_clause s c
+      end
   end
 
 let add_pb_le s wls cap =
@@ -496,12 +527,21 @@ let propagate_pb s l =
 
 let propagate s =
   try
-    while s.qhead < Vec.length s.trail do
-      let l = Vec.get s.trail s.qhead in
+    while s.qhead < Ivec.length s.trail do
+      let l = Ivec.get s.trail s.qhead in
       s.qhead <- s.qhead + 1;
       s.stats.propagations <- s.stats.propagations + 1;
       propagate_pb s l;
       let false_lit = l lxor 1 in
+      (* binary clauses (false_lit ∨ o): o must hold *)
+      let bs = s.bins.(false_lit) in
+      for j = 0 to Ivec.length bs - 1 do
+        let o = Ivec.get bs j in
+        match lit_value s o with
+        | 1 -> ()
+        | 0 -> raise (Conflict [| o; false_lit |])
+        | _ -> unchecked_enqueue s o (RBin false_lit)
+      done;
       let ws = s.watches.(false_lit) in
       let n = Vec.length ws in
       let keep = ref 0 in
@@ -568,17 +608,18 @@ let reason_lits s v =
   | RClause c ->
     cla_bump s c;
     c.lits
+  | RBin l -> [| (2 * v) + 1 - s.values.(v); l |] (* v's true literal first *)
   | RPb (pb, plit) -> pb_reason_clause s pb plit
 
 let analyze s confl =
-  let learnt = Vec.create ~dummy:0 () in
-  Vec.push learnt 0;
+  let learnt = Ivec.create () in
+  Ivec.push learnt 0;
   (* placeholder for the asserting literal *)
   let counter = ref 0 in
   let p = ref (-1) in
-  let trail_idx = ref (Vec.length s.trail - 1) in
+  let trail_idx = ref (Ivec.length s.trail - 1) in
   let cur_level = decision_level s in
-  Vec.clear s.to_clear;
+  Ivec.clear s.to_clear;
   let c = ref confl in
   let continue_ = ref true in
   while !continue_ do
@@ -589,50 +630,53 @@ let analyze s confl =
       let v = q lsr 1 in
       if (not s.seen.(v)) && s.levels.(v) > 0 then begin
         s.seen.(v) <- true;
-        Vec.push s.to_clear v;
+        Ivec.push s.to_clear v;
         var_bump s v;
         if s.levels.(v) >= cur_level then incr counter
-        else Vec.push learnt q
+        else Ivec.push learnt q
       end
     done;
     (* select next literal to look at *)
-    while not s.seen.(Vec.get s.trail !trail_idx lsr 1) do
+    while not s.seen.(Ivec.get s.trail !trail_idx lsr 1) do
       decr trail_idx
     done;
-    p := Vec.get s.trail !trail_idx;
+    p := Ivec.get s.trail !trail_idx;
     decr trail_idx;
     s.seen.(!p lsr 1) <- false;
     decr counter;
     if !counter = 0 then continue_ := false
     else c := reason_lits s (!p lsr 1)
   done;
-  Vec.set learnt 0 (!p lxor 1);
+  Ivec.set learnt 0 (!p lxor 1);
   (* find backtrack level: max level among learnt[1..]; move it to index 1 *)
   let bt = ref 0 in
-  if Vec.length learnt > 1 then begin
+  if Ivec.length learnt > 1 then begin
     let max_i = ref 1 in
-    for k = 2 to Vec.length learnt - 1 do
-      if s.levels.(Vec.get learnt k lsr 1) > s.levels.(Vec.get learnt !max_i lsr 1) then
+    for k = 2 to Ivec.length learnt - 1 do
+      if s.levels.(Ivec.get learnt k lsr 1) > s.levels.(Ivec.get learnt !max_i lsr 1) then
         max_i := k
     done;
-    let tmp = Vec.get learnt 1 in
-    Vec.set learnt 1 (Vec.get learnt !max_i);
-    Vec.set learnt !max_i tmp;
-    bt := s.levels.(Vec.get learnt 1 lsr 1)
+    let tmp = Ivec.get learnt 1 in
+    Ivec.set learnt 1 (Ivec.get learnt !max_i);
+    Ivec.set learnt !max_i tmp;
+    bt := s.levels.(Ivec.get learnt 1 lsr 1)
   end;
-  Vec.iter (fun v -> s.seen.(v) <- false) s.to_clear;
-  (Vec.to_array learnt, !bt)
+  Ivec.iter (fun v -> s.seen.(v) <- false) s.to_clear;
+  (Ivec.to_array learnt, !bt)
 
 let record_learnt s lits =
   s.stats.learnt_literals <- s.stats.learnt_literals + Array.length lits;
-  if Array.length lits = 1 then ignore (enqueue s lits.(0) Decision)
-  else begin
+  match Array.length lits with
+  | 1 -> ignore (enqueue s lits.(0) Decision)
+  | 2 ->
+    attach_binary s lits.(0) lits.(1);
+    unchecked_enqueue s lits.(0) (RBin lits.(1))
+  | _ ->
     let c = { lits; activity = 0.; learnt = true; deleted = false } in
     Vec.push s.learnts c;
     cla_bump s c;
     attach_clause s c;
     unchecked_enqueue s lits.(0) (RClause c)
-  end
 
 (* ---------------- learnt DB reduction ---------------- *)
 
@@ -643,10 +687,7 @@ let reduce_db s =
   let removed = ref 0 in
   Array.iteri
     (fun i c ->
-      if
-        (not c.deleted) && (not (locked s c)) && Array.length c.lits > 2
-        && i < n / 2
-      then begin
+      if (not c.deleted) && (not (locked s c)) && i < n / 2 then begin
         c.deleted <- true;
         incr removed
       end)
@@ -687,30 +728,31 @@ let luby i = luby_rec (i + 1)
    backwards from the conflicting literals; decisions reached are assumptions
    (callers only invoke this when the conflict is at an assumption level). *)
 let analyze_final s confl =
-  Vec.clear s.to_clear;
+  Ivec.clear s.to_clear;
   let mark q =
     let v = q lsr 1 in
     if s.levels.(v) > 0 && not s.seen.(v) then begin
       s.seen.(v) <- true;
-      Vec.push s.to_clear v
+      Ivec.push s.to_clear v
     end
   in
   Array.iter mark confl;
   let core = ref [] in
-  for i = Vec.length s.trail - 1 downto 0 do
-    let l = Vec.get s.trail i in
+  for i = Ivec.length s.trail - 1 downto 0 do
+    let l = Ivec.get s.trail i in
     let v = l lsr 1 in
     if s.seen.(v) then begin
       (match s.reasons.(v) with
       | Decision -> core := l :: !core
       | RClause c -> Array.iteri (fun k q -> if k > 0 then mark q) c.lits
+      | RBin q -> mark q
       | RPb (pb, plit) ->
         let arr = pb_reason_clause s pb plit in
         Array.iteri (fun k q -> if k > 0 then mark q) arr);
       s.seen.(v) <- false
     end
   done;
-  Vec.iter (fun v -> s.seen.(v) <- false) s.to_clear;
+  Ivec.iter (fun v -> s.seen.(v) <- false) s.to_clear;
   !core
 
 (* ---------------- search ---------------- *)
@@ -786,13 +828,13 @@ let solve ?(assumptions = []) ?(on_model = fun _ -> `Accept) ?(budget = Budget.u
           (* decide the next assumption *)
           let a = assumptions.(decision_level s) in
           match lit_value s a with
-          | 1 -> Vec.push s.trail_lim (Vec.length s.trail)
+          | 1 -> Ivec.push s.trail_lim (Ivec.length s.trail)
           | 0 ->
             (* the assumption is already refuted by earlier ones *)
             s.core <- a :: analyze_final s [| a |];
             result := Some Unsat
           | _ ->
-            Vec.push s.trail_lim (Vec.length s.trail);
+            Ivec.push s.trail_lim (Ivec.length s.trail);
             unchecked_enqueue s a Decision
         end
         else begin
@@ -811,7 +853,7 @@ let solve ?(assumptions = []) ?(on_model = fun _ -> `Accept) ?(budget = Budget.u
           end
           else begin
             s.stats.decisions <- s.stats.decisions + 1;
-            Vec.push s.trail_lim (Vec.length s.trail);
+            Ivec.push s.trail_lim (Ivec.length s.trail);
             let l = if s.phases.(v) then Lit.pos v else Lit.neg v in
             unchecked_enqueue s l Decision
           end

@@ -3,9 +3,15 @@
     This plays the role of clasp's search core: conflict-driven clause
     learning with two-watched-literal propagation, EVSIDS decision heuristic,
     phase saving, Luby restarts, and activity-based deletion of learnt
-    clauses.  Pseudo-Boolean [<=] constraints are propagated natively with a
-    counter scheme (no CNF encoding), which is what makes cardinality rules
-    and optimization bounds cheap.
+    clauses.  Like clasp's short-clause implication graph, two-literal
+    clauses (most of what {!Translate} produces) are no clause records: each
+    literal keeps a list of its binary partners, scanned before the watch
+    list, and a literal they imply names the other, false literal as its
+    reason.  Binary clauses, learnt ones included, are never deleted, so
+    the learnt-clause cap ([learnt_start]) counts longer learnt
+    clauses only.  Pseudo-Boolean [<=] constraints are propagated natively
+    with a counter scheme (no CNF encoding), which is what makes cardinality
+    rules and optimization bounds cheap.
 
     Literal encoding: variable [v] yields literals [2*v] (positive) and
     [2*v+1] (negated). *)
@@ -29,7 +35,9 @@ type params = {
   clause_decay : float;
   restart_base : int;  (** Luby unit, in conflicts *)
   default_phase : bool;  (** polarity used before phase saving kicks in *)
-  learnt_start : int;  (** learnt-clause cap before the first reduction *)
+  learnt_start : int;
+      (** cap on learnt clauses of three or more literals before the first
+          reduction *)
   learnt_inc : float;  (** cap growth factor per reduction *)
   seed : int;  (** deterministic tie-breaking jitter on initial activities *)
 }
@@ -92,9 +100,9 @@ val model_true_vars : t -> int list
 val stats : t -> stats
 
 val shared_lists_empty : unit -> bool
-(** Self-check of the per-literal list allocation: the one watch list and
-    the one PB-occurrence list that every solver shares for literals it has
-    never pushed to are still empty. *)
+(** Self-check of the per-literal list allocation: the one watch list, the
+    one binary-partner list and the one PB-occurrence list that every solver
+    shares for literals it has never pushed to are still empty. *)
 
 val heap_ok : t -> bool
 (** Self-check of the decision heap: every parent's activity is at least its

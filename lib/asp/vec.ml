@@ -24,13 +24,6 @@ let push v x =
   Array.unsafe_set v.data v.len x;
   v.len <- v.len + 1
 
-let pop v =
-  if v.len = 0 then invalid_arg "Vec.pop";
-  v.len <- v.len - 1;
-  let x = v.data.(v.len) in
-  v.data.(v.len) <- v.dummy;
-  x
-
 let top v =
   if v.len = 0 then invalid_arg "Vec.top";
   v.data.(v.len - 1)

@@ -1,4 +1,7 @@
-(** Growable arrays (the workhorse container of the grounder and solver). *)
+(** Growable arrays (the workhorse container of the grounder and solver).
+
+    For pointer payloads: int payloads (trails, atom ids, literals) go in
+    {!Ivec}, whose writes skip the write barrier. *)
 
 type 'a t
 
@@ -9,9 +12,6 @@ val length : 'a t -> int
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit
-val pop : 'a t -> 'a
-(** @raise Invalid_argument on an empty vector. *)
-
 val top : 'a t -> 'a
 val clear : 'a t -> unit
 val shrink : 'a t -> int -> unit

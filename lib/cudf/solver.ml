@@ -134,6 +134,11 @@ let decode_state answer =
 
 let diff_state (doc : Doc.t) state =
   let installed = Doc.installed_pairs doc in
+  let set xs =
+    let t = Hashtbl.create (List.length xs) in
+    List.iter (fun x -> Hashtbl.replace t x ()) xs;
+    Hashtbl.mem t
+  in
   let uniq xs =
     let seen = Hashtbl.create 16 in
     List.filter (fun n ->
@@ -146,20 +151,14 @@ let diff_state (doc : Doc.t) state =
   in
   let installed_names = uniq (List.map fst installed) in
   let state_names = uniq (List.map fst state) in
-  let removed =
-    List.filter (fun n -> not (List.mem n state_names)) installed_names
-  in
-  let installed_new =
-    List.filter (fun n -> not (List.mem n installed_names)) state_names
-  in
+  let in_installed_names = set installed_names and in_state_names = set state_names in
+  let in_installed = set installed and in_state = set state in
+  let removed = List.filter (fun n -> not (in_state_names n)) installed_names in
+  let installed_new = List.filter (fun n -> not (in_installed_names n)) state_names in
   let changed =
     uniq
-      (List.filter_map
-         (fun (n, v) -> if List.mem (n, v) installed then None else Some n)
-         state
-      @ List.filter_map
-          (fun (n, v) -> if List.mem (n, v) state then None else Some n)
-          installed)
+      (List.filter_map (fun (n, v) -> if in_installed (n, v) then None else Some n) state
+      @ List.filter_map (fun (n, v) -> if in_state (n, v) then None else Some n) installed)
   in
   (removed, installed_new, changed)
 

@@ -42,6 +42,15 @@ val heuristic_reasons : Doc.t -> string list
     request targets, unsatisfiable request constraints, removes that
     contradict keep flags, [false!] dependencies of requested stanzas. *)
 
+val diff_state :
+  Doc.t -> (string * int) list -> string list * string list * string list
+(** [diff_state doc state] is [(removed, installed_new, changed)]: installed
+    names absent from [state], names of [state] not installed, and names
+    whose (name, version) pairs differ between the two, each without
+    repeats and in order of first appearance (installed stanzas, then
+    [state]; [changed] lists [state]'s names first).  Linear in the sizes
+    of both. *)
+
 val solve :
   ?config:Asp.Config.t ->
   ?params:Asp.Sat.params ->

@@ -273,10 +273,10 @@ stacks = {r["experiment"].split("-")[-1] for r in rows}
 assert stacks == {"paranoid", "trendy"}, stacks
 m = d["metrics"]
 assert m["cudf-1000-paranoid_p50_s"] > 0 and m["cudf-1000-trendy_p50_s"] > 0, m
-# memory guard: the quick run peaks at ~54 MiB (VmHWM); the ceiling keeps
+# memory guard: the quick run peaks at ~51 MiB (VmHWM); the ceiling keeps
 # 25%+ headroom; a body-indicator variable per integrity constraint peaked
 # at ~74 MiB here, eager per-literal solver lists at ~105 MiB
-RSS_CEILING_MB = 70
+RSS_CEILING_MB = 64
 rss = max(r["peak_rss_mb"] for r in rows if r["experiment"].startswith("cudf-1000-"))
 assert rss <= RSS_CEILING_MB, "cudf-1000 peak rss %.1f MiB > %d" % (rss, RSS_CEILING_MB)
 print("cudf smoke: %d solves, paranoid p50 %.2fs, trendy p50 %.2fs, peak rss %.0f MiB" % (
@@ -287,5 +287,22 @@ echo "$out" | grep -q "optimality proven at every level"
 echo "$out" | grep -q "verified: independent model check passed"
 out=$(timeout 60 dune exec bin/cudf_solve.exe -- --explain "$(dirname "$0")/ci_broken.cudf" || true)
 echo "$out" | grep -q "conflicts with"
+
+echo "== perfbench smoke (both workloads, per-layer trace, ~8s each)"
+# perfbench reads the layer times from cudf_solve's --stats lines and the
+# daemon's reply fields; if either drifts, its per-layer numbers read 0
+# instead of failing, so the smoke asserts they are positive
+for w in cudf serve; do
+  line=$(timeout 300 python3 perfbench/run.py --workload "$w" --seed 1 --seconds 5 --trace 1 | tail -n 1)
+  python3 - "$w" "$line" << 'EOF'
+import json, sys
+w, d = sys.argv[1], json.loads(sys.argv[2])
+assert d["correct"] is True and d["failed"] == 0, d
+m = {k: v["value"] for k, v in d["metrics"].items()}
+assert m["ground_ms"] > 0 and m["search_ms"] > 0, m
+print("perfbench %s smoke: %d requests, ground %.1f ms, search %.1f ms" % (
+    w, d["attempted"], m["ground_ms"], m["search_ms"]))
+EOF
+done
 
 echo "== ci OK"

@@ -590,6 +590,113 @@ let prop_usc_matches_bb =
       solve Asp.Config.Bb = solve Asp.Config.Usc)
 
 (* ------------------------------------------------------------------ *)
+(* Bound positive literals                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Once every argument of a positive body literal is bound, the grounder
+   looks its one possible atom up instead of scanning an index.  These
+   programs hold such literals with constant, function-term and arithmetic
+   arguments, present and absent atoms, and (in extensions) atoms on either
+   side of the semi-naive bound.  Each answer set list is checked twice:
+   against [Asp.Naive] over the whole program, and against the expected
+   atoms written out by hand. *)
+
+let models_strings ?(only = fun _ -> true) models =
+  List.map
+    (fun m ->
+      List.filter_map
+        (fun (a : Asp.Gatom.t) ->
+          if only a.Asp.Gatom.pred then Some (Format.asprintf "%a" Asp.Gatom.pp a) else None)
+        m
+      |> List.sort compare)
+    models
+  |> List.sort compare
+
+let derived = function "p" | "r" | "e" -> false | _ -> true
+
+let check_models msg ~expected cdcl naive =
+  let expected = List.sort compare (List.map (List.sort compare) expected) in
+  Alcotest.(check (list (list string))) (msg ^ ": naive") expected
+    (models_strings ~only:derived naive);
+  Alcotest.(check (list (list string))) (msg ^ ": solver") expected
+    (models_strings ~only:derived cdcl)
+
+let test_bound_literals () =
+  let src =
+    {|p(1..4). r(2). r(3). e(f(1, 2)). e(f(3, 4)).
+      c(X) :- p(X), r(2).
+      a(X) :- p(X), r(X + 1).
+      g(X, Y) :- p(X), p(Y), e(f(X, Y)).
+      m(X) :- p(X), r(X * 10).
+      { s(X) } :- a(X).
+      h(X) :- s(X), g(X, Y), c(Y).|}
+  in
+  let prog = Asp.Parser.parse src in
+  let fixed = [ "a(1)"; "a(2)"; "c(1)"; "c(2)"; "c(3)"; "c(4)"; "g(1,2)"; "g(3,4)" ] in
+  check_models "bound literals"
+    ~expected:[ fixed; "h(1)" :: "s(1)" :: fixed; "s(2)" :: fixed; "h(1)" :: "s(1)" :: "s(2)" :: fixed ]
+    (Asp.Solve.enumerate prog) (Asp.Naive.stable_models prog)
+
+(* Arithmetic over a variable that an earlier argument of the same literal
+   binds: [r(X, X + 1)] holds no bound variable before it is matched, yet
+   matches, as [X] is bound left to right. *)
+let test_same_literal_arithmetic () =
+  let src =
+    {|r(1, 2). r(2, 2). r(1, 3). r(2, 3). p(1). p(2). e(f(2), 4). e(f(3), 5).
+      q(X) :- r(X, X + 1).
+      w(X, Y) :- p(Y), r(X, X + Y).
+      v(X) :- e(f(X), X * 2).|}
+  in
+  let prog = Asp.Parser.parse src in
+  check_models "same-literal arithmetic"
+    ~expected:[ [ "q(1)"; "q(2)"; "v(2)"; "w(1,1)"; "w(1,2)"; "w(2,1)" ] ]
+    (Asp.Solve.enumerate prog) (Asp.Naive.stable_models prog)
+
+(* One answer set per way of picking one alternative from each group. *)
+let product groups =
+  List.fold_right
+    (fun alts rest -> List.concat_map (fun alt -> List.map (fun r -> alt @ r) rest) alts)
+    groups [ [] ]
+
+(* [base] is grounded once and extended by the fact statements [delta].  The
+   extension must emit exactly the rules of the whole program: a bound
+   literal that matched a base atom under the semi-naive bound would emit a
+   base instance a second time. *)
+let check_extension msg base delta ~expected =
+  let b, _ = Asp.Grounder.ground_base (Asp.Parser.parse base) in
+  let g, _ = Asp.Grounder.extend b (Asp.Parser.parse delta) in
+  let whole = Asp.Parser.parse (base ^ "\n" ^ delta) in
+  let full, _ = Asp.Grounder.ground whole in
+  Alcotest.(check int) (msg ^ ": rules") (Asp.Ground.num_rules full) (Asp.Ground.num_rules g);
+  let _, models = Asp.Naive.stable_models_ground g in
+  check_models msg ~expected
+    (List.map (Asp.Naive.atoms_of_truth g) models)
+    (Asp.Naive.stable_models whole)
+
+let guarded_rules =
+  {|{ b(X) } :- p(X).
+    a(X) :- p(X), r(X + 1), not b(X).|}
+
+let test_bound_literal_new_atom () =
+  (* the new r(4) reaches a(3) only through the bound literal r(X + 1),
+     which must match an atom added by the extension; a(1) rests on the
+     base atom r(2) and is emitted once, in the base *)
+  check_extension "new atom"
+    ("p(1). p(3). r(2).\n" ^ guarded_rules)
+    "r(4)."
+    ~expected:(product [ [ [ "a(1)" ]; [ "b(1)" ] ]; [ [ "a(3)" ]; [ "b(3)" ] ] ])
+
+let test_bound_literal_base_atom () =
+  (* the new p(3) binds X; the bound literal r(X + 1) then matches the base
+     atom r(4); the absent r(6) of the new p(5) yields no a(5) *)
+  check_extension "base atom"
+    ("p(1). r(2). r(4).\n" ^ guarded_rules)
+    "p(3). p(5)."
+    ~expected:
+      (product
+         [ [ [ "a(1)" ]; [ "b(1)" ] ]; [ [ "a(3)" ]; [ "b(3)" ] ]; [ []; [ "b(5)" ] ] ])
+
+(* ------------------------------------------------------------------ *)
 (* Solver per-literal lists                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -880,6 +987,14 @@ let () =
           Alcotest.test_case "unmet requirement" `Quick test_generalized_conditions_unmet;
           Alcotest.test_case "condition triggers choice" `Quick
             test_condition_triggers_choice;
+        ] );
+      ( "bound lookup",
+        [
+          Alcotest.test_case "constant, function and arithmetic" `Quick test_bound_literals;
+          Alcotest.test_case "extension matches a new atom" `Quick test_bound_literal_new_atom;
+          Alcotest.test_case "extension matches a base atom" `Quick
+            test_bound_literal_base_atom;
+          Alcotest.test_case "same-literal arithmetic" `Quick test_same_literal_arithmetic;
         ] );
       ( "solver lists",
         [

@@ -373,6 +373,65 @@ let test_synth_sat_by_construction () =
         Criteria.all)
     [ (11, 150); (12, 350) ]
 
+(* The list-based definition [Solver.diff_state] replaced, kept verbatim
+   as the oracle: quadratic in the state sizes, but plainly right. *)
+let diff_state_lists (doc : Doc.t) state =
+  let installed = Doc.installed_pairs doc in
+  let uniq xs =
+    let seen = Hashtbl.create 16 in
+    List.filter (fun n ->
+        if Hashtbl.mem seen n then false
+        else begin
+          Hashtbl.add seen n ();
+          true
+        end)
+      xs
+  in
+  let installed_names = uniq (List.map fst installed) in
+  let state_names = uniq (List.map fst state) in
+  let removed =
+    List.filter (fun n -> not (List.mem n state_names)) installed_names
+  in
+  let installed_new =
+    List.filter (fun n -> not (List.mem n installed_names)) state_names
+  in
+  let changed =
+    uniq
+      (List.filter_map
+         (fun (n, v) -> if List.mem (n, v) installed then None else Some n)
+         state
+      @ List.filter_map
+          (fun (n, v) -> if List.mem (n, v) state then None else Some n)
+          installed)
+  in
+  (removed, installed_new, changed)
+
+let test_diff_state () =
+  let rng = Random.State.make [| 17 |] in
+  List.iter
+    (fun (seed, n) ->
+      let d = Synth.universe ~seed ~n () in
+      let pairs = List.map (fun (p : Doc.package) -> (p.Doc.name, p.Doc.version)) d.Doc.packages in
+      (* random states in random order, with repeated pairs, plus the
+         installed state itself and the empty state *)
+      let random_state () =
+        List.filter (fun _ -> Random.State.int rng 3 = 0) (pairs @ pairs)
+        |> List.map (fun x -> (Random.State.bits rng, x))
+        |> List.sort compare |> List.map snd
+      in
+      let states =
+        Doc.installed_pairs d :: [] :: List.init 4 (fun _ -> random_state ())
+      in
+      List.iteri
+        (fun i state ->
+          let r, a, c = Solver.diff_state d state and r', a', c' = diff_state_lists d state in
+          let msg what = Printf.sprintf "synth %d/%d state %d: %s" seed n i what in
+          Alcotest.(check (list string)) (msg "removed") r' r;
+          Alcotest.(check (list string)) (msg "new") a' a;
+          Alcotest.(check (list string)) (msg "changed") c' c)
+        states)
+    [ (1, 100); (2, 400); (3, 1000) ]
+
 let () =
   Alcotest.run "cudf"
     [
@@ -408,6 +467,8 @@ let () =
           Alcotest.test_case "upgrade semantics" `Quick test_upgrade_semantics;
           Alcotest.test_case "keep semantics" `Quick test_keep_semantics;
         ] );
+      ( "state diff",
+        [ Alcotest.test_case "hash sets = lists" `Quick test_diff_state ] );
       ( "encode",
         [
           Alcotest.test_case "stream = materialize" `Slow

@@ -269,8 +269,7 @@ let gen_cnf =
            cnf))
     (Gen.list_size (Gen.int_range 1 20) clause)
 
-let brute_force_sat cnf =
-  let nvars = 8 in
+let brute_force_sat ?(nvars = 8) cnf =
   let rec try_mask mask =
     if mask >= 1 lsl nvars then false
     else
@@ -370,10 +369,148 @@ let prop_heap_invariant =
         runs;
       !ok && models_ok (c1 @ c2) (S.solve s) && S.heap_ok s)
 
+(* Unit propagation over [cnf] from [assumptions], on [nvars] variables:
+   [true] when it either refutes the assumptions or assigns every
+   variable. *)
+let propagation_decides nvars cnf assumptions =
+  let value = Array.make nvars (-1) in
+  let lit_value l =
+    let v = value.(S.Lit.var l) in
+    if v < 0 then -1 else if S.Lit.sign l then 1 - v else v
+  in
+  let assign l = value.(S.Lit.var l) <- (if S.Lit.sign l then 0 else 1) in
+  let conflict = ref false in
+  List.iter (fun l -> if lit_value l = 0 then conflict := true else assign l) assumptions;
+  let changed = ref true in
+  while !changed && not !conflict do
+    changed := false;
+    List.iter
+      (fun c ->
+        if not (List.exists (fun l -> lit_value l = 1) c) then
+          match List.filter (fun l -> lit_value l < 0) c with
+          | [] -> conflict := true
+          | [ l ] ->
+            assign l;
+            changed := true
+          | _ -> ())
+      cnf
+  done;
+  !conflict || Array.for_all (fun v -> v >= 0) value
+
+(* Binary clauses live in per-literal partner lists, not clause records:
+   they propagate, explain conflicts and name assumptions in cores through
+   their own reason case.  The instances are 3-colourings of a random
+   4-node graph holding the path 0-1-2-3, plus a few random two-literal
+   clauses: at least 84% of the clauses have two literals, and about half
+   of the instances learn a two-literal clause.  Answers, cores and
+   models are checked against [brute_force_sat]; propagation strength
+   through the decision count: when unit propagation alone settles the
+   assumptions, the solve makes no decision. *)
+let prop_binary_heavy =
+  let open QCheck in
+  let nvars = 12 in
+  let x u c = (3 * u) + c in
+  let colouring edges =
+    List.concat_map
+      (fun u ->
+        List.init 3 (fun c -> pos (x u c))
+        :: List.map (fun (c, d) -> [ neg (x u c); neg (x u d) ]) [ (0, 1); (0, 2); (1, 2) ])
+      [ 0; 1; 2; 3 ]
+    @ List.concat_map
+        (fun (u, v) -> List.init 3 (fun c -> [ neg (x u c); neg (x v c) ]))
+        edges
+  in
+  let lit = Gen.map2 (fun v s -> if s then pos v else neg v) (Gen.int_bound (nvars - 1)) Gen.bool in
+  let gen =
+    make
+      ~print:(fun (cnf, assumptions) ->
+        let cl c = "(" ^ String.concat "|" (List.map string_of_int c) ^ ")" in
+        Printf.sprintf "%s assuming [%s]"
+          (String.concat " & " (List.map cl cnf))
+          (String.concat ";" (List.map string_of_int assumptions)))
+      Gen.(
+        pair
+          (map2
+             (fun chords extra ->
+               colouring ([ (0, 1); (1, 2); (2, 3) ] @ List.filter_map Fun.id chords) @ extra)
+             (flatten_l
+                (List.map
+                   (fun e -> map (fun k -> if k < 4 then Some e else None) (int_bound 4))
+                   [ (0, 2); (0, 3); (1, 3) ]))
+             (list_size (int_range 0 3) (list_repeat 2 lit)))
+          (list_size (int_range 1 4) lit))
+  in
+  Test.make ~count:300 ~name:"binary-heavy CNF: answers, cores and shared lists" gen
+    (fun (cnf, assumptions) ->
+      let s, _ = mk nvars in
+      List.iter (S.add_clause s) cnf;
+      let sat cnf = brute_force_sat ~nvars cnf in
+      let satisfies c = List.for_all (fun c -> List.exists (S.value s) c) c in
+      let units = List.map (fun l -> [ l ]) in
+      let ok = ref true in
+      let check b = ok := !ok && b && S.shared_lists_empty () in
+      (* plain solve against the oracle, twice: the second run reuses what
+         the first learnt *)
+      for _ = 1 to 2 do
+        match S.solve s with
+        | S.Sat -> check (sat cnf && satisfies cnf)
+        | S.Unsat -> check (not (sat cnf))
+      done;
+      (if sat cnf then
+         let decisions = (S.stats s).S.decisions in
+         let result = S.solve ~assumptions s in
+         if propagation_decides nvars cnf assumptions then
+           check ((S.stats s).S.decisions = decisions);
+         match result with
+         | S.Sat -> check (sat (cnf @ units assumptions) && satisfies (cnf @ units assumptions))
+         | S.Unsat ->
+           let core = S.last_core s in
+           check (not (sat (cnf @ units assumptions)));
+           check (List.for_all (fun l -> List.mem l assumptions) core);
+           check (not (sat (cnf @ units core)));
+           check (S.solve ~assumptions:core s = S.Unsat);
+           (* the shrunk core is minimal: dropping any member satisfies *)
+           let small, minimal = S.shrink_core s core in
+           check minimal;
+           check (not (sat (cnf @ units small)));
+           List.iter (fun l -> check (sat (cnf @ units (List.filter (( <> ) l) small)))) small);
+      !ok)
+
+let test_binary_portfolio_lists () =
+  (* a ground program of mostly two-literal clauses, raced on other
+     domains: the shared binary list stays empty throughout *)
+  let src =
+    {|n(1..12).
+      { on(X) : n(X) }.
+      :- on(X), on(X + 1).
+      :- not on(X), not on(X + 1), n(X), n(X + 1).
+      #minimize { 1,X : on(X) }.|}
+  in
+  let ground, _ = Asp.Grounder.ground (Asp.Parser.parse src) in
+  Asp.Pool.with_pool ~domains:2 (fun pool ->
+      let outcome =
+        Asp.Portfolio.race ~pool
+          ~racers:(Asp.Portfolio.racers ~config:Asp.Config.default 3)
+          ~budget:(Asp.Budget.start Asp.Budget.no_limits)
+          ground
+      in
+      match outcome.Asp.Portfolio.attempt with
+      | Asp.Portfolio.Model { costs; quality; _ } ->
+        Alcotest.(check bool) "optimal" true (quality = `Optimal);
+        (* an independent vertex cover of the path 1..12 *)
+        Alcotest.(check (list (pair int int))) "six on" [ (0, 6) ] costs
+      | _ -> Alcotest.fail "portfolio found no model");
+  Alcotest.(check bool) "shared lists untouched" true (S.shared_lists_empty ())
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_cdcl_matches_brute_force; prop_pb_bound_respected; prop_heap_invariant ]
+      [
+        prop_cdcl_matches_brute_force;
+        prop_pb_bound_respected;
+        prop_heap_invariant;
+        prop_binary_heavy;
+      ]
   in
   Alcotest.run "sat"
     [
@@ -414,5 +551,7 @@ let () =
           Alcotest.test_case "refine" `Quick test_on_model_refine;
           Alcotest.test_case "refine to unsat" `Quick test_on_model_refine_to_unsat;
         ] );
+      ( "binary clauses",
+        [ Alcotest.test_case "portfolio race" `Quick test_binary_portfolio_lists ] );
       ("properties", props);
     ]
