@@ -20,13 +20,21 @@ end)
 
 let levels (t : Translate.t) =
   let sat = t.Translate.sat in
+  (* Groups are walked in the order first seen over [Ground.minimize], never
+     in [G]'s hash order: that order follows term ids, which depend on what
+     the process interned before, and it decides the order in which
+     indicator variables and each level's literals are created. *)
   let groups : Ground.body list ref G.t = G.create 64 in
+  let order = ref [] in
   Vec.iter
     (fun (m : Ground.min_entry) ->
       let key = { gprio = m.mpriority; gweight = m.mweight; gtuple = m.mtuple } in
       match G.find_opt groups key with
       | Some r -> r := m.mbody :: !r
-      | None -> G.add groups key (ref [ m.mbody ]))
+      | None ->
+        let r = ref [ m.mbody ] in
+        G.add groups key r;
+        order := (key, r) :: !order)
     t.Translate.ground.Ground.minimize;
   (* indicator literal per group: true iff one of the bodies holds *)
   let by_priority : (int, (int * Sat.lit) list ref * int ref) Hashtbl.t =
@@ -40,8 +48,8 @@ let levels (t : Translate.t) =
       Hashtbl.add by_priority prio slot;
       slot
   in
-  G.iter
-    (fun key bodies ->
+  List.iter
+    (fun (key, bodies) ->
       let entries, offset = level_slot key.gprio in
       let inds = List.map (Translate.body_indicator t) !bodies in
       if List.exists (fun i -> i = None) inds then
@@ -65,7 +73,7 @@ let levels (t : Translate.t) =
           entries := (-key.gweight, Sat.Lit.negate ind) :: !entries
         end
       end)
-    groups;
+    (List.rev !order);
   Hashtbl.fold
     (fun priority (entries, offset) acc ->
       { priority; entries = !entries; offset = !offset } :: acc)

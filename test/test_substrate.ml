@@ -176,9 +176,73 @@ let test_eviction () =
   Alcotest.(check bool) "eviction forced a rebuild" true
     (c.Substrate.base_builds = 3 && c.Substrate.evictions = 2)
 
+(* A solve must not depend on what the process solved before: term ids are
+   handed out in first-interning order for the whole process, so nothing
+   that shapes translation or search may be walked in an id-hashed order.
+   Each history runs in a forked child, so both start from the same term
+   table; the warm child first solves unrelated requests that intern an
+   overlapping set of terms in another order. *)
+let in_child f =
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    let s = try f () with e -> "exception " ^ Printexc.to_string e in
+    let oc = Unix.out_channel_of_descr w in
+    output_string oc s;
+    close_out oc;
+    Unix._exit 0
+  | pid ->
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let s = In_channel.input_all ic in
+    close_in ic;
+    ignore (Unix.waitpid [] pid);
+    s
+
+let search_line (st : Asp.Sat.stats) =
+  Printf.sprintf "%d conflicts, %d decisions" st.Asp.Sat.conflicts st.Asp.Sat.decisions
+
+let cudf_answer ~n ~seed stack =
+  match Cudf.Solver.solve ~stack (Cudf.Synth.universe ~seed ~n ()) with
+  | Cudf.Solver.Solution s ->
+    Printf.sprintf "state %s | costs %s | %s"
+      (String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) s.Cudf.Solver.state))
+      (String.concat "," (List.map (fun (p, v) -> Printf.sprintf "%d@%d" v p) s.Cudf.Solver.costs))
+      (search_line s.Cudf.Solver.sat_stats)
+  | _ -> "no solution"
+
+let spack_answer ?substrate spec =
+  match Concretizer.solve ?substrate ~repo [ Specs.Spec_parser.parse spec ] with
+  | Concretizer.Concrete s as r -> render r ^ " | " ^ search_line s.Concretizer.sat_stats
+  | r -> render r
+
+let history_requests () =
+  let substrate = Substrate.create () in
+  String.concat "\n"
+    [
+      cudf_answer ~n:3000 ~seed:1 Cudf.Criteria.Trendy;
+      spack_answer "hdf5+szip";
+      spack_answer ~substrate "hdf5+szip";
+    ]
+
+let test_history_independent () =
+  let cold = in_child history_requests in
+  let warm =
+    in_child (fun () ->
+        let substrate = Substrate.create () in
+        List.iter (fun spec -> ignore (spack_answer ~substrate spec)) [ "gromacs"; "hdf5~mpi" ];
+        ignore (spack_answer "fftw");
+        ignore (cudf_answer ~n:1000 ~seed:2 Cudf.Criteria.Trendy);
+        history_requests ())
+  in
+  Alcotest.(check string) "cold and warm solves agree" cold warm
+
 let () =
   Alcotest.run "substrate"
     [
+      ( "history",
+        [ Alcotest.test_case "solves ignore process history" `Quick test_history_independent ] );
       ( "differential",
         [
           Alcotest.test_case "randomized stream with installs" `Slow
