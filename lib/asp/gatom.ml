@@ -35,21 +35,30 @@ module Store = struct
     let hash = hash
   end)
 
-  type key = { kpred : string; karity : int; kpos : int; kvalue : Term.t }
+  module S = Hashtbl.Make (struct
+    type t = string
 
-  module K = Hashtbl.Make (struct
-    type t = key
-
-    let equal a b =
-      a.karity = b.karity && a.kpos = b.kpos
-      && Term.equal a.kvalue b.kvalue
-      && String.equal a.kpred b.kpred
-
-    (* id-based, non-allocating: the interned term id discriminates values *)
-    let hash k =
-      (((((Hashtbl.hash k.kpred * 31) + k.karity) * 31) + k.kpos) * 31)
-      + Term.id k.kvalue
+    let equal = String.equal
+    let hash = Hashtbl.hash
   end)
+
+  (* Keyed by [Term.id]: non-allocating, and ids are dense. *)
+  module I = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash x = x land max_int
+  end)
+
+  (* One relation (predicate and arity): the ids of its atoms and, for each
+     argument position, the ids of its atoms by that argument's term id.
+     Ids are appended as atoms are interned, so every vector is in
+     ascending id order. *)
+  type rel = { r_arity : int; r_ids : Ivec.t; r_args : Ivec.t I.t array }
+
+  (* Shared, never written: the answer to every probe that misses. *)
+  let no_ids = Ivec.create ~capacity:1 ()
+  let no_rel = { r_arity = 0; r_ids = no_ids; r_args = [||] }
 
   (* A store is either a root (parent = None) or a single extension layer
      over a frozen root: ids below [offset] resolve in the parent, ids at or
@@ -64,68 +73,72 @@ module Store = struct
     atoms : atom Vec.t;
     facts : Ivec.t;  (** 1 for a fact, 0 otherwise *)
     overlay : (int, unit) Hashtbl.t;  (** parent ids fact-marked by this layer *)
-    preds : (string * int, Ivec.t) Hashtbl.t;
-    index : Ivec.t K.t;
+    rels : rel list S.t;  (** by predicate name, one per arity *)
     mutable frozen : bool;
-    empty : Ivec.t;  (** shared empty vector for misses *)
   }
 
-  let create () =
+  let make ~parent ~offset ~size =
     {
-      parent = None;
-      offset = 0;
-      ids = H.create 4096;
+      parent;
+      offset;
+      ids = H.create size;
       atoms = Vec.create ~dummy:{ pred = ""; args = [] } ();
       facts = Ivec.create ();
-      overlay = Hashtbl.create 1;
-      preds = Hashtbl.create 256;
-      index = K.create 4096;
+      overlay = Hashtbl.create 16;
+      rels = S.create 64;
       frozen = false;
-      empty = Ivec.create ~capacity:1 ();
     }
 
+  let create () = make ~parent:None ~offset:0 ~size:4096
   let count st = st.offset + Vec.length st.atoms
 
-  let local_intern st a =
-    match H.find_opt st.ids a with
-    | Some id -> id
-    | None ->
-      if st.frozen then invalid_arg "Gatom.Store.intern: store is frozen";
-      let id = st.offset + Vec.length st.atoms in
-      H.add st.ids a id;
-      Vec.push st.atoms a;
-      Ivec.push st.facts 0;
-      let arity = List.length a.args in
-      let pk = (a.pred, arity) in
-      (match Hashtbl.find_opt st.preds pk with
-      | Some v -> Ivec.push v id
-      | None ->
-        let v = Ivec.create () in
-        Ivec.push v id;
-        Hashtbl.add st.preds pk v);
-      List.iteri
-        (fun kpos value ->
-          let k = { kpred = a.pred; karity = arity; kpos; kvalue = value } in
-          match K.find_opt st.index k with
-          | Some v -> Ivec.push v id
-          | None ->
-            (* most (pred, pos, value) keys hold one or two ids *)
-            let v = Ivec.create ~capacity:2 () in
-            Ivec.push v id;
-            K.add st.index k v)
-        a.args;
-      id
+  let rec find_rel_in arity = function
+    | [] -> no_rel
+    | r :: rest -> if r.r_arity = arity then r else find_rel_in arity rest
 
-  let intern st a =
-    match st.parent with
-    | None -> local_intern st a
-    | Some p -> ( match H.find_opt p.ids a with Some id -> id | None -> local_intern st a)
+  let local_rel st pred arity =
+    match S.find_opt st.rels pred with Some l -> find_rel_in arity l | None -> no_rel
+
+  let rel_for_add st pred arity =
+    let l = Option.value ~default:[] (S.find_opt st.rels pred) in
+    match find_rel_in arity l with
+    | r when r != no_rel -> r
+    | _ ->
+      let r =
+        { r_arity = arity; r_ids = Ivec.create (); r_args = Array.init arity (fun _ -> I.create 16) }
+      in
+      S.replace st.rels pred (r :: l);
+      r
+
+  (* Append a new atom to this layer (the caller has probed for it). *)
+  let add st a =
+    if st.frozen then invalid_arg "Gatom.Store.intern: store is frozen";
+    let id = st.offset + Vec.length st.atoms in
+    H.add st.ids a id;
+    Vec.push st.atoms a;
+    Ivec.push st.facts 0;
+    let r = rel_for_add st a.pred (List.length a.args) in
+    Ivec.push r.r_ids id;
+    List.iteri
+      (fun pos value ->
+        let tbl = r.r_args.(pos) in
+        match I.find_opt tbl (Term.id value) with
+        | Some v -> Ivec.push v id
+        | None ->
+          (* most (position, value) keys hold one or two ids *)
+          let v = Ivec.create ~capacity:2 () in
+          Ivec.push v id;
+          I.add tbl (Term.id value) v)
+      a.args;
+    id
 
   let find st a =
     match st.parent with
     | None -> H.find_opt st.ids a
     | Some p -> (
       match H.find_opt p.ids a with Some id -> Some id | None -> H.find_opt st.ids a)
+
+  let intern st a = match find st a with Some id -> id | None -> add st a
 
   let rec atom st id =
     if id < st.offset then atom (Option.get st.parent) id
@@ -147,6 +160,18 @@ module Store = struct
       Ivec.get p.facts id = 1 || Hashtbl.mem st.overlay id
     else Ivec.get st.facts (id - st.offset) = 1
 
+  let intern_fact st a =
+    match find st a with
+    | Some id ->
+      if is_fact st id then false
+      else begin
+        mark_fact st id;
+        true
+      end
+    | None ->
+      mark_fact st (add st a);
+      true
+
   let freeze st =
     if st.parent <> None then invalid_arg "Gatom.Store.freeze: not a root store";
     st.frozen <- true
@@ -154,28 +179,28 @@ module Store = struct
   let extend st =
     if st.parent <> None then invalid_arg "Gatom.Store.extend: layers do not nest";
     if not st.frozen then invalid_arg "Gatom.Store.extend: freeze the base first";
-    {
-      parent = Some st;
-      offset = count st;
-      ids = H.create 256;
-      atoms = Vec.create ~dummy:{ pred = ""; args = [] } ();
-      facts = Ivec.create ();
-      overlay = Hashtbl.create 16;
-      preds = Hashtbl.create 64;
-      index = K.create 256;
-      frozen = false;
-      empty = st.empty;
-    }
+    make ~parent:(Some st) ~offset:(count st) ~size:256
 
   (* Deep copy of a root store (atoms and terms shared; all tables fresh).
      The install-delta path clones the frozen base and mutates the clone,
      so substrates never chain layers. *)
   let clone st =
     if st.parent <> None then invalid_arg "Gatom.Store.clone: not a root store";
-    let preds = Hashtbl.create (Hashtbl.length st.preds) in
-    Hashtbl.iter (fun k v -> Hashtbl.add preds k (Ivec.copy v)) st.preds;
-    let index = K.create (K.length st.index) in
-    K.iter (fun k v -> K.add index k (Ivec.copy v)) st.index;
+    let copy_rel r =
+      {
+        r with
+        r_ids = Ivec.copy r.r_ids;
+        r_args =
+          Array.map
+            (fun tbl ->
+              let tbl' = I.create (I.length tbl) in
+              I.iter (fun k v -> I.add tbl' k (Ivec.copy v)) tbl;
+              tbl')
+            r.r_args;
+      }
+    in
+    let rels = S.create (S.length st.rels) in
+    S.iter (fun k l -> S.add rels k (List.map copy_rel l)) st.rels;
     {
       parent = None;
       offset = 0;
@@ -183,52 +208,55 @@ module Store = struct
       atoms = Vec.copy st.atoms;
       facts = Ivec.copy st.facts;
       overlay = Hashtbl.create 1;
-      preds;
-      index;
+      rels;
       frozen = false;
-      empty = Ivec.create ~capacity:1 ();
     }
 
-  (* Candidate ids for a (pred, arity[, arg]) probe: at most two backing
-     vectors (parent layer + local layer), exposed as one sequence. *)
-  type cands = { c_n : int; c_a : Ivec.t; c_b : Ivec.t }
+  (* A relation as seen from a store: the parent's part and this layer's. *)
+  type relation = { v_a : rel; v_b : rel }
 
-  let cands_length c = c.c_n
+  let relation st pred arity =
+    match st.parent with
+    | None -> { v_a = local_rel st pred arity; v_b = no_rel }
+    | Some p -> { v_a = local_rel p pred arity; v_b = local_rel st pred arity }
+
+  (* Candidate ids of a probe: at most two backing vectors (parent layer +
+     local layer), exposed as one ascending sequence. *)
+  type cands = { c_a : Ivec.t; c_b : Ivec.t }
+
+  let all v = { c_a = v.v_a.r_ids; c_b = v.v_b.r_ids }
+
+  let arg_ids r ~pos ~value =
+    if r == no_rel then no_ids
+    else match I.find_opt r.r_args.(pos) (Term.id value) with Some v -> v | None -> no_ids
+
+  let with_arg v ~pos ~value =
+    { c_a = arg_ids v.v_a ~pos ~value; c_b = arg_ids v.v_b ~pos ~value }
+
+  let cands_length c = Ivec.length c.c_a + Ivec.length c.c_b
+
   let cands_iter f c =
     Ivec.iter f c.c_a;
     Ivec.iter f c.c_b
 
-  let pred_vec st p a =
-    match Hashtbl.find_opt st.preds (p, a) with Some v -> v | None -> st.empty
+  (* First index of ascending [v] holding an id >= [lo]. *)
+  let lower_bound v lo =
+    let l = ref 0 and r = ref (Ivec.length v) in
+    while !l < !r do
+      let m = (!l + !r) lsr 1 in
+      if Ivec.get v m < lo then l := m + 1 else r := m
+    done;
+    !l
 
-  let by_pred st p a =
-    match st.parent with
-    | None ->
-      let v = pred_vec st p a in
-      { c_n = Ivec.length v; c_a = v; c_b = st.empty }
-    | Some par ->
-      let v1 = pred_vec par p a and v2 = pred_vec st p a in
-      { c_n = Ivec.length v1 + Ivec.length v2; c_a = v1; c_b = v2 }
+  let iter_between v f ~lo ~hi =
+    let i = ref (lower_bound v lo) in
+    (* [f] may append to [v], but only ids >= [hi] *)
+    while !i < Ivec.length v && Ivec.get v !i < hi do
+      f (Ivec.get v !i);
+      incr i
+    done
 
-  let arg_vec st p a ~pos ~value =
-    match K.find_opt st.index { kpred = p; karity = a; kpos = pos; kvalue = value } with
-    | Some v -> v
-    | None -> st.empty
-
-  let by_pred_arg st p a ~pos ~value =
-    match st.parent with
-    | None ->
-      let v = arg_vec st p a ~pos ~value in
-      { c_n = Ivec.length v; c_a = v; c_b = st.empty }
-    | Some par ->
-      let v1 = arg_vec par p a ~pos ~value and v2 = arg_vec st p a ~pos ~value in
-      { c_n = Ivec.length v1 + Ivec.length v2; c_a = v1; c_b = v2 }
-
-  let fold_pred_names st f acc =
-    let acc =
-      match st.parent with
-      | Some p -> Hashtbl.fold (fun k _ acc -> f k acc) p.preds acc
-      | None -> acc
-    in
-    Hashtbl.fold (fun k _ acc -> f k acc) st.preds acc
+  let cands_iter_between f c ~lo ~hi =
+    iter_between c.c_a f ~lo ~hi;
+    iter_between c.c_b f ~lo ~hi
 end

@@ -38,6 +38,10 @@ module Store : sig
       layer marking a base atom records the mark in a local overlay; the
       frozen base is never written. *)
 
+  val intern_fact : t -> atom -> bool
+  (** Intern the atom and mark it a fact, with one probe of the store;
+      [false] when it already was a fact. *)
+
   val freeze : t -> unit
   (** Make a root store immutable ({!intern} of new atoms and {!mark_fact}
       raise).  Required before {!extend}; a frozen store is safe to share
@@ -51,21 +55,28 @@ module Store : sig
       fresh).  The install-delta path mutates clones instead of chaining
       layers. *)
 
+  type relation
+  (** The atoms of one (predicate, arity) pair as seen from a store,
+      layers included. *)
+
+  val relation : t -> string -> int -> relation
+
   (** Candidate ids of a probe: at most two backing vectors (base + layer)
-      exposed as one sequence.  Do not mutate the backing vectors. *)
+      exposed as one sequence in ascending id order.  Do not mutate the
+      backing vectors. *)
   type cands
+
+  val all : relation -> cands
+  (** Every atom of the relation. *)
+
+  val with_arg : relation -> pos:int -> value:Term.t -> cands
+  (** The relation's atoms whose argument at [pos] equals [value]. *)
 
   val cands_length : cands -> int
   val cands_iter : (int -> unit) -> cands -> unit
 
-  val by_pred : t -> string -> int -> cands
-  (** [by_pred store p a] is the ids of all stored atoms with predicate [p]
-      and arity [a]. *)
-
-  val by_pred_arg : t -> string -> int -> pos:int -> value:Term.t -> cands
-  (** Atoms of [p/a] whose argument at [pos] equals [value]. *)
-
-  val fold_pred_names : t -> (string * int -> 'a -> 'a) -> 'a -> 'a
-  (** May present a (pred, arity) pair twice on a layered store when both
-      layers contain atoms of it. *)
+  val cands_iter_between : (int -> unit) -> cands -> lo:int -> hi:int -> unit
+  (** The candidates with ids in [\[lo, hi)], in ascending order, found by
+      binary search.  The callback may intern atoms: they get ids >= the
+      store's count, so a window with [hi <= count] never reaches them. *)
 end

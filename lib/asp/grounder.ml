@@ -177,12 +177,98 @@ let eval_cmp c (a : Term.t) (b : Term.t) =
 (* Compiled rules: bodies split by literal kind.                       *)
 (* ------------------------------------------------------------------ *)
 
+(* How a positive literal stands at a step of a join.  [Bound]: every
+   argument evaluates, so the literal matches at most one atom and binds
+   nothing.  [Matchable keys]: matching it binds some variable; [keys] are
+   the positions whose arguments already evaluate, the index keys of its
+   candidates.  [Blocked]: some arithmetic uses a variable that nothing
+   binds yet, so the literal matches no atom until another literal binds
+   it. *)
+type lit_state = Bound | Matchable of int list | Blocked
+
+exception Unmatchable
+
+(* The slots that matching [t] binds: its variables outside arithmetic. *)
+let rec binds acc (t : cterm) =
+  match t with
+  | C_var (v, _) -> v :: acc
+  | C_fn (_, args) -> List.fold_left binds acc args
+  | C_cst _ | C_binop _ | C_interval _ -> acc
+
+(* Whether arithmetic [t] evaluates when the slots in [bound] are bound.  An
+   interval never evaluates; it is left to [match_term] to report. *)
+let rec evaluable bound (t : cterm) =
+  match t with
+  | C_cst _ | C_interval _ -> true
+  | C_var (v, _) -> List.mem v bound
+  | C_binop (_, x, y) -> evaluable bound x && evaluable bound y
+  | C_fn (_, args) -> List.for_all (evaluable bound) args
+
+(* Walk [t] left to right, as [match_term] binds it: [bound] plus the slots
+   it binds, and whether it binds any (an interval counts, as it is never
+   bound).
+   @raise Unmatchable if arithmetic in [t] uses a slot that neither [bound]
+   nor an earlier position binds. *)
+let rec walk (bound, fresh) (t : cterm) =
+  match t with
+  | C_cst _ -> (bound, fresh)
+  | C_var (v, _) -> if List.mem v bound then (bound, fresh) else (v :: bound, true)
+  | C_fn (_, args) -> List.fold_left walk (bound, fresh) args
+  | C_interval _ -> (bound, true)
+  | C_binop _ -> if evaluable bound t then (bound, fresh) else raise Unmatchable
+
+(* Arguments are walked left to right, so a variable bound by an earlier
+   position of the same literal counts as bound for arithmetic further
+   right ([r(X, X + 1)] can match). *)
+let classify bound (a : catom) =
+  match List.fold_left walk (bound, false) a.cargs with
+  | _, false -> Bound
+  | _, true ->
+    Matchable
+      (List.concat (List.mapi (fun pos t -> if evaluable bound t then [ pos ] else []) a.cargs))
+  | exception Unmatchable -> Blocked
+
 type split_body = {
   b_pos : catom array;
   b_cmps : (Ast.cmp * cterm * cterm) array;
   b_foralls : (catom * catom list) array;
   b_negs : catom array;
+  b_states : lit_state array array;
+      (** [states] memo, by the bitmask of matched literals; [[||]] until
+          computed.  Filled lazily and possibly by several domains at once
+          (a base's rules are shared): every writer stores the same value,
+          so the race is benign. *)
 }
+
+(* Literal states are memoized for bodies of at most this many positive
+   literals (a 2^n array). *)
+let memo_max = 10
+
+(* The state of every positive literal once the literals in [done_pos] have
+   matched (entries of matched literals are meaningless).  Which variables
+   are bound depends only on which literals matched, so the answer is
+   memoized by that set. *)
+let states (b : split_body) (done_pos : bool array) =
+  let compute () =
+    let bound = ref [] in
+    Array.iteri
+      (fun i a -> if done_pos.(i) then bound := List.fold_left binds !bound a.cargs)
+      b.b_pos;
+    Array.map (classify !bound) b.b_pos
+  in
+  if Array.length b.b_states = 0 then compute ()
+  else begin
+    let key = ref 0 in
+    for i = 0 to Array.length done_pos - 1 do
+      if done_pos.(i) then key := !key lor (1 lsl i)
+    done;
+    match b.b_states.(!key) with
+    | [||] ->
+      let s = compute () in
+      b.b_states.(!key) <- s;
+      s
+    | s -> s
+  end
 
 let split_body cx (body : Ast.body_lit list) =
   let pos = ref [] and cmps = ref [] and foralls = ref [] and negs = ref [] in
@@ -194,11 +280,14 @@ let split_body cx (body : Ast.body_lit list) =
       | Ast.Forall (a, conds) ->
         foralls := (compile_atom cx a, List.map (compile_atom cx) conds) :: !foralls)
     body;
+  let b_pos = Array.of_list (List.rev !pos) in
+  let npos = Array.length b_pos in
   {
-    b_pos = Array.of_list (List.rev !pos);
+    b_pos;
     b_cmps = Array.of_list (List.rev !cmps);
     b_foralls = Array.of_list (List.rev !foralls);
     b_negs = Array.of_list (List.rev !negs);
+    b_states = (if npos > 0 && npos <= memo_max then Array.make (1 lsl npos) [||] else [||]);
   }
 
 (* Compiled choice element; [ce_bad] carries the rendering of a non-positive
@@ -281,16 +370,17 @@ type state = {
 
 let is_edb st (a : catom) = not (Hashtbl.mem st.idb (a.cpred, a.carity))
 
-(* Candidate atom ids for a positive atom pattern under the current env.
-   Picks the most selective index among argument positions whose pattern is
-   already ground. *)
+(* Candidate atom ids for a guard atom under the current env.  Picks the
+   most selective index among argument positions whose pattern is already
+   ground. *)
 let candidates st (pat : catom) : Gatom.Store.cands =
+  let rel = Gatom.Store.relation st.store pat.cpred pat.carity in
   let best = ref None in
   List.iteri
     (fun pos p ->
       match eval st.env p with
       | Some v ->
-        let c = Gatom.Store.by_pred_arg st.store pat.cpred pat.carity ~pos ~value:v in
+        let c = Gatom.Store.with_arg rel ~pos ~value:v in
         let n = Gatom.Store.cands_length c in
         (match !best with
         | Some (m, _) when m <= n -> ()
@@ -299,65 +389,43 @@ let candidates st (pat : catom) : Gatom.Store.cands =
     pat.cargs;
   match !best with
   | Some (_, c) -> c
-  | None -> Gatom.Store.by_pred st.store pat.cpred pat.carity
+  | None -> Gatom.Store.all rel
+
+(* Candidates of a matchable join literal: the most selective index among
+   its argument positions [keys] (see {!lit_state}), else its whole
+   relation. *)
+let key_candidates st (pat : catom) keys : Gatom.Store.cands =
+  let rel = Gatom.Store.relation st.store pat.cpred pat.carity in
+  let probe pos =
+    let value = eval_exn st.env "positive literal" (List.nth pat.cargs pos) in
+    Gatom.Store.with_arg rel ~pos ~value
+  in
+  match keys with
+  | [] -> Gatom.Store.all rel
+  | pos :: rest ->
+    List.fold_left
+      (fun best pos ->
+        let c = probe pos in
+        if Gatom.Store.cands_length c < Gatom.Store.cands_length best then c else best)
+      (probe pos) rest
 
 let ground_atom st ctx (a : catom) : Gatom.t =
   Gatom.make a.cpred (List.map (fun t -> eval_exn st.env ctx t) a.cargs)
-
-type lit_state = Bound | Matchable | Blocked
-
-exception Unmatchable
-
-(* Whether arithmetic [t] evaluates once the variables in [fresh] are bound
-   too.  An interval never evaluates; it is left to [match_term] to report. *)
-let rec evaluable env fresh (t : cterm) =
-  match t with
-  | C_cst _ | C_interval _ -> true
-  | C_var (v, _) -> Option.is_some (Env.lookup env v) || List.mem v fresh
-  | C_binop (_, x, y) -> evaluable env fresh x && evaluable env fresh y
-  | C_fn (_, args) -> List.for_all (evaluable env fresh) args
-
-(* [fresh] plus the variables that matching [t] binds, walking left to right
-   as [match_term] does; an interval adds [-1], as it is never bound.
-   @raise Unmatchable if arithmetic in [t] uses a variable that neither the
-   env nor an earlier position binds: [t] can match no atom yet. *)
-let rec walk env fresh (t : cterm) =
-  match t with
-  | C_cst _ -> fresh
-  | C_var (v, _) ->
-    if Option.is_some (Env.lookup env v) || List.mem v fresh then fresh else v :: fresh
-  | C_fn (_, args) -> walk_args env fresh args
-  | C_interval _ -> -1 :: fresh
-  | C_binop _ -> if evaluable env fresh t then fresh else raise Unmatchable
-
-and walk_args env fresh = function
-  | [] -> fresh
-  | t :: rest -> walk_args env (walk env fresh t) rest
-
-(* How a positive literal stands under the current env.  Its arguments are
-   walked left to right, as [match_term] binds them, so a variable bound by
-   an earlier position of the same literal counts as bound for arithmetic
-   further right ([r(X, X + 1)] can match).  [Bound]: every argument
-   evaluates, so the literal matches at most one atom and binds nothing.
-   [Blocked]: some arithmetic uses a variable that nothing binds yet, so the
-   literal matches no atom until another literal binds it. *)
-let classify env (a : catom) =
-  match walk_args env [] a.cargs with
-  | [] -> Bound
-  | _ :: _ -> Matchable
-  | exception Unmatchable -> Blocked
 
 (* One step of the join in [enumerate]: look a bound literal's atom up, scan
    a literal's candidates, or stop because every literal left is blocked. *)
 type join_step = Lookup of int | Scan of int * Gatom.Store.cands | Stuck
 
 (* Enumerate all substitutions satisfying the positive atoms and comparisons
-   of [body] over the possible-atom store.  [delta] optionally restricts one
-   positive literal (by index) to atoms with id >= the given bound, for
-   semi-naive evaluation.  Calls [k] for each complete substitution with the
-   matched positive atom ids (in literal order). *)
-let enumerate st (body : split_body) ?delta (k : int array -> unit) =
+   of [body] over the possible-atom store, each positive literal restricted
+   to a window of atom ids: literal [delta] to [[lo, hi)], the literals
+   before it to [[0, lo)] and the ones after it to [[0, hi)] ([delta = -1]:
+   every literal to [[0, hi)]).  Calls [k] for each complete substitution
+   with a fresh array of the matched positive atom ids (in literal order). *)
+let enumerate st (body : split_body) ~delta ~lo ~hi (k : int array -> unit) =
   let npos = Array.length body.b_pos in
+  let lo_of i = if i = delta then lo else 0 in
+  let hi_of i = if i < delta then lo else hi in
   let matched = Array.make npos (-1) in
   let done_pos = Array.make npos false in
   let cmps_left = ref (Array.to_list body.b_cmps) in
@@ -372,32 +440,29 @@ let enumerate st (body : split_body) ?delta (k : int array -> unit) =
         if eval_cmp c a b then check_cmps acc rest else false
       | _ -> check_cmps (cmp :: acc) rest)
   in
-  let state = Array.make npos Blocked in
-  (* The next join step: the delta-restricted literal when it can match
-     (semi-naive: only a handful of atoms pass its id filter, so it is the
-     most selective join start); then the first literal whose arguments are
+  (* The next join step: the delta literal when it can match (semi-naive:
+     only the atoms of its window pass, so it is the most selective join
+     start); then the first literal whose arguments are
      all bound; otherwise the matchable literal with the fewest candidates.
      [Stuck] when every literal left is blocked. *)
   let next () =
-    let step i = function
-      | Bound -> Lookup i
-      | Matchable -> Scan (i, candidates st body.b_pos.(i))
-      | Blocked -> Stuck
-    in
+    let state = states body done_pos in
     let by_delta =
-      match delta with
-      | Some (j, _) when not done_pos.(j) -> step j (classify st.env body.b_pos.(j))
-      | _ -> Stuck
+      if delta >= 0 && not done_pos.(delta) then
+        match state.(delta) with
+        | Bound -> Lookup delta
+        | Matchable keys -> Scan (delta, key_candidates st body.b_pos.(delta) keys)
+        | Blocked -> Stuck
+      else Stuck
     in
     match by_delta with
     | Lookup _ | Scan _ -> by_delta
     | Stuck ->
       let first_bound = ref (-1) and i = ref 0 in
       while !first_bound < 0 && !i < npos do
-        if not done_pos.(!i) then begin
-          state.(!i) <- classify st.env body.b_pos.(!i);
-          match state.(!i) with Bound -> first_bound := !i | Matchable | Blocked -> ()
-        end;
+        (match state.(!i) with
+        | Bound when not done_pos.(!i) -> first_bound := !i
+        | Bound | Matchable _ | Blocked -> ());
         incr i
       done;
       if !first_bound >= 0 then Lookup !first_bound
@@ -405,8 +470,8 @@ let enumerate st (body : split_body) ?delta (k : int array -> unit) =
         let best = ref Stuck and best_n = ref max_int in
         for i = 0 to npos - 1 do
           match state.(i) with
-          | Matchable when not done_pos.(i) ->
-            let c = candidates st body.b_pos.(i) in
+          | Matchable keys when not done_pos.(i) ->
+            let c = key_candidates st body.b_pos.(i) keys in
             let n = Gatom.Store.cands_length c in
             if n < !best_n then begin
               best := Scan (i, c);
@@ -427,7 +492,6 @@ let enumerate st (body : split_body) ?delta (k : int array -> unit) =
       k (Array.copy matched)
     end
     else begin
-      let lo i = match delta with Some (j, lo) when j = i -> lo | _ -> 0 in
       match next () with
       | Stuck -> ()
       | Lookup i -> (
@@ -435,31 +499,28 @@ let enumerate st (body : split_body) ?delta (k : int array -> unit) =
            looking that atom up yields what the index scan would, in the
            same order. *)
         match Gatom.Store.find st.store (ground_atom st "positive literal" body.b_pos.(i)) with
-        | Some id when id >= lo i ->
+        | Some id when id >= lo_of i && id < hi_of i ->
           done_pos.(i) <- true;
           matched.(i) <- id;
           go (remaining - 1);
           done_pos.(i) <- false
         | _ -> ())
       | Scan (i, cands) ->
-        let lo = lo i in
         done_pos.(i) <- true;
-        Gatom.Store.cands_iter
+        Gatom.Store.cands_iter_between
           (fun id ->
-            if id >= lo then begin
-              let m = Env.mark st.env in
-              let saved_cmps = !cmps_left in
-              if
-                match_atom st.env body.b_pos.(i) (Gatom.Store.atom st.store id)
-                && check_cmps [] !cmps_left
-              then begin
-                matched.(i) <- id;
-                go (remaining - 1)
-              end;
-              cmps_left := saved_cmps;
-              Env.undo st.env m
-            end)
-          cands;
+            let m = Env.mark st.env in
+            let saved_cmps = !cmps_left in
+            if
+              match_atom st.env body.b_pos.(i) (Gatom.Store.atom st.store id)
+              && check_cmps [] !cmps_left
+            then begin
+              matched.(i) <- id;
+              go (remaining - 1)
+            end;
+            cmps_left := saved_cmps;
+            Env.undo st.env m)
+          cands ~lo:(lo_of i) ~hi:(hi_of i);
         done_pos.(i) <- false
     end
   in
@@ -468,6 +529,17 @@ let enumerate st (body : split_body) ?delta (k : int array -> unit) =
   if check_cmps [] !cmps_left then go npos;
   cmps_left := saved;
   Env.undo st.env m
+
+(* Every instance of [body] whose matched ids all lie below [hi], at least
+   one of them at or above [lo], each found exactly once: under the delta
+   position of its first id at or above [lo].  [lo < 0] is the full join,
+   which also finds the one instance of a body without positive literals. *)
+let join_window st (body : split_body) ~lo ~hi k =
+  if lo < 0 then enumerate st body ~delta:(-1) ~lo:0 ~hi k
+  else
+    for i = 0 to Array.length body.b_pos - 1 do
+      enumerate st body ~delta:i ~lo ~hi k
+    done
 
 (* Enumerate EDB-guard matches: used for Forall conditions and choice-element
    guards.  The guard is a conjunction of atoms over EDB predicates; local
@@ -517,31 +589,52 @@ let derive_heads st (rule : compiled) =
             ignore (Gatom.Store.intern st.store (ground_atom st rule.c_text ce_elem))))
       c_elems
 
-(* The rules that can derive atoms.  An integrity constraint derives
-   nothing, so the closure skips it; emission instantiates it once. *)
-let deriving (rules : compiled list) =
-  List.filter (fun r -> match r.c_head with C_none -> false | C_atom _ | C_choice _ -> true) rules
+(* An integrity constraint derives nothing, so the closure skips it;
+   emission instantiates it once. *)
+let derives r = match r.c_head with C_none -> false | C_atom _ | C_choice _ -> true
 
-let possible_closure st (rules : compiled list) =
-  let rules = deriving rules in
-  let nfacts = Gatom.Store.count st.store in
-  (* round 0: full evaluation over the facts *)
-  List.iter (fun r -> enumerate st r.c_body (fun _ -> derive_heads st r)) rules;
-  let rounds = ref 1 in
-  (* semi-naive rounds: some positive literal must match an atom added since
-     the previous round *)
-  let frontier = ref nfacts in
-  while !frontier < Gatom.Store.count st.store do
-    incr rounds;
-    let lo = !frontier in
-    frontier := Gatom.Store.count st.store;
-    List.iter
-      (fun r ->
-        let npos = Array.length r.c_body.b_pos in
-        for i = 0 to npos - 1 do
-          enumerate st r.c_body ~delta:(i, lo) (fun _ -> derive_heads st r)
-        done)
-      rules
+(* The closure's state over a program's rules (in program order), shared by
+   full grounding and extension.  Each deriving rule remembers the store
+   count when its last join began, and a later round joins it only over the
+   window of atoms added since ({!join_window}), so every instance is found,
+   and its heads derived, exactly once.  The matched ids of the instances
+   are kept per rule, in the order found: emission restores each one
+   instead of joining the rule again. *)
+type closure = {
+  cl_rules : compiled array;
+  cl_since : int array;
+      (** store count when the rule's last join began: [-1] before its
+          first, [max_int] for a constraint *)
+  cl_found : int array Vec.t array;  (** matched ids of each instance found *)
+}
+
+let new_closure (rules : compiled list) ~since =
+  let cl_rules = Array.of_list rules in
+  {
+    cl_rules;
+    cl_since = Array.map (fun r -> if derives r then since else max_int) cl_rules;
+    cl_found = Array.map (fun _ -> Vec.create ~capacity:4 ~dummy:[||] ()) cl_rules;
+  }
+
+(* Join rounds until every deriving rule has joined the whole store.  A
+   rule without positive literals has one instance, found by its first
+   join.  Returns the rounds that joined something. *)
+let close st cl =
+  let rounds = ref 0 and joined = ref true in
+  while !joined do
+    joined := false;
+    Array.iteri
+      (fun k r ->
+        let lo = cl.cl_since.(k) and hi = Gatom.Store.count st.store in
+        if lo < 0 || (lo < hi && Array.length r.c_body.b_pos > 0) then begin
+          joined := true;
+          cl.cl_since.(k) <- hi;
+          join_window st r.c_body ~lo ~hi (fun matched ->
+              Vec.push cl.cl_found.(k) matched;
+              derive_heads st r)
+        end)
+      cl.cl_rules;
+    if !joined then incr rounds
   done;
   !rounds
 
@@ -662,19 +755,9 @@ let multi_add tbl k v =
   | Some l -> l := v :: !l
   | None -> Hashtbl.add tbl k (ref [ v ])
 
-(* Dedup key for delta emission: (rule uid, matched ids).  An instance
-   whose positive body matches >= 2 new atoms is found once per delta
-   position. *)
-module Ikey = Hashtbl.Make (struct
-  type t = int * int array
-
-  let equal (a, xs) (b, ys) = Int.equal a b && xs = ys
-  let hash (a, xs) = Array.fold_left (fun h x -> (h * 31) + x) a xs
-end)
-
 (* Emit one rule instance.  The environment must hold the instance's
-   substitution (the enumerate callback provides it; re-emission restores
-   it with [rebind]).  With [maps], the instance is recorded in the
+   substitution (a join callback provides it; emission from the closure
+   and re-emission restore it with [rebind]).  With [maps], the instance is recorded in the
    staleness maps; with [replace], it overwrites its previous slot instead
    of appending ([Ground.noop_rule] fills slots whose instance no longer
    emits anything, keeping rule indices stable). *)
@@ -830,20 +913,43 @@ let emit_min_instance st (out : Ground.t) ?maps ?replace (mn : cmin)
     let tup = List.map (fun t -> eval_exn st.env "minimize tuple" t) mn.cm_tuple in
     record (put { Ground.mweight = w; mpriority = p; mtuple = tup; mbody })
 
-(* Full (non-incremental) emission pass over the closure. *)
-let emit_all st (out : Ground.t) ?maps (rules : compiled list)
-    (mins : cmin list list) =
-  List.iter
-    (fun r ->
-      enumerate st r.c_body (fun matched ->
-          ignore (emit_rule_instance st out ?maps r matched)))
-    rules;
+(* Restore an instance's substitution by re-matching its positive patterns
+   against the atoms it matched originally, then run [k]. *)
+let rebind st (b : split_body) nvars (matched : int array) (k : unit -> unit) =
+  Env.ensure st.env nvars;
+  let m = Env.mark st.env in
+  let ok = ref true in
+  Array.iteri
+    (fun i pat ->
+      if !ok && not (match_atom st.env pat (Gatom.Store.atom st.store matched.(i)))
+      then ok := false)
+    b.b_pos;
+  if !ok then k ();
+  Env.undo st.env m
+
+(* Emit, in program order, every instance the closure [cl] found, and the
+   instances of constraints and minimize elements that match at least one
+   atom at or above [lo] ([lo < 0]: all of them), joined here once. *)
+let emit_all st (out : Ground.t) ?maps cl (mins : cmin list list) ~lo =
+  let hi = Gatom.Store.count st.store in
+  Array.iteri
+    (fun k r ->
+      if derives r then
+        Vec.iter
+          (fun matched ->
+            rebind st r.c_body r.c_nvars matched (fun () ->
+                ignore (emit_rule_instance st out ?maps r matched)))
+          cl.cl_found.(k)
+      else
+        join_window st r.c_body ~lo ~hi (fun matched ->
+            ignore (emit_rule_instance st out ?maps r matched)))
+    cl.cl_rules;
   List.iter
     (fun group ->
       List.iter
         (fun m ->
           Env.ensure st.env m.cm_nvars;
-          enumerate st m.cm_body (fun matched ->
+          join_window st m.cm_body ~lo ~hi (fun matched ->
               ignore (emit_min_instance st out ?maps m matched)))
         group)
     mins
@@ -910,19 +1016,7 @@ let eval_ground_arg t =
    straight to the interned store, with no Ast statement or per-spec
    atom list in between, and re-seeding an existing fact is a no-op. *)
 let seed_ground_atom store ?taint (ga : Gatom.t) =
-  let changed =
-    match Gatom.Store.find store ga with
-    | Some id ->
-      if Gatom.Store.is_fact store id then false
-      else begin
-        Gatom.Store.mark_fact store id;
-        true
-      end
-    | None ->
-      let id = Gatom.Store.intern store ga in
-      Gatom.Store.mark_fact store id;
-      true
-  in
+  let changed = Gatom.Store.intern_fact store ga in
   match taint with
   | Some t when changed ->
     Hashtbl.replace t (ga.Gatom.pred, List.length ga.Gatom.args) ()
@@ -931,6 +1025,12 @@ let seed_ground_atom store ?taint (ga : Gatom.t) =
 (* Seed a ground fact statement into the store, expanding interval
    arguments into their cartesian product. *)
 let seed_fact store ?taint (a : Ast.atom) =
+  (* most facts have only constant arguments: one atom, nothing to expand *)
+  let rec constants acc = function
+    | [] -> Some (List.rev acc)
+    | Ast.Cst c :: rest -> constants (c :: acc) rest
+    | (Ast.Interval _ | Ast.Binop _ | Ast.Fn _ | Ast.Var _) :: _ -> None
+  in
   let rec arg_values = function
     | Ast.Cst c -> [ c ]
     | Ast.Interval (lo, hi) -> (
@@ -954,9 +1054,12 @@ let seed_fact store ?taint (a : Ast.atom) =
       let tails = expand rest in
       List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) (arg_values t)
   in
-  List.iter
-    (fun args -> seed_ground_atom store ?taint (Gatom.make a.Ast.pred args))
-    (expand a.Ast.args)
+  match constants [] a.Ast.args with
+  | Some args -> seed_ground_atom store ?taint (Gatom.make a.Ast.pred args)
+  | None ->
+    List.iter
+      (fun args -> seed_ground_atom store ?taint (Gatom.make a.Ast.pred args))
+      (expand a.Ast.args)
 
 let ground_internal ~budget ~maps ?facts_stream (prog : Ast.program) =
   Budget.enter budget Budget.Ground;
@@ -1019,9 +1122,10 @@ let ground_internal ~budget ~maps ?facts_stream (prog : Ast.program) =
   let mins = List.rev !minimizes in
   let max_nvars = List.fold_left (fun m r -> max m r.c_nvars) 0 rules in
   Env.ensure st.env max_nvars;
-  let rounds = possible_closure st rules in
+  let cl = new_closure rules ~since:(-1) in
+  let rounds = close st cl in
   let out = Ground.create store in
-  emit_all st out ?maps rules mins;
+  emit_all st out ?maps cl mins ~lo:(-1);
   let stats =
     {
       possible_atoms = Gatom.Store.count store;
@@ -1095,20 +1199,6 @@ let clone_maps (m : maps) =
   in
   { m_next = m.m_next; m_absent = copy_tbl m.m_absent; m_guard = copy_tbl m.m_guard }
 
-(* Restore an instance's substitution by re-matching its positive patterns
-   against the atoms it matched originally, then run [k]. *)
-let rebind st (b : split_body) nvars (matched : int array) (k : unit -> unit) =
-  Env.ensure st.env nvars;
-  let m = Env.mark st.env in
-  let ok = ref true in
-  Array.iteri
-    (fun i pat ->
-      if !ok && not (match_atom st.env pat (Gatom.Store.atom st.store matched.(i)))
-      then ok := false)
-    b.b_pos;
-  if !ok then k ();
-  Env.undo st.env m
-
 (* Seed the delta's fact statements; returns the guard taint set. *)
 let seed_delta st (added : Ast.statement list) =
   let tainted = Hashtbl.create 16 in
@@ -1125,9 +1215,9 @@ let seed_delta st (added : Ast.statement list) =
 
 (* The incremental core: seed [added] facts over a base, continue the
    possible-atom closure, re-emit the base instances the growth made
-   stale, and emit the brand-new instances semi-naively.  [src_maps] is
-   consulted for staleness; [maps]/[update_slots] control whether the
-   result's bookkeeping is maintained (rebase) or discarded (per-request
+   stale, and emit the brand-new instances.  [src_maps] is consulted for
+   staleness; [maps]/[update_slots] control whether the result's
+   bookkeeping is maintained (rebase) or discarded (per-request
    extension). *)
 let extend_onto st (out : Ground.t) (base : base) ~src_maps ~maps ~update_slots
     ?facts_stream (added : Ast.statement list) =
@@ -1140,30 +1230,18 @@ let extend_onto st (out : Ground.t) (base : base) ~src_maps ~maps ~update_slots
   | Some stream ->
     stream (fun ga -> seed_ground_atom st.store ~taint:guard_taint ga)
   | None -> ());
-  (* Closure continuation over the deriving rules.  Rules whose
-     choice-element guards range over a tainted predicate re-derive their
-     heads in full: the guard (not the body) changed, which the semi-naive
-     body delta cannot see. *)
-  let derivers = deriving base.b_rules in
-  List.iter
+  (* The base's closure covered every instance over its own atoms, so the
+     continuation starts each rule at the base's count.  Rules whose
+     choice-element guards range over a tainted predicate first re-derive
+     the heads of their base instances: the guard (not the body) changed,
+     which the body's window cannot see. *)
+  let cl = new_closure base.b_rules ~since:pre_count in
+  Array.iter
     (fun r ->
-      if List.exists (fun k -> Hashtbl.mem guard_taint k) r.c_cgpreds then
-        enumerate st r.c_body (fun _ -> derive_heads st r))
-    derivers;
-  let rounds = ref 0 in
-  let frontier = ref pre_count in
-  while !frontier < Gatom.Store.count st.store do
-    incr rounds;
-    let lo = !frontier in
-    frontier := Gatom.Store.count st.store;
-    List.iter
-      (fun r ->
-        let npos = Array.length r.c_body.b_pos in
-        for i = 0 to npos - 1 do
-          enumerate st r.c_body ~delta:(i, lo) (fun _ -> derive_heads st r)
-        done)
-      derivers
-  done;
+      if derives r && List.exists (fun k -> Hashtbl.mem guard_taint k) r.c_cgpreds then
+        join_window st r.c_body ~lo:(-1) ~hi:pre_count (fun _ -> derive_heads st r))
+    cl.cl_rules;
+  let rounds = close st cl in
   (* Predicates that gained possible atoms: any base instance that treated
      them as impossible (erased negs, missing Forall targets) is stale. *)
   let absent_taint = Hashtbl.create 32 in
@@ -1197,39 +1275,11 @@ let extend_onto st (out : Ground.t) (base : base) ~src_maps ~maps ~update_slots
             let slot = emit_min_instance st out ?maps ~replace:i.i_slot mn i.i_matched in
             if update_slots then i.i_slot <- slot))
     to_reemit;
-  (* New instances: at least one positive literal matches a new atom.
-     Base instances are disjoint (all their matched ids are old), so only
-     within-delta duplicates need the dedup table. *)
-  let seen = Ikey.create 256 in
-  List.iter
-    (fun r ->
-      let npos = Array.length r.c_body.b_pos in
-      for i = 0 to npos - 1 do
-        enumerate st r.c_body ~delta:(i, pre_count) (fun matched ->
-            let key = (r.c_uid, matched) in
-            if not (Ikey.mem seen key) then begin
-              Ikey.add seen key ();
-              ignore (emit_rule_instance st out ?maps r matched)
-            end)
-      done)
-    base.b_rules;
-  List.iter
-    (fun group ->
-      List.iter
-        (fun m ->
-          Env.ensure st.env m.cm_nvars;
-          let npos = Array.length m.cm_body.b_pos in
-          for i = 0 to npos - 1 do
-            enumerate st m.cm_body ~delta:(i, pre_count) (fun matched ->
-                let key = (m.cm_uid, matched) in
-                if not (Ikey.mem seen key) then begin
-                  Ikey.add seen key ();
-                  ignore (emit_min_instance st out ?maps m matched)
-                end)
-          done)
-        group)
-    base.b_mins;
-  !rounds
+  (* New instances: every one the continuation found, and those of
+     constraints and minimize elements matching a new atom.  Base instances
+     match only old atoms, so none is emitted twice. *)
+  emit_all st out ?maps cl base.b_mins ~lo:pre_count;
+  rounds
 
 let check_extendable (base : base) =
   (* A base with an empty-body conflict is already UNSAT; extension could
