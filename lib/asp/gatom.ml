@@ -89,7 +89,7 @@ module Store = struct
       frozen = false;
     }
 
-  let create () = make ~parent:None ~offset:0 ~size:4096
+  let create ?(size = 4096) () = make ~parent:None ~offset:0 ~size
   let count st = st.offset + Vec.length st.atoms
 
   let rec find_rel_in arity = function

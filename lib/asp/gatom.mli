@@ -23,7 +23,10 @@ module Store : sig
   type atom = t
   type t
 
-  val create : unit -> t
+  val create : ?size:int -> unit -> t
+  (** [size] is the number of atoms expected: the atom table starts with
+      that many buckets instead of growing (and rehashing) up to it. *)
+
   val intern : t -> atom -> int
   (** Id of the atom, adding it if new.
       @raise Invalid_argument when the store is frozen and the atom is new. *)

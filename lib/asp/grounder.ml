@@ -1063,7 +1063,8 @@ let seed_fact store ?taint (a : Ast.atom) =
 
 let ground_internal ~budget ~maps ?facts_stream (prog : Ast.program) =
   Budget.enter budget Budget.Ground;
-  let store = Gatom.Store.create () in
+  (* about one atom per statement, most of them facts, is derived again *)
+  let store = Gatom.Store.create ~size:(2 * List.length prog) () in
   let st = { store; env = Env.create (); idb = Hashtbl.create 64; budget } in
   let rules = ref [] and minimizes = ref [] in
   let uid = ref 0 in
