@@ -28,13 +28,6 @@ let make pred args = { pred; args }
 module Store = struct
   type atom = t
 
-  module H = Hashtbl.Make (struct
-    type nonrec t = t
-
-    let equal = equal
-    let hash = hash
-  end)
-
   module S = Hashtbl.Make (struct
     type t = string
 
@@ -52,9 +45,10 @@ module Store = struct
 
   (* One relation (predicate and arity): the ids of its atoms and, for each
      argument position, the ids of its atoms by that argument's term id.
-     Ids are appended as atoms are interned, so every vector is in
-     ascending id order. *)
-  type rel = { r_arity : int; r_ids : Ivec.t; r_args : Ivec.t I.t array }
+     A position's index is built on its first probe and kept up to date
+     from then on; most positions are never probed.  Ids are appended as
+     atoms are interned, so every vector is in ascending id order. *)
+  type rel = { r_arity : int; r_ids : Ivec.t; r_args : Ivec.t I.t option array }
 
   (* Shared, never written: the answer to every probe that misses. *)
   let no_ids = Ivec.create ~capacity:1 ()
@@ -65,12 +59,20 @@ module Store = struct
      above it in the layer's own tables.  Layers never nest (the substrate
      clones roots instead of chaining), so every lookup is at most two
      probes.  A frozen root is immutable and safe to share across domains;
-     fact marks a layer places on parent atoms live in [overlay]. *)
+     fact marks a layer places on parent atoms live in [overlay].
+
+     The atom table is a chained hash table over the layer's own atoms,
+     indexed by local position ([id - offset]): [buckets] holds the first
+     position of each chain and [chain] the next, [-1] ending a chain.  The
+     hash of each atom is kept, so a lookup computes one hash, compares
+     hashes before atoms, and a resize recomputes none. *)
   type t = {
     parent : t option;
     offset : int;  (** ids below this live in [parent] *)
-    ids : int H.t;
     atoms : atom Vec.t;
+    hashes : Ivec.t;
+    chain : Ivec.t;
+    mutable buckets : int array;  (** length a power of two *)
     facts : Ivec.t;  (** 1 for a fact, 0 otherwise *)
     overlay : (int, unit) Hashtbl.t;  (** parent ids fact-marked by this layer *)
     rels : rel list S.t;  (** by predicate name, one per arity *)
@@ -78,12 +80,18 @@ module Store = struct
   }
 
   let make ~parent ~offset ~size =
+    let nb = ref 16 in
+    while !nb < size do
+      nb := 2 * !nb
+    done;
     {
       parent;
       offset;
-      ids = H.create size;
-      atoms = Vec.create ~dummy:{ pred = ""; args = [] } ();
-      facts = Ivec.create ();
+      atoms = Vec.create ~capacity:size ~dummy:{ pred = ""; args = [] } ();
+      hashes = Ivec.create ~capacity:size ();
+      chain = Ivec.create ~capacity:size ();
+      buckets = Array.make !nb (-1);
+      facts = Ivec.create ~capacity:size ();
       overlay = Hashtbl.create 16;
       rels = S.create 64;
       frozen = false;
@@ -91,6 +99,36 @@ module Store = struct
 
   let create ?(size = 4096) () = make ~parent:None ~offset:0 ~size
   let count st = st.offset + Vec.length st.atoms
+
+  (* Id of [a] (of hash [h]) among this layer's own atoms, or [-1]. *)
+  let find_local st a h =
+    let rec walk i =
+      if i < 0 then -1
+      else if Ivec.get st.hashes i = h && equal (Vec.get st.atoms i) a then st.offset + i
+      else walk (Ivec.get st.chain i)
+    in
+    walk st.buckets.(h land (Array.length st.buckets - 1))
+
+  let find_id st a h =
+    match st.parent with
+    | None -> find_local st a h
+    | Some p ->
+      let id = find_local p a h in
+      if id >= 0 then id else find_local st a h
+
+  let find st a =
+    let id = find_id st a (hash a) in
+    if id >= 0 then Some id else None
+
+  let resize st =
+    let nb = 2 * Array.length st.buckets in
+    let buckets = Array.make nb (-1) in
+    for i = 0 to Vec.length st.atoms - 1 do
+      let b = Ivec.get st.hashes i land (nb - 1) in
+      Ivec.set st.chain i buckets.(b);
+      buckets.(b) <- i
+    done;
+    st.buckets <- buckets
 
   let rec find_rel_in arity = function
     | [] -> no_rel
@@ -104,41 +142,44 @@ module Store = struct
     match find_rel_in arity l with
     | r when r != no_rel -> r
     | _ ->
-      let r =
-        { r_arity = arity; r_ids = Ivec.create (); r_args = Array.init arity (fun _ -> I.create 16) }
-      in
+      let r = { r_arity = arity; r_ids = Ivec.create (); r_args = Array.make arity None } in
       S.replace st.rels pred (r :: l);
       r
 
-  (* Append a new atom to this layer (the caller has probed for it). *)
-  let add st a =
+  let index_add tbl value id =
+    match I.find_opt tbl (Term.id value) with
+    | Some v -> Ivec.push v id
+    | None ->
+      (* most (position, value) keys hold one or two ids *)
+      let v = Ivec.create ~capacity:2 () in
+      Ivec.push v id;
+      I.add tbl (Term.id value) v
+
+  (* Append a new atom of hash [h] to this layer (the caller has probed for
+     it). *)
+  let add st a h =
     if st.frozen then invalid_arg "Gatom.Store.intern: store is frozen";
-    let id = st.offset + Vec.length st.atoms in
-    H.add st.ids a id;
+    let i = Vec.length st.atoms in
+    if i >= Array.length st.buckets then resize st;
+    let b = h land (Array.length st.buckets - 1) in
     Vec.push st.atoms a;
+    Ivec.push st.hashes h;
+    Ivec.push st.chain st.buckets.(b);
+    st.buckets.(b) <- i;
     Ivec.push st.facts 0;
+    let id = st.offset + i in
     let r = rel_for_add st a.pred (List.length a.args) in
     Ivec.push r.r_ids id;
     List.iteri
       (fun pos value ->
-        let tbl = r.r_args.(pos) in
-        match I.find_opt tbl (Term.id value) with
-        | Some v -> Ivec.push v id
-        | None ->
-          (* most (position, value) keys hold one or two ids *)
-          let v = Ivec.create ~capacity:2 () in
-          Ivec.push v id;
-          I.add tbl (Term.id value) v)
+        match r.r_args.(pos) with Some tbl -> index_add tbl value id | None -> ())
       a.args;
     id
 
-  let find st a =
-    match st.parent with
-    | None -> H.find_opt st.ids a
-    | Some p -> (
-      match H.find_opt p.ids a with Some id -> Some id | None -> H.find_opt st.ids a)
-
-  let intern st a = match find st a with Some id -> id | None -> add st a
+  let intern st a =
+    let h = hash a in
+    let id = find_id st a h in
+    if id >= 0 then id else add st a h
 
   let rec atom st id =
     if id < st.offset then atom (Option.get st.parent) id
@@ -161,19 +202,36 @@ module Store = struct
     else Ivec.get st.facts (id - st.offset) = 1
 
   let intern_fact st a =
-    match find st a with
-    | Some id ->
-      if is_fact st id then false
-      else begin
-        mark_fact st id;
-        true
-      end
-    | None ->
-      mark_fact st (add st a);
+    let h = hash a in
+    let id = find_id st a h in
+    if id < 0 then begin
+      mark_fact st (add st a h);
       true
+    end
+    else if is_fact st id then false
+    else begin
+      mark_fact st id;
+      true
+    end
 
+  (* The index of [r]'s argument position [pos], built from the relation's
+     atoms on first use. *)
+  let arg_index st r pos =
+    match r.r_args.(pos) with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = I.create 64 in
+      Ivec.iter (fun id -> index_add tbl (List.nth (atom st id).args pos) id) r.r_ids;
+      r.r_args.(pos) <- Some tbl;
+      tbl
+
+  (* A frozen store is shared read-only, so every index is built first. *)
   let freeze st =
     if st.parent <> None then invalid_arg "Gatom.Store.freeze: not a root store";
+    S.iter
+      (fun _ l ->
+        List.iter (fun r -> for pos = 0 to r.r_arity - 1 do ignore (arg_index st r pos) done) l)
+      st.rels;
     st.frozen <- true
 
   let extend st =
@@ -186,26 +244,23 @@ module Store = struct
      so substrates never chain layers. *)
   let clone st =
     if st.parent <> None then invalid_arg "Gatom.Store.clone: not a root store";
+    let copy_index tbl =
+      let tbl' = I.create (I.length tbl) in
+      I.iter (fun k v -> I.add tbl' k (Ivec.copy v)) tbl;
+      tbl'
+    in
     let copy_rel r =
-      {
-        r with
-        r_ids = Ivec.copy r.r_ids;
-        r_args =
-          Array.map
-            (fun tbl ->
-              let tbl' = I.create (I.length tbl) in
-              I.iter (fun k v -> I.add tbl' k (Ivec.copy v)) tbl;
-              tbl')
-            r.r_args;
-      }
+      { r with r_ids = Ivec.copy r.r_ids; r_args = Array.map (Option.map copy_index) r.r_args }
     in
     let rels = S.create (S.length st.rels) in
     S.iter (fun k l -> S.add rels k (List.map copy_rel l)) st.rels;
     {
       parent = None;
       offset = 0;
-      ids = H.copy st.ids;
       atoms = Vec.copy st.atoms;
+      hashes = Ivec.copy st.hashes;
+      chain = Ivec.copy st.chain;
+      buckets = Array.copy st.buckets;
       facts = Ivec.copy st.facts;
       overlay = Hashtbl.create 1;
       rels;
@@ -213,12 +268,12 @@ module Store = struct
     }
 
   (* A relation as seen from a store: the parent's part and this layer's. *)
-  type relation = { v_a : rel; v_b : rel }
+  type relation = { v_st : t; v_a : rel; v_b : rel }
 
   let relation st pred arity =
     match st.parent with
-    | None -> { v_a = local_rel st pred arity; v_b = no_rel }
-    | Some p -> { v_a = local_rel p pred arity; v_b = local_rel st pred arity }
+    | None -> { v_st = st; v_a = local_rel st pred arity; v_b = no_rel }
+    | Some p -> { v_st = st; v_a = local_rel p pred arity; v_b = local_rel st pred arity }
 
   (* Candidate ids of a probe: at most two backing vectors (parent layer +
      local layer), exposed as one ascending sequence. *)
@@ -226,12 +281,17 @@ module Store = struct
 
   let all v = { c_a = v.v_a.r_ids; c_b = v.v_b.r_ids }
 
-  let arg_ids r ~pos ~value =
+  (* A frozen parent's indexes are all built, so only [st]'s own relations
+     are ever indexed here. *)
+  let arg_ids st r ~pos ~value =
     if r == no_rel then no_ids
-    else match I.find_opt r.r_args.(pos) (Term.id value) with Some v -> v | None -> no_ids
+    else
+      match I.find_opt (arg_index st r pos) (Term.id value) with
+      | Some v -> v
+      | None -> no_ids
 
   let with_arg v ~pos ~value =
-    { c_a = arg_ids v.v_a ~pos ~value; c_b = arg_ids v.v_b ~pos ~value }
+    { c_a = arg_ids v.v_st v.v_a ~pos ~value; c_b = arg_ids v.v_st v.v_b ~pos ~value }
 
   let cands_length c = Ivec.length c.c_a + Ivec.length c.c_b
 
