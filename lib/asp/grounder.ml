@@ -152,16 +152,19 @@ let rec match_term env (p : cterm) (v : Term.t) =
   | C_var (x, _) -> Env.bind env x v
   | C_fn (f, args) -> (
     match Term.node v with
-    | Term.Fun (g, vals) ->
-      String.equal f g
-      && List.length args = List.length vals
-      && List.for_all2 (fun p v -> match_term env p v) args vals
+    | Term.Fun (g, vals) -> String.equal f g && match_args env args vals
     | _ -> false)
   | C_binop _ | C_interval _ -> (
     match eval env p with Some pv -> Term.equal pv v | None -> false)
 
-let match_atom env (pat : catom) (ga : Gatom.t) =
-  List.for_all2 (fun p v -> match_term env p v) pat.cargs ga.Gatom.args
+(* Patterns against values, left to right; false on a length mismatch. *)
+and match_args env ps vs =
+  match (ps, vs) with
+  | [], [] -> true
+  | p :: ps, v :: vs -> match_term env p v && match_args env ps vs
+  | _ -> false
+
+let match_atom env (pat : catom) (ga : Gatom.t) = match_args env pat.cargs ga.Gatom.args
 
 let eval_cmp c (a : Term.t) (b : Term.t) =
   let k = Term.compare a b in
@@ -391,11 +394,10 @@ let candidates st (pat : catom) : Gatom.Store.cands =
   | Some (_, c) -> c
   | None -> Gatom.Store.all rel
 
-(* Candidates of a matchable join literal: the most selective index among
-   its argument positions [keys] (see {!lit_state}), else its whole
-   relation. *)
-let key_candidates st (pat : catom) keys : Gatom.Store.cands =
-  let rel = Gatom.Store.relation st.store pat.cpred pat.carity in
+(* Candidates of a matchable join literal over its relation [rel]: the most
+   selective index among its argument positions [keys] (see {!lit_state}),
+   else the whole relation. *)
+let key_candidates st rel (pat : catom) keys : Gatom.Store.cands =
   let probe pos =
     let value = eval_exn st.env "positive literal" (List.nth pat.cargs pos) in
     Gatom.Store.with_arg rel ~pos ~value
@@ -421,9 +423,13 @@ type join_step = Lookup of int | Scan of int * Gatom.Store.cands | Stuck
    to a window of atom ids: literal [delta] to [[lo, hi)], the literals
    before it to [[0, lo)] and the ones after it to [[0, hi)] ([delta = -1]:
    every literal to [[0, hi)]).  Calls [k] for each complete substitution
-   with a fresh array of the matched positive atom ids (in literal order). *)
+   with the matched positive atom ids (in literal order), in an array that
+   is reused: a caller that keeps it copies it.  Atoms interned during the
+   enumeration get ids >= [hi], so the literals' relations are looked up
+   once. *)
 let enumerate st (body : split_body) ~delta ~lo ~hi (k : int array -> unit) =
   let npos = Array.length body.b_pos in
+  let rels = Array.map (fun (a : catom) -> Gatom.Store.relation st.store a.cpred a.carity) body.b_pos in
   let lo_of i = if i = delta then lo else 0 in
   let hi_of i = if i < delta then lo else hi in
   let matched = Array.make npos (-1) in
@@ -451,7 +457,7 @@ let enumerate st (body : split_body) ~delta ~lo ~hi (k : int array -> unit) =
       if delta >= 0 && not done_pos.(delta) then
         match state.(delta) with
         | Bound -> Lookup delta
-        | Matchable keys -> Scan (delta, key_candidates st body.b_pos.(delta) keys)
+        | Matchable keys -> Scan (delta, key_candidates st rels.(delta) body.b_pos.(delta) keys)
         | Blocked -> Stuck
       else Stuck
     in
@@ -471,7 +477,7 @@ let enumerate st (body : split_body) ~delta ~lo ~hi (k : int array -> unit) =
         for i = 0 to npos - 1 do
           match state.(i) with
           | Matchable keys when not done_pos.(i) ->
-            let c = key_candidates st body.b_pos.(i) keys in
+            let c = key_candidates st rels.(i) body.b_pos.(i) keys in
             let n = Gatom.Store.cands_length c in
             if n < !best_n then begin
               best := Scan (i, c);
@@ -489,7 +495,7 @@ let enumerate st (body : split_body) ~delta ~lo ~hi (k : int array -> unit) =
       | (_, x, y) :: _ ->
         ignore (eval_exn st.env "comparison" x);
         ignore (eval_exn st.env "comparison" y));
-      k (Array.copy matched)
+      k matched
     end
     else begin
       match next () with
@@ -605,7 +611,9 @@ type closure = {
   cl_since : int array;
       (** store count when the rule's last join began: [-1] before its
           first, [max_int] for a constraint *)
-  cl_found : int array Vec.t array;  (** matched ids of each instance found *)
+  cl_found : Ivec.t array;
+      (** matched ids of the instances found, one after the other *)
+  cl_count : int array;  (** instances found *)
 }
 
 let new_closure (rules : compiled list) ~since =
@@ -613,7 +621,8 @@ let new_closure (rules : compiled list) ~since =
   {
     cl_rules;
     cl_since = Array.map (fun r -> if derives r then since else max_int) cl_rules;
-    cl_found = Array.map (fun _ -> Vec.create ~capacity:4 ~dummy:[||] ()) cl_rules;
+    cl_found = Array.map (fun _ -> Ivec.create ()) cl_rules;
+    cl_count = Array.make (Array.length cl_rules) 0;
   }
 
 (* Join rounds until every deriving rule has joined the whole store.  A
@@ -630,7 +639,8 @@ let close st cl =
           joined := true;
           cl.cl_since.(k) <- hi;
           join_window st r.c_body ~lo ~hi (fun matched ->
-              Vec.push cl.cl_found.(k) matched;
+              Array.iter (Ivec.push cl.cl_found.(k)) matched;
+              cl.cl_count.(k) <- cl.cl_count.(k) + 1;
               derive_heads st r)
         end)
       cl.cl_rules;
@@ -650,6 +660,14 @@ exception Drop_instance
    possible set (an incremental extension), the instance is stale and must
    be re-emitted. *)
 type emitrec = { mutable er_absent : (string * int) list }
+
+(* The sorted, duplicate-free array of a list of ids: after fact-stripping
+   most bodies keep at most two literals. *)
+let id_set = function
+  | [] -> [||]
+  | [ a ] -> [| a |]
+  | [ a; b ] -> if a < b then [| a; b |] else if b < a then [| b; a |] else [| a |]
+  | l -> Array.of_list (List.sort_uniq Int.compare l)
 
 (* Resolve the full body of a rule instance to (pos, neg) atom-id arrays.
    [matched] are the ids matched for positive literals.  Facts are removed;
@@ -681,8 +699,7 @@ let resolve_body ?er st (body : split_body) (matched : int array) : Ground.body 
       | None -> note_absent a (* impossible atom: [not a] trivially true *)
       | Some id -> if Gatom.Store.is_fact st.store id then raise Drop_instance else neg := id :: !neg)
     body.b_negs;
-  let dedup l = List.sort_uniq Int.compare l in
-  { Ground.pos = Array.of_list (dedup !pos); neg = Array.of_list (dedup !neg) }
+  { Ground.pos = id_set !pos; neg = id_set !neg }
 
 let bound_value st rule_text = function
   | None -> None
@@ -934,15 +951,17 @@ let emit_all st (out : Ground.t) ?maps cl (mins : cmin list list) ~lo =
   let hi = Gatom.Store.count st.store in
   Array.iteri
     (fun k r ->
-      if derives r then
-        Vec.iter
-          (fun matched ->
-            rebind st r.c_body r.c_nvars matched (fun () ->
-                ignore (emit_rule_instance st out ?maps r matched)))
-          cl.cl_found.(k)
+      if derives r then begin
+        let npos = Array.length r.c_body.b_pos in
+        for j = 0 to cl.cl_count.(k) - 1 do
+          let matched = Ivec.sub cl.cl_found.(k) (j * npos) npos in
+          rebind st r.c_body r.c_nvars matched (fun () ->
+              ignore (emit_rule_instance st out ?maps r matched))
+        done
+      end
       else
         join_window st r.c_body ~lo ~hi (fun matched ->
-            ignore (emit_rule_instance st out ?maps r matched)))
+            ignore (emit_rule_instance st out ?maps r (Array.copy matched))))
     cl.cl_rules;
   List.iter
     (fun group ->
@@ -950,7 +969,7 @@ let emit_all st (out : Ground.t) ?maps cl (mins : cmin list list) ~lo =
         (fun m ->
           Env.ensure st.env m.cm_nvars;
           join_window st m.cm_body ~lo ~hi (fun matched ->
-              ignore (emit_min_instance st out ?maps m matched)))
+              ignore (emit_min_instance st out ?maps m (Array.copy matched))))
         group)
     mins
 

@@ -41,5 +41,9 @@ let iter f v =
     f (Array.unsafe_get v.data i)
   done
 
+let sub v pos len =
+  if pos < 0 || len < 0 || pos + len > v.len then invalid_arg "Ivec.sub";
+  Array.sub v.data pos len
+
 let to_array v = Array.sub v.data 0 v.len
 let copy v = { data = Array.sub v.data 0 (max v.len 1); len = v.len }

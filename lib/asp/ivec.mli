@@ -17,6 +17,9 @@ val shrink : t -> int -> unit
 (** [shrink v n] truncates [v] to its first [n] elements. *)
 
 val iter : (int -> unit) -> t -> unit
+val sub : t -> int -> int -> int array
+(** [sub v pos len] is a fresh array of the [len] elements from [pos]. *)
+
 val to_array : t -> int array
 val copy : t -> t
 (** Independent copy. *)
