@@ -482,9 +482,110 @@ let gen_small_program =
       (Gen.opt (Gen.int_range 0 3))
   in
   let stmt = Gen.frequency [ (5, rule); (2, constraint_); (2, choice) ] in
+  (* Half the programs add a recursive shape over a four-node graph, which
+     takes the closure several rounds: a transitive closure, a mutual
+     recursion, a recursion through a choice head and one through a
+     conditional literal.  The propositional atoms [p] and [q] tie it to the
+     rest of the program.  Edges point forward, so at most 6 paths. *)
+  let edge =
+    Gen.(int_range 1 3 >>= fun i -> map (fun j -> (i, j)) (int_range (i + 1) 4))
+  in
+  let shape =
+    Gen.map3
+      (fun (kind, flip) (p, q) edges ->
+        let facts =
+          String.concat " " (List.map (fun (i, j) -> Printf.sprintf "edge(%d,%d)." i j) edges)
+        in
+        let rules =
+          match kind with
+          | 0 ->
+            [
+              Printf.sprintf "t(X,Y) :- edge(X,Y), not %s." p;
+              "t(X,Z) :- t(X,Y), edge(Y,Z).";
+              Printf.sprintf "%s :- t(X,4)." q;
+            ]
+          | 1 ->
+            [
+              Printf.sprintf "r(1) :- not %s." p;
+              "s(Y) :- r(X), edge(X,Y).";
+              "r(Y) :- s(X), edge(X,Y).";
+              Printf.sprintf "%s :- s(4)." q;
+            ]
+          | 2 ->
+            [
+              "reach(1).";
+              Printf.sprintf "{ reach(Y) } :- reach(X), edge(X,Y), not %s." p;
+              Printf.sprintf "%s :- reach(4)." q;
+            ]
+          | _ ->
+            [
+              "node(1..4).";
+              Printf.sprintf "done(X) :- node(X); not %s; done(Y) : edge(X,Y)." p;
+              Printf.sprintf "%s :- done(1)." q;
+            ]
+        in
+        (* the recursive rules first, so that round 0 misses what the base
+           cases derive *)
+        let rules = if flip then List.rev rules else rules in
+        Asp.Parser.parse (String.concat "\n" (facts :: rules)))
+      (Gen.pair (Gen.int_range 0 3) Gen.bool)
+      (Gen.pair atom atom)
+      (Gen.list_size (Gen.int_range 2 5) edge)
+  in
   make
     ~print:(fun p -> Format.asprintf "%a" Asp.Ast.pp_program p)
-    (Gen.list_size (Gen.int_range 1 8) stmt)
+    (Gen.frequency
+       [
+         (1, Gen.list_size (Gen.int_range 1 8) stmt);
+         (1, Gen.map2 ( @ ) shape (Gen.list_size (Gen.int_range 0 5) stmt));
+       ])
+
+(* [prog] with every rule instantiated over the constants [domain]: the
+   variables of a rule's head and plain body literals range over [domain],
+   a conditional literal's own variables stay for the grounder.  The
+   grounder then never joins: each rule has one instance. *)
+let instantiate domain prog =
+  let open Asp.Ast in
+  let rec term env = function
+    | Var v when List.mem_assoc v env -> Cst (List.assoc v env)
+    | Binop (op, a, b) -> Binop (op, term env a, term env b)
+    | Fn (f, args) -> Fn (f, List.map (term env) args)
+    | t -> t
+  in
+  let atom env (a : atom) = { a with args = List.map (term env) a.args } in
+  let lit env = function
+    | Pos a -> Pos (atom env a)
+    | Neg a -> Neg (atom env a)
+    | Cmp (c, x, y) -> Cmp (c, term env x, term env y)
+    | Forall (a, conds) -> Forall (atom env a, List.map (atom env) conds)
+  in
+  let head env = function
+    | Head_none -> Head_none
+    | Head_atom a -> Head_atom (atom env a)
+    | Head_choice c ->
+      Head_choice
+        {
+          c with
+          elems =
+            List.map (fun e -> { elem = atom env e.elem; guard = List.map (lit env) e.guard }) c.elems;
+        }
+  in
+  List.concat_map
+    (function
+      | Rule r as stmt when not (statement_is_fact stmt) ->
+        let vars =
+          List.concat_map atom_vars (head_atoms r.head)
+          @ List.concat_map (function Forall _ -> [] | l -> body_lit_vars l) r.body
+          |> List.sort_uniq String.compare
+        in
+        let envs =
+          List.fold_left
+            (fun envs v -> List.concat_map (fun env -> List.map (fun c -> (v, c) :: env) domain) envs)
+            [ [] ] vars
+        in
+        List.map (fun env -> Rule { r with head = head env r.head; body = List.map (lit env) r.body }) envs
+      | stmt -> [ stmt ])
+    prog
 
 let cdcl_model_of prog =
   match Asp.Solve.solve_program prog with
@@ -495,6 +596,9 @@ let prop_agrees_with_naive =
   QCheck.Test.make ~count:300 ~name:"CDCL solver agrees with naive enumeration"
     gen_small_program (fun prog ->
       let naive = Asp.Naive.stable_models prog in
+      (* the same models when every rule is instantiated up front *)
+      naive = Asp.Naive.stable_models (instantiate (List.init 4 (fun i -> Asp.Term.int (i + 1))) prog)
+      &&
       match cdcl_model_of prog with
       | None -> naive = []
       | Some m -> List.exists (fun m' -> List.compare Asp.Gatom.compare m m' = 0) naive)
@@ -651,6 +755,34 @@ let test_same_literal_arithmetic () =
   check_models "same-literal arithmetic"
     ~expected:[ [ "q(1)"; "q(2)"; "v(2)"; "w(1,1)"; "w(1,2)"; "w(2,1)" ] ]
     (Asp.Solve.enumerate prog) (Asp.Naive.stable_models prog)
+
+(* The closure finds each rule instance once and emission reuses it: over
+   an n-node chain the transitive closure has n(n-1)/2 instances, each
+   ticking the budget once when derived and once when emitted, whichever
+   rule comes first.  Extending the chain by one edge adds n instances. *)
+let test_instances_once () =
+  let n = 12 in
+  let edges k =
+    String.concat " " (List.init (k - 1) (fun i -> Printf.sprintf "edge(%d,%d)." (i + 1) (i + 2)))
+  in
+  let instances f =
+    let budget = Asp.Budget.start Asp.Budget.no_limits in
+    f budget;
+    (Asp.Budget.progress budget).Asp.Budget.instances
+  in
+  List.iter
+    (fun rules ->
+      let prog = Asp.Parser.parse (edges n ^ "\n" ^ String.concat "\n" rules) in
+      Alcotest.(check int) "full grounding" (n * (n - 1))
+        (instances (fun budget -> ignore (Asp.Grounder.ground ~budget prog)));
+      let base, _ = Asp.Grounder.ground_base prog in
+      let delta = Asp.Parser.parse (Printf.sprintf "edge(%d,%d)." n (n + 1)) in
+      Alcotest.(check int) "extension by one edge" (2 * n)
+        (instances (fun budget -> ignore (Asp.Grounder.extend ~budget base delta))))
+    [
+      [ "path(X,Y) :- edge(X,Y)."; "path(X,Z) :- path(X,Y), edge(Y,Z)." ];
+      [ "path(X,Z) :- path(X,Y), edge(Y,Z)."; "path(X,Y) :- edge(X,Y)." ];
+    ]
 
 (* One answer set per way of picking one alternative from each group. *)
 let product groups =
@@ -980,6 +1112,7 @@ let () =
           Alcotest.test_case "function terms" `Quick test_function_terms;
           Alcotest.test_case "functor mismatch" `Quick test_function_term_mismatch;
           Alcotest.test_case "enumeration limit" `Quick test_enumerate_limit;
+          Alcotest.test_case "each instance once" `Quick test_instances_once;
         ] );
       ( "conditions",
         [
