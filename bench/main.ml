@@ -212,6 +212,8 @@ type row = {
   verified : bool;  (* independent model verification passed *)
   cache : string;  (* "hit" | "miss" (caching on) | "off" (no cache) *)
   peak_rss_mb : float;  (* process high-water RSS when the row was made *)
+  conflicts : int;  (* CDCL conflicts of the solve, as on the --stats Search: line *)
+  decisions : int option;  (* the same for decisions; unknown when interrupted *)
 }
 
 (* Every solve performed by any experiment is recorded here, tagged with the
@@ -257,8 +259,10 @@ let solve_rows ?config ?installed ?cache ?substrate ?(repo = repo) names =
           verified = s.Concretize.Concretizer.verified;
           cache = status;
           peak_rss_mb = Rss.peak_mb ();
+          conflicts = s.Concretize.Concretizer.sat_stats.Asp.Sat.conflicts;
+          decisions = Some s.Concretize.Concretizer.sat_stats.Asp.Sat.decisions;
         }
-    | Concretize.Concretizer.Interrupted { phases = p; n_possible; _ } ->
+    | Concretize.Concretizer.Interrupted { phases = p; n_possible; info; _ } ->
       (* only reachable when a budget is configured; keep the row so
          --json accounts for every attempted solve *)
       Some
@@ -276,6 +280,8 @@ let solve_rows ?config ?installed ?cache ?substrate ?(repo = repo) names =
           verified = false;
           cache = status;
           peak_rss_mb = Rss.peak_mb ();
+          conflicts = info.Asp.Budget.progress.Asp.Budget.conflicts;
+          decisions = None;
         }
     | Concretize.Concretizer.Unsatisfiable _ -> None
   in
@@ -368,7 +374,7 @@ let write_json path =
          \"ground_s\": %.6f, \"ground_base_s\": %.6f, \"ground_extend_s\": %.6f, \
          \"substrate\": \"%s\", \"solve_s\": %.6f, \"total_s\": %.6f, \
          \"wall_s\": %.6f, \"jobs\": %d, \"outcome\": \"%s\", \"verified\": %b, \
-         \"cache\": \"%s\", \"peak_rss_mb\": %.1f}%s\n"
+         \"cache\": \"%s\", \"peak_rss_mb\": %.1f, \"conflicts\": %d, \"decisions\": %s}%s\n"
         (json_escape exp) (json_escape r.pkg) r.possible r.ground_t r.ground_base_t
         r.ground_extend_t
         (if r.ground_base_t > 0. then "cold"
@@ -376,7 +382,8 @@ let write_json path =
          else "off")
         r.solve_t r.total_t
         r.wall_t r.jobs (json_escape r.outcome) r.verified (json_escape r.cache)
-        r.peak_rss_mb
+        r.peak_rss_mb r.conflicts
+        (match r.decisions with Some d -> string_of_int d | None -> "null")
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "  ],\n  \"summaries\": [\n";
@@ -1006,6 +1013,8 @@ let cudf_bench () =
                       verified = s.Cudf.Solver.verified;
                       cache = "off";
                       peak_rss_mb = Rss.peak_mb ();
+                      conflicts = s.Cudf.Solver.sat_stats.Asp.Sat.conflicts;
+                      decisions = Some s.Cudf.Solver.sat_stats.Asp.Sat.decisions;
                     } )
                   :: !recorded_rows
             | Cudf.Solver.Unsatisfiable _ ->
