@@ -5,11 +5,14 @@
 
     + a semi-naive fixpoint computes the set of {e possibly true} atoms,
       treating negative literals and conditional-literal targets
-      optimistically;
-    + a second pass re-enumerates every rule against the final possible-atom
-      set and emits simplified ground rules: literals over input facts are
-      removed, rules whose positive body mentions impossible atoms are
-      dropped, and negative literals on impossible atoms are erased.
+      optimistically; it finds each instance of a rule with a head exactly
+      once and keeps it;
+    + a second pass emits simplified ground rules from those instances,
+      and from the instances of integrity constraints and minimize
+      elements, joined once against the final possible-atom set: literals
+      over input facts are removed, rules whose positive body mentions
+      impossible atoms are dropped, and negative literals on impossible
+      atoms are erased.
 
     Conditional literals ([a : conds]) and choice-element guards must range
     over EDB predicates (predicates defined only by facts); this is checked
@@ -19,6 +22,12 @@ type stats = {
   possible_atoms : int;  (** atoms in the possible-set closure *)
   ground_rules : int;
   fixpoint_rounds : int;
+      (** rounds of the closure that joined something: round 0, which
+          joins every rule with a head in full, plus each later round in
+          which some rule had atoms added since its last join began.  A
+          round joins a rule only over those new atoms, so the last round
+          derives nothing: a program whose rules come in dependency order,
+          like the CUDF one, takes 2. *)
 }
 
 val ground :
@@ -26,7 +35,8 @@ val ground :
   ?facts_stream:((Gatom.t -> unit) -> unit) ->
   Ast.program ->
   Ground.t * stats
-(** The budget is ticked once per derived/emitted rule instance.
+(** The budget is ticked once per rule instance the closure derives and
+    once per instance emitted.
 
     [facts_stream], when given, is invoked once with a sink; every ground
     atom pushed into the sink is seeded as an input fact, exactly as if it
