@@ -1,8 +1,10 @@
 (** Ground atoms and the interning store used by the grounder.
 
-    Atoms are interned to dense integer ids.  The store maintains, per
-    predicate, the list of (possibly true) atoms and per-argument-position
-    indices used for joins during grounding. *)
+    Atoms are interned to dense integer ids.  The store keeps, per relation
+    (predicate and arity), the ids of its (possibly true) atoms and, for
+    each argument position a join probes, an index from the argument's
+    term to ids.  Ids are handed out in order, so every id vector is
+    sorted. *)
 
 type t = { pred : string; args : Term.t list }
 
@@ -47,8 +49,8 @@ module Store : sig
 
   val freeze : t -> unit
   (** Make a root store immutable ({!intern} of new atoms and {!mark_fact}
-      raise).  Required before {!extend}; a frozen store is safe to share
-      across domains. *)
+      raise), first building every argument index not built yet.  Required
+      before {!extend}; a frozen store is safe to share across domains. *)
 
   val extend : t -> t
   (** A fresh mutable layer over a frozen root.  Layers do not nest. *)

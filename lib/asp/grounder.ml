@@ -304,7 +304,6 @@ type chead =
   | C_choice of { c_lb : cterm option; c_ub : cterm option; c_elems : celem list }
 
 type compiled = {
-  c_uid : int;  (** unique per source rule within one base program *)
   c_head : chead;
   c_body : split_body;
   c_text : string;  (** for error messages and provenance *)
@@ -373,30 +372,9 @@ type state = {
 
 let is_edb st (a : catom) = not (Hashtbl.mem st.idb (a.cpred, a.carity))
 
-(* Candidate atom ids for a guard atom under the current env.  Picks the
-   most selective index among argument positions whose pattern is already
-   ground. *)
-let candidates st (pat : catom) : Gatom.Store.cands =
-  let rel = Gatom.Store.relation st.store pat.cpred pat.carity in
-  let best = ref None in
-  List.iteri
-    (fun pos p ->
-      match eval st.env p with
-      | Some v ->
-        let c = Gatom.Store.with_arg rel ~pos ~value:v in
-        let n = Gatom.Store.cands_length c in
-        (match !best with
-        | Some (m, _) when m <= n -> ()
-        | _ -> best := Some (n, c))
-      | None -> ())
-    pat.cargs;
-  match !best with
-  | Some (_, c) -> c
-  | None -> Gatom.Store.all rel
-
-(* Candidates of a matchable join literal over its relation [rel]: the most
-   selective index among its argument positions [keys] (see {!lit_state}),
-   else the whole relation. *)
+(* Candidates of a positive atom pattern over its relation [rel]: the most
+   selective index among the argument positions [keys], whose arguments
+   evaluate under the env (see {!lit_state}), else the whole relation. *)
 let key_candidates st rel (pat : catom) keys : Gatom.Store.cands =
   let probe pos =
     let value = eval_exn st.env "positive literal" (List.nth pat.cargs pos) in
@@ -410,6 +388,13 @@ let key_candidates st rel (pat : catom) keys : Gatom.Store.cands =
         let c = probe pos in
         if Gatom.Store.cands_length c < Gatom.Store.cands_length best then c else best)
       (probe pos) rest
+
+(* Candidates of a guard atom: its keys are the arguments bound now. *)
+let candidates st (pat : catom) =
+  let keys =
+    List.concat (List.mapi (fun pos p -> if Option.is_some (eval st.env p) then [ pos ] else []) pat.cargs)
+  in
+  key_candidates st (Gatom.Store.relation st.store pat.cpred pat.carity) pat keys
 
 let ground_atom st ctx (a : catom) : Gatom.t =
   Gatom.make a.cpred (List.map (fun t -> eval_exn st.env ctx t) a.cargs)
@@ -448,9 +433,9 @@ let enumerate st (body : split_body) ~delta ~lo ~hi (k : int array -> unit) =
   in
   (* The next join step: the delta literal when it can match (semi-naive:
      only the atoms of its window pass, so it is the most selective join
-     start); then the first literal whose arguments are
-     all bound; otherwise the matchable literal with the fewest candidates.
-     [Stuck] when every literal left is blocked. *)
+     start); then the first literal whose arguments are all bound;
+     otherwise the matchable literal with the fewest candidates.  [Stuck]
+     when every literal left is blocked. *)
   let next () =
     let state = states body done_pos in
     let by_delta =
@@ -710,7 +695,6 @@ let bound_value st rule_text = function
 
 (* Compiled minimize element: weight/priority/tuple plus its guard body. *)
 type cmin = {
-  cm_uid : int;  (** shares the uid space of {!compiled.c_uid} *)
   cm_weight : cterm;
   cm_priority : cterm;
   cm_tuple : cterm list;
@@ -719,11 +703,10 @@ type cmin = {
   cm_gpreds : (string * int) list;  (** Forall condition predicates *)
 }
 
-let compile_min_elem uid ({ Ast.weight; priority; tuple; guard } : Ast.min_elem) =
+let compile_min_elem ({ Ast.weight; priority; tuple; guard } : Ast.min_elem) =
   let cx = new_cx () in
   let cm_body = split_body cx guard in
   {
-    cm_uid = uid;
     cm_weight = compile_term cx weight;
     cm_priority = compile_term cx priority;
     cm_tuple = List.map (compile_term cx) tuple;
@@ -774,10 +757,10 @@ let multi_add tbl k v =
 
 (* Emit one rule instance.  The environment must hold the instance's
    substitution (a join callback provides it; emission from the closure
-   and re-emission restore it with [rebind]).  With [maps], the instance is recorded in the
-   staleness maps; with [replace], it overwrites its previous slot instead
-   of appending ([Ground.noop_rule] fills slots whose instance no longer
-   emits anything, keeping rule indices stable). *)
+   and re-emission restore it with [rebind]).  With [maps], the instance is
+   recorded in the staleness maps; with [replace], it overwrites its
+   previous slot instead of appending ([Ground.noop_rule] fills slots whose
+   instance no longer emits anything, keeping rule indices stable). *)
 let emit_rule_instance st (out : Ground.t) ?maps ?replace (r : compiled)
     (matched : int array) : islot =
   Budget.tick_instance st.budget;
@@ -1086,19 +1069,13 @@ let ground_internal ~budget ~maps ?facts_stream (prog : Ast.program) =
   let store = Gatom.Store.create ~size:(2 * List.length prog) () in
   let st = { store; env = Env.create (); idb = Hashtbl.create 64; budget } in
   let rules = ref [] and minimizes = ref [] in
-  let uid = ref 0 in
-  let next_uid () =
-    let u = !uid in
-    incr uid;
-    u
-  in
   (* Seed facts; collect rules and classify IDB predicates. *)
   List.iter
     (fun stmt ->
       match stmt with
       | Ast.Show _ -> ()
       | Ast.Minimize elems ->
-        minimizes := List.map (fun e -> compile_min_elem (next_uid ()) e) elems :: !minimizes
+        minimizes := List.map compile_min_elem elems :: !minimizes
       | Ast.Rule ({ head; body; _ } as r) ->
         if Ast.statement_is_fact stmt then begin
           match head with
@@ -1118,7 +1095,6 @@ let ground_internal ~budget ~maps ?facts_stream (prog : Ast.program) =
           let cgpreds = List.sort_uniq compare (choice_guard_pred_list c_head) in
           let c =
             {
-              c_uid = next_uid ();
               c_head;
               c_body;
               c_text = text;
