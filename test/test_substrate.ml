@@ -179,26 +179,25 @@ let test_eviction () =
 (* A solve must not depend on what the process solved before: term ids are
    handed out in first-interning order for the whole process, so nothing
    that shapes translation or search may be walked in an id-hashed order.
-   Each history runs in a forked child, so both start from the same term
-   table; the warm child first solves unrelated requests that intern an
-   overlapping set of terms in another order. *)
-let in_child f =
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close r;
-    let s = try f () with e -> "exception " ^ Printexc.to_string e in
-    let oc = Unix.out_channel_of_descr w in
-    output_string oc s;
-    close_out oc;
-    Unix._exit 0
-  | pid ->
-    Unix.close w;
-    let ic = Unix.in_channel_of_descr r in
-    let s = In_channel.input_all ic in
-    close_in ic;
-    ignore (Unix.waitpid [] pid);
-    s
+   Each history runs in a fresh process (this executable, re-run with
+   [SUBSTRATE_HISTORY] set): the cold one solves the requests first, the
+   warm one after unrelated requests that intern an overlapping set of
+   terms in another order. *)
+let history_var = "SUBSTRATE_HISTORY"
+
+let in_child mode =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let env = Array.append (Unix.environment ()) [| history_var ^ "=" ^ mode |] in
+  let pid =
+    Unix.create_process_env Sys.executable_name [| Sys.executable_name |] env Unix.stdin w
+      Unix.stderr
+  in
+  Unix.close w;
+  let ic = Unix.in_channel_of_descr r in
+  let s = In_channel.input_all ic in
+  close_in ic;
+  ignore (Unix.waitpid [] pid);
+  s
 
 let search_line (st : Asp.Sat.stats) =
   Printf.sprintf "%d conflicts, %d decisions" st.Asp.Sat.conflicts st.Asp.Sat.decisions
@@ -226,42 +225,45 @@ let history_requests () =
       spack_answer ~substrate "hdf5+szip";
     ]
 
+let run_history = function
+  | "warm" ->
+    let substrate = Substrate.create () in
+    List.iter (fun spec -> ignore (spack_answer ~substrate spec)) [ "gromacs"; "hdf5~mpi" ];
+    ignore (spack_answer "fftw");
+    ignore (cudf_answer ~n:1000 ~seed:2 Cudf.Criteria.Trendy);
+    history_requests ()
+  | _ -> history_requests ()
+
 let test_history_independent () =
-  let cold = in_child history_requests in
-  let warm =
-    in_child (fun () ->
-        let substrate = Substrate.create () in
-        List.iter (fun spec -> ignore (spack_answer ~substrate spec)) [ "gromacs"; "hdf5~mpi" ];
-        ignore (spack_answer "fftw");
-        ignore (cudf_answer ~n:1000 ~seed:2 Cudf.Criteria.Trendy);
-        history_requests ())
-  in
-  Alcotest.(check string) "cold and warm solves agree" cold warm
+  Alcotest.(check string) "cold and warm solves agree" (in_child "cold") (in_child "warm")
 
 let () =
-  Alcotest.run "substrate"
-    [
-      ( "history",
-        [ Alcotest.test_case "solves ignore process history" `Quick test_history_independent ] );
-      ( "differential",
-        [
-          Alcotest.test_case "randomized stream with installs" `Slow
-            test_differential_stream;
-        ] );
-      ( "phases",
-        [ Alcotest.test_case "base/extend timings" `Quick test_extension_timings ] );
-      ( "sharing",
-        [
-          Alcotest.test_case "portfolio racers share one extension" `Slow
-            test_portfolio_shares_extension;
-          Alcotest.test_case "batch jobs share the registry" `Slow
-            test_batch_shares_substrate;
-        ] );
-      ( "invalidation",
-        [
-          Alcotest.test_case "narrowed request keys" `Quick
-            test_request_key_narrowing;
-        ] );
-      ( "lru",
-        [ Alcotest.test_case "capacity eviction" `Quick test_eviction ] );
-    ]
+  match Sys.getenv_opt history_var with
+  | Some mode -> print_string (run_history mode)
+  | None ->
+    Alcotest.run "substrate"
+      [
+        ( "history",
+          [ Alcotest.test_case "solves ignore process history" `Quick test_history_independent ] );
+        ( "differential",
+          [
+            Alcotest.test_case "randomized stream with installs" `Slow
+              test_differential_stream;
+          ] );
+        ( "phases",
+          [ Alcotest.test_case "base/extend timings" `Quick test_extension_timings ] );
+        ( "sharing",
+          [
+            Alcotest.test_case "portfolio racers share one extension" `Slow
+              test_portfolio_shares_extension;
+            Alcotest.test_case "batch jobs share the registry" `Slow
+              test_batch_shares_substrate;
+          ] );
+        ( "invalidation",
+          [
+            Alcotest.test_case "narrowed request keys" `Quick
+              test_request_key_narrowing;
+          ] );
+        ( "lru",
+          [ Alcotest.test_case "capacity eviction" `Quick test_eviction ] );
+      ]
