@@ -248,18 +248,18 @@ type split_body = {
 let memo_max = 10
 
 (* The state of every positive literal once the literals in [done_pos] have
-   matched (entries of matched literals are meaningless).  Which variables
-   are bound depends only on which literals matched, so the answer is
-   memoized by that set. *)
+   matched (entries of matched literals are meaningless). *)
+let classify_all (b : split_body) (done_pos : bool array) =
+  let bound = ref [] in
+  Array.iteri
+    (fun i a -> if done_pos.(i) then bound := List.fold_left binds !bound a.cargs)
+    b.b_pos;
+  Array.map (classify !bound) b.b_pos
+
+(* [classify_all], memoized: which variables are bound depends only on
+   which literals matched. *)
 let states (b : split_body) (done_pos : bool array) =
-  let compute () =
-    let bound = ref [] in
-    Array.iteri
-      (fun i a -> if done_pos.(i) then bound := List.fold_left binds !bound a.cargs)
-      b.b_pos;
-    Array.map (classify !bound) b.b_pos
-  in
-  if Array.length b.b_states = 0 then compute ()
+  if Array.length b.b_states = 0 then classify_all b done_pos
   else begin
     let key = ref 0 in
     for i = 0 to Array.length done_pos - 1 do
@@ -267,7 +267,7 @@ let states (b : split_body) (done_pos : bool array) =
     done;
     match b.b_states.(!key) with
     | [||] ->
-      let s = compute () in
+      let s = classify_all b done_pos in
       b.b_states.(!key) <- s;
       s
     | s -> s
