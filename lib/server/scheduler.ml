@@ -50,7 +50,7 @@ let with_lock t f =
 
 (* Call with the lock held.  Finished entries leave the table (tickets keep
    their own reference), so [Hashtbl.length] is the pending count and a key
-   can be solved afresh once its previous flight landed. *)
+   can be solved afresh once its previous flight landed and was reaped. *)
 let reap t =
   let done_keys =
     Hashtbl.fold
@@ -66,35 +66,51 @@ let reap t =
       end)
     done_keys
 
-let submit t ~key ?(notify = ignore) job =
-  with_lock t (fun () ->
-      reap t;
-      match Hashtbl.find_opt t.inflight key with
-      | Some e ->
-        e.waiters <- e.waiters + 1;
-        e.notify := notify :: !(e.notify);
-        t.deduped <- t.deduped + 1;
-        `Accepted { entry = e; live = true }
-      | None ->
-        if Hashtbl.length t.inflight >= t.max_pending then begin
-          t.shed <- t.shed + 1;
-          `Overloaded
-        end
-        else begin
-          let cancel = Asp.Budget.token () in
-          let notify = ref [ notify ] in
-          (* Under the lock, a join either lands before the job finished
-             (its waiter is in [notify] by the time [on_done] reads it) or
-             finds the entry already done and reaped. *)
-          let on_done () = List.iter (fun f -> f ()) (with_lock t (fun () -> !notify)) in
-          let future = Asp.Pool.submit ~on_done t.pool (fun () -> job ~cancel) in
-          let e =
-            { key; future; cancel; waiters = 1; notify; counted = false; cancelled = false }
-          in
-          Hashtbl.replace t.inflight key e;
-          t.submitted <- t.submitted + 1;
-          `Accepted { entry = e; live = true }
-        end)
+let submit (t : _ t) ~key ?(notify = ignore) job =
+  let landed = ref false in
+  let join e =
+    e.waiters <- e.waiters + 1;
+    if not !landed then e.notify := notify :: !(e.notify);
+    t.deduped <- t.deduped + 1;
+    `Accepted { entry = e; live = true }
+  in
+  let accepted =
+    with_lock t (fun () ->
+        match Hashtbl.find_opt t.inflight key with
+        | Some e when Asp.Pool.is_done e.future && not e.cancelled ->
+          (* The flight landed but nobody collected its result yet (a batch
+             naming one request twice gets here when the first solve ends
+             while it admits the rest): share it.  [on_done] may already
+             have read [notify], so this waiter is woken below instead. *)
+          landed := true;
+          join e
+        | _ -> (
+          reap t;
+          match Hashtbl.find_opt t.inflight key with
+          | Some e -> join e
+          | None ->
+            if Hashtbl.length t.inflight >= t.max_pending then begin
+              t.shed <- t.shed + 1;
+              `Overloaded
+            end
+            else begin
+              let cancel = Asp.Budget.token () in
+              let notify = ref [ notify ] in
+              (* Under the lock, a join either lands before the job finished
+                 (its waiter is in [notify] by the time [on_done] reads it)
+                 or finds the entry already done. *)
+              let on_done () = List.iter (fun f -> f ()) (with_lock t (fun () -> !notify)) in
+              let future = Asp.Pool.submit ~on_done t.pool (fun () -> job ~cancel) in
+              let e =
+                { key; future; cancel; waiters = 1; notify; counted = false; cancelled = false }
+              in
+              Hashtbl.replace t.inflight key e;
+              t.submitted <- t.submitted + 1;
+              `Accepted { entry = e; live = true }
+            end))
+  in
+  if !landed then notify ();
+  accepted
 
 let poll t ticket =
   let e = ticket.entry in

@@ -32,11 +32,12 @@ val submit :
   (cancel:Asp.Budget.cancel_token -> 'a) ->
   [ `Accepted of 'a ticket | `Overloaded ]
 (** Run [job] on the pool under a fresh cancel token — unless [key] is
-    already in flight, in which case the returned ticket shares that job.
-    When the job finishes, every waiter's [notify] runs once, on the pool
-    domain, after {!poll} starts returning [`Done]: a waiting event loop
-    wakes up instead of finding out at its next timeout.  [notify] must not
-    block. *)
+    already in flight, or landed without being collected or cancelled, in
+    which case the returned ticket shares that job.  When the job finishes,
+    every waiter's [notify] runs once, after {!poll} starts returning
+    [`Done]: on the pool domain, or in [submit] itself for a waiter that
+    joined a landed job.  A waiting event loop wakes up instead of finding
+    out at its next timeout.  [notify] must not block. *)
 
 val poll : 'a t -> 'a ticket -> [ `Pending | `Done of ('a, exn) result ]
 (** Non-blocking.  [`Done] is stable: polling again returns the same

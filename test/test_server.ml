@@ -315,6 +315,33 @@ let test_scheduler_notify () =
       | _ -> Alcotest.fail "job failed");
       Alcotest.(check int) "notified once each" 2 (Atomic.get notified))
 
+(* A flight that landed before its result was collected is still shared:
+   a daemon batch naming one request twice admits the second copy after
+   the first solve may already have finished.  The late waiter is notified
+   once, by [submit] itself. *)
+let test_scheduler_landed_flight () =
+  Asp.Pool.with_pool ~domains:1 (fun pool ->
+      let sched = Server.Scheduler.create ~pool ~max_pending:4 in
+      let landed = Atomic.make false and late = Atomic.make 0 in
+      let submit notify =
+        match Server.Scheduler.submit sched ~key:"k" ~notify (fun ~cancel:_ -> 7) with
+        | `Accepted t -> t
+        | `Overloaded -> Alcotest.fail "unexpected shed"
+      in
+      let t1 = submit (fun () -> Atomic.set landed true) in
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while (not (Atomic.get landed)) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      let t2 = submit (fun () -> Atomic.incr late) in
+      let s = Server.Scheduler.stats sched in
+      Alcotest.(check int) "one pool job" 1 s.Server.Scheduler.submitted;
+      Alcotest.(check int) "late copy joined" 1 s.Server.Scheduler.deduped;
+      Alcotest.(check int) "late waiter notified once" 1 (Atomic.get late);
+      match (await_done sched t1, await_done sched t2) with
+      | Ok 7, Ok 7 -> ()
+      | _ -> Alcotest.fail "job failed")
+
 let test_scheduler_overload () =
   Asp.Pool.with_pool ~domains:1 (fun pool ->
       let sched = Server.Scheduler.create ~pool ~max_pending:1 in
@@ -647,6 +674,7 @@ let () =
         [
           Alcotest.test_case "single flight" `Quick test_scheduler_single_flight;
           Alcotest.test_case "completion notifies waiters" `Quick test_scheduler_notify;
+          Alcotest.test_case "landed flight shared" `Quick test_scheduler_landed_flight;
           Alcotest.test_case "overload" `Quick test_scheduler_overload;
           Alcotest.test_case "cancellation" `Quick test_scheduler_cancel;
         ] );
