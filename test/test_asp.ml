@@ -542,8 +542,9 @@ let gen_small_program =
 
 (* [prog] with every rule instantiated over the constants [domain]: the
    variables of a rule's head and plain body literals range over [domain],
-   a conditional literal's own variables stay for the grounder.  The
-   grounder then never joins: each rule has one instance. *)
+   a conditional literal's own variables stay for the grounder.  Each rule
+   then has one instance, which the grounder finds without binding a
+   variable. *)
 let instantiate domain prog =
   let open Asp.Ast in
   let rec term env = function
