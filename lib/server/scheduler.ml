@@ -77,11 +77,13 @@ let submit (t : _ t) ~key ?(notify = ignore) job =
   let accepted =
     with_lock t (fun () ->
         match Hashtbl.find_opt t.inflight key with
-        | Some e when Asp.Pool.is_done e.future && not e.cancelled ->
-          (* The flight landed but nobody collected its result yet (a batch
-             naming one request twice gets here when the first solve ends
-             while it admits the rest): share it.  [on_done] may already
-             have read [notify], so this waiter is woken below instead. *)
+        | Some e when Asp.Pool.is_done e.future && e.waiters > 0 && not e.cancelled ->
+          (* The flight landed and a live ticket will still collect it (a
+             batch naming one request twice gets here when the first solve
+             ends while it admits the rest): share it.  An abandoned flight
+             is reaped instead, since its result may be cut short by the
+             earlier request's deadline.  [on_done] may already have read
+             [notify], so this waiter is woken below instead. *)
           landed := true;
           join e
         | _ -> (

@@ -338,9 +338,35 @@ let test_scheduler_landed_flight () =
       Alcotest.(check int) "one pool job" 1 s.Server.Scheduler.submitted;
       Alcotest.(check int) "late copy joined" 1 s.Server.Scheduler.deduped;
       Alcotest.(check int) "late waiter notified once" 1 (Atomic.get late);
-      match (await_done sched t1, await_done sched t2) with
+      (match (await_done sched t1, await_done sched t2) with
       | Ok 7, Ok 7 -> ()
-      | _ -> Alcotest.fail "job failed")
+      | _ -> Alcotest.fail "job failed");
+      (* A landed flight nobody will collect is not shared: its result may
+         be cut short by the abandoned request's deadline. *)
+      let runs = Atomic.make 0 in
+      let submit_j notify =
+        match
+          Server.Scheduler.submit sched ~key:"j" ~notify (fun ~cancel:_ ->
+              Atomic.fetch_and_add runs 1)
+        with
+        | `Accepted t -> t
+        | `Overloaded -> Alcotest.fail "unexpected shed"
+      in
+      Atomic.set landed false;
+      let t3 = submit_j (fun () -> Atomic.set landed true) in
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while (not (Atomic.get landed)) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      Server.Scheduler.abandon sched t3;
+      let t4 = submit_j ignore in
+      let s = Server.Scheduler.stats sched in
+      Alcotest.(check int) "abandoned flight solved afresh" 3 s.Server.Scheduler.submitted;
+      Alcotest.(check int) "abandoned flight not joined" 1 s.Server.Scheduler.deduped;
+      Alcotest.(check int) "abandoned landing not cancelled" 0 s.Server.Scheduler.cancelled;
+      match await_done sched t4 with
+      | Ok 1 -> ()
+      | _ -> Alcotest.fail "fresh job did not run")
 
 let test_scheduler_overload () =
   Asp.Pool.with_pool ~domains:1 (fun pool ->

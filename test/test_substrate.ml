@@ -196,7 +196,19 @@ let in_child mode =
   let ic = Unix.in_channel_of_descr r in
   let s = In_channel.input_all ic in
   close_in ic;
-  ignore (Unix.waitpid [] pid);
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "%s history process failed" mode);
+  (* each of the three requests ends in a search line, so fewer means a
+     child stopped early or a request went unsolved *)
+  let mark = " conflicts, " in
+  let k = String.length mark in
+  let rec searched i n =
+    if i + k > String.length s then n
+    else if String.sub s i k = mark then searched (i + k) (n + 1)
+    else searched (i + 1) n
+  in
+  if searched 0 0 <> 3 then Alcotest.failf "%s history output incomplete: %S" mode s;
   s
 
 let search_line (st : Asp.Sat.stats) =
