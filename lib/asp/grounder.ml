@@ -646,14 +646,6 @@ exception Drop_instance
    be re-emitted. *)
 type emitrec = { mutable er_absent : (string * int) list }
 
-(* The sorted, duplicate-free array of a list of ids: after fact-stripping
-   most bodies keep at most two literals. *)
-let id_set = function
-  | [] -> [||]
-  | [ a ] -> [| a |]
-  | [ a; b ] -> if a < b then [| a; b |] else if b < a then [| b; a |] else [| a |]
-  | l -> Array.of_list (List.sort_uniq Int.compare l)
-
 (* Resolve the full body of a rule instance to (pos, neg) atom-id arrays.
    [matched] are the ids matched for positive literals.  Facts are removed;
    impossible positive atoms (from Forall expansion) or negated facts drop
@@ -684,7 +676,8 @@ let resolve_body ?er st (body : split_body) (matched : int array) : Ground.body 
       | None -> note_absent a (* impossible atom: [not a] trivially true *)
       | Some id -> if Gatom.Store.is_fact st.store id then raise Drop_instance else neg := id :: !neg)
     body.b_negs;
-  { Ground.pos = id_set !pos; neg = id_set !neg }
+  let dedup l = List.sort_uniq Int.compare l in
+  { Ground.pos = Array.of_list (dedup !pos); neg = Array.of_list (dedup !neg) }
 
 let bound_value st rule_text = function
   | None -> None
@@ -1027,12 +1020,6 @@ let seed_ground_atom store ?taint (ga : Gatom.t) =
 (* Seed a ground fact statement into the store, expanding interval
    arguments into their cartesian product. *)
 let seed_fact store ?taint (a : Ast.atom) =
-  (* most facts have only constant arguments: one atom, nothing to expand *)
-  let rec constants acc = function
-    | [] -> Some (List.rev acc)
-    | Ast.Cst c :: rest -> constants (c :: acc) rest
-    | (Ast.Interval _ | Ast.Binop _ | Ast.Fn _ | Ast.Var _) :: _ -> None
-  in
   let rec arg_values = function
     | Ast.Cst c -> [ c ]
     | Ast.Interval (lo, hi) -> (
@@ -1056,12 +1043,9 @@ let seed_fact store ?taint (a : Ast.atom) =
       let tails = expand rest in
       List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) (arg_values t)
   in
-  match constants [] a.Ast.args with
-  | Some args -> seed_ground_atom store ?taint (Gatom.make a.Ast.pred args)
-  | None ->
-    List.iter
-      (fun args -> seed_ground_atom store ?taint (Gatom.make a.Ast.pred args))
-      (expand a.Ast.args)
+  List.iter
+    (fun args -> seed_ground_atom store ?taint (Gatom.make a.Ast.pred args))
+    (expand a.Ast.args)
 
 let ground_internal ~budget ~maps ?facts_stream (prog : Ast.program) =
   Budget.enter budget Budget.Ground;
