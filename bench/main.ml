@@ -245,11 +245,11 @@ let solve_rows ?config ?installed ?cache ?substrate ?(repo = repo) names =
         {
           pkg;
           possible = s.Concretize.Concretizer.n_possible;
-          ground_t = p.Concretize.Concretizer.ground_time;
-          ground_base_t = p.Concretize.Concretizer.ground_base_time;
-          ground_extend_t = p.Concretize.Concretizer.ground_extend_time;
-          solve_t = p.Concretize.Concretizer.solve_time;
-          total_t = Concretize.Concretizer.total p;
+          ground_t = p.Asp.Phases.ground_time;
+          ground_base_t = p.Asp.Phases.ground_base_time;
+          ground_extend_t = p.Asp.Phases.ground_extend_time;
+          solve_t = p.Asp.Phases.solve_time;
+          total_t = Asp.Phases.total p;
           wall_t = wall;
           jobs = !jobs;
           outcome =
@@ -269,11 +269,11 @@ let solve_rows ?config ?installed ?cache ?substrate ?(repo = repo) names =
         {
           pkg;
           possible = n_possible;
-          ground_t = p.Concretize.Concretizer.ground_time;
-          ground_base_t = p.Concretize.Concretizer.ground_base_time;
-          ground_extend_t = p.Concretize.Concretizer.ground_extend_time;
-          solve_t = p.Concretize.Concretizer.solve_time;
-          total_t = Concretize.Concretizer.total p;
+          ground_t = p.Asp.Phases.ground_time;
+          ground_base_t = p.Asp.Phases.ground_base_time;
+          ground_extend_t = p.Asp.Phases.ground_extend_time;
+          solve_t = p.Asp.Phases.solve_time;
+          total_t = Asp.Phases.total p;
           wall_t = wall;
           jobs = !jobs;
           outcome = "interrupted";
@@ -808,8 +808,8 @@ let scaling () =
         let p = s.Concretize.Concretizer.phases in
         Printf.printf "%-12d %8d %7d %9d %10.3f %10.3f %10.3f %8d\n" n
           (Pkg.Repo.size sr) (List.length roots) s.Concretize.Concretizer.n_facts
-          p.Concretize.Concretizer.ground_time p.Concretize.Concretizer.solve_time
-          (Concretize.Concretizer.total p)
+          p.Asp.Phases.ground_time p.Asp.Phases.solve_time
+          (Asp.Phases.total p)
           (List.length (Specs.Spec.concrete_nodes s.Concretize.Concretizer.spec))
       | Concretize.Concretizer.Unsatisfiable _ -> Printf.printf "%-12d UNSAT\n" n
       | Concretize.Concretizer.Interrupted _ -> Printf.printf "%-12d INTERRUPTED\n" n)
@@ -830,7 +830,7 @@ let multishot () =
       "unified   : %d roots -> %d nodes in %.2fs (one configuration per package)\n"
       (List.length roots)
       (List.length (Specs.Spec.concrete_nodes s.Concretize.Concretizer.spec))
-      (Concretize.Concretizer.total p)
+      (Asp.Phases.total p)
   | Concretize.Concretizer.Unsatisfiable _ -> print_endline "unified: UNSAT"
   | Concretize.Concretizer.Interrupted _ -> print_endline "unified: INTERRUPTED");
   (* multi-shot: divide and conquer, later shots reuse earlier results *)
@@ -871,7 +871,7 @@ let multishot () =
   | Concretize.Concretizer.Concrete s ->
     Printf.printf "unified   : %d roots, %d packages -> %.2fs\n" (List.length roots)
       (Pkg.Repo.size sr)
-      (Concretize.Concretizer.total s.Concretize.Concretizer.phases)
+      (Asp.Phases.total s.Concretize.Concretizer.phases)
   | Concretize.Concretizer.Unsatisfiable _ -> print_endline "unified: UNSAT"
   | Concretize.Concretizer.Interrupted _ -> print_endline "unified: INTERRUPTED");
   let ms = Concretize.Multishot.solve_stack ~repo:sr roots in
@@ -985,12 +985,12 @@ let cudf_bench () =
               let g = s.Cudf.Solver.ground_stats in
               if not (s.Cudf.Solver.verified && s.Cudf.Solver.quality = `Optimal)
               then failwith (tag ^ ": solve did not reach a verified optimum");
-              times := Cudf.Solver.total p :: !times;
+              times := Asp.Phases.total p :: !times;
               max_rules := max !max_rules g.Asp.Grounder.ground_rules;
               Printf.printf
                 "  %-8s n=%-6d seed=%d  ground %6.2fs  solve %6.2fs  costs %-14s \
                  %d atoms %d rules\n%!"
-                sname n seed p.Cudf.Solver.ground_time p.Cudf.Solver.solve_time
+                sname n seed p.Asp.Phases.ground_time p.Asp.Phases.solve_time
                 (String.concat ","
                    (List.map
                       (fun (pr, v) -> Printf.sprintf "%d@%d" v pr)
@@ -1002,11 +1002,11 @@ let cudf_bench () =
                     {
                       pkg = Printf.sprintf "synth-%d-%d" n seed;
                       possible = g.Asp.Grounder.possible_atoms;
-                      ground_t = p.Cudf.Solver.ground_time;
+                      ground_t = p.Asp.Phases.ground_time;
                       ground_base_t = 0.;
                       ground_extend_t = 0.;
-                      solve_t = p.Cudf.Solver.solve_time;
-                      total_t = Cudf.Solver.total p;
+                      solve_t = p.Asp.Phases.solve_time;
+                      total_t = Asp.Phases.total p;
                       wall_t = wall;
                       jobs = 1;
                       outcome = "optimal";

@@ -34,12 +34,7 @@ let run files preset show_stats nmodels timeout jobs explain no_verify =
          Asp.Budget.cancel tok));
   let budget = Asp.Budget.start ~cancel:tok limits in
   let src = String.concat "\n" (List.map read_file files) in
-  let solve () =
-    if jobs > 1 then
-      Asp.Portfolio.solve_program ~config ~budget ~jobs (Asp.Parser.parse src)
-    else Asp.Solve.solve_text ~config ~budget src
-  in
-  match solve () with
+  match Asp.Solve.solve_program ~config ~budget ~jobs (Asp.Parser.parse src) with
   | exception Asp.Solver_error.Error e ->
     Format.eprintf "error: %a@." Asp.Solver_error.pp e;
     exit 2

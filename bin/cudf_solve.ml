@@ -4,19 +4,13 @@
 
 open Cmdliner
 
-let print_phases (p : Cudf.Solver.phases) =
-  Printf.printf
-    "Phases: setup %.3fs, load %.3fs, ground %.3fs, solve %.3fs (total %.3fs)\n"
-    p.Cudf.Solver.setup_time p.Cudf.Solver.load_time p.Cudf.Solver.ground_time
-    p.Cudf.Solver.solve_time (Cudf.Solver.total p)
-
 let print_result ~stack ~show_stats ~show_state result =
   match result with
   | Cudf.Solver.Interrupted { info; phases; n_facts } ->
     Format.printf "INTERRUPTED: %a@." Asp.Budget.pp_info info;
     if show_stats then begin
       Printf.printf "Facts: %d\n" n_facts;
-      print_phases phases
+      print_endline (Asp.Phases.to_line phases)
     end;
     3
   | Cudf.Solver.Unsatisfiable { reasons; phases; n_facts } ->
@@ -24,7 +18,7 @@ let print_result ~stack ~show_stats ~show_state result =
     List.iter (Printf.printf "  possible cause: %s\n") reasons;
     if show_stats then begin
       Printf.printf "Facts: %d\n" n_facts;
-      print_phases phases
+      print_endline (Asp.Phases.to_line phases)
     end;
     1
   | Cudf.Solver.Solution s ->
@@ -62,12 +56,12 @@ let print_result ~stack ~show_stats ~show_state result =
       let st = s.Cudf.Solver.sat_stats in
       Printf.printf "Search: %d conflicts, %d decisions, %d restarts\n"
         st.Asp.Sat.conflicts st.Asp.Sat.decisions st.Asp.Sat.restarts;
-      print_phases s.Cudf.Solver.phases
+      print_endline (Asp.Phases.to_line s.Cudf.Solver.phases)
     end;
     0
 
 let run file synth seed stack_name preset timeout retries jobs explain
-    no_verify show_stats show_state materialize =
+    no_verify show_stats show_state =
   let stack =
     match Cudf.Criteria.of_name stack_name with
     | Some s -> s
@@ -124,10 +118,9 @@ let run file synth seed stack_name preset timeout retries jobs explain
        (fun _ ->
          if Asp.Budget.is_cancelled tok then exit 130;
          Asp.Budget.cancel tok));
-  let installed_mode = if materialize then `Materialize else `Stream in
   let solve ?pool ?racers () =
     Cudf.Solver.solve_escalating ~attempts:(retries + 1) ~config ~cancel:tok
-      ?pool ?racers ~explain ~stack ~installed_mode doc
+      ?pool ?racers ~explain ~stack doc
   in
   let result =
     if jobs <= 1 then solve ()
@@ -191,12 +184,6 @@ let stats =
 let show_state =
   Arg.(value & flag & info [ "state" ] ~doc:"Print the full final installation state.")
 
-let materialize =
-  Arg.(value & flag & info [ "materialize" ]
-         ~doc:"Emit installed-state facts as parsed statements instead of \
-               streaming them into the grounder (slower at scale; for \
-               debugging the streaming path).")
-
 let cmd =
   let doc = "solve CUDF package universes with the ASP-based dependency solver" in
   let man =
@@ -213,7 +200,6 @@ let cmd =
   Cmd.v (Cmd.info "cudf_solve" ~doc ~man)
     Term.(
       const run $ file $ synth $ seed $ stack_name $ preset $ timeout
-      $ retries $ jobs $ explain $ no_verify $ stats $ show_state
-      $ materialize)
+      $ retries $ jobs $ explain $ no_verify $ stats $ show_state)
 
 let () = exit (Cmd.eval cmd)

@@ -12,13 +12,6 @@ let pick_repo = function
       Printf.eprintf "unknown repo %S (use 'core' or a package count)\n" s;
       exit 2)
 
-let print_phases (p : Concretize.Concretizer.phases) =
-  Printf.printf
-    "Phases: setup %.3fs, load %.3fs, ground %.3fs, solve %.3fs (total %.3fs)\n"
-    p.Concretize.Concretizer.setup_time p.Concretize.Concretizer.load_time
-    p.Concretize.Concretizer.ground_time p.Concretize.Concretizer.solve_time
-    (Concretize.Concretizer.total p)
-
 (* Render one concretization result; returns the exit code. *)
 let print_result repo show_stats validate spec_text result =
   match result with
@@ -26,7 +19,7 @@ let print_result repo show_stats validate spec_text result =
     Format.printf "INTERRUPTED: %a@." Asp.Budget.pp_info info;
     if show_stats then begin
       Printf.printf "Facts: %d, possible dependencies: %d\n" n_facts n_possible;
-      print_phases phases
+      print_endline (Asp.Phases.to_line phases)
     end;
     3
   | Concretize.Concretizer.Unsatisfiable { phases; n_facts; n_possible; reasons } ->
@@ -34,7 +27,7 @@ let print_result repo show_stats validate spec_text result =
     List.iter (Printf.printf "  possible cause: %s\n") reasons;
     if show_stats then begin
       Printf.printf "Facts: %d, possible dependencies: %d\n" n_facts n_possible;
-      print_phases phases
+      print_endline (Asp.Phases.to_line phases)
     end;
     1
   | Concretize.Concretizer.Concrete s ->
@@ -77,7 +70,7 @@ let print_result repo show_stats validate spec_text result =
           List.iter (fun (p, v) -> Printf.printf " (%d,%d)" p v)
             (List.filter (fun (_, v) -> v <> 0) s.Concretize.Concretizer.costs);
           print_newline ();
-          print_phases s.Concretize.Concretizer.phases
+          print_endline (Asp.Phases.to_line s.Concretize.Concretizer.phases)
         end;
         0
 

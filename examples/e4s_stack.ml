@@ -22,11 +22,11 @@ let () =
         Printf.printf "%-20s UNSAT\n" root
       | Concretize.Concretizer.Concrete s ->
         let p = s.Concretize.Concretizer.phases in
-        total_time := !total_time +. Concretize.Concretizer.total p;
+        total_time := !total_time +. Asp.Phases.total p;
         Printf.printf "%-20s %9d %7d %9.3f %9.3f\n" root
           s.Concretize.Concretizer.n_possible
           (List.length (Specs.Spec.concrete_nodes s.Concretize.Concretizer.spec))
-          p.Concretize.Concretizer.ground_time p.Concretize.Concretizer.solve_time)
+          p.Asp.Phases.ground_time p.Asp.Phases.solve_time)
     roots;
   Printf.printf "\ntotal: %.1fs for %d solves\n" !total_time (List.length roots);
 
@@ -42,8 +42,8 @@ let () =
     let p = s.Concretize.Concretizer.phases in
     Printf.printf "  %d packages concretized together in %.2fs (ground %.2fs, solve %.2fs)\n"
       (List.length nodes)
-      (Concretize.Concretizer.total p)
-      p.Concretize.Concretizer.ground_time p.Concretize.Concretizer.solve_time;
+      (Asp.Phases.total p)
+      p.Asp.Phases.ground_time p.Asp.Phases.solve_time;
     (* every MPI-dependent package agreed on a single MPI implementation *)
     let mpi =
       List.find_opt

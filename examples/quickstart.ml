@@ -31,7 +31,7 @@ let () =
     (* 4. Solver diagnostics: the phases the paper measures (§VII). *)
     let p = s.Concretize.Concretizer.phases in
     Printf.printf "\nPhases        : setup %.3fs | ground %.3fs | solve %.3fs\n"
-      p.Concretize.Concretizer.setup_time p.Concretize.Concretizer.ground_time
-      p.Concretize.Concretizer.solve_time;
+      p.Asp.Phases.setup_time p.Asp.Phases.ground_time
+      p.Asp.Phases.solve_time;
     Printf.printf "Problem size  : %d facts, %d possible dependencies\n"
       s.Concretize.Concretizer.n_facts s.Concretize.Concretizer.n_possible

@@ -208,7 +208,7 @@ let usc_level sat ~(solve : ?assumptions:Sat.lit list -> unit -> Sat.result) ~bu
   assert (v >= !lower);
   (v, !lower, !complete)
 
-let run ?(strategy = `Bb) ?(budget = Budget.unlimited) (t : Translate.t) ~on_model =
+let run ?(strategy = Config.Bb) ?(budget = Budget.unlimited) (t : Translate.t) ~on_model =
   let sat = t.Translate.sat in
   let models = ref 0 in
   let solve ?assumptions () =
@@ -248,8 +248,8 @@ let run ?(strategy = `Bb) ?(budget = Budget.unlimited) (t : Translate.t) ~on_mod
               if eval_raw sat lvl = 0 then (0, 0, true)
               else
                 match strategy with
-                | `Bb -> bb_level sat ~solve ~budget lvl
-                | `Usc -> usc_level sat ~solve ~budget lvl
+                | Config.Bb -> bb_level sat ~solve ~budget lvl
+                | Config.Usc -> usc_level sat ~solve ~budget lvl
             in
             if complete then begin
               (* fix the optimum for the remaining levels; the stored model

@@ -40,7 +40,7 @@ type outcome = {
 }
 
 val run :
-  ?strategy:[ `Bb | `Usc ] ->
+  ?strategy:Config.strategy ->
   ?budget:Budget.t ->
   Translate.t ->
   on_model:(Sat.t -> [ `Accept | `Refine of Sat.lit list list ]) ->

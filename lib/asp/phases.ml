@@ -1,0 +1,30 @@
+type t = {
+  setup_time : float;
+  load_time : float;
+  ground_time : float;
+  ground_base_time : float;
+  ground_extend_time : float;
+  solve_time : float;
+}
+
+let zero =
+  {
+    setup_time = 0.;
+    load_time = 0.;
+    ground_time = 0.;
+    ground_base_time = 0.;
+    ground_extend_time = 0.;
+    solve_time = 0.;
+  }
+
+let total p = p.setup_time +. p.load_time +. p.ground_time +. p.solve_time
+
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let to_line p =
+  Printf.sprintf
+    "Phases: setup %.3fs, load %.3fs, ground %.3fs, solve %.3fs (total %.3fs)"
+    p.setup_time p.load_time p.ground_time p.solve_time (total p)

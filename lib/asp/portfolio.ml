@@ -28,15 +28,17 @@ let racers ?(config = Config.default) n =
       in
       { rname; rpreset; rstrategy; rseed_offset })
 
+type model = {
+  answer : Gatom.t list;
+  costs : (int * int) list;
+  quality : Optimize.quality;
+  sat_stats : Sat.stats;
+  models_enumerated : int;
+  verified : bool;
+}
+
 type attempt =
-  | Model of {
-      answer : Gatom.t list;
-      costs : (int * int) list;
-      quality : Optimize.quality;
-      sat_stats : Sat.stats;
-      models_enumerated : int;
-      verified : bool;
-    }
+  | Model of model
   | Proved_unsat
   | Gave_up of Budget.info
   | Quarantined of { violations : string list }
@@ -56,45 +58,45 @@ let cancelled_info =
     progress = { Budget.conflicts = 0; instances = 0; opt_steps = 0 };
   }
 
+(* One configuration on the calling domain: translate, seed [hints],
+   optimize, then verify on a fresh unlimited budget — [budget] may have
+   expired producing a degraded (but checkable) model. *)
+let solve_once ?hints ~verify ~params ~strategy ~budget ground =
+  let t = Translate.translate ~params ground in
+  Option.iter (fun h -> h t) hints;
+  match Optimize.run ~strategy ~budget t ~on_model:(Stable.hook t) with
+  | None -> Proved_unsat
+  | Some { Optimize.costs; models_enumerated; quality } -> (
+    let model verified =
+      Model
+        {
+          answer = Translate.answer t;
+          costs;
+          quality;
+          sat_stats = Sat.stats t.Translate.sat;
+          models_enumerated;
+          verified;
+        }
+    in
+    if not verify then model false
+    else
+      match Verify.check_translation ~costs t with
+      | Ok () -> model true
+      | Error vs -> Quarantined { violations = Verify.describe_all ground vs })
+
 let run_racer ~hints ~verify ~race_token ~budget ground racer =
   (* a racer that starts after the race is decided must not pay for a
      translation: losing promptly is the point of the cancel protocol *)
   if Budget.is_cancelled race_token then Gave_up cancelled_info
   else
-    let b = Budget.sibling ~cancel:race_token budget in
+    let params = Config.params racer.rpreset in
+    let params = { params with Sat.seed = params.Sat.seed + racer.rseed_offset } in
+    (* [solve_once] verifies BEFORE the cancel below: a bogus model must
+       never end the race *)
     match
-      let params = Config.params racer.rpreset in
-      let params = { params with Sat.seed = params.Sat.seed + racer.rseed_offset } in
-      let t = Translate.translate ~params ground in
-      (match hints with Some h -> h t | None -> ());
-      let on_model = Stable.hook t in
-      let strategy =
-        match racer.rstrategy with Config.Bb -> `Bb | Config.Usc -> `Usc
-      in
-      Budget.enter b Budget.Search;
-      match Optimize.run ~strategy ~budget:b t ~on_model with
-      | None -> Proved_unsat
-      | Some { Optimize.costs; models_enumerated; quality } -> (
-        let model verified =
-          Model
-            {
-              answer = Translate.answer t;
-              costs;
-              quality;
-              sat_stats = Sat.stats t.Translate.sat;
-              models_enumerated;
-              verified;
-            }
-        in
-        if not verify then model false
-        else
-          (* verify BEFORE the cancel below: a bogus model must never end
-             the race.  Fresh unlimited budget — the racer's own may have
-             expired producing a degraded (but checkable) model. *)
-          match Verify.check_translation ~costs t with
-          | Ok () -> model true
-          | Error vs ->
-            Quarantined { violations = Verify.describe_all ground vs })
+      solve_once ?hints ~verify ~params ~strategy:racer.rstrategy
+        ~budget:(Budget.sibling ~cancel:race_token budget)
+        ground
     with
     | exception Budget.Exhausted info -> Gave_up info
     | attempt ->
@@ -199,68 +201,3 @@ let race ~pool ?hints ?(verify = true) ~racers ~budget ground =
     attempts = results;
     race_time = Unix.gettimeofday () -. t0;
   }
-
-let solve_program ?pool ?(config = Config.default) ?budget ~jobs prog =
-  let budget =
-    match budget with Some b -> b | None -> Budget.start config.Config.limits
-  in
-  let t0 = Unix.gettimeofday () in
-  match Grounder.ground ~budget prog with
-  | exception Budget.Exhausted info ->
-    Solve.Interrupted
-      { info; ground_time = Unix.gettimeofday () -. t0; solve_time = 0. }
-  | ground, gstats ->
-    let ground_time = Unix.gettimeofday () -. t0 in
-    let rs = racers ~config jobs in
-    let run pool =
-      race ~pool ~verify:config.Config.verify ~racers:rs ~budget ground
-    in
-    let t1 = Unix.gettimeofday () in
-    let outcome =
-      match pool with
-      | Some p -> run p
-      | None -> Pool.with_pool ~domains:(min jobs (Pool.default_size ())) run
-    in
-    let sat_outcome answer costs quality sat_stats models_enumerated verified =
-      let answer = Solve.apply_show prog answer in
-      Solve.Sat
-        {
-          Solve.answer;
-          index = lazy (Answer.of_list answer);
-          costs;
-          quality;
-          ground_stats = gstats;
-          sat_stats;
-          models_enumerated;
-          ground_time;
-          solve_time = Unix.gettimeofday () -. t1;
-          verified;
-        }
-    in
-    (match outcome.attempt with
-    | Proved_unsat ->
-      Solve.Unsat { ground_time; solve_time = Unix.gettimeofday () -. t1 }
-    | Gave_up info ->
-      Solve.Interrupted
-        { info; ground_time; solve_time = Unix.gettimeofday () -. t1 }
-    | Model { answer; costs; quality; sat_stats; models_enumerated; verified } ->
-      sat_outcome answer costs quality sat_stats models_enumerated verified
-    | Quarantined _ -> (
-      (* every racer's model failed verification: sequential reseeded
-         re-solve of last resort (which itself retries once and raises the
-         typed Verification_failed if that also fails) *)
-      let params = Config.params config.Config.preset in
-      let params = { params with Sat.seed = params.Sat.seed + 104729 } in
-      let strategy =
-        match config.Config.strategy with Config.Bb -> `Bb | Config.Usc -> `Usc
-      in
-      match Solve.solve_ground_verified ~params ~strategy ~budget ground with
-      | exception Budget.Exhausted info ->
-        Solve.Interrupted
-          { info; ground_time; solve_time = Unix.gettimeofday () -. t1 }
-      | None ->
-        Solve.Unsat { ground_time; solve_time = Unix.gettimeofday () -. t1 }
-      | Some (t, costs, quality, models_enumerated, verified) ->
-        sat_outcome (Translate.answer t) costs quality
-          (Sat.stats t.Translate.sat)
-          models_enumerated verified))

@@ -5,7 +5,9 @@
     but by {e strategy diversity}: several configurations (heuristic decay,
     restart schedule, optimization strategy, seeds) attack the same instance
     and the first to prove optimality wins.  This module reproduces that on
-    OCaml 5 domains.
+    OCaml 5 domains.  {!Solve.solve_ground} runs the race, and the
+    sequential rescue when every racer's model failed verification, for
+    every entry point.
 
     What is shared between racers is immutable during the race: the ground
     program ({!Ground.t} including its atom store) and the global interned
@@ -40,24 +42,28 @@ val racers : ?config:Config.t -> int -> racer list
     strategy alternates and the preset cycles; once every
     strategy × preset pair is used, seeds are reshuffled. *)
 
+(** A stable model with its cost vector, as a racer (or the sequential
+    runner of {!Solve.solve_ground}) found it. *)
+type model = {
+  answer : Gatom.t list;  (** atoms of the model, facts included *)
+  costs : (int * int) list;
+  quality : Optimize.quality;  (** optimal iff [`Optimal] *)
+  sat_stats : Sat.stats;
+  models_enumerated : int;
+  verified : bool;  (** passed {!Verify} (always true when verifying) *)
+}
+
 (** One racer's result. *)
 type attempt =
-  | Model of {
-      answer : Gatom.t list;
-      costs : (int * int) list;
-      quality : Optimize.quality;
-      sat_stats : Sat.stats;
-      models_enumerated : int;
-      verified : bool;  (** passed {!Verify} (always true when verifying) *)
-    }  (** found a stable model; optimal iff [quality = `Optimal] *)
+  | Model of model
   | Proved_unsat
   | Gave_up of Budget.info
       (** budget expired (or the race was cancelled) before any model *)
   | Quarantined of { violations : string list }
       (** the racer's model failed independent verification: it is excluded
           from the combination (and never cancels the race); selected only
-          when no racer produced anything usable, signalling
-          {!solve_program}'s sequential rescue *)
+          when no racer produced anything usable, signalling the
+          sequential rescue of {!Solve.solve_ground} *)
 
 type outcome = {
   winner : string;  (** [rname] of the racer whose attempt was selected *)
@@ -65,6 +71,22 @@ type outcome = {
   attempts : (string * attempt) list;  (** every racer's result, racer order *)
   race_time : float;  (** wall-clock of the whole race, seconds *)
 }
+
+val solve_once :
+  ?hints:(Translate.t -> unit) ->
+  verify:bool ->
+  params:Sat.params ->
+  strategy:Config.strategy ->
+  budget:Budget.t ->
+  Ground.t ->
+  attempt
+(** One configuration on the calling domain, as each racer runs it:
+    translate with [params], run [hints], optimize with [strategy], then,
+    with [verify], re-check the model with {!Verify} on a fresh unlimited
+    budget (so a [budget] that expired mid-descent cannot veto checking
+    the degraded model).  Never [Gave_up]: a model that fails the check is
+    [Quarantined].
+    @raise Budget.Exhausted before the first model, as {!Optimize.run}. *)
 
 val race :
   pool:Pool.t ->
@@ -77,21 +99,9 @@ val race :
 (** Race the configurations over the pool.  [budget] is the caller's armed
     budget: each racer gets a {!Budget.sibling} (same deadline and limits,
     fresh counters) on the race token.  [hints] runs on each racer's fresh
-    translation before search (the concretizer's phase seeding).
+    translation before search (a frontend's phase seeding).
     With [verify] (default [true]) each winning model is independently
     re-checked {e before} the racer is allowed to cancel the others — the
     verify-then-cancel handshake; a failing model becomes {!Quarantined}
     and the race continues.
     Racer exceptions other than [Budget.Exhausted] are re-raised. *)
-
-val solve_program :
-  ?pool:Pool.t ->
-  ?config:Config.t ->
-  ?budget:Budget.t ->
-  jobs:int ->
-  Ast.program ->
-  Solve.result
-(** Drop-in parallel [Solve.solve_program]: ground once (budgeted, on the
-    calling domain), then {!race} [jobs] racers.  Without [pool] an
-    ephemeral pool of [min jobs (Pool.default_size ())] domains is created
-    and shut down around the race. *)

@@ -21,8 +21,7 @@ type result =
     }
 
 (* Apply #show statements: when any are present, only atoms whose
-   (predicate, arity) is explicitly shown are reported.  (Also used by
-   {!Portfolio} on the winning racer's answer.) *)
+   (predicate, arity) is explicitly shown are reported. *)
 let apply_show prog answer =
   let shows = List.filter_map (function Ast.Show s -> Some s | _ -> None) prog in
   if shows = [] then answer
@@ -33,91 +32,117 @@ let apply_show prog answer =
         List.mem (a.Gatom.pred, List.length a.Gatom.args) shown)
       answer
 
-(* The verified sequential runner shared by {!solve_program}, the
-   concretizer's sequential path and the portfolio's rescue path: translate,
-   seed phase hints, optimize, then independently re-check the winning model
-   with {!Verify}.  On verification failure the solve is retried once from a
-   reseeded search (a different EVSIDS tie-breaking order steers CDCL away
-   from whatever state triggered the bug); if the retry's model also fails,
-   the typed {!Solver_error.Verification_failed} surfaces — never a wrong
-   answer.  Verification runs on a fresh unlimited budget: a budget that
-   expired mid-optimization must not veto checking the degraded model it
-   produced. *)
-let solve_ground_verified ?(hints = fun _ -> ()) ?(verify = true) ~params
-    ~strategy ~budget g =
-  let attempt params =
-    let t = Translate.translate ~params g in
-    hints t;
-    let on_model = Stable.hook t in
-    match Optimize.run ~strategy ~budget t ~on_model with
-    | None -> `Unsat
-    | Some { Optimize.costs; models_enumerated; quality } ->
-      if not verify then `Model (t, costs, quality, models_enumerated, false)
-      else (
-        match Verify.check_translation ~costs t with
-        | Ok () -> `Model (t, costs, quality, models_enumerated, true)
-        | Error vs -> `Bad (Verify.describe_all g vs))
-  in
-  match attempt params with
-  | `Unsat -> None
-  | `Model m -> Some m
-  | `Bad _ -> (
-    match attempt { params with Sat.seed = params.seed + 7919 } with
-    | `Model m -> Some m
-    | `Unsat ->
-      (* the reseeded solve proved UNSAT: the rejected model was bogus and
-         the independent verdict stands *)
-      None
-    | `Bad violations ->
-      raise (Solver_error.Error (Solver_error.Verification_failed { violations })))
+type verdict =
+  | Model of Portfolio.model
+  | Proved_unsat
+  | Gave_up of Budget.info
 
-let solve_program ?(config = Config.default) ?budget prog =
+(* The verified sequential runner.  A model that fails verification is
+   retried once from a reseeded search (a different EVSIDS tie-breaking
+   order steers CDCL away from whatever state triggered the bug); after a
+   rejected model, a reseeded UNSAT proof means the rejected model was bogus
+   and the independent verdict stands. *)
+let solve_ground_verified ?hints ~verify ~params ~strategy ~budget g =
+  let once params =
+    Portfolio.solve_once ?hints ~verify ~params ~strategy ~budget g
+  in
+  match once params with
+  | Portfolio.Quarantined _ ->
+    once { params with Sat.seed = params.Sat.seed + 7919 }
+  | first -> first
+
+let solve_ground ~config ?params ?hints ?pool ?(racers = 1) ~budget g =
+  let { Config.strategy; verify; _ } = config in
+  let params =
+    match params with Some p -> p | None -> Config.params config.Config.preset
+  in
+  match
+    match pool with
+    | Some pool when racers > 1 -> (
+      match
+        Portfolio.race ~pool ?hints ~verify
+          ~racers:(Portfolio.racers ~config racers)
+          ~budget g
+      with
+      | { Portfolio.attempt = Portfolio.Quarantined _; _ } ->
+        (* every racer's model failed verification: a sequential
+           reseeded re-solve of last resort *)
+        solve_ground_verified ?hints ~verify
+          ~params:{ params with Sat.seed = params.Sat.seed + 104729 }
+          ~strategy ~budget g
+      | { attempt; _ } -> attempt)
+    | _ -> solve_ground_verified ?hints ~verify ~params ~strategy ~budget g
+  with
+  | exception Budget.Exhausted info -> Gave_up info
+  | Portfolio.Model m -> Model m
+  | Portfolio.Proved_unsat -> Proved_unsat
+  | Portfolio.Gave_up info -> Gave_up info
+  | Portfolio.Quarantined { violations } ->
+    (* never a wrong answer: the typed error surfaces instead *)
+    raise (Solver_error.Error (Solver_error.Verification_failed { violations }))
+
+let escalate ?(attempts = 3) ?(config = Config.default) ?cancel ?fault
+    ~interrupted solve =
+  let base = Config.params config.Config.preset in
+  let rec go k limits =
+    let budget = Budget.start ?cancel limits in
+    Option.iter (fun f -> f k budget) fault;
+    let r =
+      solve ~params:{ base with Sat.seed = base.Sat.seed + (k * 7919) } ~budget
+    in
+    match interrupted r with
+    | Some { Budget.reason; _ }
+      when reason <> Budget.Cancelled && k + 1 < attempts ->
+      go (k + 1) (Budget.double limits)
+    | _ -> r
+  in
+  go 0 config.Config.limits
+
+let solve_program ?(config = Config.default) ?budget ?pool ?(jobs = 1) prog =
   let budget =
     match budget with Some b -> b | None -> Budget.start config.Config.limits
   in
-  let t0 = Unix.gettimeofday () in
-  match Grounder.ground ~budget prog with
-  | exception Budget.Exhausted info ->
-    Interrupted { info; ground_time = Unix.gettimeofday () -. t0; solve_time = 0. }
-  | g, gstats -> (
-    let ground_time = Unix.gettimeofday () -. t0 in
-    let params = Config.params config.Config.preset in
-    let t1 = Unix.gettimeofday () in
-    let run () =
-      let strategy =
-        match config.Config.strategy with Config.Bb -> `Bb | Config.Usc -> `Usc
-      in
-      match
-        solve_ground_verified ~verify:config.Config.verify ~params ~strategy
-          ~budget g
-      with
-      | None -> None
-      | Some (t, costs, quality, models_enumerated, verified) ->
-        Some
-          ( apply_show prog (Translate.answer t),
-            costs,
-            quality,
-            Sat.stats t.Translate.sat,
-            models_enumerated,
-            verified )
+  match
+    Phases.time (fun () ->
+        match Grounder.ground ~budget prog with
+        | exception Budget.Exhausted info -> Error info
+        | r -> Ok r)
+  with
+  | Error info, ground_time -> Interrupted { info; ground_time; solve_time = 0. }
+  | Ok (g, ground_stats), ground_time -> (
+    let solve pool = solve_ground ~config ?pool ~racers:jobs ~budget g in
+    let verdict, solve_time =
+      Phases.time (fun () ->
+          match pool with
+          | None when jobs > 1 ->
+            Pool.with_pool ~domains:(min jobs (Pool.default_size ())) (fun p ->
+                solve (Some p))
+          | pool -> solve pool)
     in
-    match run () with
-    | exception Budget.Exhausted info ->
-      (* the budget expired before any stable model was found *)
-      Interrupted { info; ground_time; solve_time = Unix.gettimeofday () -. t1 }
-    | None -> Unsat { ground_time; solve_time = Unix.gettimeofday () -. t1 }
-    | Some (answer, costs, quality, sat_stats, models_enumerated, verified) ->
+    match verdict with
+    | Gave_up info -> Interrupted { info; ground_time; solve_time }
+    | Proved_unsat -> Unsat { ground_time; solve_time }
+    | Model
+        {
+          Portfolio.answer;
+          costs;
+          quality;
+          sat_stats;
+          models_enumerated;
+          verified;
+        } ->
+      let answer = apply_show prog answer in
       Sat
         {
           answer;
           index = lazy (Answer.of_list answer);
           costs;
           quality;
-          ground_stats = gstats;
+          ground_stats;
           sat_stats;
           models_enumerated;
           ground_time;
-          solve_time = Unix.gettimeofday () -. t1;
+          solve_time;
           verified;
         })
 
@@ -137,10 +162,7 @@ let enumerate ?(config = Config.default) ?budget ?(limit = max_int) prog =
     let params = Config.params config.Config.preset in
     let t = Translate.translate ~params g in
     let on_model = Stable.hook t in
-    let strategy =
-      match config.Config.strategy with Config.Bb -> `Bb | Config.Usc -> `Usc
-    in
-    match Optimize.run ~strategy ~budget t ~on_model with
+    match Optimize.run ~strategy:config.Config.strategy ~budget t ~on_model with
     | exception Budget.Exhausted _ -> []
     | None -> []
     | Some _ ->

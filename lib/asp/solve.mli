@@ -42,41 +42,83 @@ type result =
       solve_time : float;
     }  (** the budget expired before any stable model was found *)
 
-val solve_program : ?config:Config.t -> ?budget:Budget.t -> Ast.program -> result
-(** A budget is armed from [config.limits] unless an explicit (possibly
-    fault-injected, see {!Fault}) [budget] is given.
-    @raise Solver_error.Error ([Ground _]) on unsafe or unsupported
-    programs; ([Verification_failed _]) when verification is on and both the
-    original and the reseeded solve produced answers the independent checker
-    rejects. *)
+(** {1 The solve stage}
 
-val solve_ground_verified :
+    Every entry point runs the step after grounding through
+    {!solve_ground}: {!solve_program} here, [Concretize.Concretizer.solve]
+    and [Cudf.Solver.solve] for the two frontends.  Each frontend times
+    it, matches the {!verdict} and decodes the model its own way. *)
+
+type verdict =
+  | Model of Portfolio.model
+      (** a verified stable model (unverified when [config.verify] is off);
+          optimal iff its [quality] is [`Optimal] *)
+  | Proved_unsat
+  | Gave_up of Budget.info
+      (** the budget expired (or was cancelled) before any model *)
+
+val solve_ground :
+  config:Config.t ->
+  ?params:Sat.params ->
   ?hints:(Translate.t -> unit) ->
-  ?verify:bool ->
-  params:Sat.params ->
-  strategy:[ `Bb | `Usc ] ->
+  ?pool:Pool.t ->
+  ?racers:int ->
   budget:Budget.t ->
   Ground.t ->
-  (Translate.t * (int * int) list * Optimize.quality * int * bool) option
-(** The verified sequential runner over an already-ground program:
-    translate, apply [hints] (phase seeding), optimize, then re-check the
-    winning model with {!Verify} (on a fresh unlimited budget, so a solve
-    budget that expired mid-descent cannot veto checking the degraded model).
-    On verification failure, one retry from a reseeded search; [None] means
-    UNSAT.  Returns [(t, costs, quality, models_enumerated, verified)] with
-    the model stored in [t]'s solver.  Shared with [Concretizer] and the
-    {!Portfolio} quarantine-rescue path.
-    @raise Budget.Exhausted before the first model, as {!Optimize.run}.
-    @raise Solver_error.Error ([Verification_failed _]) when both attempts
-    fail verification. *)
+  verdict
+(** Solve an already-ground program.
+
+    Sequentially (the default): translate with [params] (default: the
+    preset's), run [hints] (a frontend's phase seeding, see
+    {!Translate.suggest_phases}), optimize with [config.strategy], then
+    re-check the model with {!Verify} on a fresh unlimited budget, so a
+    budget that expired mid-descent cannot veto checking the degraded
+    model.  A model that fails verification triggers one retry from a
+    reseeded search.
+
+    With a [pool] and [racers > 1]: {!Portfolio.race} [racers] diverse
+    configurations, each running [hints] on its own translation.  When
+    every racer's model failed verification, the sequential runner
+    rescues the solve from a seed shifted away from [params].
+    @raise Solver_error.Error ([Verification_failed _]) when the
+    sequential runner's model and its reseeded retry both fail
+    verification. *)
+
+val escalate :
+  ?attempts:int ->
+  ?config:Config.t ->
+  ?cancel:Budget.cancel_token ->
+  ?fault:(int -> Budget.t -> unit) ->
+  interrupted:('r -> Budget.info option) ->
+  (params:Sat.params -> budget:Budget.t -> 'r) ->
+  'r
+(** The retry loop of both frontends.  Round [k] (from 0) arms a budget
+    from [config.limits] doubled [k] times, on [cancel] (shared by every
+    round, so a SIGINT during any round sticks), lets [fault k] observe it,
+    and runs the solve with the preset's parameters reseeded by [k].  When
+    [interrupted] finds the result interrupted for a reason other than
+    [Cancelled] and fewer than [attempts] (default 3) rounds ran, the next
+    round starts; otherwise the result is returned. *)
+
+val solve_program :
+  ?config:Config.t ->
+  ?budget:Budget.t ->
+  ?pool:Pool.t ->
+  ?jobs:int ->
+  Ast.program ->
+  result
+(** Ground, then {!solve_ground}.  A budget is armed from [config.limits]
+    unless an explicit (possibly fault-injected, see {!Fault}) [budget] is
+    given.  [jobs > 1] races that many configurations over [pool], or over
+    an ephemeral pool of [min jobs (Pool.default_size ())] domains when no
+    pool is given; grounding stays on the calling domain.  The answer is
+    filtered through the program's [#show] statements.
+    @raise Solver_error.Error ([Ground _]) on unsafe or unsupported
+    programs; ([Verification_failed _]) as {!solve_ground}. *)
 
 val solve_text : ?config:Config.t -> ?budget:Budget.t -> string -> result
 (** Parse then solve.
     @raise Solver_error.Error ([Parse _]) on syntax errors. *)
-
-val apply_show : Ast.program -> Gatom.t list -> Gatom.t list
-(** Filter an answer through the program's [#show] statements (identity when
-    there are none).  Exposed for {!Portfolio}. *)
 
 val index : outcome -> Answer.t
 (** Force and return the answer index (O(answer) the first time, O(1)

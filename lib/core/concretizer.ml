@@ -1,21 +1,10 @@
-type phases = {
-  setup_time : float;
-  load_time : float;
-  ground_time : float;
-  ground_base_time : float;
-  ground_extend_time : float;
-  solve_time : float;
-}
-
-let total p = p.setup_time +. p.load_time +. p.ground_time +. p.solve_time
-
 type success = {
   spec : Specs.Spec.concrete;
   reused : (string * string) list;
   built : string list;
   costs : (int * int) list;
   quality : Asp.Optimize.quality;
-  phases : phases;
+  phases : Asp.Phases.t;
   n_facts : int;
   n_possible : int;
   ground_stats : Asp.Grounder.stats;
@@ -26,22 +15,17 @@ type success = {
 type result =
   | Concrete of success
   | Unsatisfiable of {
-      phases : phases;
+      phases : Asp.Phases.t;
       n_facts : int;
       n_possible : int;
       reasons : string list;
     }
   | Interrupted of {
       info : Asp.Budget.info;
-      phases : phases;
+      phases : Asp.Phases.t;
       n_facts : int;
       n_possible : int;
     }
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* Content-addressed solve caching.
@@ -116,39 +100,27 @@ let cacheable = function
    that the first model found is already close to optimal and the
    optimization descent mostly just proves optimality.  This plays the role
    of the domain heuristics (clasp's #heuristic) Spack uses. *)
-let apply_phase_hints (t : Asp.Translate.t) =
-  let store = t.Asp.Translate.ground.Asp.Ground.store in
-  let fact_holds pred args =
-    match Asp.Gatom.Store.find store (Asp.Gatom.make pred args) with
-    | Some id -> Asp.Gatom.Store.is_fact store id
-    | None -> false
-  in
+let apply_phase_hints t =
   let zero = Asp.Term.int 0 in
-  for id = 0 to Asp.Gatom.Store.count store - 1 do
-    let a = Asp.Gatom.Store.atom store id in
-    let preferred =
-      match (a.Asp.Gatom.pred, a.Asp.Gatom.args) with
-      | "attr", [ { Asp.Term.node = Asp.Term.Str "version"; _ }; p; v ] ->
-        fact_holds "version_declared" [ p; v; zero ]
-      | "attr", [ { Asp.Term.node = Asp.Term.Str "variant_value"; _ }; p; var; value ] ->
-        fact_holds "variant_default" [ p; var; value ]
-      | "attr", [ { Asp.Term.node = Asp.Term.Str "node_target"; _ }; _; tgt ] ->
-        fact_holds "target_weight" [ tgt; zero ]
-      | "attr", [ { Asp.Term.node = Asp.Term.Str "node_os"; _ }; _; os ] ->
-        fact_holds "os_weight" [ os; zero ]
-      | "attr", [ { Asp.Term.node = Asp.Term.Str "node_compiler_version"; _ }; _; c; v ] ->
-        fact_holds "compiler_weight" [ c; v; zero ]
-      | "provider", [ v; p ] -> fact_holds "provider_weight" [ v; p; zero ]
-      | _ -> false
-    in
-    if preferred then
-      match Asp.Translate.atom_lit t id with
-      | Some l -> Asp.Sat.suggest_phase t.Asp.Translate.sat l
-      | None -> ()
-  done
+  let preferred ~fact (a : Asp.Gatom.t) =
+    match (a.Asp.Gatom.pred, a.Asp.Gatom.args) with
+    | "attr", [ { Asp.Term.node = Asp.Term.Str "version"; _ }; p; v ] ->
+      fact "version_declared" [ p; v; zero ]
+    | "attr", [ { Asp.Term.node = Asp.Term.Str "variant_value"; _ }; p; var; value ] ->
+      fact "variant_default" [ p; var; value ]
+    | "attr", [ { Asp.Term.node = Asp.Term.Str "node_target"; _ }; _; tgt ] ->
+      fact "target_weight" [ tgt; zero ]
+    | "attr", [ { Asp.Term.node = Asp.Term.Str "node_os"; _ }; _; os ] ->
+      fact "os_weight" [ os; zero ]
+    | "attr", [ { Asp.Term.node = Asp.Term.Str "node_compiler_version"; _ }; _; c; v ] ->
+      fact "compiler_weight" [ c; v; zero ]
+    | "provider", [ v; p ] -> fact "provider_weight" [ v; p; zero ]
+    | _ -> false
+  in
+  Asp.Translate.suggest_phases preferred t
 
 let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_env)
-    ?(prefs = Preferences.empty) ?installed ?reuse_mode ?budget ?pool ?(racers = 1)
+    ?(prefs = Preferences.empty) ?installed ?reuse_mode ?budget ?pool ?racers
     ?(explain = false) ?substrate ~repo roots =
   let budget =
     match budget with
@@ -157,189 +129,96 @@ let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_
   in
   (* setup: generate the problem-instance facts *)
   let facts, setup_time =
-    time (fun () -> Facts.generate ~env ~prefs ?installed ?reuse_mode ~repo roots)
+    Asp.Phases.time (fun () ->
+        Facts.generate ~env ~prefs ?installed ?reuse_mode ~repo roots)
   in
   let n_facts = facts.Facts.n_facts in
   let n_possible = List.length facts.Facts.possible in
-  (* ground: through the substrate when one is given (frozen base + request
-     extension; the substrate holds its own parsed logic program, so the
-     load phase is 0 there), from scratch otherwise or when the substrate
-     declines the request *)
-  let via_substrate =
-    match substrate with
-    | None -> `Scratch
-    | Some s -> (
-      let t0 = Unix.gettimeofday () in
-      match
-        Substrate.ground_request s ~env ~prefs ?installed ~repo ~budget ~facts
-          roots
-      with
-      | exception Asp.Budget.Exhausted info ->
-        `Err (info, 0., Unix.gettimeofday () -. t0)
-      | None -> `Scratch
-      | Some g ->
-        `Ok
-          ( g.Substrate.ground,
-            g.Substrate.stats,
-            0.,
-            Unix.gettimeofday () -. t0,
-            g.Substrate.base_time,
-            g.Substrate.extend_time ))
+  let phases = { Asp.Phases.zero with setup_time } in
+  let timed_ground f =
+    Asp.Phases.time (fun () ->
+        match f () with
+        | exception Asp.Budget.Exhausted info -> Error info
+        | g -> Ok g)
   in
-  let grounded =
-    match via_substrate with
-    | `Scratch -> (
-      (* load: parse the logic program (not memoized: the paper times this) *)
-      let lp, load_time = time (fun () -> Asp.Parser.parse Logic_program.text) in
-      let t0 = Unix.gettimeofday () in
+  (* ground: from scratch, or through the substrate when one is given
+     (frozen base + request extension; the substrate holds its own parsed
+     logic program, so the load phase is 0 there) unless it declines *)
+  let scratch () =
+    (* load: parse the logic program (not memoized: the paper times this) *)
+    let lp, load_time =
+      Asp.Phases.time (fun () -> Asp.Parser.parse Logic_program.text)
+    in
+    let g, ground_time =
+      timed_ground (fun () ->
+          Asp.Grounder.ground ~budget ?facts_stream:facts.Facts.reuse_stream
+            (lp @ facts.Facts.statements))
+    in
+    (g, { phases with load_time; ground_time })
+  in
+  let grounded, phases =
+    match substrate with
+    | None -> scratch ()
+    | Some s -> (
       match
-        Asp.Grounder.ground ~budget ?facts_stream:facts.Facts.reuse_stream
-          (lp @ facts.Facts.statements)
+        timed_ground (fun () ->
+            Substrate.ground_request s ~env ~prefs ?installed ~repo ~budget
+              ~facts roots)
       with
-      | exception Asp.Budget.Exhausted info ->
-        `Err (info, load_time, Unix.gettimeofday () -. t0)
-      | ground, stats ->
-        `Ok (ground, stats, load_time, Unix.gettimeofday () -. t0, 0., 0.))
-    | (`Err _ | `Ok _) as o -> o
+      | Ok None, _ -> scratch ()
+      | Error info, ground_time -> (Error info, { phases with ground_time })
+      | Ok (Some g), ground_time ->
+        ( Ok (g.Substrate.ground, g.Substrate.stats),
+          {
+            phases with
+            ground_time;
+            ground_base_time = g.Substrate.base_time;
+            ground_extend_time = g.Substrate.extend_time;
+          } ))
   in
   match grounded with
-  | `Err (info, load_time, ground_time) ->
-    let phases =
-      {
-        setup_time;
-        load_time;
-        ground_time;
-        ground_base_time = 0.;
-        ground_extend_time = 0.;
-        solve_time = 0.;
-      }
-    in
-    Interrupted { info; phases; n_facts; n_possible }
-  | `Ok
-      ( ground,
-        ground_stats,
-        load_time,
-        ground_time,
-        ground_base_time,
-        ground_extend_time ) -> (
-    (* solve: translate, search, optimize *)
+  | Error info -> Interrupted { info; phases; n_facts; n_possible }
+  | Ok (ground, ground_stats) -> (
     let params =
       match params with
       | Some p -> p
       | None -> Asp.Config.params config.Asp.Config.preset
     in
-    let t1 = Unix.gettimeofday () in
-    let strategy =
-      match config.Asp.Config.strategy with
-      | Asp.Config.Bb -> `Bb
-      | Asp.Config.Usc -> `Usc
+    let verdict, solve_time =
+      Asp.Phases.time (fun () ->
+          Asp.Solve.solve_ground ~config ~params ~hints:apply_phase_hints ?pool
+            ?racers ~budget ground)
     in
-    (* the verified sequential runner: translate, seed phase hints, optimize,
-       then independently re-check the winning model ({!Asp.Verify}) with a
-       reseeded retry on failure *)
-    let run_sequential params =
-      match
-        Asp.Solve.solve_ground_verified ~hints:apply_phase_hints
-          ~verify:config.Asp.Config.verify ~params ~strategy ~budget ground
-      with
-      | None -> None
-      | Some (t, costs, quality, _models, verified) ->
-        Some
-          ( Asp.Translate.answer t,
-            costs,
-            quality,
-            Asp.Sat.stats t.Asp.Translate.sat,
-            verified )
-    in
-    (* portfolio mode: race diverse configurations over the shared ground
-       program, each racer re-seeding the phase hints on its own
-       translation.  [?params] (escalation reseeding) only drives the
-       sequential path — racers carry their own seed offsets. *)
-    let solved =
-      match pool with
-      | Some p when racers > 1 -> (
-        let rs = Asp.Portfolio.racers ~config racers in
-        match
-          Asp.Portfolio.race ~pool:p ~hints:apply_phase_hints
-            ~verify:config.Asp.Config.verify ~racers:rs ~budget ground
-        with
-        | { Asp.Portfolio.attempt = Asp.Portfolio.Proved_unsat; _ } -> Ok None
-        | { attempt = Asp.Portfolio.Gave_up info; _ } -> Error info
-        | {
-            attempt =
-              Asp.Portfolio.Model { answer; costs; quality; sat_stats; verified; _ };
-            _;
-          } ->
-          Ok (Some (answer, costs, quality, sat_stats, verified))
-        | { attempt = Asp.Portfolio.Quarantined _; _ } -> (
-          (* every racer's model failed verification: sequential reseeded
-             re-solve of last resort (which itself retries once and raises
-             Solver_error.Verification_failed if that fails too) *)
-          match
-            run_sequential
-              { params with Asp.Sat.seed = params.Asp.Sat.seed + 104729 }
-          with
-          | exception Asp.Budget.Exhausted info -> Error info
-          | r -> Ok r))
-      | _ -> (
-        match run_sequential params with
-        | exception Asp.Budget.Exhausted info -> Error info
-        | r -> Ok r)
-    in
-    match solved with
-    | Error info ->
-      let phases =
-        {
-          setup_time;
-          load_time;
-          ground_time;
-          ground_base_time;
-          ground_extend_time;
-          solve_time = Unix.gettimeofday () -. t1;
-        }
+    let phases = { phases with solve_time } in
+    match verdict with
+    | Asp.Solve.Gave_up info -> Interrupted { info; phases; n_facts; n_possible }
+    | Asp.Solve.Proved_unsat ->
+      let reasons =
+        (* provenance-mapped unsat core on demand: re-solves the ground
+           program with selector guards, so it is opt-in *)
+        if explain then
+          Diagnose.explain_core ~params ~budget ~env ~repo ~facts ~ground roots
+        else Diagnose.explain ~env ~repo roots
       in
-      Interrupted { info; phases; n_facts; n_possible }
-    | Ok outcome -> (
-      let solve_time = Unix.gettimeofday () -. t1 in
-      let phases =
+      Unsatisfiable { phases; n_facts; n_possible; reasons }
+    | Asp.Solve.Model { answer; costs; quality; sat_stats; verified; _ } ->
+      let info = Extract.of_index (Asp.Answer.of_list answer) in
+      Concrete
         {
-          setup_time;
-          load_time;
-          ground_time;
-          ground_base_time;
-          ground_extend_time;
-          solve_time;
-        }
-      in
-      match outcome with
-      | None ->
-        let reasons =
-          (* provenance-mapped unsat core on demand: re-solves the ground
-             program with selector guards, so it is opt-in *)
-          if explain then
-            Diagnose.explain_core ~params ~budget ~env ~repo ~facts ~ground
-              roots
-          else Diagnose.explain ~env ~repo roots
-        in
-        Unsatisfiable { phases; n_facts; n_possible; reasons }
-      | Some (answer, costs, quality, sat_stats, verified) ->
-        let info = Extract.of_index (Asp.Answer.of_list answer) in
-        Concrete
-          {
-            spec = info.Extract.spec;
-            reused = info.Extract.reused;
-            built = info.Extract.built;
-            costs;
-            quality;
-            phases;
-            n_facts;
-            n_possible;
-            ground_stats;
-            sat_stats;
-            verified;
-          }))
+          spec = info.Extract.spec;
+          reused = info.Extract.reused;
+          built = info.Extract.built;
+          costs;
+          quality;
+          phases;
+          n_facts;
+          n_possible;
+          ground_stats;
+          sat_stats;
+          verified;
+        })
 
-let solve ?config ?params ?env ?prefs ?installed ?reuse_mode ?budget ?pool
+let solve_with ?params ?config ?env ?prefs ?installed ?reuse_mode ?budget ?pool
     ?racers ?explain ?cache ?substrate ~repo roots =
   let run () =
     solve_uncached ?config ?params ?env ?prefs ?installed ?reuse_mode ?budget
@@ -356,39 +235,24 @@ let solve ?config ?params ?env ?prefs ?installed ?reuse_mode ?budget ?pool
       if cacheable r then c.store key r;
       r)
 
+let solve = solve_with ?params:None
+
 let solve_spec ?config ?env ?prefs ?installed ?reuse_mode ?budget ?explain
     ?cache ?substrate ~repo text =
   solve ?config ?env ?prefs ?installed ?reuse_mode ?budget ?explain ?cache
     ?substrate ~repo
     [ Specs.Spec_parser.parse text ]
 
-(* Retry with escalation: each interrupted attempt doubles every finite
-   limit and reseeds the search (a different EVSIDS tie-breaking order often
-   finds a first model much faster, clasp's restart-on-budget idiom).
-   Cancellation is honoured immediately — a SIGINT must not trigger a
-   retry. *)
-let solve_escalating ?(attempts = 3) ?(config = Asp.Config.default)
-    ?env ?prefs ?installed ?reuse_mode ?cancel ?fault ?pool ?racers ?explain
-    ?cache ?substrate ~repo roots =
-  let base = Asp.Config.params config.Asp.Config.preset in
-  let rec go k limits =
-    let budget = Asp.Budget.start ?cancel limits in
-    (match fault with Some f -> f k budget | None -> ());
-    let params =
-      if k = 0 then base
-      else { base with Asp.Sat.seed = base.Asp.Sat.seed + (k * 7919) }
-    in
-    match
-      solve ~config ~params ?env ?prefs ?installed ?reuse_mode ~budget ?pool
-        ?racers ?explain ?cache ?substrate ~repo roots
-    with
-    | Interrupted { info; _ } as r ->
-      if info.Asp.Budget.reason = Asp.Budget.Cancelled || k + 1 >= attempts
-      then r
-      else go (k + 1) (Asp.Budget.double limits)
-    | r -> r
-  in
-  go 0 config.Asp.Config.limits
+(* Retry with escalation ({!Asp.Solve.escalate}): each interrupted attempt
+   doubles every finite limit and reseeds the search; a cancellation is
+   never retried. *)
+let solve_escalating ?attempts ?config ?env ?prefs ?installed ?reuse_mode
+    ?cancel ?fault ?pool ?racers ?explain ?cache ?substrate ~repo roots =
+  Asp.Solve.escalate ?attempts ?config ?cancel ?fault
+    ~interrupted:(function Interrupted { info; _ } -> Some info | _ -> None)
+    (fun ~params ~budget ->
+      solve_with ~params ?config ?env ?prefs ?installed ?reuse_mode ~budget
+        ?pool ?racers ?explain ?cache ?substrate ~repo roots)
 
 (* Batch-level parallelism: independent root sets concretized across the
    pool, one full pipeline (setup, load, ground, solve) per job.  Jobs are

@@ -10,21 +10,6 @@
     expiring earlier yields {!Interrupted}.  Neither case raises, and
     {!solve_escalating} retries interrupted solves with doubled limits. *)
 
-type phases = {
-  setup_time : float;
-  load_time : float;
-  ground_time : float;
-  ground_base_time : float;
-      (** portion of [ground_time] spent building a substrate base from
-          scratch (0 without a substrate, or on a warm base hit) *)
-  ground_extend_time : float;
-      (** portion of [ground_time] spent extending a substrate base with
-          the request's own facts (0 without a substrate) *)
-  solve_time : float;
-}
-
-val total : phases -> float
-
 type success = {
   spec : Specs.Spec.concrete;
   reused : (string * string) list;  (** (package, hash) reused from the DB *)
@@ -34,7 +19,7 @@ type success = {
   (** [`Optimal], or [`Degraded bounds] when the budget expired
       mid-optimization: the spec is valid (it is a stable model) but its
       costs are only guaranteed optimal for completed levels *)
-  phases : phases;
+  phases : Asp.Phases.t;
   n_facts : int;
   n_possible : int;  (** possible dependencies considered (Fig. 7's x-axis) *)
   ground_stats : Asp.Grounder.stats;
@@ -49,14 +34,14 @@ type success = {
 type result =
   | Concrete of success
   | Unsatisfiable of {
-      phases : phases;
+      phases : Asp.Phases.t;
       n_facts : int;
       n_possible : int;
       reasons : string list;  (** best-effort explanations ({!Diagnose}) *)
     }
   | Interrupted of {
       info : Asp.Budget.info;  (** phase, reason, partial stats at expiry *)
-      phases : phases;
+      phases : Asp.Phases.t;
       n_facts : int;
       n_possible : int;
     }  (** the budget expired before any stable model was found *)
@@ -98,7 +83,6 @@ val request_key :
 
 val solve :
   ?config:Asp.Config.t ->
-  ?params:Asp.Sat.params ->
   ?env:Facts.env ->
   ?prefs:Preferences.t ->
   ?installed:Pkg.Database.t ->
@@ -113,9 +97,7 @@ val solve :
   Specs.Spec.abstract list ->
   result
 (** Concretize one or more root specs together (unified DAG).  A budget is
-    armed from [config.limits] unless an explicit [budget] is given;
-    [params] overrides the preset's search parameters (used by
-    {!solve_escalating} to reseed retries).
+    armed from [config.limits] unless an explicit [budget] is given.
 
     With [explain] (default [false]) an unsatisfiable solve is diagnosed
     through {!Diagnose.explain_core} — a provenance-mapped minimal unsat
@@ -125,12 +107,11 @@ val solve :
     With [config.verify] (default on) the winning model is independently
     re-checked before being reported; see [success.verified].
 
-    When [racers > 1] and a [pool] is given, the solve phase runs as a
-    parallel portfolio ({!Asp.Portfolio}): setup, load and grounding stay
-    on the calling domain, then [racers] diverse configurations race over
-    the shared ground program; the cost vector of the result is the same as
-    the sequential solver's ([params] is then ignored — racers carry their
-    own seeds).
+    The solve phase is {!Asp.Solve.solve_ground}.  When [racers > 1] and a
+    [pool] is given it runs as a parallel portfolio ({!Asp.Portfolio}):
+    setup, load and grounding stay on the calling domain, then [racers]
+    diverse configurations race over the shared ground program; the cost
+    vector of the result is the same as the sequential solver's.
     @raise Facts.Unknown_package on unknown roots or [^deps]. *)
 
 val solve_spec :
@@ -166,9 +147,9 @@ val solve_escalating :
   repo:Pkg.Repo.t ->
   Specs.Spec.abstract list ->
   result
-(** {!solve} with retry-on-interruption: up to [attempts] (default 3)
-    rounds, doubling every finite limit of [config.limits] and reseeding
-    the search each round.  Returns the first non-interrupted result, or
+(** {!solve} with retry-on-interruption ({!Asp.Solve.escalate}): up to
+    [attempts] (default 3) rounds, doubling every finite limit of
+    [config.limits] and reseeding the search each round.  Returns the first non-interrupted result, or
     the last {!Interrupted} one.  Cancellation (reason [Cancelled]) is
     never retried.  [fault] observes each round's armed budget before the
     solve — the fault-injection tests use it; [cancel] is shared across

@@ -1,12 +1,3 @@
-type phases = {
-  setup_time : float;
-  load_time : float;
-  ground_time : float;
-  solve_time : float;
-}
-
-let total p = p.setup_time +. p.load_time +. p.ground_time +. p.solve_time
-
 type solution = {
   state : (string * int) list;
   removed : string list;
@@ -15,7 +6,7 @@ type solution = {
   costs : (int * int) list;
   quality : Asp.Optimize.quality;
   verified : bool;
-  phases : phases;
+  phases : Asp.Phases.t;
   n_facts : int;
   n_packages : int;
   n_sets : int;
@@ -25,13 +16,8 @@ type solution = {
 
 type result =
   | Solution of solution
-  | Unsatisfiable of { reasons : string list; phases : phases; n_facts : int }
-  | Interrupted of { info : Asp.Budget.info; phases : phases; n_facts : int }
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  | Unsatisfiable of { reasons : string list; phases : Asp.Phases.t; n_facts : int }
+  | Interrupted of { info : Asp.Budget.info; phases : Asp.Phases.t; n_facts : int }
 
 (* Cheap syntactic diagnosis — the fallback when unsat-core extraction is
    off or out of budget (mirrors Diagnose.explain for Spack). *)
@@ -93,29 +79,14 @@ let heuristic_reasons (doc : Doc.t) =
    paranoid wants yesterday's state back, trendy wants the newest version
    of everything that was installed.  Like the Spack hints this only
    shapes the first descent — optimality is proved regardless. *)
-let apply_phase_hints stack (t : Asp.Translate.t) =
-  let store = t.Asp.Translate.ground.Asp.Ground.store in
-  let fact_holds pred args =
-    match Asp.Gatom.Store.find store (Asp.Gatom.make pred args) with
-    | Some id -> Asp.Gatom.Store.is_fact store id
-    | None -> false
-  in
-  for id = 0 to Asp.Gatom.Store.count store - 1 do
-    let a = Asp.Gatom.Store.atom store id in
-    let preferred =
+let apply_phase_hints stack =
+  Asp.Translate.suggest_phases (fun ~fact (a : Asp.Gatom.t) ->
       match (a.Asp.Gatom.pred, a.Asp.Gatom.args) with
       | "attr", [ { Asp.Term.node = Asp.Term.Str "in"; _ }; p; v ] -> (
         match stack with
-        | Criteria.Paranoid -> fact_holds "was_installed" [ p; v ]
-        | Criteria.Trendy ->
-          fact_holds "newest" [ p; v ] && fact_holds "was_installed_name" [ p ])
-      | _ -> false
-    in
-    if preferred then
-      match Asp.Translate.atom_lit t id with
-      | Some l -> Asp.Sat.suggest_phase t.Asp.Translate.sat l
-      | None -> ()
-  done
+        | Criteria.Paranoid -> fact "was_installed" [ p; v ]
+        | Criteria.Trendy -> fact "newest" [ p; v ] && fact "was_installed_name" [ p ])
+      | _ -> false)
 
 let decode_state answer =
   List.filter_map
@@ -162,99 +133,46 @@ let diff_state (doc : Doc.t) state =
   in
   (removed, installed_new, changed)
 
-let solve ?(config = Asp.Config.default) ?params ?budget ?pool ?(racers = 1)
+let solve_with ?params ?(config = Asp.Config.default) ?budget ?pool ?racers
     ?(explain = false) ?(stack = Criteria.Paranoid) ?installed_mode (doc : Doc.t) =
   let budget =
     match budget with
     | Some b -> b
     | None -> Asp.Budget.start config.Asp.Config.limits
   in
-  let enc, setup_time = time (fun () -> Encode.generate ?installed_mode doc) in
+  let enc, setup_time =
+    Asp.Phases.time (fun () -> Encode.generate ?installed_mode doc)
+  in
   let n_facts = enc.Encode.n_facts in
   (* load: parse the logic program (timed, like the Spack pipeline) *)
-  let lp, load_time = time (fun () -> Asp.Parser.parse (Logic.text stack)) in
-  let t0 = Unix.gettimeofday () in
-  match
-    Asp.Grounder.ground ~budget ?facts_stream:enc.Encode.installed_stream
-      (lp @ enc.Encode.statements)
-  with
-  | exception Asp.Budget.Exhausted info ->
-    let phases =
-      {
-        setup_time;
-        load_time;
-        ground_time = Unix.gettimeofday () -. t0;
-        solve_time = 0.;
-      }
-    in
-    Interrupted { info; phases; n_facts }
-  | ground, ground_stats -> (
-    let ground_time = Unix.gettimeofday () -. t0 in
+  let lp, load_time = Asp.Phases.time (fun () -> Asp.Parser.parse (Logic.text stack)) in
+  let grounded, ground_time =
+    Asp.Phases.time (fun () ->
+        match
+          Asp.Grounder.ground ~budget ?facts_stream:enc.Encode.installed_stream
+            (lp @ enc.Encode.statements)
+        with
+        | exception Asp.Budget.Exhausted info -> Error info
+        | g -> Ok g)
+  in
+  let phases = { Asp.Phases.zero with setup_time; load_time; ground_time } in
+  match grounded with
+  | Error info -> Interrupted { info; phases; n_facts }
+  | Ok (ground, ground_stats) -> (
     let params =
       match params with
       | Some p -> p
       | None -> Asp.Config.params config.Asp.Config.preset
     in
-    let strategy =
-      match config.Asp.Config.strategy with
-      | Asp.Config.Bb -> `Bb
-      | Asp.Config.Usc -> `Usc
+    let verdict, solve_time =
+      Asp.Phases.time (fun () ->
+          Asp.Solve.solve_ground ~config ~params ~hints:(apply_phase_hints stack)
+            ?pool ?racers ~budget ground)
     in
-    let hints = apply_phase_hints stack in
-    let t1 = Unix.gettimeofday () in
-    let run_sequential params =
-      match
-        Asp.Solve.solve_ground_verified ~hints ~verify:config.Asp.Config.verify
-          ~params ~strategy ~budget ground
-      with
-      | None -> None
-      | Some (t, costs, quality, _models, verified) ->
-        Some
-          ( Asp.Translate.answer t,
-            costs,
-            quality,
-            Asp.Sat.stats t.Asp.Translate.sat,
-            verified )
-    in
-    let solved =
-      match pool with
-      | Some p when racers > 1 -> (
-        let rs = Asp.Portfolio.racers ~config racers in
-        match
-          Asp.Portfolio.race ~pool:p ~hints ~verify:config.Asp.Config.verify
-            ~racers:rs ~budget ground
-        with
-        | { Asp.Portfolio.attempt = Asp.Portfolio.Proved_unsat; _ } -> Ok None
-        | { attempt = Asp.Portfolio.Gave_up info; _ } -> Error info
-        | {
-            attempt =
-              Asp.Portfolio.Model { answer; costs; quality; sat_stats; verified; _ };
-            _;
-          } ->
-          Ok (Some (answer, costs, quality, sat_stats, verified))
-        | { attempt = Asp.Portfolio.Quarantined _; _ } -> (
-          match
-            run_sequential
-              { params with Asp.Sat.seed = params.Asp.Sat.seed + 104729 }
-          with
-          | exception Asp.Budget.Exhausted info -> Error info
-          | r -> Ok r))
-      | _ -> (
-        match run_sequential params with
-        | exception Asp.Budget.Exhausted info -> Error info
-        | r -> Ok r)
-    in
-    let phases =
-      {
-        setup_time;
-        load_time;
-        ground_time;
-        solve_time = Unix.gettimeofday () -. t1;
-      }
-    in
-    match solved with
-    | Error info -> Interrupted { info; phases; n_facts }
-    | Ok None ->
+    let phases = { phases with solve_time } in
+    match verdict with
+    | Asp.Solve.Gave_up info -> Interrupted { info; phases; n_facts }
+    | Asp.Solve.Proved_unsat ->
       let reasons =
         if explain then
           Concretize.Diagnose.explain_core_origins ~params ~budget
@@ -264,7 +182,7 @@ let solve ?(config = Asp.Config.default) ?params ?budget ?pool ?(racers = 1)
         else heuristic_reasons doc
       in
       Unsatisfiable { reasons; phases; n_facts }
-    | Ok (Some (answer, costs, quality, sat_stats, verified)) ->
+    | Asp.Solve.Model { answer; costs; quality; sat_stats; verified; _ } ->
       let state = decode_state answer in
       let removed, installed_new, changed = diff_state doc state in
       Solution
@@ -284,25 +202,12 @@ let solve ?(config = Asp.Config.default) ?params ?budget ?pool ?(racers = 1)
           sat_stats;
         })
 
-(* Escalating retries, the Concretizer idiom: double every finite limit and
-   reseed; never retry a cancellation. *)
-let solve_escalating ?(attempts = 3) ?(config = Asp.Config.default) ?cancel
-    ?pool ?racers ?explain ?stack ?installed_mode doc =
-  let base = Asp.Config.params config.Asp.Config.preset in
-  let rec go k limits =
-    let budget = Asp.Budget.start ?cancel limits in
-    let params =
-      if k = 0 then base
-      else { base with Asp.Sat.seed = base.Asp.Sat.seed + (k * 7919) }
-    in
-    match
-      solve ~config ~params ~budget ?pool ?racers ?explain ?stack
-        ?installed_mode doc
-    with
-    | Interrupted { info; _ } as r ->
-      if info.Asp.Budget.reason = Asp.Budget.Cancelled || k + 1 >= attempts
-      then r
-      else go (k + 1) (Asp.Budget.double limits)
-    | r -> r
-  in
-  go 0 config.Asp.Config.limits
+let solve = solve_with ?params:None
+
+(* Escalating retries, the Concretizer idiom ({!Asp.Solve.escalate}):
+   double every finite limit and reseed; never retry a cancellation. *)
+let solve_escalating ?attempts ?config ?cancel ?pool ?racers ?explain ?stack doc =
+  Asp.Solve.escalate ?attempts ?config ?cancel
+    ~interrupted:(function Interrupted { info; _ } -> Some info | _ -> None)
+    (fun ~params ~budget ->
+      solve_with ~params ?config ~budget ?pool ?racers ?explain ?stack doc)

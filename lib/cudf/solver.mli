@@ -7,15 +7,6 @@
     portfolio, verify the model, and decode the chosen state plus its
     per-criterion cost vector. *)
 
-type phases = {
-  setup_time : float;  (** document → facts *)
-  load_time : float;  (** logic-program parse *)
-  ground_time : float;
-  solve_time : float;
-}
-
-val total : phases -> float
-
 type solution = {
   state : (string * int) list;  (** the final installation, sorted *)
   removed : string list;
@@ -24,7 +15,7 @@ type solution = {
   costs : (int * int) list;  (** [(priority, value)], priorities descending *)
   quality : Asp.Optimize.quality;
   verified : bool;
-  phases : phases;
+  phases : Asp.Phases.t;
   n_facts : int;
   n_packages : int;
   n_sets : int;
@@ -34,8 +25,8 @@ type solution = {
 
 type result =
   | Solution of solution
-  | Unsatisfiable of { reasons : string list; phases : phases; n_facts : int }
-  | Interrupted of { info : Asp.Budget.info; phases : phases; n_facts : int }
+  | Unsatisfiable of { reasons : string list; phases : Asp.Phases.t; n_facts : int }
+  | Interrupted of { info : Asp.Budget.info; phases : Asp.Phases.t; n_facts : int }
 
 val heuristic_reasons : Doc.t -> string list
 (** Cheap syntactic diagnosis of an unsatisfiable document: unknown
@@ -53,7 +44,6 @@ val diff_state :
 
 val solve :
   ?config:Asp.Config.t ->
-  ?params:Asp.Sat.params ->
   ?budget:Asp.Budget.t ->
   ?pool:Asp.Pool.t ->
   ?racers:int ->
@@ -62,12 +52,14 @@ val solve :
   ?installed_mode:Encode.mode ->
   Doc.t ->
   result
-(** One attempt.  [~explain:true] runs unsat-core extraction over the
+(** One attempt; the solve phase is {!Asp.Solve.solve_ground}.
+    [installed_mode] (default [`Stream]) picks how installed stanzas reach
+    the grounder; [`Materialize] is the reference the tests compare the
+    streamed path against.  [~explain:true] runs unsat-core extraction over the
     encoder's condition provenance on UNSAT, naming the offending
     [depends:]/[conflicts:]/request stanza; otherwise UNSAT falls back to
     {!heuristic_reasons}.  [~pool] with [racers > 1] races a diversified
-    portfolio, rescuing quarantined races sequentially with a shifted
-    seed. *)
+    portfolio. *)
 
 val solve_escalating :
   ?attempts:int ->
@@ -77,9 +69,8 @@ val solve_escalating :
   ?racers:int ->
   ?explain:bool ->
   ?stack:Criteria.stack ->
-  ?installed_mode:Encode.mode ->
   Doc.t ->
   result
 (** Retry on budget exhaustion with doubled limits and a reseeded solver
-    ([attempts] tries total, default 3); cancellations are never
-    retried. *)
+    ([attempts] tries total, default 3; {!Asp.Solve.escalate});
+    cancellations are never retried. *)

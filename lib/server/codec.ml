@@ -33,15 +33,15 @@ let concrete_to_json (c : Specs.Spec.concrete) =
       ("nodes", Json.List (List.map node (Specs.Spec.concrete_nodes c)));
     ]
 
-let phases_to_json (p : C.phases) =
+let phases_to_json (p : Asp.Phases.t) =
   Json.Obj
     [
-      ("setup", Json.Float p.C.setup_time);
-      ("load", Json.Float p.C.load_time);
-      ("ground", Json.Float p.C.ground_time);
-      ("ground_base", Json.Float p.C.ground_base_time);
-      ("ground_extend", Json.Float p.C.ground_extend_time);
-      ("solve", Json.Float p.C.solve_time);
+      ("setup", Json.Float p.Asp.Phases.setup_time);
+      ("load", Json.Float p.Asp.Phases.load_time);
+      ("ground", Json.Float p.Asp.Phases.ground_time);
+      ("ground_base", Json.Float p.Asp.Phases.ground_base_time);
+      ("ground_extend", Json.Float p.Asp.Phases.ground_extend_time);
+      ("solve", Json.Float p.Asp.Phases.solve_time);
     ]
 
 let quality_to_json = function
@@ -197,7 +197,7 @@ let phases_of_json j =
   let ground_extend_time = opt "ground_extend" in
   Some
     {
-      C.setup_time;
+      Asp.Phases.setup_time;
       load_time;
       ground_time;
       ground_base_time;

@@ -146,16 +146,6 @@ let recover ?db_path ?journal_path () =
 let request_key t root =
   C.request_key ~config:t.cfg.solver ~installed:(db t) ~repo:t.cfg.repo [ root ]
 
-let zero_phases =
-  {
-    C.setup_time = 0.;
-    load_time = 0.;
-    ground_time = 0.;
-    ground_base_time = 0.;
-    ground_extend_time = 0.;
-    solve_time = 0.;
-  }
-
 let expired_result =
   C.Interrupted
     {
@@ -165,7 +155,7 @@ let expired_result =
           reason = Asp.Budget.Deadline;
           progress = { Asp.Budget.conflicts = 0; instances = 0; opt_steps = 0 };
         };
-      phases = zero_phases;
+      phases = Asp.Phases.zero;
       n_facts = 0;
       n_possible = 0;
     }

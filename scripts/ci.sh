@@ -286,6 +286,12 @@ EOF
 out=$(timeout 60 dune exec bin/cudf_solve.exe -- --synth 200 --stats)
 echo "$out" | grep -q "optimality proven at every level"
 echo "$out" | grep -q "verified: independent model check passed"
+# the portfolio race must prove and verify the same cost vector
+raced=$(timeout 60 dune exec bin/cudf_solve.exe -- -j 2 --synth 200 --stats)
+echo "$raced" | grep -q "optimality proven at every level"
+echo "$raced" | grep -q "verified: independent model check passed"
+test -n "$(echo "$out" | grep '^  @')"
+test "$(echo "$out" | grep '^  @')" = "$(echo "$raced" | grep '^  @')"
 out=$(timeout 60 dune exec bin/cudf_solve.exe -- --explain "$(dirname "$0")/ci_broken.cudf" || true)
 echo "$out" | grep -q "conflicts with"
 

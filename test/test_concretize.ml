@@ -402,13 +402,13 @@ let test_fact_generation_with_reuse () =
 let test_phases_measured () =
   let s = concrete "hdf5" in
   let p = s.Concretizer.phases in
-  Alcotest.(check bool) "ground > 0" true (p.Concretizer.ground_time > 0.0);
-  Alcotest.(check bool) "solve > 0" true (p.Concretizer.solve_time > 0.0);
+  Alcotest.(check bool) "ground > 0" true (p.Asp.Phases.ground_time > 0.0);
+  Alcotest.(check bool) "solve > 0" true (p.Asp.Phases.solve_time > 0.0);
   Alcotest.(check bool) "total is the sum" true
     (abs_float
-       (Concretizer.total p
-       -. (p.Concretizer.setup_time +. p.Concretizer.load_time
-          +. p.Concretizer.ground_time +. p.Concretizer.solve_time))
+       (Asp.Phases.total p
+       -. (p.Asp.Phases.setup_time +. p.Asp.Phases.load_time
+          +. p.Asp.Phases.ground_time +. p.Asp.Phases.solve_time))
     < 1e-9)
 
 let reasons_of spec =
@@ -712,10 +712,10 @@ let test_solve_cache_hook () =
     Alcotest.(check bool) "verified flag intact" a.Concretizer.verified
       b.Concretizer.verified;
     Alcotest.(check (pair (float 0.0) (float 0.0))) "original timings returned"
-      ( a.Concretizer.phases.Concretizer.solve_time,
-        a.Concretizer.phases.Concretizer.ground_time )
-      ( b.Concretizer.phases.Concretizer.solve_time,
-        b.Concretizer.phases.Concretizer.ground_time )
+      ( a.Concretizer.phases.Asp.Phases.solve_time,
+        a.Concretizer.phases.Asp.Phases.ground_time )
+      ( b.Concretizer.phases.Asp.Phases.solve_time,
+        b.Concretizer.phases.Asp.Phases.ground_time )
   | _ -> Alcotest.fail "expected concrete results");
   (* interrupted results never enter the cache: a budget-starved solve
      under the same key must not poison later solves *)

@@ -373,6 +373,65 @@ let test_synth_sat_by_construction () =
         Criteria.all)
     [ (11, 150); (12, 350) ]
 
+(* ---------- the shared solve stage: portfolio and escalation ---------- *)
+
+let test_portfolio_costs () =
+  let d = Synth.universe ~seed:21 ~n:300 () in
+  Asp.Pool.with_pool ~domains:3 (fun pool ->
+      List.iter
+        (fun stack ->
+          let seq = solved_state "sequential" d stack in
+          match Solver.solve ~pool ~racers:3 ~stack d with
+          | Solver.Solution s ->
+            Alcotest.(check string)
+              (Criteria.name stack ^ ": race gives the sequential costs")
+              (costs_str seq.Solver.costs) (costs_str s.Solver.costs);
+            Alcotest.(check bool)
+              (Criteria.name stack ^ ": race is optimal and verified") true
+              (s.Solver.quality = `Optimal && s.Solver.verified)
+          | _ -> Alcotest.failf "%s: race did not solve" (Criteria.name stack))
+        Criteria.all)
+
+let test_escalation_gives_up () =
+  (* round k arms an instance limit of 50 * 2^k, and the budget trips one
+     instance past it: 201 instances means exactly three rounds ran *)
+  let d = Synth.universe ~seed:22 ~n:200 () in
+  let config =
+    Asp.Config.make
+      ~limits:{ Asp.Budget.no_limits with Asp.Budget.instances = Some 50 }
+      ()
+  in
+  match Solver.solve_escalating ~attempts:3 ~config d with
+  | Solver.Interrupted { info; _ } ->
+    Alcotest.(check bool) "instance limit" true
+      (info.Asp.Budget.reason = Asp.Budget.Instance_limit);
+    Alcotest.(check int) "three rounds" 201
+      info.Asp.Budget.progress.Asp.Budget.instances
+  | _ -> Alcotest.fail "expected the escalation to give up"
+
+let test_escalation_honours_cancel () =
+  let d = Synth.universe ~seed:22 ~n:200 () in
+  let cancel = Asp.Budget.token () in
+  Asp.Budget.cancel cancel;
+  (match Solver.solve_escalating ~attempts:3 ~cancel d with
+  | Solver.Interrupted { info; _ } ->
+    Alcotest.(check bool) "reason is cancellation" true
+      (info.Asp.Budget.reason = Asp.Budget.Cancelled)
+  | _ -> Alcotest.fail "cancelled escalation did not report Interrupted");
+  (* the rounds themselves are only visible through the loop's fault hook:
+     drive the same loop over a CUDF solve and count them *)
+  let rounds = ref 0 in
+  match
+    Asp.Solve.escalate ~attempts:3 ~cancel
+      ~fault:(fun _ _ -> incr rounds)
+      ~interrupted:(function
+        | Solver.Interrupted { info; _ } -> Some info | _ -> None)
+      (fun ~params:_ ~budget -> Solver.solve ~budget d)
+  with
+  | Solver.Interrupted _ ->
+    Alcotest.(check int) "cancellation is never retried" 1 !rounds
+  | _ -> Alcotest.fail "cancelled escalation did not report Interrupted"
+
 (* The list-based definition [Solver.diff_state] replaced, kept verbatim
    as the oracle: quadratic in the state sizes, but plainly right. *)
 let diff_state_lists (doc : Doc.t) state =
@@ -466,6 +525,15 @@ let () =
             test_stacks_diverge;
           Alcotest.test_case "upgrade semantics" `Quick test_upgrade_semantics;
           Alcotest.test_case "keep semantics" `Quick test_keep_semantics;
+        ] );
+      ( "solve stage",
+        [
+          Alcotest.test_case "race = sequential costs" `Quick
+            test_portfolio_costs;
+          Alcotest.test_case "escalation gives up" `Quick
+            test_escalation_gives_up;
+          Alcotest.test_case "escalation honours cancel" `Quick
+            test_escalation_honours_cancel;
         ] );
       ( "state diff",
         [ Alcotest.test_case "hash sets = lists" `Quick test_diff_state ] );

@@ -159,7 +159,7 @@ let test_portfolio_matches_sequential () =
                 | Asp.Solve.Sat o -> o.Asp.Solve.costs
                 | _ -> Alcotest.failf "%s: sequential solve not SAT" name
               in
-              match Asp.Portfolio.solve_program ~pool ~config ~jobs:3 prog with
+              match Asp.Solve.solve_program ~pool ~config ~jobs:3 prog with
               | Asp.Solve.Sat o ->
                 Alcotest.(check (list (pair int int)))
                   (name ^ ": portfolio cost vector equals sequential") baseline
@@ -178,7 +178,7 @@ let test_portfolio_matches_sequential () =
 let test_portfolio_unsat () =
   Asp.Pool.with_pool ~domains:2 (fun pool ->
       match
-        Asp.Portfolio.solve_program ~pool ~jobs:2 (Asp.Parser.parse unsat_src)
+        Asp.Solve.solve_program ~pool ~jobs:2 (Asp.Parser.parse unsat_src)
       with
       | Asp.Solve.Unsat _ -> ()
       | _ -> Alcotest.fail "portfolio should prove UNSAT")

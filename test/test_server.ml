@@ -102,7 +102,7 @@ let test_codec_interrupted () =
            };
          phases =
            {
-               C.setup_time = 0.125;
+               Asp.Phases.setup_time = 0.125;
                load_time = 0.5;
                ground_time = 0.25;
                ground_base_time = 0.1;

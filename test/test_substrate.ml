@@ -82,15 +82,15 @@ let test_extension_timings () =
     phases (Concretizer.solve ~substrate ~repo [ Specs.Spec_parser.parse "hdf5" ])
   in
   Alcotest.(check bool) "cold solve builds a base" true
-    (cold.Concretizer.ground_base_time > 0.);
+    (cold.Asp.Phases.ground_base_time > 0.);
   let warm =
     phases
       (Concretizer.solve ~substrate ~repo
          [ Specs.Spec_parser.parse "hdf5+szip" ])
   in
   Alcotest.(check bool) "warm solve reuses the base" true
-    (warm.Concretizer.ground_base_time = 0.
-    && warm.Concretizer.ground_extend_time > 0.);
+    (warm.Asp.Phases.ground_base_time = 0.
+    && warm.Asp.Phases.ground_extend_time > 0.);
   let c = Substrate.counters substrate in
   Alcotest.(check int) "one base" 1 c.Substrate.base_builds;
   Alcotest.(check int) "two extensions" 2 c.Substrate.extensions
