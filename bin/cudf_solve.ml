@@ -56,7 +56,8 @@ let print_result ~stack ~show_stats ~show_state result =
       let st = s.Cudf.Solver.sat_stats in
       Printf.printf "Search: %d conflicts, %d decisions, %d restarts\n"
         st.Asp.Sat.conflicts st.Asp.Sat.decisions st.Asp.Sat.restarts;
-      print_endline (Asp.Phases.to_line s.Cudf.Solver.phases)
+      print_endline (Asp.Phases.to_line s.Cudf.Solver.phases);
+      print_endline (Asp.Grounder.steps_line g)
     end;
     0
 

@@ -70,7 +70,8 @@ let print_result repo show_stats validate spec_text result =
           List.iter (fun (p, v) -> Printf.printf " (%d,%d)" p v)
             (List.filter (fun (_, v) -> v <> 0) s.Concretize.Concretizer.costs);
           print_newline ();
-          print_endline (Asp.Phases.to_line s.Concretize.Concretizer.phases)
+          print_endline (Asp.Phases.to_line s.Concretize.Concretizer.phases);
+          print_endline (Asp.Grounder.steps_line g)
         end;
         0
 

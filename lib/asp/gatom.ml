@@ -9,6 +9,24 @@ let equal a b =
 let hash a =
   List.fold_left (fun acc t -> (acc * 31) + Term.hash t) (Hashtbl.hash a.pred) a.args
 
+(* [hash] of the atom whose predicate hashes to [hpred] and whose arguments
+   are the first [n] terms of [args]. *)
+let hash_args hpred (args : Term.t array) n =
+  let h = ref hpred in
+  for j = 0 to n - 1 do
+    h := (!h * 31) + (Array.unsafe_get args j).Term.hkey
+  done;
+  !h
+
+(* Whether [a] is that atom: its arguments are compared in place.  The
+   helpers of the in-place lookup are closed functions, so that a lookup
+   allocates nothing. *)
+let rec same_args (args : Term.t array) n j = function
+  | [] -> j = n
+  | t :: rest -> j < n && t == Array.unsafe_get args j && same_args args n (j + 1) rest
+
+let equal_args a pred args n = String.equal a.pred pred && same_args args n 0 a.args
+
 let compare a b =
   let c = String.compare a.pred b.pred in
   if c <> 0 then c else List.compare Term.compare a.args b.args
@@ -76,6 +94,8 @@ module Store = struct
     facts : Ivec.t;  (** 1 for a fact, 0 otherwise *)
     overlay : (int, unit) Hashtbl.t;  (** parent ids fact-marked by this layer *)
     rels : rel list S.t;  (** by predicate name, one per arity *)
+    mutable last : rel;  (** the relation an atom was last added to *)
+    mutable last_pred : string;  (** its predicate *)
     mutable frozen : bool;
   }
 
@@ -94,6 +114,8 @@ module Store = struct
       facts = Ivec.create ~capacity:size ();
       overlay = Hashtbl.create 16;
       rels = S.create 64;
+      last = no_rel;
+      last_pred = "";
       frozen = false;
     }
 
@@ -101,13 +123,12 @@ module Store = struct
   let count st = st.offset + Vec.length st.atoms
 
   (* Id of [a] (of hash [h]) among this layer's own atoms, or [-1]. *)
-  let find_local st a h =
-    let rec walk i =
-      if i < 0 then -1
-      else if Ivec.get st.hashes i = h && equal (Vec.get st.atoms i) a then st.offset + i
-      else walk (Ivec.get st.chain i)
-    in
-    walk st.buckets.(h land (Array.length st.buckets - 1))
+  let rec walk st a h i =
+    if i < 0 then -1
+    else if st.hashes.Ivec.data.(i) = h && equal st.atoms.Vec.data.(i) a then st.offset + i
+    else walk st a h st.chain.Ivec.data.(i)
+
+  let find_local st a h = walk st a h st.buckets.(h land (Array.length st.buckets - 1))
 
   let find_id st a h =
     match st.parent with
@@ -119,6 +140,25 @@ module Store = struct
   let find st a =
     let id = find_id st a (hash a) in
     if id >= 0 then Some id else None
+
+  (* [find_local] and [find_id] over an atom given by its parts. *)
+  let rec walk_args st pred args n h i =
+    if i < 0 then -1
+    else if st.hashes.Ivec.data.(i) = h && equal_args st.atoms.Vec.data.(i) pred args n then
+      st.offset + i
+    else walk_args st pred args n h st.chain.Ivec.data.(i)
+
+  let find_local_args st pred args n h =
+    walk_args st pred args n h st.buckets.(h land (Array.length st.buckets - 1))
+
+  let find_args_h st pred args n h =
+    match st.parent with
+    | None -> find_local_args st pred args n h
+    | Some p ->
+      let id = find_local_args p pred args n h in
+      if id >= 0 then id else find_local_args st pred args n h
+
+  let find_args st pred ~hpred args n = find_args_h st pred args n (hash_args hpred args n)
 
   let resize st =
     let nb = 2 * Array.length st.buckets in
@@ -137,23 +177,41 @@ module Store = struct
   let local_rel st pred arity =
     match S.find_opt st.rels pred with Some l -> find_rel_in arity l | None -> no_rel
 
+  (* Atoms are added in runs of one relation (a predicate's facts, a rule's
+     heads), so the last relation is tried before the table. *)
   let rel_for_add st pred arity =
-    let l = Option.value ~default:[] (S.find_opt st.rels pred) in
-    match find_rel_in arity l with
-    | r when r != no_rel -> r
-    | _ ->
-      let r = { r_arity = arity; r_ids = Ivec.create (); r_args = Array.make arity None } in
-      S.replace st.rels pred (r :: l);
+    if st.last.r_arity = arity && st.last != no_rel && String.equal st.last_pred pred then st.last
+    else begin
+      let l = Option.value ~default:[] (S.find_opt st.rels pred) in
+      let r =
+        match find_rel_in arity l with
+        | r when r != no_rel -> r
+        | _ ->
+          let r = { r_arity = arity; r_ids = Ivec.create (); r_args = Array.make arity None } in
+          S.replace st.rels pred (r :: l);
+          r
+      in
+      st.last <- r;
+      st.last_pred <- pred;
       r
+    end
 
   let index_add tbl value id =
-    match I.find_opt tbl (Term.id value) with
-    | Some v -> Ivec.push v id
-    | None ->
+    match I.find tbl value.Term.id with
+    | v -> Ivec.push v id
+    | exception Not_found ->
       (* most (position, value) keys hold one or two ids *)
       let v = Ivec.create ~capacity:2 () in
       Ivec.push v id;
-      I.add tbl (Term.id value) v
+      I.add tbl value.Term.id v
+
+  (* Add [id] to the built indexes of [r] for its arguments [args], the
+     first at position [pos]. *)
+  let rec index_args r id pos = function
+    | [] -> ()
+    | value :: rest ->
+      (match r.r_args.(pos) with Some tbl -> index_add tbl value id | None -> ());
+      index_args r id (pos + 1) rest
 
   (* Append a new atom of hash [h] to this layer (the caller has probed for
      it). *)
@@ -170,10 +228,7 @@ module Store = struct
     let id = st.offset + i in
     let r = rel_for_add st a.pred (List.length a.args) in
     Ivec.push r.r_ids id;
-    List.iteri
-      (fun pos value ->
-        match r.r_args.(pos) with Some tbl -> index_add tbl value id | None -> ())
-      a.args;
+    index_args r id 0 a.args;
     id
 
   let intern st a =
@@ -181,9 +236,15 @@ module Store = struct
     let id = find_id st a h in
     if id >= 0 then id else add st a h
 
+  let intern_args st pred ~hpred args n =
+    let h = hash_args hpred args n in
+    let id = find_args_h st pred args n h in
+    if id >= 0 then id
+    else add st { pred; args = List.init n (Array.get args) } h
+
   let rec atom st id =
     if id < st.offset then atom (Option.get st.parent) id
-    else Vec.get st.atoms (id - st.offset)
+    else st.atoms.Vec.data.(id - st.offset)
 
   let mark_fact st id =
     if id < st.offset then begin
@@ -198,8 +259,8 @@ module Store = struct
   let is_fact st id =
     if id < st.offset then
       let p = Option.get st.parent in
-      Ivec.get p.facts id = 1 || Hashtbl.mem st.overlay id
-    else Ivec.get st.facts (id - st.offset) = 1
+      p.facts.Ivec.data.(id) = 1 || Hashtbl.mem st.overlay id
+    else st.facts.Ivec.data.(id - st.offset) = 1
 
   let intern_fact st a =
     let h = hash a in
@@ -264,6 +325,8 @@ module Store = struct
       facts = Ivec.copy st.facts;
       overlay = Hashtbl.create 1;
       rels;
+      last = no_rel;
+      last_pred = "";
       frozen = false;
     }
 
@@ -275,48 +338,14 @@ module Store = struct
     | None -> { v_st = st; v_a = local_rel st pred arity; v_b = no_rel }
     | Some p -> { v_st = st; v_a = local_rel p pred arity; v_b = local_rel st pred arity }
 
-  (* Candidate ids of a probe: at most two backing vectors (parent layer +
-     local layer), exposed as one ascending sequence. *)
-  type cands = { c_a : Ivec.t; c_b : Ivec.t }
-
-  let all v = { c_a = v.v_a.r_ids; c_b = v.v_b.r_ids }
-
   (* A frozen parent's indexes are all built, so only [st]'s own relations
-     are ever indexed here. *)
+     are ever indexed here.  [Hashtbl.find] rather than [find_opt]: a probe
+     allocates nothing. *)
   let arg_ids st r ~pos ~value =
     if r == no_rel then no_ids
-    else
-      match I.find_opt (arg_index st r pos) (Term.id value) with
-      | Some v -> v
-      | None -> no_ids
+    else match I.find (arg_index st r pos) value.Term.id with v -> v | exception Not_found -> no_ids
 
-  let with_arg v ~pos ~value =
-    { c_a = arg_ids v.v_st v.v_a ~pos ~value; c_b = arg_ids v.v_st v.v_b ~pos ~value }
-
-  let cands_length c = Ivec.length c.c_a + Ivec.length c.c_b
-
-  let cands_iter f c =
-    Ivec.iter f c.c_a;
-    Ivec.iter f c.c_b
-
-  (* First index of ascending [v] holding an id >= [lo]. *)
-  let lower_bound v lo =
-    let l = ref 0 and r = ref (Ivec.length v) in
-    while !l < !r do
-      let m = (!l + !r) lsr 1 in
-      if Ivec.get v m < lo then l := m + 1 else r := m
-    done;
-    !l
-
-  let iter_between v f ~lo ~hi =
-    let i = ref (lower_bound v lo) in
-    (* [f] may append to [v], but only ids >= [hi] *)
-    while !i < Ivec.length v && Ivec.get v !i < hi do
-      f (Ivec.get v !i);
-      incr i
-    done
-
-  let cands_iter_between f c ~lo ~hi =
-    iter_between c.c_a f ~lo ~hi;
-    iter_between c.c_b f ~lo ~hi
+  let part v k = if k = 0 then v.v_a else v.v_b
+  let ids v k = (part v k).r_ids
+  let ids_with_arg v k ~pos ~value = arg_ids v.v_st (part v k) ~pos ~value
 end

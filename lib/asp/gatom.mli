@@ -34,6 +34,17 @@ module Store : sig
       @raise Invalid_argument when the store is frozen and the atom is new. *)
 
   val find : t -> atom -> int option
+
+  val find_args : t -> string -> hpred:int -> Term.t array -> int -> int
+  (** [find_args st pred ~hpred args n] is the id of the atom [pred] over
+      the first [n] terms of [args], or [-1]; [hpred] is
+      [Hashtbl.hash pred].  Nothing is built: the arguments are hashed as
+      {!hash} does and compared in place. *)
+
+  val intern_args : t -> string -> hpred:int -> Term.t array -> int -> int
+  (** {!intern} of the atom {!find_args} names, built only when it is
+      new. *)
+
   val atom : t -> int -> atom
   val count : t -> int
 
@@ -66,22 +77,18 @@ module Store : sig
 
   val relation : t -> string -> int -> relation
 
-  (** Candidate ids of a probe: at most two backing vectors (base + layer)
-      exposed as one sequence in ascending id order.  Do not mutate the
-      backing vectors. *)
-  type cands
+  (** A relation's ids are in two parts, each in ascending order: part [0]
+      holds a root's atoms, or a layer's base atoms; part [1] a layer's own
+      atoms (empty on a root).  Every id of part [0] is below every id of
+      part [1].  The vectors returned are the store's own: do not mutate
+      them.  Interning may append to them, but only ids >= the store's
+      count at the time. *)
 
-  val all : relation -> cands
-  (** Every atom of the relation. *)
+  val ids : relation -> int -> Ivec.t
+  (** [ids rel part]: every atom of the relation in that part. *)
 
-  val with_arg : relation -> pos:int -> value:Term.t -> cands
-  (** The relation's atoms whose argument at [pos] equals [value]. *)
-
-  val cands_length : cands -> int
-  val cands_iter : (int -> unit) -> cands -> unit
-
-  val cands_iter_between : (int -> unit) -> cands -> lo:int -> hi:int -> unit
-  (** The candidates with ids in [\[lo, hi)], in ascending order, found by
-      binary search.  The callback may intern atoms: they get ids >= the
-      store's count, so a window with [hi <= count] never reaches them. *)
+  val ids_with_arg : relation -> int -> pos:int -> value:Term.t -> Ivec.t
+  (** [ids_with_arg rel part ~pos ~value]: the atoms of that part whose
+      argument at [pos] is [value].  The position's index is built on its
+      first probe; nothing is allocated after that. *)
 end

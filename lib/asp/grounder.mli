@@ -16,7 +16,25 @@
 
     Conditional literals ([a : conds]) and choice-element guards must range
     over EDB predicates (predicates defined only by facts); this is checked
-    and a {!Solver_error.Error} is raised otherwise. *)
+    and a {!Solver_error.Error} is raised otherwise.
+
+    Every join goes through one kernel ([enumerate]), whose contract is:
+    - it enumerates the substitutions of a body's positive literals and
+      comparisons, each literal restricted to a window of atom ids, and
+      passes each one's matched ids, in literal order, to its callback in
+      a reused array;
+    - the next literal is the delta literal of a semi-naive window, else
+      the first literal whose arguments are all bound (looked up, not
+      scanned), else the one with the fewest candidates, the lowest index
+      on a tie; instances therefore come in a fixed order, and the ground
+      program does not depend on how the kernel is built;
+    - a comparison is checked as soon as its variables are bound, wherever
+      it is written in the body;
+    - the steps are compiled once per body and kept with the compiled rule,
+      which frozen bases share across domains; all mutable scratch lives in
+      the grounding's own state, and nothing is allocated per join node or
+      per instance (arithmetic and function terms aside, which intern their
+      values). *)
 
 type stats = {
   possible_atoms : int;  (** atoms in the possible-set closure *)
@@ -28,7 +46,16 @@ type stats = {
           round joins a rule only over those new atoms, so the last round
           derives nothing: a program whose rules come in dependency order,
           like the CUDF one, takes 2. *)
+  seed_time : float;
+      (** wall seconds spent seeding facts and compiling rules (for an
+          extension: seeding the delta) *)
+  close_time : float;  (** wall seconds in the possible-atom closure *)
+  emit_time : float;  (** wall seconds emitting ground rules *)
 }
+
+val steps_line : stats -> string
+(** ["Ground steps: seed 0.012s, close 0.010s, emit 0.031s"], the line
+    [--stats] prints under the phase timings. *)
 
 val ground :
   ?budget:Budget.t ->

@@ -47,3 +47,40 @@ let sub v pos len =
 
 let to_array v = Array.sub v.data 0 v.len
 let copy v = { data = Array.sub v.data 0 (max v.len 1); len = v.len }
+
+let lower_bound v x =
+  let l = ref 0 and r = ref v.len in
+  while !l < !r do
+    let m = (!l + !r) lsr 1 in
+    if Array.unsafe_get v.data m < x then l := m + 1 else r := m
+  done;
+  !l
+
+(* Insertion sort for the short vectors of a rule body; [Array.sort] on a
+   copy beyond that. *)
+let sort_uniq v =
+  let n = v.len in
+  if n > 16 then begin
+    let a = Array.sub v.data 0 n in
+    Array.sort Int.compare a;
+    Array.blit a 0 v.data 0 n
+  end
+  else
+    for i = 1 to n - 1 do
+      let x = Array.unsafe_get v.data i in
+      let j = ref (i - 1) in
+      while !j >= 0 && Array.unsafe_get v.data !j > x do
+        Array.unsafe_set v.data (!j + 1) (Array.unsafe_get v.data !j);
+        decr j
+      done;
+      Array.unsafe_set v.data (!j + 1) x
+    done;
+  let distinct = ref (min n 1) in
+  for i = 1 to n - 1 do
+    if Array.unsafe_get v.data i <> Array.unsafe_get v.data (!distinct - 1) then begin
+      Array.unsafe_set v.data !distinct (Array.unsafe_get v.data i);
+      incr distinct
+    end
+  done;
+  v.len <- !distinct;
+  Array.sub v.data 0 !distinct

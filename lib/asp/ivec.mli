@@ -2,7 +2,11 @@
     solver.  Unlike a polymorphic {!Vec}, writes skip the write barrier and
     reads skip the float-array check. *)
 
-type t
+type t = private { mutable data : int array; mutable len : int }
+(** Elements [0 .. len - 1] of [data] are the vector's.  The record is
+    exposed read-only so that hot loops (the grounder's joins) can read
+    elements without a call: modules are compiled separately, so calls to
+    {!get} are not inlined. *)
 
 val create : ?capacity:int -> unit -> t
 val length : t -> int
@@ -23,3 +27,11 @@ val sub : t -> int -> int -> int array
 val to_array : t -> int array
 val copy : t -> t
 (** Independent copy. *)
+
+val lower_bound : t -> int -> int
+(** [lower_bound v x] is the first index of ascending [v] whose element is
+    [>= x] ([length v] if none is). *)
+
+val sort_uniq : t -> int array
+(** Sorts [v] in place, keeps one copy of each element, and returns the
+    result as a fresh array. *)

@@ -170,44 +170,63 @@ let process_rule t = function
     | None -> ()
 
 (* Does the positive dependency graph (head -> positive body atoms) have a
-   cycle?  Iterative DFS with tri-state colouring. *)
+   cycle?  The graph is built in compressed sparse rows: [offs.(h)] to
+   [offs.(h + 1) - 1] index the targets of [h]'s edges, counted by a first
+   pass over the rules and filled by a second.  The depth-first search keeps
+   its path in an explicit stack, with each node's next edge in [cur]: a
+   node is on the path while its colour is 1, so an edge to such a node
+   closes a cycle. *)
 let has_positive_cycle (g : Ground.t) natoms =
-  let edges = Array.make natoms [] in
-  let add_edges heads (b : Ground.body) =
-    if Array.length b.pos > 0 then
-      Array.iter (fun h -> edges.(h) <- Array.to_list b.pos @ edges.(h)) heads
+  let offs = Array.make (natoms + 1) 0 in
+  let each_edge_list f =
+    Vec.iter
+      (function
+        | Ground.Rnormal (h, b) -> if Array.length b.pos > 0 then f h b.pos
+        | Ground.Rchoice { heads; cbody; _ } ->
+          if Array.length cbody.pos > 0 then Array.iter (fun h -> f h cbody.pos) heads
+        | Ground.Rconstraint _ -> ())
+      g.Ground.rules
   in
-  Vec.iter
-    (function
-      | Ground.Rnormal (h, b) -> add_edges [| h |] b
-      | Ground.Rchoice { heads; cbody; _ } -> add_edges heads cbody
-      | Ground.Rconstraint _ -> ())
-    g.Ground.rules;
-  let color = Array.make natoms 0 in
-  (* 0 white, 1 on stack, 2 done *)
-  let cyclic = ref false in
-  let rec visit stack =
-    match stack with
-    | [] -> ()
-    | `Enter v :: rest ->
-      if color.(v) = 1 then begin
-        cyclic := true;
-        visit rest
-      end
-      else if color.(v) = 2 then visit rest
-      else begin
-        color.(v) <- 1;
-        visit (List.map (fun w -> `Enter w) edges.(v) @ (`Exit v :: rest))
-      end
-    | `Exit v :: rest ->
-      color.(v) <- 2;
-      visit rest
-  in
-  (try
-     for v = 0 to natoms - 1 do
-       if color.(v) = 0 && not !cyclic then visit [ `Enter v ]
-     done
-   with Stack_overflow -> cyclic := true);
+  each_edge_list (fun h pos -> offs.(h + 1) <- offs.(h + 1) + Array.length pos);
+  for v = 1 to natoms do
+    offs.(v) <- offs.(v) + offs.(v - 1)
+  done;
+  let targets = Array.make offs.(natoms) 0 in
+  let cur = Array.sub offs 0 natoms in
+  each_edge_list (fun h pos ->
+      Array.blit pos 0 targets cur.(h) (Array.length pos);
+      cur.(h) <- cur.(h) + Array.length pos);
+  Array.blit offs 0 cur 0 natoms;
+  let color = Bytes.make natoms '\000' in
+  let stack = Array.make natoms 0 and sp = ref 0 in
+  let cyclic = ref false and root = ref 0 in
+  while (not !cyclic) && !root < natoms do
+    if Bytes.get color !root = '\000' then begin
+      Bytes.set color !root '\001';
+      stack.(0) <- !root;
+      sp := 1;
+      while (not !cyclic) && !sp > 0 do
+        let v = stack.(!sp - 1) in
+        let i = cur.(v) in
+        if i < offs.(v + 1) then begin
+          cur.(v) <- i + 1;
+          let w = targets.(i) in
+          match Bytes.get color w with
+          | '\000' ->
+            Bytes.set color w '\001';
+            stack.(!sp) <- w;
+            incr sp
+          | '\001' -> cyclic := true
+          | _ -> ()
+        end
+        else begin
+          Bytes.set color v '\002';
+          decr sp
+        end
+      done
+    end;
+    incr root
+  done;
   !cyclic
 
 let build ~guard_constraints params (g : Ground.t) =

@@ -3,7 +3,9 @@
     For pointer payloads: int payloads (trails, atom ids, literals) go in
     {!Ivec}, whose writes skip the write barrier. *)
 
-type 'a t
+type 'a t = private { mutable data : 'a array; mutable len : int; dummy : 'a }
+(** Elements [0 .. len - 1] of [data] are the vector's; exposed read-only
+    for the same reason as {!Ivec.t}'s. *)
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
 (** [dummy] fills unused capacity; it is never observable. *)

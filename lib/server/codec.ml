@@ -255,7 +255,17 @@ let success_of_json j =
   let* ground_stats =
     match gs with
     | [ Json.Int possible_atoms; Json.Int ground_rules; Json.Int fixpoint_rounds ] ->
-      Some { Asp.Grounder.possible_atoms; ground_rules; fixpoint_rounds }
+      (* the ground-step times describe the solve that produced the answer,
+         not this reply: they are not carried *)
+      Some
+        {
+          Asp.Grounder.possible_atoms;
+          ground_rules;
+          fixpoint_rounds;
+          seed_time = 0.;
+          close_time = 0.;
+          emit_time = 0.;
+        }
     | _ -> None
   in
   let* ss = field "sat_stats" Json.to_list j in

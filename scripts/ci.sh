@@ -273,11 +273,11 @@ stacks = {r["experiment"].split("-")[-1] for r in rows}
 assert stacks == {"paranoid", "trendy"}, stacks
 m = d["metrics"]
 assert m["cudf-1000-paranoid_p50_s"] > 0 and m["cudf-1000-trendy_p50_s"] > 0, m
-# memory guard: the quick run peaks at ~45 MiB (VmHWM); the ceiling keeps
+# memory guard: the quick run peaks at ~42 MiB (VmHWM); the ceiling keeps
 # 25%+ headroom; a body-indicator variable per integrity constraint peaked
 # at ~74 MiB here, eager per-literal solver lists at ~105 MiB, re-deriving
 # closure instances and eager argument indexes at ~51 MiB
-RSS_CEILING_MB = 57
+RSS_CEILING_MB = 53
 rss = max(r["peak_rss_mb"] for r in rows if r["experiment"].startswith("cudf-1000-"))
 assert rss <= RSS_CEILING_MB, "cudf-1000 peak rss %.1f MiB > %d" % (rss, RSS_CEILING_MB)
 print("cudf smoke: %d solves, paranoid p50 %.2fs, trendy p50 %.2fs, peak rss %.0f MiB" % (
@@ -286,6 +286,20 @@ EOF
 out=$(timeout 60 dune exec bin/cudf_solve.exe -- --synth 200 --stats)
 echo "$out" | grep -q "optimality proven at every level"
 echo "$out" | grep -q "verified: independent model check passed"
+# the ground steps (seed, closure, emission) are parts of the ground phase:
+# their sum may exceed it by 5%, plus 2 ms for rounding four figures to the
+# millisecond
+steps=$(timeout 60 dune exec bin/cudf_solve.exe -- --synth 1000 --stats)
+python3 - "$steps" << 'EOF'
+import re, sys
+out = sys.argv[1]
+ground = float(re.search(r"^Phases: .*, ground ([0-9.]+)s,", out, re.M).group(1))
+m = re.search(r"^Ground steps: seed ([0-9.]+)s, close ([0-9.]+)s, emit ([0-9.]+)s$", out, re.M)
+assert m, "no Ground steps line:\n" + out
+parts = [float(x) for x in m.groups()]
+assert sum(parts) <= ground * 1.05 + 0.002, (parts, ground)
+print("ground steps: seed %.3fs + close %.3fs + emit %.3fs of ground %.3fs" % (*parts, ground))
+EOF
 # the portfolio race must prove and verify the same cost vector
 raced=$(timeout 60 dune exec bin/cudf_solve.exe -- -j 2 --synth 200 --stats)
 echo "$raced" | grep -q "optimality proven at every level"

@@ -830,6 +830,212 @@ let test_bound_literal_base_atom () =
          [ [ [ "a(1)" ]; [ "b(1)" ] ]; [ [ "a(3)" ]; [ "b(3)" ] ]; [ []; [ "b(5)" ] ] ])
 
 (* ------------------------------------------------------------------ *)
+(* Join kernel corners                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Each join below exercises one corner of the grounder's compiled join
+   steps.  The answer sets, restricted to the predicates in [show], are
+   checked against atoms written out by hand, against [Asp.Naive] (which
+   grounds with the same grounder) and against [Asp.Naive] over the program
+   instantiated on [domain], whose rules the grounder joins without binding
+   a variable. *)
+let check_kernel msg src ~show ~domain ~expected =
+  let prog = Asp.Parser.parse src in
+  let only p = List.mem p show in
+  let expected = List.sort compare (List.map (List.sort compare) expected) in
+  let check what models =
+    Alcotest.(check (list (list string))) (msg ^ ": " ^ what) expected (models_strings ~only models)
+  in
+  check "solver" (Asp.Solve.enumerate prog);
+  check "naive" (Asp.Naive.stable_models prog);
+  check "instantiated" (Asp.Naive.stable_models (instantiate domain prog))
+
+let ints = List.map Asp.Term.int
+
+(* Every subset of [xs]. *)
+let subsets xs =
+  List.fold_right (fun x rest -> rest @ List.map (fun s -> x :: s) rest) xs [ [] ]
+
+let test_cmp_before_binders () =
+  (* the comparison comes first but is checked only once both literals
+     that bind it have matched *)
+  let expected =
+    List.concat_map
+      (fun s ->
+        List.filter_map
+          (fun t ->
+            if List.exists (fun x -> List.exists (fun y -> x < y) t) s then None
+            else
+              Some
+                (List.map (Printf.sprintf "s(%d)") s @ List.map (Printf.sprintf "t(%d)") t))
+          (subsets [ 2; 3 ]))
+      (subsets [ 1; 2; 3 ])
+  in
+  check_kernel "comparison before its binders"
+    {|p(1..3). q(2..3).
+      { s(X) } :- p(X).
+      { t(Y) } :- q(Y).
+      :- X < Y, s(X), t(Y).|}
+    ~show:[ "s"; "t" ] ~domain:(ints [ 1; 2; 3 ]) ~expected
+
+let test_ne_function_terms () =
+  let fn f x = Asp.Term.fun_ f [ Asp.Term.int x ] in
+  check_kernel "!= between function terms"
+    {|e(f(1), f(1)). e(f(1), f(2)). e(g(1), f(1)).
+      diff(X, Y) :- e(X, Y), X != Y.
+      other(A, F) :- e(f(A), F), F != f(A).|}
+    ~show:[ "diff"; "other" ]
+    ~domain:(ints [ 1; 2 ] @ [ fn "f" 1; fn "f" 2; fn "g" 1 ])
+    ~expected:[ [ "diff(f(1),f(2))"; "diff(g(1),f(1))"; "other(1,f(2))" ] ]
+
+let test_repeated_variable () =
+  check_kernel "repeated variable"
+    {|r(1, 1). r(1, 2). r(2, 2). r(3, 1).
+      { u(X) } :- r(X, X).
+      loop(X) :- r(X, X), u(X).|}
+    ~show:[ "u"; "loop" ] ~domain:(ints [ 1; 2; 3 ])
+    ~expected:(product [ [ []; [ "u(1)"; "loop(1)" ] ]; [ []; [ "u(2)"; "loop(2)" ] ] ])
+
+let test_bound_literals_in_window () =
+  (* the function-term literal e(f(X)) and the arithmetic literal r(X + 1)
+     are bound when joined; each must match only atoms of its window, or
+     the extension finds the base's a(1) again *)
+  check_extension "window"
+    {|p(1). e(f(1)). r(2).
+      { b(X) } :- p(X).
+      a(X) :- p(X), e(f(X)), r(X + 1), not b(X).|}
+    "p(3). e(f(3)). r(4). p(5). e(f(5))."
+    ~expected:
+      (product
+         [ [ [ "a(1)" ]; [ "b(1)" ] ]; [ [ "a(3)" ]; [ "b(3)" ] ]; [ []; [ "b(5)" ] ] ])
+
+let test_partly_bound_condition () =
+  (* the condition b(Y, X) of the conditional literal has Y bound by the
+     body and X bound by the condition itself *)
+  check_kernel "partly bound condition"
+    {|c(1). c(2). n(1..3). b(1, 1). b(1, 2). b(2, 3).
+      { a(X) : n(X) }.
+      all(Y) :- c(Y); a(X) : b(Y, X).|}
+    ~show:[ "a"; "all" ] ~domain:(ints [ 1; 2; 3 ])
+    ~expected:
+      (product
+         [
+           [ []; [ "a(1)" ]; [ "a(2)" ]; [ "a(1)"; "a(2)"; "all(1)" ] ];
+           [ []; [ "a(3)"; "all(2)" ] ];
+         ])
+
+let test_arith_before_binder () =
+  (* r(X + 1) comes before p(X), which binds X: emission restores the
+     instance the closure found without evaluating the arithmetic in
+     literal order *)
+  check_kernel "arithmetic before its binder"
+    {|p(1). p(2). r(2). r(4).
+      { q(X) } :- p(X).
+      a(X) :- r(X + 1), p(X), q(X).|}
+    ~show:[ "q"; "a" ] ~domain:(ints [ 1; 2; 3 ])
+    ~expected:(product [ [ []; [ "q(1)"; "a(1)" ] ]; [ []; [ "q(2)" ] ] ])
+
+(* ------------------------------------------------------------------ *)
+(* Tightness                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The list-based definition the CSR search of [Translate] replaced, kept
+   verbatim as the oracle for its [tight] flag. *)
+let has_positive_cycle_lists (g : Asp.Ground.t) natoms =
+  let open Asp in
+  let edges = Array.make natoms [] in
+  let add_edges heads (b : Ground.body) =
+    if Array.length b.pos > 0 then
+      Array.iter (fun h -> edges.(h) <- Array.to_list b.pos @ edges.(h)) heads
+  in
+  Vec.iter
+    (function
+      | Ground.Rnormal (h, b) -> add_edges [| h |] b
+      | Ground.Rchoice { heads; cbody; _ } -> add_edges heads cbody
+      | Ground.Rconstraint _ -> ())
+    g.Ground.rules;
+  let color = Array.make natoms 0 in
+  (* 0 white, 1 on stack, 2 done *)
+  let cyclic = ref false in
+  let rec visit stack =
+    match stack with
+    | [] -> ()
+    | `Enter v :: rest ->
+      if color.(v) = 1 then begin
+        cyclic := true;
+        visit rest
+      end
+      else if color.(v) = 2 then visit rest
+      else begin
+        color.(v) <- 1;
+        visit (List.map (fun w -> `Enter w) edges.(v) @ (`Exit v :: rest))
+      end
+    | `Exit v :: rest ->
+      color.(v) <- 2;
+      visit rest
+  in
+  (try
+     for v = 0 to natoms - 1 do
+       if color.(v) = 0 && not !cyclic then visit [ `Enter v ]
+     done
+   with Stack_overflow -> cyclic := true);
+  !cyclic
+
+let check_tight msg (g : Asp.Ground.t) =
+  let natoms = Asp.Gatom.Store.count g.Asp.Ground.store in
+  Alcotest.(check bool) (msg ^ ": tight") (not (has_positive_cycle_lists g natoms))
+    (Asp.Translate.translate g).Asp.Translate.tight
+
+let ground_text src = fst (Asp.Grounder.ground (Asp.Parser.parse src))
+
+let test_tight_random () =
+  let programs =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 18 |]) ~n:300 (QCheck.gen gen_small_program)
+  in
+  let cyclic = ref 0 in
+  List.iteri
+    (fun i prog ->
+      let g, _ = Asp.Grounder.ground prog in
+      if not (Asp.Translate.translate g).Asp.Translate.tight then incr cyclic;
+      check_tight (Printf.sprintf "random program %d" i) g)
+    programs;
+  (* both answers occur *)
+  Alcotest.(check bool) "some random programs are not tight" true (!cyclic > 0);
+  Alcotest.(check bool) "some random programs are tight" true (!cyclic < 300)
+
+let test_tight_shapes () =
+  List.iter
+    (fun (msg, src, tight) ->
+      let g = ground_text src in
+      check_tight msg g;
+      Alcotest.(check bool) (msg ^ ": expected") tight (Asp.Translate.translate g).Asp.Translate.tight)
+    [
+      ("self-loop", "{ b }. a :- a, b. a :- b.", false);
+      ("choice-head cycle", "{ a; b } :- c. c :- a. { c }.", false);
+      ("choice heads, no cycle", "{ a; b } :- c. { c }. d :- a, b.", true);
+      ("long chain", String.concat " " (List.init 3000 (fun i -> Printf.sprintf "p%d :- p%d." i (i + 1))) ^ " { p3000 }.", true);
+      ("long cycle", String.concat " " (List.init 3000 (fun i -> Printf.sprintf "p%d :- p%d." i (i + 1))) ^ " p3000 :- p0. { p0 }.", false);
+    ]
+
+let test_tight_pipelines () =
+  let spack spec =
+    let facts = Concretize.Facts.generate ~repo:Pkg.Repo_core.repo [ Specs.Spec_parser.parse spec ] in
+    fst
+      (Asp.Grounder.ground ?facts_stream:facts.Concretize.Facts.reuse_stream
+         (Asp.Parser.parse Concretize.Logic_program.text @ facts.Concretize.Facts.statements))
+  in
+  let cudf stack =
+    let enc = Cudf.Encode.generate (Cudf.Synth.universe ~seed:1 ~n:1000 ()) in
+    fst
+      (Asp.Grounder.ground ?facts_stream:enc.Cudf.Encode.installed_stream
+         (Asp.Parser.parse (Cudf.Logic.text stack) @ enc.Cudf.Encode.statements))
+  in
+  check_tight "spack zlib" (spack "zlib");
+  check_tight "spack hdf5" (spack "hdf5");
+  check_tight "cudf paranoid" (cudf Cudf.Criteria.Paranoid);
+  check_tight "cudf trendy" (cudf Cudf.Criteria.Trendy)
+
+(* ------------------------------------------------------------------ *)
 (* Solver per-literal lists                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1129,6 +1335,21 @@ let () =
           Alcotest.test_case "extension matches a base atom" `Quick
             test_bound_literal_base_atom;
           Alcotest.test_case "same-literal arithmetic" `Quick test_same_literal_arithmetic;
+        ] );
+      ( "join kernel",
+        [
+          Alcotest.test_case "comparison before its binders" `Quick test_cmp_before_binders;
+          Alcotest.test_case "!= between function terms" `Quick test_ne_function_terms;
+          Alcotest.test_case "repeated variable" `Quick test_repeated_variable;
+          Alcotest.test_case "bound literals in a window" `Quick test_bound_literals_in_window;
+          Alcotest.test_case "partly bound condition" `Quick test_partly_bound_condition;
+          Alcotest.test_case "arithmetic before its binder" `Quick test_arith_before_binder;
+        ] );
+      ( "tightness",
+        [
+          Alcotest.test_case "random programs" `Quick test_tight_random;
+          Alcotest.test_case "self-loops and choice heads" `Quick test_tight_shapes;
+          Alcotest.test_case "spack and cudf programs" `Quick test_tight_pipelines;
         ] );
       ( "solver lists",
         [

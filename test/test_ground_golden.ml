@@ -234,6 +234,32 @@ let check_sorted_digest mk want () =
   Alcotest.(check string) "sorted ground program digest" want got
 
 (* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words allocated inside [Grounder.ground] on the 1k-stanza CUDF
+   fixture.  The join kernel allocates nothing per join node or instance:
+   what remains is the ground program, the atom store, the seeded facts
+   and the closure's instance records.  The bound is 20% above the
+   1,417,491 words measured when the kernel landed; the grounder
+   before it allocated 6,256,454. *)
+let ground_words_bound = 1_701_000
+
+let test_ground_allocation () =
+  let d = Cudf.Synth.universe ~seed:1 ~n:1000 () in
+  let enc = Cudf.Encode.generate d in
+  let prog =
+    Asp.Parser.parse (Cudf.Logic.text Cudf.Criteria.Paranoid) @ enc.Cudf.Encode.statements
+  in
+  let before = Gc.minor_words () in
+  ignore (Asp.Grounder.ground ?facts_stream:enc.Cudf.Encode.installed_stream prog);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words <= %d" words ground_words_bound)
+    true
+    (words <= float_of_int ground_words_bound)
+
+(* ------------------------------------------------------------------ *)
 (* Term interning invariants                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -322,4 +348,6 @@ let () =
       ("grounder equivalence", golden_tests);
       ("ground program digests", digest_tests);
       ("term interning", intern_tests);
+      ( "allocation",
+        [ Alcotest.test_case "cudf synth 1k paranoid" `Quick test_ground_allocation ] );
     ]
