@@ -72,91 +72,59 @@ module Store = struct
   let no_ids = Ivec.create ~capacity:1 ()
   let no_rel = { r_arity = 0; r_ids = no_ids; r_args = [||] }
 
-  (* A store is either a root (parent = None) or a single extension layer
-     over a frozen root: ids below [offset] resolve in the parent, ids at or
-     above it in the layer's own tables.  Layers never nest (the substrate
-     clones roots instead of chaining), so every lookup is at most two
-     probes.  A frozen root is immutable and safe to share across domains;
-     fact marks a layer places on parent atoms live in [overlay].
-
-     The atom table is a chained hash table over the layer's own atoms,
-     indexed by local position ([id - offset]): [buckets] holds the first
-     position of each chain and [chain] the next, [-1] ending a chain.  The
-     hash of each atom is kept, so a lookup computes one hash, compares
+  (* The atom table is a chained hash table indexed by id: [buckets] holds
+     the first id of each chain and [chain] the next, [-1] ending a chain.
+     The hash of each atom is kept, so a lookup computes one hash, compares
      hashes before atoms, and a resize recomputes none. *)
   type t = {
-    parent : t option;
-    offset : int;  (** ids below this live in [parent] *)
     atoms : atom Vec.t;
     hashes : Ivec.t;
     chain : Ivec.t;
     mutable buckets : int array;  (** length a power of two *)
     facts : Ivec.t;  (** 1 for a fact, 0 otherwise *)
-    overlay : (int, unit) Hashtbl.t;  (** parent ids fact-marked by this layer *)
     rels : rel list S.t;  (** by predicate name, one per arity *)
     mutable last : rel;  (** the relation an atom was last added to *)
     mutable last_pred : string;  (** its predicate *)
-    mutable frozen : bool;
   }
 
-  let make ~parent ~offset ~size =
+  let create ?(size = 4096) () =
     let nb = ref 16 in
     while !nb < size do
       nb := 2 * !nb
     done;
     {
-      parent;
-      offset;
       atoms = Vec.create ~capacity:size ~dummy:{ pred = ""; args = [] } ();
       hashes = Ivec.create ~capacity:size ();
       chain = Ivec.create ~capacity:size ();
       buckets = Array.make !nb (-1);
       facts = Ivec.create ~capacity:size ();
-      overlay = Hashtbl.create 16;
       rels = S.create 64;
       last = no_rel;
       last_pred = "";
-      frozen = false;
     }
 
-  let create ?(size = 4096) () = make ~parent:None ~offset:0 ~size
-  let count st = st.offset + Vec.length st.atoms
+  let count st = Vec.length st.atoms
 
-  (* Id of [a] (of hash [h]) among this layer's own atoms, or [-1]. *)
+  (* Id of [a] (of hash [h]), or [-1]. *)
   let rec walk st a h i =
     if i < 0 then -1
-    else if st.hashes.Ivec.data.(i) = h && equal st.atoms.Vec.data.(i) a then st.offset + i
+    else if st.hashes.Ivec.data.(i) = h && equal st.atoms.Vec.data.(i) a then i
     else walk st a h st.chain.Ivec.data.(i)
 
-  let find_local st a h = walk st a h st.buckets.(h land (Array.length st.buckets - 1))
-
-  let find_id st a h =
-    match st.parent with
-    | None -> find_local st a h
-    | Some p ->
-      let id = find_local p a h in
-      if id >= 0 then id else find_local st a h
+  let find_id st a h = walk st a h st.buckets.(h land (Array.length st.buckets - 1))
 
   let find st a =
     let id = find_id st a (hash a) in
     if id >= 0 then Some id else None
 
-  (* [find_local] and [find_id] over an atom given by its parts. *)
+  (* [find_id] over an atom given by its parts. *)
   let rec walk_args st pred args n h i =
     if i < 0 then -1
-    else if st.hashes.Ivec.data.(i) = h && equal_args st.atoms.Vec.data.(i) pred args n then
-      st.offset + i
+    else if st.hashes.Ivec.data.(i) = h && equal_args st.atoms.Vec.data.(i) pred args n then i
     else walk_args st pred args n h st.chain.Ivec.data.(i)
 
-  let find_local_args st pred args n h =
-    walk_args st pred args n h st.buckets.(h land (Array.length st.buckets - 1))
-
   let find_args_h st pred args n h =
-    match st.parent with
-    | None -> find_local_args st pred args n h
-    | Some p ->
-      let id = find_local_args p pred args n h in
-      if id >= 0 then id else find_local_args st pred args n h
+    walk_args st pred args n h st.buckets.(h land (Array.length st.buckets - 1))
 
   let find_args st pred ~hpred args n = find_args_h st pred args n (hash_args hpred args n)
 
@@ -173,9 +141,6 @@ module Store = struct
   let rec find_rel_in arity = function
     | [] -> no_rel
     | r :: rest -> if r.r_arity = arity then r else find_rel_in arity rest
-
-  let local_rel st pred arity =
-    match S.find_opt st.rels pred with Some l -> find_rel_in arity l | None -> no_rel
 
   (* Atoms are added in runs of one relation (a predicate's facts, a rule's
      heads), so the last relation is tried before the table. *)
@@ -213,19 +178,16 @@ module Store = struct
       (match r.r_args.(pos) with Some tbl -> index_add tbl value id | None -> ());
       index_args r id (pos + 1) rest
 
-  (* Append a new atom of hash [h] to this layer (the caller has probed for
-     it). *)
+  (* Append a new atom of hash [h] (the caller has probed for it). *)
   let add st a h =
-    if st.frozen then invalid_arg "Gatom.Store.intern: store is frozen";
-    let i = Vec.length st.atoms in
-    if i >= Array.length st.buckets then resize st;
+    let id = Vec.length st.atoms in
+    if id >= Array.length st.buckets then resize st;
     let b = h land (Array.length st.buckets - 1) in
     Vec.push st.atoms a;
     Ivec.push st.hashes h;
     Ivec.push st.chain st.buckets.(b);
-    st.buckets.(b) <- i;
+    st.buckets.(b) <- id;
     Ivec.push st.facts 0;
-    let id = st.offset + i in
     let r = rel_for_add st a.pred (List.length a.args) in
     Ivec.push r.r_ids id;
     index_args r id 0 a.args;
@@ -242,38 +204,16 @@ module Store = struct
     if id >= 0 then id
     else add st { pred; args = List.init n (Array.get args) } h
 
-  let rec atom st id =
-    if id < st.offset then atom (Option.get st.parent) id
-    else st.atoms.Vec.data.(id - st.offset)
+  let atom st id = st.atoms.Vec.data.(id)
+  let mark_fact st id = Ivec.set st.facts id 1
+  let is_fact st id = st.facts.Ivec.data.(id) = 1
 
-  let mark_fact st id =
-    if id < st.offset then begin
-      let p = Option.get st.parent in
-      if Ivec.get p.facts id = 0 then Hashtbl.replace st.overlay id ()
-    end
-    else begin
-      if st.frozen then invalid_arg "Gatom.Store.mark_fact: store is frozen";
-      Ivec.set st.facts (id - st.offset) 1
-    end
+  let intern_fact st a = mark_fact st (intern st a)
 
-  let is_fact st id =
-    if id < st.offset then
-      let p = Option.get st.parent in
-      p.facts.Ivec.data.(id) = 1 || Hashtbl.mem st.overlay id
-    else st.facts.Ivec.data.(id - st.offset) = 1
+  type relation = rel
 
-  let intern_fact st a =
-    let h = hash a in
-    let id = find_id st a h in
-    if id < 0 then begin
-      mark_fact st (add st a h);
-      true
-    end
-    else if is_fact st id then false
-    else begin
-      mark_fact st id;
-      true
-    end
+  let relation st pred arity =
+    match S.find_opt st.rels pred with Some l -> find_rel_in arity l | None -> no_rel
 
   (* The index of [r]'s argument position [pos], built from the relation's
      atoms on first use. *)
@@ -286,66 +226,10 @@ module Store = struct
       r.r_args.(pos) <- Some tbl;
       tbl
 
-  (* A frozen store is shared read-only, so every index is built first. *)
-  let freeze st =
-    if st.parent <> None then invalid_arg "Gatom.Store.freeze: not a root store";
-    S.iter
-      (fun _ l ->
-        List.iter (fun r -> for pos = 0 to r.r_arity - 1 do ignore (arg_index st r pos) done) l)
-      st.rels;
-    st.frozen <- true
+  let ids r = r.r_ids
 
-  let extend st =
-    if st.parent <> None then invalid_arg "Gatom.Store.extend: layers do not nest";
-    if not st.frozen then invalid_arg "Gatom.Store.extend: freeze the base first";
-    make ~parent:(Some st) ~offset:(count st) ~size:256
-
-  (* Deep copy of a root store (atoms and terms shared; all tables fresh).
-     The install-delta path clones the frozen base and mutates the clone,
-     so substrates never chain layers. *)
-  let clone st =
-    if st.parent <> None then invalid_arg "Gatom.Store.clone: not a root store";
-    let copy_index tbl =
-      let tbl' = I.create (I.length tbl) in
-      I.iter (fun k v -> I.add tbl' k (Ivec.copy v)) tbl;
-      tbl'
-    in
-    let copy_rel r =
-      { r with r_ids = Ivec.copy r.r_ids; r_args = Array.map (Option.map copy_index) r.r_args }
-    in
-    let rels = S.create (S.length st.rels) in
-    S.iter (fun k l -> S.add rels k (List.map copy_rel l)) st.rels;
-    {
-      parent = None;
-      offset = 0;
-      atoms = Vec.copy st.atoms;
-      hashes = Ivec.copy st.hashes;
-      chain = Ivec.copy st.chain;
-      buckets = Array.copy st.buckets;
-      facts = Ivec.copy st.facts;
-      overlay = Hashtbl.create 1;
-      rels;
-      last = no_rel;
-      last_pred = "";
-      frozen = false;
-    }
-
-  (* A relation as seen from a store: the parent's part and this layer's. *)
-  type relation = { v_st : t; v_a : rel; v_b : rel }
-
-  let relation st pred arity =
-    match st.parent with
-    | None -> { v_st = st; v_a = local_rel st pred arity; v_b = no_rel }
-    | Some p -> { v_st = st; v_a = local_rel p pred arity; v_b = local_rel st pred arity }
-
-  (* A frozen parent's indexes are all built, so only [st]'s own relations
-     are ever indexed here.  [Hashtbl.find] rather than [find_opt]: a probe
-     allocates nothing. *)
-  let arg_ids st r ~pos ~value =
+  (* [Hashtbl.find] rather than [find_opt]: a probe allocates nothing. *)
+  let ids_with_arg st r ~pos ~value =
     if r == no_rel then no_ids
     else match I.find (arg_index st r pos) value.Term.id with v -> v | exception Not_found -> no_ids
-
-  let part v k = if k = 0 then v.v_a else v.v_b
-  let ids v k = (part v k).r_ids
-  let ids_with_arg v k ~pos ~value = arg_ids v.v_st (part v k) ~pos ~value
 end

@@ -14,13 +14,7 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val make : string -> Term.t list -> t
 
-(** Interning store.
-
-    A store is either a {e root} or a single {e extension layer} over a
-    frozen root ({!Store.extend}): layered stores resolve ids below the
-    base's count in the base and the rest locally, which is what lets the
-    incremental grounder share one immutable base store across many
-    concurrent per-request extensions. *)
+(** Interning store. *)
 module Store : sig
   type atom = t
   type t
@@ -30,8 +24,7 @@ module Store : sig
       that many buckets instead of growing (and rehashing) up to it. *)
 
   val intern : t -> atom -> int
-  (** Id of the atom, adding it if new.
-      @raise Invalid_argument when the store is frozen and the atom is new. *)
+  (** Id of the atom, adding it if new. *)
 
   val find : t -> atom -> int option
 
@@ -50,45 +43,25 @@ module Store : sig
 
   val mark_fact : t -> int -> unit
   val is_fact : t -> int -> bool
-  (** Atoms asserted by ground fact statements (unconditionally true).  A
-      layer marking a base atom records the mark in a local overlay; the
-      frozen base is never written. *)
+  (** Atoms asserted by ground fact statements (unconditionally true). *)
 
-  val intern_fact : t -> atom -> bool
-  (** Intern the atom and mark it a fact, with one probe of the store;
-      [false] when it already was a fact. *)
-
-  val freeze : t -> unit
-  (** Make a root store immutable ({!intern} of new atoms and {!mark_fact}
-      raise), first building every argument index not built yet.  Required
-      before {!extend}; a frozen store is safe to share across domains. *)
-
-  val extend : t -> t
-  (** A fresh mutable layer over a frozen root.  Layers do not nest. *)
-
-  val clone : t -> t
-  (** Independent mutable copy of a root store (atoms shared, tables
-      fresh).  The install-delta path mutates clones instead of chaining
-      layers. *)
+  val intern_fact : t -> atom -> unit
+  (** Intern the atom and mark it a fact. *)
 
   type relation
-  (** The atoms of one (predicate, arity) pair as seen from a store,
-      layers included. *)
+  (** The atoms of one (predicate, arity) pair. *)
 
   val relation : t -> string -> int -> relation
 
-  (** A relation's ids are in two parts, each in ascending order: part [0]
-      holds a root's atoms, or a layer's base atoms; part [1] a layer's own
-      atoms (empty on a root).  Every id of part [0] is below every id of
-      part [1].  The vectors returned are the store's own: do not mutate
-      them.  Interning may append to them, but only ids >= the store's
-      count at the time. *)
+  (** A relation's ids are in ascending order.  The vectors returned are
+      the store's own: do not mutate them.  Interning may append to them,
+      but only ids >= the store's count at the time. *)
 
-  val ids : relation -> int -> Ivec.t
-  (** [ids rel part]: every atom of the relation in that part. *)
+  val ids : relation -> Ivec.t
+  (** Every atom of the relation. *)
 
-  val ids_with_arg : relation -> int -> pos:int -> value:Term.t -> Ivec.t
-  (** [ids_with_arg rel part ~pos ~value]: the atoms of that part whose
-      argument at [pos] is [value].  The position's index is built on its
+  val ids_with_arg : t -> relation -> pos:int -> value:Term.t -> Ivec.t
+  (** [ids_with_arg st rel ~pos ~value]: the atoms of [st]'s relation [rel]
+      whose argument at [pos] is [value].  The position's index is built on its
       first probe; nothing is allocated after that. *)
 end

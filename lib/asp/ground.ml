@@ -50,21 +50,6 @@ let create store =
     inconsistent = false;
   }
 
-(* A vacuous placeholder: an unbounded choice over no atoms constrains
-   nothing.  Incremental re-emission overwrites retracted rule slots with
-   this instead of compacting the vector (indices are stable provenance). *)
-let noop_rule = Rchoice { lb = None; ub = None; heads = [||]; cbody = empty_body }
-
-let fork t store =
-  {
-    store;
-    rules = Vec.copy t.rules;
-    origins = Vec.copy t.origins;
-    conflicts0 = Vec.copy t.conflicts0;
-    minimize = Vec.copy t.minimize;
-    inconsistent = t.inconsistent;
-  }
-
 let push_rule t rule origin =
   Vec.push t.rules rule;
   Vec.push t.origins origin

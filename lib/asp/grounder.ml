@@ -35,11 +35,10 @@ type catom = {
   chpred : int;  (** [Hashtbl.hash cpred], the seed of {!Gatom.hash} *)
 }
 
-(* A rule's compilation context: its variable slots, and the counter that
-   numbers the program's condition lists ({!cguard}). *)
-type cx = { ctbl : (string, int) Hashtbl.t; mutable nvars : int; guards : int ref }
+(* A rule's compilation context: its variable slots. *)
+type cx = { ctbl : (string, int) Hashtbl.t; mutable nvars : int }
 
-let new_cx ~guards = { ctbl = Hashtbl.create 16; nvars = 0; guards }
+let new_cx () = { ctbl = Hashtbl.create 16; nvars = 0 }
 
 let slot cx v =
   match Hashtbl.find_opt cx.ctbl v with
@@ -401,22 +400,19 @@ type guard_hit = Target of catom | Element of catom
 (* A condition list (of a conditional literal or a choice element) compiled
    for the join over it, which matches the conditions in order. *)
 type cguard = {
-  g_id : int;  (** dense in the program: the slot of its relations in a state's cache *)
   g_hit : guard_hit;
   g_ctx : string;  (** for error messages *)
   g_conds : catom array;
   g_states : lit_state array;
       (** condition [j]'s state once the enclosing body and conditions
           [0 .. j-1] have matched *)
-  mutable g_edb : bool;
-      (** every condition was found to range over an EDB predicate, on the
-          first enumeration.  A base's rules are shared by domains; every
-          writer stores the same value, so the race is benign. *)
+  mutable g_rels : Gatom.Store.relation array option;
+      (** the relations of the conditions, from the first enumeration on,
+          which checks that each ranges over an EDB predicate (whose atoms
+          are all seeded by then) *)
 }
 
-let compile_guard cx ~ctx ~bound g_hit (conds : catom list) =
-  let g_id = !(cx.guards) in
-  cx.guards := g_id + 1;
+let compile_guard ~ctx ~bound g_hit (conds : catom list) =
   let g_conds = Array.of_list conds in
   let bound = ref bound in
   let g_states =
@@ -427,7 +423,7 @@ let compile_guard cx ~ctx ~bound g_hit (conds : catom list) =
         s)
       g_conds
   in
-  { g_id; g_hit; g_ctx = ctx; g_conds; g_states; g_edb = false }
+  { g_hit; g_ctx = ctx; g_conds; g_states; g_rels = None }
 
 type split_body = {
   b_pos : catom array;
@@ -441,9 +437,7 @@ type split_body = {
           literal matched, or [-1] *)
   b_steps : step array;
       (** [step] memo, by the bitmask of matched literals; {!no_step} until
-          computed.  Filled lazily and possibly by several domains at once
-          (a base's rules are shared): every writer stores the same value,
-          so the race is benign. *)
+          computed *)
 }
 
 (* Steps are memoized for bodies of at most this many positive literals (a
@@ -510,7 +504,7 @@ let split_body cx (body : Ast.body_lit list) =
       Array.of_list
         (List.rev_map
            (fun (t, conds) ->
-             compile_guard cx ~ctx:"conditional literal" ~bound:b_bound (Target t) conds)
+             compile_guard ~ctx:"conditional literal" ~bound:b_bound (Target t) conds)
            !foralls);
     b_negs = Array.of_list (List.rev !negs);
     b_bound;
@@ -535,14 +529,6 @@ type compiled = {
   c_text : string;  (** for error messages and provenance *)
   c_line : int;  (** source line of the rule (0 when synthesized) *)
   c_nvars : int;
-  c_gpreds : (string * int) list;
-      (** predicates the instance's emission consults through guard
-          enumeration (choice-element guards and Forall conditions): new
-          facts of these predicates can change what an already-emitted
-          instance should look like *)
-  c_cgpreds : (string * int) list;
-      (** choice-element guard predicates only: new facts here require
-          re-deriving the rule's heads during an incremental closure *)
 }
 
 (* [bound]: the slots the rule's positive body binds, bound whenever a
@@ -567,7 +553,7 @@ let compile_head cx ~text ~bound = function
           let ce_elem = compile_atom cx elem in
           {
             ce_elem;
-            ce_guard = compile_guard cx ~ctx:text ~bound (Element ce_elem) conds;
+            ce_guard = compile_guard ~ctx:text ~bound (Element ce_elem) conds;
             ce_bad = bad;
           })
         elems
@@ -579,68 +565,36 @@ let compile_head cx ~text ~bound = function
         c_elems = celems;
       }
 
-let forall_pred_list (b : split_body) =
-  Array.fold_left
-    (fun acc g ->
-      Array.fold_left (fun acc c -> (c.cpred, c.carity) :: acc) acc g.g_conds)
-    [] b.b_foralls
-
-let choice_guard_pred_list = function
-  | C_choice { c_elems; _ } ->
-    List.concat_map
-      (fun e -> Array.to_list (Array.map (fun c -> (c.cpred, c.carity)) e.ce_guard.g_conds))
-      c_elems
-  | C_none | C_atom _ -> []
-
 (* ------------------------------------------------------------------ *)
 (* The grounding state.                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-instance emission record: the (pred, arity) pairs this instance's
-   simplification treated as {e impossible} — erased negative literals and
-   missing Forall targets.  If atoms of such a predicate later join the
-   possible set (an incremental extension), the instance is stale and must
-   be re-emitted. *)
-type emitrec = { mutable er_absent : (string * int) list }
-
-(* One grounding's state.  The scratch buffers live here, never in a
-   compiled rule: a frozen base's rules are shared by the groundings that
-   extend it, possibly on several domains at once. *)
+(* One grounding's state, with the join's scratch buffers. *)
 type state = {
   store : Gatom.Store.t;
   env : Env.t;
   idb : (string * int, unit) Hashtbl.t;  (** predicates with rule-defined heads *)
   budget : Budget.t;
   mutable args : Term.t array;  (** arguments of the atom being looked up or interned *)
-  mutable va : Ivec.t;
-  mutable vb : Ivec.t;  (** the two parts of the candidates {!probe} chose *)
+  mutable cands : Ivec.t;  (** the candidates {!probe} chose *)
   pos_buf : Ivec.t;
   neg_buf : Ivec.t;  (** a body being resolved *)
-  mutable er : emitrec option;  (** its emission record *)
   heads_buf : Ivec.t;  (** a choice's heads being collected *)
-  grels : Gatom.Store.relation array array;
-      (** by {!cguard} id: the relations of its conditions, [[||]] until
-          first needed.  Condition predicates are EDB, whose atoms are all
-          seeded before the first enumeration. *)
 }
 
-let new_state store ~idb ~budget ~nvars ~guards =
+let new_state store ~idb ~budget ~nvars =
   let env = Env.create () in
   Env.ensure env nvars;
-  let none = Ivec.create ~capacity:1 () in
   {
     store;
     env;
     idb;
     budget;
     args = Array.make 8 Env.unset;
-    va = none;
-    vb = none;
+    cands = Ivec.create ~capacity:1 ();
     pos_buf = Ivec.create ();
     neg_buf = Ivec.create ();
-    er = None;
     heads_buf = Ivec.create ();
-    grels = Array.make guards [||];
   }
 
 let is_edb st (a : catom) = not (Hashtbl.mem st.idb (a.cpred, a.carity))
@@ -664,27 +618,22 @@ let intern_atom st ctx (a : catom) =
 
 (* The candidates of matchable [a] over its relation [rel]: of the index
    probes at its [keys], whose arguments evaluate, the one with the fewest
-   ids (the first on a tie), else the whole relation.  Leaves the two parts
-   of the candidates in [st.va] and [st.vb] and returns their total
-   length. *)
+   ids (the first on a tie), else the whole relation.  Leaves the
+   candidates in [st.cands] and returns their number. *)
 let probe st rel (a : catom) (keys : int array) =
   if Array.length keys = 0 then begin
-    st.va <- Gatom.Store.ids rel 0;
-    st.vb <- Gatom.Store.ids rel 1;
-    st.va.Ivec.len + st.vb.Ivec.len
+    st.cands <- Gatom.Store.ids rel;
+    st.cands.Ivec.len
   end
   else begin
     let best = ref max_int in
     for j = 0 to Array.length keys - 1 do
       let pos = keys.(j) in
       let value = arg_value st.env "positive literal" a.cargv.(pos) in
-      let va = Gatom.Store.ids_with_arg rel 0 ~pos ~value
-      and vb = Gatom.Store.ids_with_arg rel 1 ~pos ~value in
-      let n = va.Ivec.len + vb.Ivec.len in
-      if n < !best then begin
-        best := n;
-        st.va <- va;
-        st.vb <- vb
+      let v = Gatom.Store.ids_with_arg st.store rel ~pos ~value in
+      if v.Ivec.len < !best then begin
+        best := v.Ivec.len;
+        st.cands <- v
       end
     done;
     !best
@@ -744,7 +693,7 @@ let enumerate st (body : split_body) ~delta ~lo ~hi (k : int array -> unit) =
         by_lookup := true
       end;
       if !pick < 0 then begin
-        let best = ref max_int and va = ref st.va and vb = ref st.vb in
+        let best = ref max_int and cands = ref st.cands in
         for i = 0 to npos - 1 do
           if not done_pos.(i) then
             match s.s_states.(i) with
@@ -753,13 +702,11 @@ let enumerate st (body : split_body) ~delta ~lo ~hi (k : int array -> unit) =
               if n < !best then begin
                 pick := i;
                 best := n;
-                va := st.va;
-                vb := st.vb
+                cands := st.cands
               end
             | Bound | Blocked -> ()
         done;
-        st.va <- !va;
-        st.vb <- !vb
+        st.cands <- !cands
       end;
       let i = !pick in
       if i >= 0 then begin
@@ -778,26 +725,23 @@ let enumerate st (body : split_body) ~delta ~lo ~hi (k : int array -> unit) =
           end
         end
         else begin
-          let va = st.va and vb = st.vb and cmps = s.s_cmps.(i) in
+          let v = st.cands and cmps = s.s_cmps.(i) in
           done_pos.(i) <- true;
-          for part = 0 to 1 do
-            let v = if part = 0 then va else vb in
-            let j = ref (if lo_i = 0 then 0 else Ivec.lower_bound v lo_i) in
-            (* [k] may append to [v] (and so replace its [data]), but only
-               ids >= [hi] *)
-            while !j < v.Ivec.len && v.Ivec.data.(!j) < hi_i do
-              let id = v.Ivec.data.(!j) in
-              let m = Env.mark env in
-              if
-                match_atom env a (Gatom.Store.atom st.store id)
-                && (Array.length cmps = 0 || check_cmps env body.b_cmps cmps)
-              then begin
-                matched.(i) <- id;
-                go mask (remaining - 1)
-              end;
-              Env.undo env m;
-              incr j
-            done
+          let j = ref (if lo_i = 0 then 0 else Ivec.lower_bound v lo_i) in
+          (* [k] may append to [v] (and so replace its [data]), but only ids
+             >= [hi] *)
+          while !j < v.Ivec.len && v.Ivec.data.(!j) < hi_i do
+            let id = v.Ivec.data.(!j) in
+            let m = Env.mark env in
+            if
+              match_atom env a (Gatom.Store.atom st.store id)
+              && (Array.length cmps = 0 || check_cmps env body.b_cmps cmps)
+            then begin
+              matched.(i) <- id;
+              go mask (remaining - 1)
+            end;
+            Env.undo env m;
+            incr j
           done;
           done_pos.(i) <- false
         end
@@ -821,21 +765,13 @@ let join_window st (body : split_body) ~lo ~hi k =
 
 exception Drop_instance
 
-let note_absent st (a : catom) =
-  match st.er with
-  | Some e -> e.er_absent <- (a.cpred, a.carity) :: e.er_absent
-  | None -> ()
-
 (* A match of [g]'s conditions: see {!guard_hit}.  The ids go to the
    state's buffers. *)
 let guard_hit st (g : cguard) =
   match g.g_hit with
   | Target target ->
     let id = lookup st "conditional literal" target in
-    if id < 0 then begin
-      note_absent st target;
-      raise Drop_instance
-    end
+    if id < 0 then raise Drop_instance
     else if not (Gatom.Store.is_fact st.store id) then Ivec.push st.pos_buf id
   | Element elem -> Ivec.push st.heads_buf (intern_atom st g.g_ctx elem)
 
@@ -852,18 +788,15 @@ let rec guard_from st (g : cguard) rels j =
       if id >= 0 && Gatom.Store.is_fact st.store id then guard_from st g rels (j + 1)
     | Matchable keys ->
       ignore (probe st rels.(j) c keys);
-      let va = st.va and vb = st.vb in
-      for part = 0 to 1 do
-        let v = if part = 0 then va else vb in
-        for q = 0 to v.Ivec.len - 1 do
-          let id = v.Ivec.data.(q) in
-          if Gatom.Store.is_fact st.store id then begin
-            let m = Env.mark st.env in
-            if match_atom st.env c (Gatom.Store.atom st.store id) then
-              guard_from st g rels (j + 1);
-            Env.undo st.env m
-          end
-        done
+      let v = st.cands in
+      for q = 0 to v.Ivec.len - 1 do
+        let id = v.Ivec.data.(q) in
+        if Gatom.Store.is_fact st.store id then begin
+          let m = Env.mark st.env in
+          if match_atom st.env c (Gatom.Store.atom st.store id) then
+            guard_from st g rels (j + 1);
+          Env.undo st.env m
+        end
       done
 
 (* Enumerate EDB-guard matches: used for Forall conditions and choice-element
@@ -871,23 +804,21 @@ let rec guard_from st (g : cguard) rels j =
    variables are bound during enumeration.  Runs {!guard_hit} once per
    match. *)
 let enumerate_guard st (g : cguard) =
-  if not g.g_edb then begin
-    Array.iter
-      (fun c ->
-        if not (is_edb st c) then
-          errf "condition %a in %s must range over fact-only predicates" pp_catom c g.g_ctx)
-      g.g_conds;
-    g.g_edb <- true
-  end;
   let rels =
-    match st.grels.(g.g_id) with
-    | [||] when Array.length g.g_conds > 0 ->
+    match g.g_rels with
+    | Some rels -> rels
+    | None ->
       let rels =
-        Array.map (fun c -> Gatom.Store.relation st.store c.cpred c.carity) g.g_conds
+        Array.map
+          (fun c ->
+            if not (is_edb st c) then
+              errf "condition %a in %s must range over fact-only predicates" pp_catom c
+                g.g_ctx;
+            Gatom.Store.relation st.store c.cpred c.carity)
+          g.g_conds
       in
-      st.grels.(g.g_id) <- rels;
+      g.g_rels <- Some rels;
       rels
-    | rels -> rels
   in
   guard_from st g rels 0
 
@@ -920,11 +851,11 @@ let derive_heads st (rule : compiled) =
    emission instantiates it once. *)
 let derives r = match r.c_head with C_none -> false | C_atom _ | C_choice _ -> true
 
-(* The closure's state over a program's rules (in program order), shared by
-   full grounding and extension.  Each deriving rule remembers the store
-   count when its last join began, and a later round joins it only over the
-   window of atoms added since ({!join_window}), so every instance is found,
-   and its heads derived, exactly once.  The matched ids of the instances
+(* The closure's state over a program's rules (in program order).  Each
+   deriving rule remembers the store count when its last join began, and a
+   later round joins it only over the window of atoms added since
+   ({!join_window}), so every instance is found, and its heads derived,
+   exactly once.  The matched ids of the instances
    are kept per rule, in the order found: emission restores each one
    instead of joining the rule again. *)
 type closure = {
@@ -937,11 +868,11 @@ type closure = {
   cl_count : int array;  (** instances found *)
 }
 
-let new_closure (rules : compiled list) ~since =
+let new_closure (rules : compiled list) =
   let cl_rules = Array.of_list rules in
   {
     cl_rules;
-    cl_since = Array.map (fun r -> if derives r then since else max_int) cl_rules;
+    cl_since = Array.map (fun r -> if derives r then -1 else max_int) cl_rules;
     cl_found = Array.map (fun _ -> Ivec.create ()) cl_rules;
     cl_count = Array.make (Array.length cl_rules) 0;
   }
@@ -980,13 +911,11 @@ let close st cl =
 (* Resolve the full body of a rule instance to (pos, neg) atom-id arrays.
    [matched] are the ids matched for positive literals.  Facts are removed;
    impossible positive atoms (from Forall expansion) or negated facts drop
-   the whole instance.  The ids are collected in the state's buffers; [er]
-   records the impossible atoms assumed. *)
-let resolve_body ~er st (body : split_body) (matched : int array) : Ground.body =
+   the whole instance.  The ids are collected in the state's buffers. *)
+let resolve_body st (body : split_body) (matched : int array) : Ground.body =
   let pos = st.pos_buf and neg = st.neg_buf in
   Ivec.clear pos;
   Ivec.clear neg;
-  st.er <- er;
   for j = 0 to Array.length matched - 1 do
     if not (Gatom.Store.is_fact st.store matched.(j)) then Ivec.push pos matched.(j)
   done;
@@ -996,10 +925,9 @@ let resolve_body ~er st (body : split_body) (matched : int array) : Ground.body 
   for j = 0 to Array.length body.b_negs - 1 do
     let a = body.b_negs.(j) in
     let id = lookup st "negative literal" a in
-    (* an impossible atom: [not a] is trivially true *)
-    if id < 0 then note_absent st a
-    else if Gatom.Store.is_fact st.store id then raise Drop_instance
-    else Ivec.push neg id
+    (* an impossible atom ([id < 0]): [not a] is trivially true *)
+    if id >= 0 then
+      if Gatom.Store.is_fact st.store id then raise Drop_instance else Ivec.push neg id
   done;
   { Ground.pos = Ivec.sort_uniq pos; neg = Ivec.sort_uniq neg }
 
@@ -1017,11 +945,10 @@ type cmin = {
   cm_tuple : cterm list;
   cm_body : split_body;
   cm_nvars : int;
-  cm_gpreds : (string * int) list;  (** Forall condition predicates *)
 }
 
-let compile_min_elem ~guards ({ Ast.weight; priority; tuple; guard } : Ast.min_elem) =
-  let cx = new_cx ~guards in
+let compile_min_elem ({ Ast.weight; priority; tuple; guard } : Ast.min_elem) =
+  let cx = new_cx () in
   let cm_body = split_body cx guard in
   {
     cm_weight = compile_term cx weight;
@@ -1029,188 +956,63 @@ let compile_min_elem ~guards ({ Ast.weight; priority; tuple; guard } : Ast.min_e
     cm_tuple = List.map (compile_term cx) tuple;
     cm_body;
     cm_nvars = cx.nvars;
-    cm_gpreds = List.sort_uniq compare (forall_pred_list cm_body);
   }
 
-(* ------------------------------------------------------------------ *)
-(* Instance bookkeeping for incremental extension.                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Where an instance's emitted form lives in the output program, so a
-   re-emission can overwrite it in place. [S_none] means the instance
-   currently emits nothing (dropped, head-is-fact, or empty choice). *)
-type islot = S_rule of int | S_min of int | S_none
-
-type inst = {
-  i_src : isrc;
-  i_matched : int array;  (** atom ids matched by the positive body *)
-  i_uid : int;
-  mutable i_slot : islot;
-}
-
-and isrc = I_rule of compiled | I_min of cmin
-
-(* Staleness maps of a frozen base program.  An emitted (or dropped)
-   instance is indexed under every (pred, arity) whose future growth could
-   change its emitted form:
-   - [m_absent]: predicates of erased negative literals and of missing
-     Forall targets (the instance assumed these atoms impossible);
-   - [m_guard]: predicates its guard enumerations range over (choice
-     element guards, Forall conditions) — guards see only {e facts}, which
-     are all seeded (guards are restricted to EDB predicates), so new
-     seeded facts are the only way a guard's expansion can grow.
-   Everything else an emitted instance depends on is either monotone or
-   re-checked dynamically by {!Translate} (fact marks on body literals). *)
-type maps = {
-  mutable m_next : int;  (** instance uid counter *)
-  m_absent : (string * int, inst list ref) Hashtbl.t;
-  m_guard : (string * int, inst list ref) Hashtbl.t;
-}
-
-let multi_add tbl k v =
-  match Hashtbl.find_opt tbl k with
-  | Some l -> l := v :: !l
-  | None -> Hashtbl.add tbl k (ref [ v ])
-
-(* Index an instance in the staleness maps when its emitted form can go
-   stale: it assumed some atom impossible ([er]), or its guards range over
-   [gpreds]. *)
-let record m er src matched gpreds slot =
-  let absent = match er with Some e -> List.sort_uniq compare e.er_absent | None -> [] in
-  if absent <> [] || gpreds <> [] then begin
-    let i = { i_src = src; i_matched = matched; i_uid = m.m_next; i_slot = slot } in
-    m.m_next <- m.m_next + 1;
-    List.iter (fun k -> multi_add m.m_absent k i) absent;
-    List.iter (fun k -> multi_add m.m_guard k i) gpreds
-  end
-
-(* What an instance emits: a rule, nothing, or an empty-body conflict. *)
-type emitted = Put of Ground.rule | Void | Conflict
-
-(* Place a rule instance's [what] in [out]: appended, or over its previous
-   slot [replace]. *)
-let rec place_rule (out : Ground.t) replace origin what =
-  match (what, replace) with
-  | _, Some (S_min _) -> assert false
-  | Put rule, Some (S_rule i) ->
-    Vec.set out.Ground.rules i rule;
-    Vec.set out.Ground.origins i origin;
-    S_rule i
-  | Put rule, (Some S_none | None) ->
-    Ground.push_rule out rule origin;
-    S_rule (Ground.num_rules out - 1)
-  | Void, Some (S_rule i) ->
-    Vec.set out.Ground.rules i Ground.noop_rule;
-    S_rule i
-  | Void, (Some S_none | None) -> S_none
-  | Conflict, _ ->
+(* A constraint instance: an empty body makes the program inconsistent. *)
+let emit_constraint (out : Ground.t) origin (body : Ground.body) =
+  if Ground.body_size body > 0 then Ground.push_rule out (Ground.Rconstraint body) origin
+  else begin
     out.Ground.inconsistent <- true;
-    Vec.push out.Ground.conflicts0 origin;
-    place_rule out replace origin Void
+    Vec.push out.Ground.conflicts0 origin
+  end
 
 (* Emit one rule instance.  The environment must hold the instance's
    substitution (a join callback provides it; emission from the closure
-   and re-emission restore it with [rebind]).  With [maps], the instance is
-   recorded in the staleness maps; with [replace], it overwrites its
-   previous slot instead of appending ([Ground.noop_rule] fills slots whose
-   instance no longer emits anything, keeping rule indices stable). *)
-let emit_rule_instance st (out : Ground.t) ?maps ?replace (r : compiled)
-    (matched : int array) : islot =
+   restores it with [rebind]). *)
+let emit_rule_instance st (out : Ground.t) (r : compiled) (matched : int array) =
   Budget.tick_instance st.budget;
   (* [matched] is a fresh array per instance: retain it as the
      pre-simplification positive body for provenance *)
   let origin = { Ground.o_line = r.c_line; o_text = r.c_text; o_pos = matched } in
-  let er = match maps with Some _ -> Some { er_absent = [] } | None -> None in
-  let what =
-    match resolve_body ~er st r.c_body matched with
-    | exception Drop_instance -> Void
-    | body -> (
-      match r.c_head with
-      | C_none -> if Ground.body_size body = 0 then Conflict else Put (Ground.Rconstraint body)
-      | C_atom a ->
-        let id = intern_atom st r.c_text a in
-        if Gatom.Store.is_fact st.store id then Void
-        else if Ground.body_size body = 0 then begin
-          (* An empty body normally promotes the head to a fact — but a fact
-             mark cannot be retracted by a later re-emission, so when the
-             emptiness rests on retractable grounds (erased negation, missing
-             Forall target, guard expansion) emit an unconditional rule
-             instead. *)
-          let retractable =
-            match er with
-            | Some e -> e.er_absent <> [] || r.c_gpreds <> []
-            | None -> false
-          in
-          if retractable then Put (Ground.Rnormal (id, body))
-          else begin
-            Gatom.Store.mark_fact st.store id;
-            Void
-          end
-        end
-        else Put (Ground.Rnormal (id, body))
-      | C_choice { c_lb; c_ub; c_elems } ->
-        let lb = bound_value st r.c_text c_lb in
-        let ub = bound_value st r.c_text c_ub in
-        Ivec.clear st.heads_buf;
-        elements st r.c_text c_elems;
-        let heads = Ivec.sort_uniq st.heads_buf in
-        if Array.length heads = 0 then begin
-          match lb with
-          | Some n when n > 0 ->
-            if Ground.body_size body = 0 then Conflict else Put (Ground.Rconstraint body)
-          | _ -> Void
-        end
-        else Put (Ground.Rchoice { lb; ub; heads; cbody = body }))
-  in
-  let slot = place_rule out replace origin what in
-  (match maps with Some m -> record m er (I_rule r) matched r.c_gpreds slot | None -> ());
-  slot
+  match resolve_body st r.c_body matched with
+  | exception Drop_instance -> ()
+  | body -> (
+    match r.c_head with
+    | C_none -> emit_constraint out origin body
+    | C_atom a ->
+      let id = intern_atom st r.c_text a in
+      if not (Gatom.Store.is_fact st.store id) then
+        if Ground.body_size body = 0 then
+          (* an empty body promotes the head to a fact *)
+          Gatom.Store.mark_fact st.store id
+        else Ground.push_rule out (Ground.Rnormal (id, body)) origin
+    | C_choice { c_lb; c_ub; c_elems } -> (
+      let lb = bound_value st r.c_text c_lb in
+      let ub = bound_value st r.c_text c_ub in
+      Ivec.clear st.heads_buf;
+      elements st r.c_text c_elems;
+      let heads = Ivec.sort_uniq st.heads_buf in
+      if Array.length heads > 0 then
+        Ground.push_rule out (Ground.Rchoice { lb; ub; heads; cbody = body }) origin
+      else match lb with Some n when n > 0 -> emit_constraint out origin body | _ -> ()))
 
-(* Place a minimize entry ([None]: nothing) in [out], as {!place_rule}
-   does. *)
-let place_min (out : Ground.t) replace entry =
-  match (entry, replace) with
-  | _, Some (S_rule _) -> assert false
-  | Some entry, Some (S_min i) ->
-    Vec.set out.Ground.minimize i entry;
-    S_min i
-  | Some entry, (Some S_none | None) ->
-    Vec.push out.Ground.minimize entry;
-    S_min (Vec.length out.Ground.minimize - 1)
-  | None, Some (S_min i) ->
-    (* keep the old priority: a zero-weight entry never changes the cost
-       at a priority level that exists, whereas dropping the level
-       entirely could change the cost vector's shape *)
-    let old = Vec.get out.Ground.minimize i in
-    Vec.set out.Ground.minimize i
-      { old with Ground.mweight = 0; mtuple = []; mbody = Ground.empty_body };
-    S_min i
-  | None, (Some S_none | None) -> S_none
-
-let emit_min_instance st (out : Ground.t) ?maps ?replace (mn : cmin)
-    (matched : int array) : islot =
+let emit_min_instance st (out : Ground.t) (mn : cmin) (matched : int array) =
   Budget.tick_instance st.budget;
-  let er = match maps with Some _ -> Some { er_absent = [] } | None -> None in
-  let entry =
-    match resolve_body ~er st mn.cm_body matched with
-    | exception Drop_instance -> None
-    | mbody ->
-      let w =
-        match eval_exn st.env "minimize weight" mn.cm_weight with
-        | { Term.node = Term.Int n; _ } -> n
-        | t -> errf "minimize weight %a is not an integer" Term.pp t
-      in
-      let p =
-        match eval_exn st.env "minimize priority" mn.cm_priority with
-        | { Term.node = Term.Int n; _ } -> n
-        | t -> errf "minimize priority %a is not an integer" Term.pp t
-      in
-      let tup = List.map (fun t -> eval_exn st.env "minimize tuple" t) mn.cm_tuple in
-      Some { Ground.mweight = w; mpriority = p; mtuple = tup; mbody }
-  in
-  let slot = place_min out replace entry in
-  (match maps with Some m -> record m er (I_min mn) matched mn.cm_gpreds slot | None -> ());
-  slot
+  match resolve_body st mn.cm_body matched with
+  | exception Drop_instance -> ()
+  | mbody ->
+    let w =
+      match eval_exn st.env "minimize weight" mn.cm_weight with
+      | { Term.node = Term.Int n; _ } -> n
+      | t -> errf "minimize weight %a is not an integer" Term.pp t
+    in
+    let p =
+      match eval_exn st.env "minimize priority" mn.cm_priority with
+      | { Term.node = Term.Int n; _ } -> n
+      | t -> errf "minimize priority %a is not an integer" Term.pp t
+    in
+    let tup = List.map (fun t -> eval_exn st.env "minimize tuple" t) mn.cm_tuple in
+    Vec.push out.Ground.minimize { Ground.mweight = w; mpriority = p; mtuple = tup; mbody }
 
 (* Restore an instance's substitution from the atoms it matched, literal by
    literal.  The instance matched them once, so only variables are bound:
@@ -1223,9 +1025,8 @@ let rebind st (b : split_body) nvars (matched : int array) =
   done
 
 (* Emit, in program order, every instance the closure [cl] found, and the
-   instances of constraints and minimize elements that match at least one
-   atom at or above [lo] ([lo < 0]: all of them), joined here once. *)
-let emit_all st (out : Ground.t) ?maps cl (mins : cmin list list) ~lo =
+   instances of constraints and minimize elements, joined here once. *)
+let emit_all st (out : Ground.t) cl (mins : cmin list list) =
   let hi = Gatom.Store.count st.store in
   Array.iteri
     (fun k r ->
@@ -1235,21 +1036,21 @@ let emit_all st (out : Ground.t) ?maps cl (mins : cmin list list) ~lo =
           let matched = Ivec.sub cl.cl_found.(k) (j * npos) npos in
           let m = Env.mark st.env in
           rebind st r.c_body r.c_nvars matched;
-          ignore (emit_rule_instance st out ?maps r matched);
+          emit_rule_instance st out r matched;
           Env.undo st.env m
         done
       end
       else
-        join_window st r.c_body ~lo ~hi (fun matched ->
-            ignore (emit_rule_instance st out ?maps r (Array.copy matched))))
+        enumerate st r.c_body ~delta:(-1) ~lo:0 ~hi (fun matched ->
+            emit_rule_instance st out r (Array.copy matched)))
     cl.cl_rules;
   List.iter
     (fun group ->
       List.iter
         (fun m ->
           Env.ensure st.env m.cm_nvars;
-          join_window st m.cm_body ~lo ~hi (fun matched ->
-              ignore (emit_min_instance st out ?maps m (Array.copy matched))))
+          enumerate st m.cm_body ~delta:(-1) ~lo:0 ~hi (fun matched ->
+              emit_min_instance st out m (Array.copy matched)))
         group)
     mins
 
@@ -1305,26 +1106,13 @@ let check_safety text (head : Ast.head) (body : Ast.body_lit list) =
 
 (* Evaluate a ground (variable-free) fact argument. *)
 let eval_ground_arg t =
-  let cx = new_cx ~guards:(ref 0) in
+  let cx = new_cx () in
   let ct = compile_term cx t in
   eval (Env.create ()) ct
 
-(* Seed one already-ground atom as a fact.  With [taint], records the
-   (pred, arity) of atoms that are new or newly fact-marked — the guard
-   taint set of an incremental extension.  This is the streaming fact
-   fast path: producers (reuse-fact generation at E4S scale) hand atoms
-   straight to the interned store, with no Ast statement or per-spec
-   atom list in between, and re-seeding an existing fact is a no-op. *)
-let seed_ground_atom store ?taint (ga : Gatom.t) =
-  let changed = Gatom.Store.intern_fact store ga in
-  match taint with
-  | Some t when changed ->
-    Hashtbl.replace t (ga.Gatom.pred, List.length ga.Gatom.args) ()
-  | _ -> ()
-
 (* Seed a ground fact statement into the store, expanding interval
    arguments into their cartesian product. *)
-let seed_fact store ?taint (a : Ast.atom) =
+let seed_fact store (a : Ast.atom) =
   let rec arg_values = function
     | Ast.Cst c -> [ c ]
     | Ast.Interval (lo, hi) -> (
@@ -1349,16 +1137,15 @@ let seed_fact store ?taint (a : Ast.atom) =
       List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) (arg_values t)
   in
   List.iter
-    (fun args -> seed_ground_atom store ?taint (Gatom.make a.Ast.pred args))
+    (fun args -> Gatom.Store.intern_fact store (Gatom.make a.Ast.pred args))
     (expand a.Ast.args)
 
-let ground_internal ~budget ~maps ?facts_stream (prog : Ast.program) =
+let ground ?(budget = Budget.unlimited) ?facts_stream (prog : Ast.program) =
   Budget.enter budget Budget.Ground;
   (* about one atom per statement, most of them facts, is derived again *)
   let t_seed = Unix.gettimeofday () in
   let store = Gatom.Store.create ~size:(2 * List.length prog) () in
   let idb = Hashtbl.create 64 in
-  let guards = ref 0 in
   let rules = ref [] and minimizes = ref [] in
   (* Seed facts; collect rules and classify IDB predicates. *)
   List.iter
@@ -1366,7 +1153,7 @@ let ground_internal ~budget ~maps ?facts_stream (prog : Ast.program) =
       match stmt with
       | Ast.Show _ -> ()
       | Ast.Minimize elems ->
-        minimizes := List.map (compile_min_elem ~guards) elems :: !minimizes
+        minimizes := List.map compile_min_elem elems :: !minimizes
       | Ast.Rule ({ head; body; _ } as r) ->
         if Ast.statement_is_fact stmt then begin
           match head with
@@ -1380,41 +1167,29 @@ let ground_internal ~budget ~maps ?facts_stream (prog : Ast.program) =
             (Ast.head_atoms head);
           let text = Format.asprintf "%a" Ast.pp_statement (Ast.Rule r) in
           check_safety text head body;
-          let cx = new_cx ~guards in
+          let cx = new_cx () in
           let c_body = split_body cx body in
           let c_head = compile_head cx ~text ~bound:c_body.b_bound head in
-          let cgpreds = List.sort_uniq compare (choice_guard_pred_list c_head) in
-          let c =
-            {
-              c_head;
-              c_body;
-              c_text = text;
-              c_line = r.Ast.line;
-              c_nvars = cx.nvars;
-              c_gpreds =
-                List.sort_uniq compare (choice_guard_pred_list c_head @ forall_pred_list c_body);
-              c_cgpreds = cgpreds;
-            }
-          in
-          rules := c :: !rules
+          rules :=
+            { c_head; c_body; c_text = text; c_line = r.Ast.line; c_nvars = cx.nvars } :: !rules
         end)
     prog;
-  (* Streamed facts are seeded after the statement facts, which is where
+  (* Streamed facts (the fast path of reuse-fact generation at E4S scale:
+     atoms go straight to the store, with no Ast statement or per-spec atom
+     list in between) are seeded after the statement facts, which is where
      a materialized producer appends them — atom interning order (and so
      every downstream id) is identical on both paths. *)
-  (match facts_stream with
-  | Some stream -> stream (fun ga -> seed_ground_atom store ga)
-  | None -> ());
+  Option.iter (fun stream -> stream (Gatom.Store.intern_fact store)) facts_stream;
   let rules = List.rev !rules in
   let mins = List.rev !minimizes in
   let max_nvars = List.fold_left (fun m r -> max m r.c_nvars) 0 rules in
-  let st = new_state store ~idb ~budget ~nvars:max_nvars ~guards:!guards in
+  let st = new_state store ~idb ~budget ~nvars:max_nvars in
   let t_close = Unix.gettimeofday () in
-  let cl = new_closure rules ~since:(-1) in
+  let cl = new_closure rules in
   let rounds = close st cl in
   let t_emit = Unix.gettimeofday () in
   let out = Ground.create store in
-  emit_all st out ?maps cl mins ~lo:(-1);
+  emit_all st out cl mins;
   let stats =
     {
       possible_atoms = Gatom.Store.count store;
@@ -1425,201 +1200,4 @@ let ground_internal ~budget ~maps ?facts_stream (prog : Ast.program) =
       emit_time = Unix.gettimeofday () -. t_emit;
     }
   in
-  (st, out, rules, mins, max_nvars, stats)
-
-let ground ?(budget = Budget.unlimited) ?facts_stream (prog : Ast.program) :
-    Ground.t * stats =
-  let _, out, _, _, _, stats =
-    ground_internal ~budget ~maps:None ?facts_stream prog
-  in
   (out, stats)
-
-(* ------------------------------------------------------------------ *)
-(* Incremental bases: ground once, extend per request, rebase on       *)
-(* install deltas.                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type base = {
-  b_store : Gatom.Store.t;  (** frozen *)
-  b_ground : Ground.t;
-  b_rules : compiled list;
-  b_mins : cmin list list;
-  b_idb : (string * int, unit) Hashtbl.t;
-  b_nvars : int;
-  b_guards : int;  (** condition lists compiled ({!cguard}) *)
-  b_maps : maps;
-  b_stats : stats;
-}
-
-let base_ground b = b.b_ground
-let base_stats b = b.b_stats
-
-let ground_base ?(budget = Budget.unlimited) ?facts_stream (prog : Ast.program) :
-    base * stats =
-  let maps =
-    { m_next = 0; m_absent = Hashtbl.create 256; m_guard = Hashtbl.create 64 }
-  in
-  let st, out, rules, mins, nvars, stats =
-    ground_internal ~budget ~maps:(Some maps) ?facts_stream prog
-  in
-  Gatom.Store.freeze st.store;
-  ( {
-      b_store = st.store;
-      b_ground = out;
-      b_rules = rules;
-      b_mins = mins;
-      b_idb = st.idb;
-      b_nvars = nvars;
-      b_guards = Array.length st.grels;
-      b_maps = maps;
-      b_stats = stats;
-    },
-    stats )
-
-let clone_maps (m : maps) =
-  let copies = Hashtbl.create 256 in
-  let copy_inst i =
-    match Hashtbl.find_opt copies i.i_uid with
-    | Some c -> c
-    | None ->
-      let c = { i with i_slot = i.i_slot } in
-      Hashtbl.add copies i.i_uid c;
-      c
-  in
-  let copy_tbl t =
-    let t' = Hashtbl.create (max 16 (Hashtbl.length t)) in
-    Hashtbl.iter (fun k l -> Hashtbl.add t' k (ref (List.map copy_inst !l))) t;
-    t'
-  in
-  { m_next = m.m_next; m_absent = copy_tbl m.m_absent; m_guard = copy_tbl m.m_guard }
-
-(* Seed the delta's fact statements; returns the guard taint set. *)
-let seed_delta st (added : Ast.statement list) =
-  let tainted = Hashtbl.create 16 in
-  List.iter
-    (fun stmt ->
-      match stmt with
-      | Ast.Show _ -> ()
-      | Ast.Rule { head = Ast.Head_atom a; _ } when Ast.statement_is_fact stmt ->
-        seed_fact st.store ~taint:tainted a
-      | stmt ->
-        errf "substrate delta must contain only facts, got %a" Ast.pp_statement stmt)
-    added;
-  tainted
-
-(* The incremental core: seed [added] facts over a base, continue the
-   possible-atom closure, re-emit the base instances the growth made
-   stale, and emit the brand-new instances.  [src_maps] is consulted for
-   staleness; [maps]/[update_slots] control whether the result's
-   bookkeeping is maintained (rebase) or discarded (per-request
-   extension).  Returns the totals (base and extension) and the delta
-   rounds. *)
-let extend_onto st (out : Ground.t) (base : base) ~src_maps ~maps ~update_slots
-    ?facts_stream (added : Ast.statement list) =
-  let t_seed = Unix.gettimeofday () in
-  let pre_count = Gatom.Store.count st.store in
-  let guard_taint = seed_delta st added in
-  (* A streamed fact that already exists is a no-op (no taint); only the
-     genuinely new atoms taint guards, so re-streaming the full reuse set
-     over a rebased base dedups for free. *)
-  (match facts_stream with
-  | Some stream ->
-    stream (fun ga -> seed_ground_atom st.store ~taint:guard_taint ga)
-  | None -> ());
-  (* The base's closure covered every instance over its own atoms, so the
-     continuation starts each rule at the base's count.  Rules whose
-     choice-element guards range over a tainted predicate first re-derive
-     the heads of their base instances: the guard (not the body) changed,
-     which the body's window cannot see. *)
-  let t_close = Unix.gettimeofday () in
-  let cl = new_closure base.b_rules ~since:pre_count in
-  Array.iter
-    (fun r ->
-      if derives r && List.exists (fun k -> Hashtbl.mem guard_taint k) r.c_cgpreds then
-        join_window st r.c_body ~lo:(-1) ~hi:pre_count (fun _ -> derive_heads st r))
-    cl.cl_rules;
-  let rounds = close st cl in
-  let t_emit = Unix.gettimeofday () in
-  (* Predicates that gained possible atoms: any base instance that treated
-     them as impossible (erased negs, missing Forall targets) is stale. *)
-  let absent_taint = Hashtbl.create 32 in
-  for id = pre_count to Gatom.Store.count st.store - 1 do
-    let a = Gatom.Store.atom st.store id in
-    Hashtbl.replace absent_taint (a.Gatom.pred, List.length a.Gatom.args) ()
-  done;
-  (* Snapshot the stale instances first: re-emission may append to the very
-     map lists being traversed when [maps] is set. *)
-  let to_reemit = Hashtbl.create 64 in
-  let gather tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some l ->
-      List.iter
-        (fun i ->
-          if not (Hashtbl.mem to_reemit i.i_uid) then Hashtbl.add to_reemit i.i_uid i)
-        !l
-    | None -> ()
-  in
-  Hashtbl.iter (fun k () -> gather src_maps.m_guard k) guard_taint;
-  Hashtbl.iter (fun k () -> gather src_maps.m_absent k) absent_taint;
-  Hashtbl.iter
-    (fun _ i ->
-      let m = Env.mark st.env in
-      let slot =
-        match i.i_src with
-        | I_rule r ->
-          rebind st r.c_body r.c_nvars i.i_matched;
-          emit_rule_instance st out ?maps ~replace:i.i_slot r i.i_matched
-        | I_min mn ->
-          rebind st mn.cm_body mn.cm_nvars i.i_matched;
-          emit_min_instance st out ?maps ~replace:i.i_slot mn i.i_matched
-      in
-      if update_slots then i.i_slot <- slot;
-      Env.undo st.env m)
-    to_reemit;
-  (* New instances: every one the continuation found, and those of
-     constraints and minimize elements matching a new atom.  Base instances
-     match only old atoms, so none is emitted twice. *)
-  emit_all st out ?maps cl base.b_mins ~lo:pre_count;
-  {
-    possible_atoms = Gatom.Store.count st.store;
-    ground_rules = Ground.num_rules out;
-    fixpoint_rounds = rounds;
-    seed_time = t_close -. t_seed;
-    close_time = t_emit -. t_close;
-    emit_time = Unix.gettimeofday () -. t_emit;
-  }
-
-let check_extendable (base : base) =
-  (* A base with an empty-body conflict is already UNSAT; extension could
-     in principle retract such a conflict (an erased negation becoming
-     possible again), which the in-place re-emission cannot express.
-     Callers build bases from relaxed programs, so this does not arise. *)
-  if base.b_ground.Ground.inconsistent then
-    errf "cannot extend an inconsistent base program"
-
-let extend ?(budget = Budget.unlimited) (base : base) (added : Ast.statement list) :
-    Ground.t * stats =
-  check_extendable base;
-  Budget.enter budget Budget.Ground;
-  let store = Gatom.Store.extend base.b_store in
-  let st = new_state store ~idb:base.b_idb ~budget ~nvars:base.b_nvars ~guards:base.b_guards in
-  let out = Ground.fork base.b_ground store in
-  let stats =
-    extend_onto st out base ~src_maps:base.b_maps ~maps:None ~update_slots:false added
-  in
-  (out, stats)
-
-let rebase ?(budget = Budget.unlimited) ?facts_stream (base : base)
-    (added : Ast.statement list) : base * stats =
-  check_extendable base;
-  Budget.enter budget Budget.Ground;
-  let store = Gatom.Store.clone base.b_store in
-  let st = new_state store ~idb:base.b_idb ~budget ~nvars:base.b_nvars ~guards:base.b_guards in
-  let out = Ground.fork base.b_ground store in
-  let maps = clone_maps base.b_maps in
-  let stats =
-    extend_onto st out base ~src_maps:maps ~maps:(Some maps) ~update_slots:true
-      ?facts_stream added
-  in
-  Gatom.Store.freeze store;
-  ({ base with b_store = store; b_ground = out; b_maps = maps; b_stats = stats }, stats)

@@ -31,10 +31,11 @@
     - a comparison is checked as soon as its variables are bound, wherever
       it is written in the body;
     - the steps are compiled once per body and kept with the compiled rule,
-      which frozen bases share across domains; all mutable scratch lives in
-      the grounding's own state, and nothing is allocated per join node or
-      per instance (arithmetic and function terms aside, which intern their
-      values). *)
+      and nothing is allocated per join node or per instance (arithmetic
+      and function terms aside, which intern their values).
+
+    Every call grounds its program from scratch: rules are compiled for
+    that grounding, and nothing survives from one grounding to the next. *)
 
 type stats = {
   possible_atoms : int;  (** atoms in the possible-set closure *)
@@ -46,9 +47,7 @@ type stats = {
           round joins a rule only over those new atoms, so the last round
           derives nothing: a program whose rules come in dependency order,
           like the CUDF one, takes 2. *)
-  seed_time : float;
-      (** wall seconds spent seeding facts and compiling rules (for an
-          extension: seeding the delta) *)
+  seed_time : float;  (** wall seconds spent seeding facts and compiling rules *)
   close_time : float;  (** wall seconds in the possible-atom closure *)
   emit_time : float;  (** wall seconds emitting ground rules *)
 }
@@ -76,63 +75,3 @@ val ground :
     conditions, or arithmetic on non-integer terms.
     @raise Budget.Exhausted when the instance budget, deadline or cancel
     token fires mid-grounding. *)
-
-(** {1 Incremental bases}
-
-    [ground_base] grounds a program once and freezes the result together
-    with the bookkeeping needed to grow it soundly:
-
-    - {!extend} instantiates the program over extra {e fact} statements
-      without re-grounding what the base already covers.  The base is
-      never written: the result lives in a fresh atom-store layer and a
-      forked rule vector, so many extensions (including concurrent ones on
-      OCaml 5 domains) can share one base.
-    - {!rebase} applies a durable delta (e.g. newly installed packages)
-      producing a {e new} frozen base, cloning the base's tables.
-
-    Soundness does not require re-running the base's work because growth
-    is monotone except in three recorded places: erased negative literals
-    and missing conditional-literal targets (instances indexed by the
-    predicates they assumed impossible), and guard enumerations (instances
-    indexed by their guard predicates, which are EDB-only).  Stale
-    instances are re-emitted in place; instances matching a new atom are
-    found semi-naively.  Literals whose {e fact} status changed are
-    re-checked dynamically by {!Translate}. *)
-
-type base
-(** A frozen ground program plus extension bookkeeping. *)
-
-val base_ground : base -> Ground.t
-(** The base's own ground program (solving it answers the base request). *)
-
-val base_stats : base -> stats
-
-val ground_base :
-  ?budget:Budget.t ->
-  ?facts_stream:((Gatom.t -> unit) -> unit) ->
-  Ast.program ->
-  base * stats
-(** Ground [prog] and freeze the result for extension.  [facts_stream] is
-    seeded into the base exactly as in {!ground}.
-    @raise Solver_error.Error as {!ground}. *)
-
-val extend : ?budget:Budget.t -> base -> Ast.statement list -> Ground.t * stats
-(** [extend base facts] is the ground program of [base]'s source program
-    plus [facts].  [stats] counts totals (base + extension); its
-    [fixpoint_rounds] are the delta rounds only.
-    @raise Solver_error.Error if [facts] contains a non-fact statement or
-    the base is inconsistent. *)
-
-val rebase :
-  ?budget:Budget.t ->
-  ?facts_stream:((Gatom.t -> unit) -> unit) ->
-  base ->
-  Ast.statement list ->
-  base * stats
-(** [rebase base facts] is a new independent base equivalent to grounding
-    [base]'s source program plus [facts].  [base] itself is unchanged and
-    remains usable.  Atoms pushed by [facts_stream] are seeded alongside
-    [facts]; a streamed atom the base already holds as a fact is a no-op
-    (no staleness taint), so callers may re-stream a full fact set and pay
-    only for the genuinely new atoms.
-    @raise Solver_error.Error as {!extend}. *)

@@ -46,7 +46,6 @@ let sub v pos len =
   Array.sub v.data pos len
 
 let to_array v = Array.sub v.data 0 v.len
-let copy v = { data = Array.sub v.data 0 (max v.len 1); len = v.len }
 
 let lower_bound v x =
   let l = ref 0 and r = ref v.len in

@@ -25,8 +25,6 @@ val sub : t -> int -> int -> int array
 (** [sub v pos len] is a fresh array of the [len] elements from [pos]. *)
 
 val to_array : t -> int array
-val copy : t -> t
-(** Independent copy. *)
 
 val lower_bound : t -> int -> int
 (** [lower_bound v x] is the first index of ascending [v] whose element is

@@ -2,8 +2,6 @@ type t = {
   setup_time : float;
   load_time : float;
   ground_time : float;
-  ground_base_time : float;
-  ground_extend_time : float;
   solve_time : float;
 }
 
@@ -12,8 +10,6 @@ let zero =
     setup_time = 0.;
     load_time = 0.;
     ground_time = 0.;
-    ground_base_time = 0.;
-    ground_extend_time = 0.;
     solve_time = 0.;
   }
 

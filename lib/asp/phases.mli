@@ -2,28 +2,19 @@
 
     The paper's instrumentation splits a solve into {e setup} (fact
     generation), {e load} (parsing the logic program), {e ground} and
-    {e solve} (translation, search, optimization and verification).  The
-    Spack frontend also splits [ground_time] into building and extending a
-    substrate base; the CUDF frontend has no substrate and leaves both at
-    0. *)
+    {e solve} (translation, search, optimization and verification). *)
 
 type t = {
   setup_time : float;
   load_time : float;
   ground_time : float;
-  ground_base_time : float;
-      (** portion of [ground_time] spent building a substrate base from
-          scratch (0 without a substrate, or on a warm base hit) *)
-  ground_extend_time : float;
-      (** portion of [ground_time] spent extending a substrate base with
-          the request's own facts (0 without a substrate) *)
   solve_time : float;
 }
 
 val zero : t
 
 val total : t -> float
-(** [setup + load + ground + solve]; the ground split is not added again. *)
+(** [setup + load + ground + solve]. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** Run the thunk and return its result with the wall-clock seconds it

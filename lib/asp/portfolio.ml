@@ -43,12 +43,7 @@ type attempt =
   | Gave_up of Budget.info
   | Quarantined of { violations : string list }
 
-type outcome = {
-  winner : string;
-  attempt : attempt;
-  attempts : (string * attempt) list;
-  race_time : float;
-}
+type outcome = { attempt : attempt; attempts : (string * attempt) list }
 
 (* A racer that never started because the race was already over. *)
 let cancelled_info =
@@ -141,48 +136,35 @@ let progress_total (i : Budget.info) =
 let combine attempts =
   let find_proof =
     List.find_opt
-      (fun (_, a) ->
-        match a with
-        | Proved_unsat | Model { quality = `Optimal; _ } -> true
-        | _ -> false)
+      (function Proved_unsat | Model { quality = `Optimal; _ } -> true | _ -> false)
       attempts
   in
   match find_proof with
-  | Some (name, a) -> (name, a)
+  | Some a -> a
   | None -> (
-    let incumbents =
-      List.filter (fun (_, a) -> match a with Model _ -> true | _ -> false) attempts
-    in
-    match incumbents with
-    | _ :: _ ->
+    match List.filter (function Model _ -> true | _ -> false) attempts with
+    | best :: rest ->
       List.fold_left
-        (fun (bn, ba) (n, a) ->
+        (fun ba a ->
           let bc = match ba with Model m -> m.costs | _ -> [] in
           let c = match a with Model m -> m.costs | _ -> [] in
-          if lex_lt c bc then (n, a)
-          else if (not (lex_lt bc c)) && lex_gt (bounds_of a) (bounds_of ba) then
-            (n, a)
-          else (bn, ba))
-        (List.hd incumbents) (List.tl incumbents)
+          if lex_lt c bc then a
+          else if (not (lex_lt bc c)) && lex_gt (bounds_of a) (bounds_of ba) then a
+          else ba)
+        best rest
     | [] -> (
-      match
-        List.find_opt
-          (fun (_, a) -> match a with Quarantined _ -> true | _ -> false)
-          attempts
-      with
+      match List.find_opt (function Quarantined _ -> true | _ -> false) attempts with
       | Some qa -> qa
       | None ->
         List.fold_left
-          (fun (bn, ba) (n, a) ->
+          (fun ba a ->
             match (ba, a) with
-            | Gave_up bi, Gave_up i when progress_total i > progress_total bi ->
-              (n, a)
-            | _ -> (bn, ba))
+            | Gave_up bi, Gave_up i when progress_total i > progress_total bi -> a
+            | _ -> ba)
           (List.hd attempts) (List.tl attempts)))
 
 let race ~pool ?hints ?(verify = true) ~racers ~budget ground =
   if racers = [] then invalid_arg "Portfolio.race: no racers";
-  let t0 = Unix.gettimeofday () in
   let race_token =
     match Budget.cancel_token_of budget with
     | Some parent -> Budget.child_token parent
@@ -194,10 +176,4 @@ let race ~pool ?hints ?(verify = true) ~racers ~budget ground =
         (racer.rname, run_racer ~hints ~verify ~race_token ~budget ground racer))
       racers
   in
-  let winner, attempt = combine results in
-  {
-    winner;
-    attempt;
-    attempts = results;
-    race_time = Unix.gettimeofday () -. t0;
-  }
+  { attempt = combine (List.map snd results); attempts = results }

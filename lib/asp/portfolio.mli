@@ -66,10 +66,8 @@ type attempt =
           sequential rescue of {!Solve.solve_ground} *)
 
 type outcome = {
-  winner : string;  (** [rname] of the racer whose attempt was selected *)
   attempt : attempt;  (** the combined verdict (see module doc) *)
   attempts : (string * attempt) list;  (** every racer's result, racer order *)
-  race_time : float;  (** wall-clock of the whole race, seconds *)
 }
 
 val solve_once :

@@ -23,8 +23,6 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool
-val copy : 'a t -> 'a t
-(** Independent copy (elements shared). *)
 
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list

@@ -121,7 +121,7 @@ let apply_phase_hints t =
 
 let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_env)
     ?(prefs = Preferences.empty) ?installed ?reuse_mode ?budget ?pool ?racers
-    ?(explain = false) ?substrate ~repo roots =
+    ?(explain = false) ~repo roots =
   let budget =
     match budget with
     | Some b -> b
@@ -134,48 +134,20 @@ let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_
   in
   let n_facts = facts.Facts.n_facts in
   let n_possible = List.length facts.Facts.possible in
-  let phases = { Asp.Phases.zero with setup_time } in
-  let timed_ground f =
+  (* load: parse the logic program (not memoized: the paper times this) *)
+  let lp, load_time =
+    Asp.Phases.time (fun () -> Asp.Parser.parse Logic_program.text)
+  in
+  let grounded, ground_time =
     Asp.Phases.time (fun () ->
-        match f () with
+        match
+          Asp.Grounder.ground ~budget ?facts_stream:facts.Facts.reuse_stream
+            (lp @ facts.Facts.statements)
+        with
         | exception Asp.Budget.Exhausted info -> Error info
         | g -> Ok g)
   in
-  (* ground: from scratch, or through the substrate when one is given
-     (frozen base + request extension; the substrate holds its own parsed
-     logic program, so the load phase is 0 there) unless it declines *)
-  let scratch () =
-    (* load: parse the logic program (not memoized: the paper times this) *)
-    let lp, load_time =
-      Asp.Phases.time (fun () -> Asp.Parser.parse Logic_program.text)
-    in
-    let g, ground_time =
-      timed_ground (fun () ->
-          Asp.Grounder.ground ~budget ?facts_stream:facts.Facts.reuse_stream
-            (lp @ facts.Facts.statements))
-    in
-    (g, { phases with load_time; ground_time })
-  in
-  let grounded, phases =
-    match substrate with
-    | None -> scratch ()
-    | Some s -> (
-      match
-        timed_ground (fun () ->
-            Substrate.ground_request s ~env ~prefs ?installed ~repo ~budget
-              ~facts roots)
-      with
-      | Ok None, _ -> scratch ()
-      | Error info, ground_time -> (Error info, { phases with ground_time })
-      | Ok (Some g), ground_time ->
-        ( Ok (g.Substrate.ground, g.Substrate.stats),
-          {
-            phases with
-            ground_time;
-            ground_base_time = g.Substrate.base_time;
-            ground_extend_time = g.Substrate.extend_time;
-          } ))
-  in
+  let phases = { Asp.Phases.zero with setup_time; load_time; ground_time } in
   match grounded with
   | Error info -> Interrupted { info; phases; n_facts; n_possible }
   | Ok (ground, ground_stats) -> (
@@ -219,10 +191,10 @@ let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_
         })
 
 let solve_with ?params ?config ?env ?prefs ?installed ?reuse_mode ?budget ?pool
-    ?racers ?explain ?cache ?substrate ~repo roots =
+    ?racers ?explain ?cache ~repo roots =
   let run () =
     solve_uncached ?config ?params ?env ?prefs ?installed ?reuse_mode ?budget
-      ?pool ?racers ?explain ?substrate ~repo roots
+      ?pool ?racers ?explain ~repo roots
   in
   match cache with
   | None -> run ()
@@ -238,21 +210,21 @@ let solve_with ?params ?config ?env ?prefs ?installed ?reuse_mode ?budget ?pool
 let solve = solve_with ?params:None
 
 let solve_spec ?config ?env ?prefs ?installed ?reuse_mode ?budget ?explain
-    ?cache ?substrate ~repo text =
+    ?cache ~repo text =
   solve ?config ?env ?prefs ?installed ?reuse_mode ?budget ?explain ?cache
-    ?substrate ~repo
+    ~repo
     [ Specs.Spec_parser.parse text ]
 
 (* Retry with escalation ({!Asp.Solve.escalate}): each interrupted attempt
    doubles every finite limit and reseeds the search; a cancellation is
    never retried. *)
 let solve_escalating ?attempts ?config ?env ?prefs ?installed ?reuse_mode
-    ?cancel ?fault ?pool ?racers ?explain ?cache ?substrate ~repo roots =
+    ?cancel ?fault ?pool ?racers ?explain ?cache ~repo roots =
   Asp.Solve.escalate ?attempts ?config ?cancel ?fault
     ~interrupted:(function Interrupted { info; _ } -> Some info | _ -> None)
     (fun ~params ~budget ->
       solve_with ~params ?config ?env ?prefs ?installed ?reuse_mode ~budget
-        ?pool ?racers ?explain ?cache ?substrate ~repo roots)
+        ?pool ?racers ?explain ?cache ~repo roots)
 
 (* Batch-level parallelism: independent root sets concretized across the
    pool, one full pipeline (setup, load, ground, solve) per job.  Jobs are
@@ -260,10 +232,10 @@ let solve_escalating ?attempts ?config ?env ?prefs ?installed ?reuse_mode
    by over-subscribing, so [solve_many] keeps each job single-domain.
    Results are in input order. *)
 let solve_many ?pool ?(attempts = 1) ?config ?env ?prefs ?installed ?reuse_mode
-    ?cancel ?fault ?explain ?cache ?substrate ~repo jobs =
+    ?cancel ?fault ?explain ?cache ~repo jobs =
   let one roots =
     solve_escalating ~attempts ?config ?env ?prefs ?installed ?reuse_mode
-      ?cancel ?fault ?explain ?cache ?substrate ~repo roots
+      ?cancel ?fault ?explain ?cache ~repo roots
   in
   (* Dedupe identical requests within the batch before dispatch: duplicate-
      heavy batches (environment refreshes, CI matrices) pay for each unique

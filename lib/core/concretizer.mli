@@ -92,7 +92,6 @@ val solve :
   ?racers:int ->
   ?explain:bool ->
   ?cache:cache ->
-  ?substrate:Substrate.t ->
   repo:Pkg.Repo.t ->
   Specs.Spec.abstract list ->
   result
@@ -123,7 +122,6 @@ val solve_spec :
   ?budget:Asp.Budget.t ->
   ?explain:bool ->
   ?cache:cache ->
-  ?substrate:Substrate.t ->
   repo:Pkg.Repo.t ->
   string ->
   result
@@ -143,7 +141,6 @@ val solve_escalating :
   ?racers:int ->
   ?explain:bool ->
   ?cache:cache ->
-  ?substrate:Substrate.t ->
   repo:Pkg.Repo.t ->
   Specs.Spec.abstract list ->
   result
@@ -168,7 +165,6 @@ val solve_many :
   ?fault:(int -> Asp.Budget.t -> unit) ->
   ?explain:bool ->
   ?cache:cache ->
-  ?substrate:Substrate.t ->
   repo:Pkg.Repo.t ->
   Specs.Spec.abstract list list ->
   result list

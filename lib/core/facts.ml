@@ -516,8 +516,7 @@ let n_installed_atoms db slot = 5 + D.n_variants db slot + D.n_deps db slot
 (* --- closure -------------------------------------------------------------- *)
 
 (* The package closure of a request depends only on the {e names} in it
-   (roots and [^dep]s), never on the constraints: this is what lets the
-   substrate key a ground base by the request's name skeleton. *)
+   (roots and [^dep]s), never on the constraints. *)
 let closure_table ~repo (roots : Specs.Spec.abstract list) =
   let is_virt n = Pkg.Repo.is_virtual repo n in
   let closure = Hashtbl.create 128 in

@@ -10,7 +10,7 @@
     {!Concretize.Facts.Gen}), giving them the same trigger semantics and
     unsat-core provenance as Spack's conditions.  Installed state becomes
     [was_installed/2] reuse facts, streamed into the grounder's atom store
-    by default (the PR 6/8 substrate path, unchanged). *)
+    by default (the streaming fact path Spack's reuse facts take). *)
 
 type mode = [ `Stream | `Materialize ]
 (** How the installed-state facts are delivered; both modes produce the

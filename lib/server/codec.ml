@@ -39,8 +39,6 @@ let phases_to_json (p : Asp.Phases.t) =
       ("setup", Json.Float p.Asp.Phases.setup_time);
       ("load", Json.Float p.Asp.Phases.load_time);
       ("ground", Json.Float p.Asp.Phases.ground_time);
-      ("ground_base", Json.Float p.Asp.Phases.ground_base_time);
-      ("ground_extend", Json.Float p.Asp.Phases.ground_extend_time);
       ("solve", Json.Float p.Asp.Phases.solve_time);
     ]
 
@@ -191,19 +189,9 @@ let phases_of_json j =
   let* load_time = field "load" Json.to_float j in
   let* ground_time = field "ground" Json.to_float j in
   let* solve_time = field "solve" Json.to_float j in
-  (* absent in entries persisted before the substrate existed *)
-  let opt name = Option.value ~default:0. (field name Json.to_float j) in
-  let ground_base_time = opt "ground_base" in
-  let ground_extend_time = opt "ground_extend" in
-  Some
-    {
-      Asp.Phases.setup_time;
-      load_time;
-      ground_time;
-      ground_base_time;
-      ground_extend_time;
-      solve_time;
-    }
+  (* entries persisted by older daemons also carry the split of the ground
+     time into base build and extension, which is ignored *)
+  Some { Asp.Phases.setup_time; load_time; ground_time; solve_time }
 
 let quality_of_json = function
   | Json.Str "optimal" -> Some `Optimal

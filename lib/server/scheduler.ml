@@ -5,7 +5,6 @@ type 'a entry = {
   mutable waiters : int;
   notify : (unit -> unit) list ref;  (* one per waiter, run on completion *)
   mutable counted : bool;  (* bumped the completed counter already *)
-  mutable cancelled : bool;
 }
 
 type 'a ticket = { entry : 'a entry; mutable live : bool }
@@ -15,6 +14,9 @@ type 'a t = {
   max_pending : int;
   mutex : Mutex.t;
   inflight : (string, 'a entry) Hashtbl.t;
+  mutable retired : 'a entry list;
+      (* cancelled flights still running: no request may join them, but
+         they still occupy the pool *)
   mutable submitted : int;
   mutable deduped : int;
   mutable shed : int;
@@ -37,6 +39,7 @@ let create ~pool ~max_pending =
     max_pending = max 1 max_pending;
     mutex = Mutex.create ();
     inflight = Hashtbl.create 16;
+    retired = [];
     submitted = 0;
     deduped = 0;
     shed = 0;
@@ -48,9 +51,16 @@ let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* Call with the lock held.  Finished entries leave the table (tickets keep
-   their own reference), so [Hashtbl.length] is the pending count and a key
-   can be solved afresh once its previous flight landed and was reaped. *)
+let count_completed (t : _ t) e =
+  if not e.counted then begin
+    e.counted <- true;
+    t.completed <- t.completed + 1
+  end
+
+(* Call with the lock held.  Finished entries leave the table and the
+   retired list (tickets keep their own reference), so what remains is the
+   pending work, and a key can be solved afresh once its previous flight
+   landed and was reaped. *)
 let reap t =
   let done_keys =
     Hashtbl.fold
@@ -60,11 +70,13 @@ let reap t =
   List.iter
     (fun (k, e) ->
       Hashtbl.remove t.inflight k;
-      if not e.counted then begin
-        e.counted <- true;
-        t.completed <- t.completed + 1
-      end)
-    done_keys
+      count_completed t e)
+    done_keys;
+  let finished, running = List.partition (fun e -> Asp.Pool.is_done e.future) t.retired in
+  List.iter (count_completed t) finished;
+  t.retired <- running
+
+let pending (t : _ t) = Hashtbl.length t.inflight + List.length t.retired
 
 let submit (t : _ t) ~key ?(notify = ignore) job =
   let landed = ref false in
@@ -77,7 +89,7 @@ let submit (t : _ t) ~key ?(notify = ignore) job =
   let accepted =
     with_lock t (fun () ->
         match Hashtbl.find_opt t.inflight key with
-        | Some e when Asp.Pool.is_done e.future && e.waiters > 0 && not e.cancelled ->
+        | Some e when Asp.Pool.is_done e.future && e.waiters > 0 ->
           (* The flight landed and a live ticket will still collect it (a
              batch naming one request twice gets here when the first solve
              ends while it admits the rest): share it.  An abandoned flight
@@ -91,7 +103,7 @@ let submit (t : _ t) ~key ?(notify = ignore) job =
           match Hashtbl.find_opt t.inflight key with
           | Some e -> join e
           | None ->
-            if Hashtbl.length t.inflight >= t.max_pending then begin
+            if pending t >= t.max_pending then begin
               t.shed <- t.shed + 1;
               `Overloaded
             end
@@ -104,7 +116,7 @@ let submit (t : _ t) ~key ?(notify = ignore) job =
               let on_done () = List.iter (fun f -> f ()) (with_lock t (fun () -> !notify)) in
               let future = Asp.Pool.submit ~on_done t.pool (fun () -> job ~cancel) in
               let e =
-                { key; future; cancel; waiters = 1; notify; counted = false; cancelled = false }
+                { key; future; cancel; waiters = 1; notify; counted = false }
               in
               Hashtbl.replace t.inflight key e;
               t.submitted <- t.submitted + 1;
@@ -120,10 +132,7 @@ let poll t ticket =
   else begin
     with_lock t (fun () ->
         Hashtbl.remove t.inflight e.key;
-        if not e.counted then begin
-          e.counted <- true;
-          t.completed <- t.completed + 1
-        end);
+        count_completed t e);
     `Done (try Ok (Asp.Pool.await e.future) with exn -> Error exn)
   end
 
@@ -133,11 +142,15 @@ let abandon t ticket =
     let e = ticket.entry in
     with_lock t (fun () ->
         e.waiters <- e.waiters - 1;
-        if e.waiters <= 0 && (not (Asp.Pool.is_done e.future)) && not e.cancelled
-        then begin
-          e.cancelled <- true;
+        if e.waiters <= 0 && not (Asp.Pool.is_done e.future) then begin
+          (* Retire the flight: its solve unwinds at its next budget tick
+             and reports [Cancelled], which no later request for the key
+             may receive, so that request starts a fresh flight.  Nobody
+             can join a retired flight, so this happens once. *)
           Asp.Budget.cancel e.cancel;
-          t.n_cancelled <- t.n_cancelled + 1
+          t.n_cancelled <- t.n_cancelled + 1;
+          Hashtbl.remove t.inflight e.key;
+          t.retired <- e :: t.retired
         end)
   end
 
@@ -150,5 +163,5 @@ let stats t =
         shed = t.shed;
         cancelled = t.n_cancelled;
         completed = t.completed;
-        pending = Hashtbl.length t.inflight;
+        pending = pending t;
       })

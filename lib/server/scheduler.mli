@@ -32,8 +32,8 @@ val submit :
   (cancel:Asp.Budget.cancel_token -> 'a) ->
   [ `Accepted of 'a ticket | `Overloaded ]
 (** Run [job] on the pool under a fresh cancel token — unless [key] is
-    already in flight, or landed without being collected or cancelled, in
-    which case the returned ticket shares that job.  When the job finishes,
+    already in flight and not cancelled, or landed while a waiter still
+    holds it, in which case the returned ticket shares that job.  When the job finishes,
     every waiter's [notify] runs once, after {!poll} starts returning
     [`Done]: on the pool domain, or in [submit] itself for a waiter that
     joined a landed job.  A waiting event loop wakes up instead of finding
@@ -45,7 +45,9 @@ val poll : 'a t -> 'a ticket -> [ `Pending | `Done of ('a, exn) result ]
 
 val abandon : 'a t -> 'a ticket -> unit
 (** This waiter no longer wants the result.  The last waiter off a still
-    running job cancels its token.  Idempotent per ticket. *)
+    running job cancels its token and retires the job: no later {!submit}
+    joins it, so no request is answered with its cancellation.  Idempotent
+    per ticket. *)
 
 type stats = {
   submitted : int;  (** jobs dispatched to the pool *)
@@ -53,7 +55,7 @@ type stats = {
   shed : int;  (** submits refused with [`Overloaded] *)
   cancelled : int;  (** jobs whose token was cancelled by {!abandon} *)
   completed : int;  (** jobs observed finished *)
-  pending : int;  (** distinct jobs currently in flight *)
+  pending : int;  (** distinct jobs currently in flight, retired ones included *)
 }
 
 val stats : 'a t -> stats

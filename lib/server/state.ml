@@ -23,7 +23,6 @@ type t = {
   cfg : config;
   sched : C.result Scheduler.t;
   pool : Asp.Pool.t;
-  substrate : Concretize.Substrate.t;
   db : Pkg.Database.t Atomic.t;
   install_mutex : Mutex.t;
   started : float;
@@ -59,7 +58,6 @@ let create ~jobs cfg =
     cfg;
     sched = Scheduler.create ~pool ~max_pending:cfg.max_pending;
     pool;
-    substrate = Concretize.Substrate.create ();
     db = Atomic.make cfg.db;
     install_mutex = Mutex.create ();
     started = Unix.gettimeofday ();
@@ -181,8 +179,7 @@ let make_job t ~deadline root =
       let budget =
         Asp.Budget.start ~cancel { Asp.Budget.no_limits with Asp.Budget.wall }
       in
-      C.solve ~config:t.cfg.solver ~installed ~budget ~substrate:t.substrate
-        ~repo:t.cfg.repo [ root ]
+      C.solve ~config:t.cfg.solver ~installed ~budget ~repo:t.cfg.repo [ root ]
     end
 
 (* ------------------------------------------------------------------ *)
@@ -237,9 +234,6 @@ let record_install t (s : C.success) =
           (Pkg.Database.records db)
       in
       Atomic.set t.db db;
-      (* rebase the substrate's ground bases over the install delta instead
-         of discarding them *)
-      Concretize.Substrate.on_install t.substrate ~repo:t.cfg.repo ~db;
       Atomic.incr t.n_installs;
       Option.iter (Pkg.Database.save db) t.cfg.db_path;
       crash_maybe t After_save;
@@ -291,15 +285,13 @@ let apply_replicated t ~epoch ~seq ~intent ~commit ~spec =
       let db = Pkg.Database.copy old in
       Pkg.Database.add_concrete db spec;
       Atomic.set t.db db;
-      Concretize.Substrate.on_install t.substrate ~repo:t.cfg.repo ~db;
       Atomic.incr t.n_replicated;
       Option.iter (Pkg.Database.save db) t.cfg.db_path;
       maybe_compact t)
 
 (* Adopt a full database snapshot (resume position was compacted away on
-   the primary): swap it in, drop every ground base (records may have
-   {e disappeared} relative to what we held — rebasing is add-only), and
-   restart the local journal at the primary's position. *)
+   the primary): swap it in and restart the local journal at the primary's
+   position. *)
 let install_snapshot t ~epoch ~next_seq ~db =
   match Pkg.Database.load_string db with
   | Error e ->
@@ -308,7 +300,6 @@ let install_snapshot t ~epoch ~next_seq ~db =
   | Ok fresh ->
     with_install_mutex t (fun () ->
         Atomic.set t.db fresh;
-        Concretize.Substrate.clear t.substrate;
         Option.iter (Pkg.Database.save fresh) t.cfg.db_path;
         (match t.cfg.journal with
         | Some j -> Journal.set_position j ~epoch ~base_seq:next_seq
@@ -324,7 +315,6 @@ let reset_replica t ~epoch =
       Option.iter Journal.rotate_stale t.cfg.journal;
       let empty = Pkg.Database.create () in
       Atomic.set t.db empty;
-      Concretize.Substrate.clear t.substrate;
       Option.iter (Pkg.Database.save empty) t.cfg.db_path;
       (match t.cfg.journal with
       | Some j -> Journal.set_position j ~epoch ~base_seq:1
@@ -372,7 +362,6 @@ let persist t =
 let stats_json ?(workers = 0) t =
   let c = Cache.stats t.cfg.cache in
   let s = Scheduler.stats t.sched in
-  let sub = Concretize.Substrate.counters t.substrate in
   let current_db = db t in
   Json.Obj
     [
@@ -385,18 +374,6 @@ let stats_json ?(workers = 0) t =
             ("stores", Json.Int c.Cache.stores);
             ("mem_entries", Json.Int c.Cache.mem_entries);
             ("disk_hits", Json.Int c.Cache.disk_hits);
-          ] );
-      ( "substrate",
-        Json.Obj
-          [
-            ("entries", Json.Int (Concretize.Substrate.size t.substrate));
-            ("base_builds", Json.Int sub.Concretize.Substrate.base_builds);
-            ("extensions", Json.Int sub.Concretize.Substrate.extensions);
-            ( "narrowed_invalidations",
-              Json.Int sub.Concretize.Substrate.delta_applies );
-            ("full_invalidations", Json.Int sub.Concretize.Substrate.drops);
-            ("fallbacks", Json.Int sub.Concretize.Substrate.fallbacks);
-            ("evictions", Json.Int sub.Concretize.Substrate.evictions);
           ] );
       ( "scheduler",
         Json.Obj

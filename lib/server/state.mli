@@ -2,8 +2,7 @@
     domains and supervisor operate on together.
 
     One value of {!t} is created per daemon and handed to every worker:
-    the solve cache, the ground-program substrate, the single-flight
-    scheduler (and its solver pool), the installed database (an atomic
+    the solve cache, the single-flight scheduler (and its solver pool), the installed database (an atomic
     reference, swapped wholesale on install) and the shared counters.
     Lifecycle is two flags: [draining] stops admission (new connections
     and new solves) while in-flight work finishes; [stopping] makes every
@@ -44,7 +43,6 @@ type t = {
   cfg : config;
   sched : C.result Scheduler.t;
   pool : Asp.Pool.t;
-  substrate : Concretize.Substrate.t;
   db : Pkg.Database.t Atomic.t;
   install_mutex : Mutex.t;
   started : float;
@@ -118,8 +116,8 @@ val expired_result : C.result
 (** {1 Installs} *)
 
 val record_install : t -> C.success -> (string * string) list
-(** Journal (intent, fsync) → fresh database swapped in → substrate
-    rebased → database file saved → journal commit.  Serialized under the
+(** Journal (intent, fsync) → fresh database swapped in → database file
+    saved → journal commit.  Serialized under the
     install mutex; safe against a kill -9 at any instant (see
     {!recover}).  Returns the (package, hash) pairs newly added. *)
 
@@ -148,8 +146,7 @@ val apply_replicated :
 
 val install_snapshot : t -> epoch:int -> next_seq:int -> db:string -> unit
 (** Follower catch-up from a full database snapshot: verify and swap it
-    in, drop every substrate base (snapshot deltas are not add-only), and
-    restart the journal at the primary's position.
+    in and restart the journal at the primary's position.
     @raise Failure when the snapshot fails its digest check. *)
 
 val reset_replica : t -> epoch:int -> unit
@@ -162,5 +159,5 @@ val promote : t -> int
     Idempotent on a primary. *)
 
 val stats_json : ?workers:int -> t -> Json.t
-(** The [stats] reply: cache / substrate / scheduler / supervisor /
+(** The [stats] reply: cache / scheduler / supervisor / replication /
     server sections. *)

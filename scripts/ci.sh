@@ -55,18 +55,18 @@ timeout 60 dune exec bin/spack_solve.exe -- --connect "$SOCK" zlib \
   | grep -q "cache miss: zlib"
 timeout 60 dune exec bin/spack_solve.exe -- --connect "$SOCK" zlib \
   | grep -q "cache hit: zlib"
-# incremental grounding: two *different* requests over one name skeleton —
-# the second must extend the first request's frozen ground base, not
-# rebuild it (zlib above contributed one base + one extension of its own)
-timeout 60 dune exec bin/spack_solve.exe -- --connect "$SOCK" hdf5 \
-  | grep -q "cache miss: hdf5"
+# the daemon solves a miss exactly as an offline solve does: the same spec
+# lines (and verification line) after its cache line
 timeout 60 dune exec bin/spack_solve.exe -- --connect "$SOCK" hdf5+szip \
-  | grep -q "cache miss: hdf5+szip"
+  > "$SMOKE_DIR/remote.out"
+grep -q "^cache miss: hdf5+szip" "$SMOKE_DIR/remote.out"
+grep -v '^cache ' "$SMOKE_DIR/remote.out" > "$SMOKE_DIR/remote.spec"
+timeout 60 dune exec bin/spack_solve.exe -- hdf5+szip > "$SMOKE_DIR/offline.spec"
+grep -q '^hdf5@' "$SMOKE_DIR/offline.spec"
+cmp "$SMOKE_DIR/remote.spec" "$SMOKE_DIR/offline.spec"
 STATS=$(timeout 60 dune exec bin/spack_solve.exe -- --connect "$SOCK" --remote-stats)
 echo "$STATS" | grep -q '"hits":1'
-echo "$STATS" | grep -q '"base_builds":2'
-echo "$STATS" | grep -q '"extensions":3'
-echo "$STATS" | grep -q '"fallbacks":0'
+echo "$STATS" | grep -q '"misses":2'
 timeout 60 dune exec bin/spack_solve.exe -- --connect "$SOCK" --remote-shutdown
 wait "$SERVE_PID"
 trap - EXIT

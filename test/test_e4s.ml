@@ -176,9 +176,9 @@ let temp_dir () =
   d
 
 (* Installs flowing through the daemon's journaled path (intent, arena-blit
-   copy, substrate rebase with streamed facts, save, commit) must leave the
-   substrate-backed solver in agreement with a from-scratch materialized
-   solve, and recovery must reproduce the live database exactly. *)
+   copy, save, commit) must leave the daemon's own solve, which streams the
+   reuse facts, in agreement with a from-scratch materialized solve, and
+   recovery must reproduce the live database exactly. *)
 let test_daemon_journal_differential () =
   let repo = Pkg.Repo_core.repo in
   let dir = temp_dir () in
@@ -213,17 +213,18 @@ let test_daemon_journal_differential () =
       let check_agreement root =
         let roots = [ Specs.Spec_parser.parse root ] in
         let db = Server.State.db st in
-        let via_substrate =
-          C.solve ~installed:db ~substrate:st.Server.State.substrate ~repo roots
+        let daemon =
+          Server.State.make_job st ~deadline:None (List.hd roots)
+            ~cancel:(Asp.Budget.token ())
         in
         let scratch = C.solve ~installed:db ~reuse_mode:`Materialize ~repo roots in
         Alcotest.(check string)
-          ("substrate+stream vs scratch materialized: " ^ root)
-          (signature scratch) (signature via_substrate)
+          ("daemon stream vs scratch materialized: " ^ root)
+          (signature scratch) (signature daemon)
       in
       check_agreement "hdf5";
-      (* two journaled installs, agreement re-checked after each: the
-         substrate rebases its frozen bases over the streamed reuse facts *)
+      (* two journaled installs, agreement re-checked after each over the
+         database they swapped in *)
       ignore (Server.State.record_install st (solve_spec "zlib") : (string * string) list);
       check_agreement "hdf5";
       ignore (Server.State.record_install st (solve_spec "hdf5") : (string * string) list);

@@ -157,7 +157,7 @@ let check_fixture name prog () =
 
 (* Unlike the canonical goldens above, these hash the id-ordered rendering
    of [Asp.Ground.pp] exactly as the pipelines produce it (streamed reuse
-   and installed facts, substrate extension), so they pin atom interning
+   and installed facts), so they pin atom interning
    order and rule order too.  The CUDF digests were recorded before the
    closure stopped enumerating integrity constraints; the Spack ones were
    re-recorded when emission started to follow the closure's instance
@@ -169,19 +169,6 @@ let spack_ground ~repo spec =
   Asp.Grounder.ground ?facts_stream:facts.Concretize.Facts.reuse_stream
     (Asp.Parser.parse Concretize.Logic_program.text @ facts.Concretize.Facts.statements)
   |> fst
-
-(* The daemon's path: a skeleton base built cold, then the request's
-   extension of it. *)
-let spack_substrate_ground ~repo spec =
-  let roots = [ Specs.Spec_parser.parse spec ] in
-  let facts = Concretize.Facts.generate ~repo roots in
-  match
-    Concretize.Substrate.ground_request (Concretize.Substrate.create ())
-      ~env:Concretize.Facts.default_env ~prefs:Concretize.Preferences.empty ~repo
-      ~budget:Asp.Budget.unlimited ~facts roots
-  with
-  | Some g -> g.Concretize.Substrate.ground
-  | None -> Alcotest.failf "substrate declined %s" spec
 
 let cudf_ground stack =
   let d = Cudf.Synth.universe ~seed:1 ~n:1000 () in
@@ -198,9 +185,6 @@ let digest_fixtures =
     ( "repo300 app-007",
       (fun () -> spack_ground ~repo:(Lazy.force synth_repo) "app-007"),
       "5630f21680c70c576589842ae7ad3155" );
-    ( "repo300 app-007 via substrate",
-      (fun () -> spack_substrate_ground ~repo:(Lazy.force synth_repo) "app-007"),
-      "f783618d766d70f01d3f55b71423e354" );
     ( "cudf synth 1k paranoid",
       (fun () -> cudf_ground Cudf.Criteria.Paranoid),
       "4edcdd6267c2d37ae31b4c93da5ef5ee" );
@@ -224,7 +208,6 @@ let sorted_digests =
   [
     ("spack hdf5", "d4593a5b7ef0b41b2d71e76915096eec");
     ("repo300 app-007", "872728c607c7140a8ce7713e99ebf329");
-    ("repo300 app-007 via substrate", "37601de090e986c9df6f634b7327ed6b");
     ("cudf synth 1k paranoid", "2984b1d83a09ef8c8367d8b4cbeb4e83");
     ("cudf synth 1k trendy", "1e4bbf70d036d480d438793b7cf5f65e");
   ]

@@ -105,8 +105,6 @@ let test_codec_interrupted () =
                Asp.Phases.setup_time = 0.125;
                load_time = 0.5;
                ground_time = 0.25;
-               ground_base_time = 0.1;
-               ground_extend_time = 0.05;
                solve_time = 1.0;
              };
          n_facts = 100;
@@ -427,12 +425,60 @@ let test_scheduler_cancel () =
       in
       drain ())
 
+(* A request must not join a flight that every earlier waiter abandoned:
+   its token is cancelled, so it can only report [Cancelled].  A client
+   whose connection a quarantined worker dropped resends its request while
+   the abandoned solve may still be unwinding. *)
+let test_scheduler_retired_flight () =
+  Asp.Pool.with_pool ~domains:2 (fun pool ->
+      let sched = Server.Scheduler.create ~pool ~max_pending:4 in
+      let gate = Atomic.make false in
+      Fun.protect
+        ~finally:(fun () -> Atomic.set gate true)
+        (fun () ->
+          let submit job =
+            match Server.Scheduler.submit sched ~key:"k" job with
+            | `Accepted t -> t
+            | `Overloaded -> Alcotest.fail "unexpected shed"
+          in
+          (* the first flight keeps running after its cancellation until
+             the gate opens *)
+          let t1 =
+            submit (fun ~cancel ->
+                while not (Asp.Budget.is_cancelled cancel && Atomic.get gate) do
+                  Unix.sleepf 0.002
+                done;
+                1)
+          in
+          Server.Scheduler.abandon sched t1;
+          let t2 = submit (fun ~cancel:_ -> 2) in
+          let s = Server.Scheduler.stats sched in
+          Alcotest.(check int) "a fresh flight" 2 s.Server.Scheduler.submitted;
+          Alcotest.(check int) "nothing joined" 0 s.Server.Scheduler.deduped;
+          (match await_done sched t2 with
+          | Ok 2 -> ()
+          | _ -> Alcotest.fail "expected the fresh flight's result");
+          Alcotest.(check int) "the retired flight still pending" 1
+            (Server.Scheduler.stats sched).Server.Scheduler.pending;
+          Atomic.set gate true;
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while
+            (Server.Scheduler.stats sched).Server.Scheduler.pending > 0
+            && Unix.gettimeofday () < deadline
+          do
+            Unix.sleepf 0.01
+          done;
+          let s = Server.Scheduler.stats sched in
+          Alcotest.(check int) "both flights completed" 2 s.Server.Scheduler.completed;
+          Alcotest.(check int) "nothing pending" 0 s.Server.Scheduler.pending))
+
 (* ------------------------------------------------------------------ *)
 (* Daemon end-to-end                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let with_daemon ?(repo = repo) ?(workers = 2) ?(jobs = 2) ?(max_pending = 8)
-    ?timeout ?(client_rate = 0.) ?(client_burst = 8.) ?db_path ?journal_path f =
+    ?timeout ?(client_rate = 0.) ?(client_burst = 8.) ?db_path ?journal_path
+    ?(cache = Server.Cache.create ()) f =
   let sock =
     Filename.concat (Filename.get_temp_dir_name ()) ("spackd-" ^ uid () ^ ".sock")
   in
@@ -447,7 +493,7 @@ let with_daemon ?(repo = repo) ?(workers = 2) ?(jobs = 2) ?(max_pending = 8)
       journal_max_bytes = 0;
       follow = None;
       repl_ack = Server.Replica.Ack_async;
-      cache = Server.Cache.create ();
+      cache;
       workers;
       jobs;
       max_pending;
@@ -630,33 +676,63 @@ let test_daemon_install_invalidates () =
       Alcotest.(check bool) "db grew" true (stats_int c "server" "db_size" >= 1);
       Server.Client.close c)
 
-let test_daemon_substrate_stats () =
-  with_daemon (fun sock ->
+(* A cache entry persisted by a daemon whose phase timings still split the
+   ground time into base build and extension: the file below is byte for
+   byte what such a daemon wrote for [zlib] on an empty database.
+   It decodes, the extra fields are ignored and not written back, and it
+   is served as a hit, from the cache and by a daemon. *)
+let legacy_entry =
+  [
+    "spack-solve-cache v1";
+    "fec5dffb1afff0b8d554e62e839f7028";
+    {|{"outcome":"concrete","spec":{"root":"zlib","nodes":[{"name":"zlib","version":"1.2.12","variants":[["pic","true"],["shared","true"]],"compiler":"gcc","compiler_version":"11.2.0","flags":[],"os":"rhel8","target":"icelake","depends":[]}]},"reused":[],"built":["zlib"],"costs":[[15,0],[14,0],[13,0],[11,0],[6,0],[3,0],[1,0]],"quality":"optimal","phases":{"setup":0.0004119873046875,"load":0.0,"ground":0.00545501708984375,"ground_base":0.0052599906921386719,"ground_extend":9.918212890625e-05,"solve":0.00051403045654296875},"n_facts":102,"n_possible":1,"ground_stats":[172,146,0],"sat_stats":[0,46,261,0,0,16],"verified":true}|};
+    "digest\t21dc6345a83de8dd1992c69ecc7af0ad";
+  ]
+
+let write_entry dir key lines =
+  let oc = open_out (Filename.concat dir (key ^ ".solve")) in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc
+
+let test_cache_legacy_phases () =
+  let key = List.nth legacy_entry 1 and body = List.nth legacy_entry 2 in
+  let r =
+    match Result.bind (J.of_string body) Server.Codec.result_of_json with
+    | Ok r -> r
+    | Error m -> Alcotest.failf "legacy entry does not decode: %s" m
+  in
+  (match r with
+  | C.Concrete s ->
+    let p = s.C.phases in
+    Alcotest.(check (list (float 0.))) "phases kept"
+      [ 0.0004119873046875; 0.0; 0.00545501708984375; 0.00051403045654296875 ]
+      [ p.Asp.Phases.setup_time; p.Asp.Phases.load_time; p.Asp.Phases.ground_time;
+        p.Asp.Phases.solve_time ]
+  | _ -> Alcotest.fail "expected a concrete result");
+  (match J.member "phases" (Server.Codec.result_to_json r) with
+  | Some (J.Obj fields) ->
+    Alcotest.(check (list string)) "fields written" [ "setup"; "load"; "ground"; "solve" ]
+      (List.map fst fields)
+  | _ -> Alcotest.fail "no phases object");
+  let dir = temp_dir () in
+  write_entry dir key legacy_entry;
+  let cache = Server.Cache.create ~dir () in
+  Alcotest.(check bool) "served from disk" true (Server.Cache.lookup cache key <> None);
+  Alcotest.(check int) "disk hit" 1 (Server.Cache.stats cache).Server.Cache.disk_hits;
+  (* the same body under the key today's daemon derives for the request *)
+  let dir = temp_dir () in
+  let key =
+    C.request_key ~config:Asp.Config.default ~installed:(Pkg.Database.create ()) ~repo
+      [ Specs.Spec_parser.parse "zlib" ]
+  in
+  let header = List.hd legacy_entry in
+  write_entry dir key
+    [ header; key; body; "digest\t" ^ Specs.Spec.digest_strings [ header; key; body ] ];
+  with_daemon ~cache:(Server.Cache.create ~dir ()) (fun sock ->
       let c = client sock in
-      let solve spec =
-        match request c (Server.Protocol.solve spec) with
-        | Server.Protocol.Result { result = C.Concrete _; _ } -> ()
-        | _ -> Alcotest.failf "solve %s failed" spec
-      in
-      (* two different requests over one name skeleton: the second must
-         extend the first's frozen base, not rebuild it *)
-      solve "hdf5";
-      solve "hdf5+szip";
-      Alcotest.(check int) "one base built" 1
-        (stats_int c "substrate" "base_builds");
-      Alcotest.(check int) "both solves extended it" 2
-        (stats_int c "substrate" "extensions");
-      Alcotest.(check int) "no fallbacks" 0
-        (stats_int c "substrate" "fallbacks");
-      (* an install reaches the substrate as a delta (rebase) or a drop,
-         never as a silent wipe *)
-      (match request c (Server.Protocol.install "zlib") with
-      | Server.Protocol.Installed _ -> ()
-      | _ -> Alcotest.fail "expected an install reply");
-      Alcotest.(check bool) "install rebased or dropped bases" true
-        (stats_int c "substrate" "narrowed_invalidations"
-         + stats_int c "substrate" "full_invalidations"
-        >= 1);
+      (match request c (Server.Protocol.solve "zlib") with
+      | Server.Protocol.Result { cache = Server.Protocol.Hit; result = C.Concrete _ } -> ()
+      | _ -> Alcotest.fail "expected the legacy entry served as a hit");
       Server.Client.close c)
 
 let test_daemon_bad_requests () =
@@ -695,6 +771,7 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_cache_lru;
           Alcotest.test_case "disk layer" `Quick test_cache_disk;
           Alcotest.test_case "corruption" `Quick test_cache_corruption;
+          Alcotest.test_case "entry with the old ground split" `Quick test_cache_legacy_phases;
         ] );
       ( "scheduler",
         [
@@ -703,6 +780,7 @@ let () =
           Alcotest.test_case "landed flight shared" `Quick test_scheduler_landed_flight;
           Alcotest.test_case "overload" `Quick test_scheduler_overload;
           Alcotest.test_case "cancellation" `Quick test_scheduler_cancel;
+          Alcotest.test_case "retired flight not joined" `Quick test_scheduler_retired_flight;
         ] );
       ( "daemon",
         [
@@ -714,8 +792,6 @@ let () =
             test_daemon_disconnect_cancels;
           Alcotest.test_case "install invalidates" `Quick
             test_daemon_install_invalidates;
-          Alcotest.test_case "substrate stats" `Quick
-            test_daemon_substrate_stats;
           Alcotest.test_case "bad requests" `Quick test_daemon_bad_requests;
         ] );
     ]
