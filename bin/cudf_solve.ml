@@ -57,7 +57,8 @@ let print_result ~stack ~show_stats ~show_state result =
       Printf.printf "Search: %d conflicts, %d decisions, %d restarts\n"
         st.Asp.Sat.conflicts st.Asp.Sat.decisions st.Asp.Sat.restarts;
       print_endline (Asp.Phases.to_line s.Cudf.Solver.phases);
-      print_endline (Asp.Grounder.steps_line g)
+      print_endline (Asp.Grounder.steps_line g);
+      print_endline (Asp.Phases.steps_line s.Cudf.Solver.solve_steps)
     end;
     0
 

@@ -71,7 +71,8 @@ let print_result repo show_stats validate spec_text result =
             (List.filter (fun (_, v) -> v <> 0) s.Concretize.Concretizer.costs);
           print_newline ();
           print_endline (Asp.Phases.to_line s.Concretize.Concretizer.phases);
-          print_endline (Asp.Grounder.steps_line g)
+          print_endline (Asp.Grounder.steps_line g);
+          print_endline (Asp.Phases.steps_line s.Concretize.Concretizer.solve_steps)
         end;
         0
 

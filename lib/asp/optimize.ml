@@ -1,3 +1,7 @@
+(* Lexicographic optimization over the ground [#minimize] entries.  [run]
+   builds every level's indicators first, searches once for a first stable
+   model, and then descends level by level from that model. *)
+
 type level = { priority : int; entries : (int * Sat.lit) list; offset : int }
 
 type group_key = { gprio : int; gweight : int; gtuple : Term.t list }
@@ -93,6 +97,8 @@ type outcome = {
   costs : (int * int) list;
   models_enumerated : int;
   quality : quality;
+  search_time : float;
+  optimize_time : float;
 }
 
 (* Each level's descent returns [(value, lower, complete)]: the stored
@@ -216,17 +222,14 @@ let run ?(strategy = Config.Bb) ?(budget = Budget.unlimited) (t : Translate.t) ~
     if r = Sat.Sat then incr models;
     r
   in
+  (* the levels' indicators exist before the first search, which assigns
+     them like every other variable: the first model can be evaluated *)
+  let lvls, levels_time = Phases.time (fun () -> levels t) in
   Budget.enter budget Budget.Search;
-  match solve () with
-  | Sat.Unsat -> None
-  | Sat.Sat ->
-    let lvls = levels t in
-    (* [levels] added fresh indicator variables that are unassigned in the
-       stored model: re-solve once so every eval below sees them.  From here
-       on the stored model always satisfies all permanent bounds. *)
-    (match solve () with
-    | Sat.Unsat -> assert false (* indicators are unconstrained so far *)
-    | Sat.Sat -> ());
+  match Phases.time (fun () -> solve ()) with
+  | Sat.Unsat, _ -> None
+  | Sat.Sat, search_time ->
+    let t0 = Unix.gettimeofday () in
     Budget.enter budget Budget.Optimize;
     let interrupted = ref false in
     (* proved lower bounds (priority, bound) for the interrupted level and
@@ -266,4 +269,11 @@ let run ?(strategy = Config.Bb) ?(budget = Budget.unlimited) (t : Translate.t) ~
         lvls
     in
     let quality = if !interrupted then `Degraded (List.rev !bounds) else `Optimal in
-    Some { costs; models_enumerated = !models; quality }
+    Some
+      {
+        costs;
+        models_enumerated = !models;
+        quality;
+        search_time;
+        optimize_time = levels_time +. (Unix.gettimeofday () -. t0);
+      }

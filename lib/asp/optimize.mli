@@ -9,7 +9,12 @@
     optimum [v] is fixed with a permanent constraint and the next level
     starts.  This mirrors clasp's branch-and-bound ([bb]) strategy; the
     [usc]-style strategy of the paper differs only in how bounds are probed,
-    not in the optimum found. *)
+    not in the optimum found.
+
+    The levels' indicator literals are built before the first search, as
+    clasp receives a program together with its objective: the first model
+    already assigns them, so the descent starts from it without a second
+    solve. *)
 
 type level = {
   priority : int;
@@ -19,7 +24,8 @@ type level = {
 
 val levels : Translate.t -> level list
 (** Build indicator literals for all minimize groups, highest priority
-    first.  Adds variables/clauses to the underlying solver. *)
+    first.  Adds variables/clauses to the underlying solver; {!run} calls
+    it before its first search. *)
 
 val eval_level : Sat.t -> level -> int
 (** Objective value of [level] in the solver's last model (offset included). *)
@@ -37,6 +43,9 @@ type outcome = {
       returned model's value for degraded ones *)
   models_enumerated : int;  (** SAT answers seen during descent *)
   quality : quality;
+  search_time : float;  (** wall seconds up to the first stable model *)
+  optimize_time : float;
+      (** wall seconds building the levels and descending through them *)
 }
 
 val run :

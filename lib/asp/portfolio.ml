@@ -35,6 +35,7 @@ type model = {
   sat_stats : Sat.stats;
   models_enumerated : int;
   verified : bool;
+  steps : Phases.steps;
 }
 
 type attempt =
@@ -57,11 +58,19 @@ let cancelled_info =
    optimize, then verify on a fresh unlimited budget — [budget] may have
    expired producing a degraded (but checkable) model. *)
 let solve_once ?hints ~verify ~params ~strategy ~budget ground =
-  let t = Translate.translate ~params ground in
-  Option.iter (fun h -> h t) hints;
+  let t, translate_time =
+    Phases.time (fun () ->
+        let t = Translate.translate ~params ground in
+        Option.iter (fun h -> h t) hints;
+        t)
+  in
   match Optimize.run ~strategy ~budget t ~on_model:(Stable.hook t) with
   | None -> Proved_unsat
-  | Some { Optimize.costs; models_enumerated; quality } -> (
+  | Some { Optimize.costs; models_enumerated; quality; search_time; optimize_time } -> (
+    let checked, verify_time =
+      Phases.time (fun () ->
+          if verify then Some (Verify.check_translation ~costs t) else None)
+    in
     let model verified =
       Model
         {
@@ -71,13 +80,13 @@ let solve_once ?hints ~verify ~params ~strategy ~budget ground =
           sat_stats = Sat.stats t.Translate.sat;
           models_enumerated;
           verified;
+          steps = { Phases.translate_time; search_time; optimize_time; verify_time };
         }
     in
-    if not verify then model false
-    else
-      match Verify.check_translation ~costs t with
-      | Ok () -> model true
-      | Error vs -> Quarantined { violations = Verify.describe_all ground vs })
+    match checked with
+    | None -> model false
+    | Some (Ok ()) -> model true
+    | Some (Error vs) -> Quarantined { violations = Verify.describe_all ground vs })
 
 let run_racer ~hints ~verify ~race_token ~budget ground racer =
   (* a racer that starts after the race is decided must not pay for a

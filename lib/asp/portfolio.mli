@@ -51,6 +51,7 @@ type model = {
   sat_stats : Sat.stats;
   models_enumerated : int;
   verified : bool;  (** passed {!Verify} (always true when verifying) *)
+  steps : Phases.steps;  (** how long this run's solve steps took *)
 }
 
 (** One racer's result. *)

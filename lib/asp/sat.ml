@@ -109,25 +109,29 @@ type t = {
   mutable core : int list;  (* assumption core of the last Unsat-under-assumptions *)
 }
 
-let create ?(params = default_params) () =
+(* The per-variable arrays start at [capacity] entries (at least 16) and
+   double when [new_var] outgrows them; a caller that knows how many
+   variables it will create sizes them once. *)
+let create ?(params = default_params) ?(capacity = 16) () =
+  let n = max 16 capacity in
   {
     params;
     nvars = 0;
-    values = Array.make 16 (-1);
-    levels = Array.make 16 0;
-    trail_pos = Array.make 16 0;
-    reasons = Array.make 16 Decision;
-    activities = Array.make 16 0.;
-    phases = Array.make 16 params.default_phase;
-    seen = Array.make 16 false;
-    heap_pos = Array.make 16 (-1);
-    watches = Array.make 32 no_watches;
-    bins = Array.make 32 no_bins;
-    pb_occs = Array.make 32 no_occs;
-    trail = Ivec.create ();
+    values = Array.make n (-1);
+    levels = Array.make n 0;
+    trail_pos = Array.make n 0;
+    reasons = Array.make n Decision;
+    activities = Array.make n 0.;
+    phases = Array.make n params.default_phase;
+    seen = Array.make n false;
+    heap_pos = Array.make n (-1);
+    watches = Array.make (2 * n) no_watches;
+    bins = Array.make (2 * n) no_bins;
+    pb_occs = Array.make (2 * n) no_occs;
+    trail = Ivec.create ~capacity:n ();
     trail_lim = Ivec.create ();
     qhead = 0;
-    heap = Array.make 16 0;
+    heap = Array.make n 0;
     heap_len = 0;
     clauses = Vec.create ~dummy:dummy_clause ();
     learnts = Vec.create ~dummy:dummy_clause ();
@@ -390,93 +394,162 @@ let locked s c =
   lit_value s l0 = 1
   && match s.reasons.(l0 lsr 1) with RClause c' -> c' == c | _ -> false
 
+(* Two literals of distinct variables, the common case: no sort or filter
+   pass. *)
+let add_binary s a b =
+  match (lit_value s a, lit_value s b) with
+  | 1, _ | _, 1 -> ()
+  | 0, 0 -> s.unsat <- true
+  | 0, _ -> ignore (enqueue s b Decision)
+  | _, 0 -> ignore (enqueue s a Decision)
+  | _ -> attach_binary s a b
+
+(* Add the clause [lits], sorted ascending without duplicates (its own
+   array: a clause record keeps it): drop it when it is a tautology (a
+   complementary pair is adjacent) or already satisfied, else drop its false
+   literals. *)
+let add_sorted s lits =
+  let n = Array.length lits in
+  let skip = ref false and nfalse = ref 0 in
+  for i = 0 to n - 1 do
+    let l = Array.unsafe_get lits i in
+    if i > 0 && l lxor Array.unsafe_get lits (i - 1) = 1 then skip := true;
+    match lit_value s l with 1 -> skip := true | 0 -> incr nfalse | _ -> ()
+  done;
+  if not !skip then begin
+    let lits =
+      if !nfalse = 0 then lits
+      else Array.of_list (List.filter (fun l -> lit_value s l <> 0) (Array.to_list lits))
+    in
+    match lits with
+    | [||] -> s.unsat <- true
+    | [| l |] -> ignore (enqueue s l Decision)
+    | [| a; b |] -> attach_binary s a b
+    | lits ->
+      let c = { lits; activity = 0.; learnt = false; deleted = false } in
+      Vec.push s.clauses c;
+      attach_clause s c
+  end
+
 (* Add a clause at decision level 0 (the current level must be 0). *)
 let add_clause s lits =
   if not s.unsat then begin
     assert (decision_level s = 0);
     match lits with
-    | [ a; b ] when a lxor b > 1 -> (
-      (* two distinct variables, the common case: no list passes *)
-      match (lit_value s a, lit_value s b) with
-      | 1, _ | _, 1 -> ()
-      | 0, 0 -> s.unsat <- true
-      | 0, _ -> ignore (enqueue s b Decision)
-      | _, 0 -> ignore (enqueue s a Decision)
-      | _ -> attach_binary s a b)
-    | _ ->
-      (* simplify: dedup, drop false lits, detect tautology/satisfied *)
-      let lits = List.sort_uniq Int.compare lits in
-      let tautology =
-        let rec go = function
-          | a :: (b :: _ as rest) -> a lxor b = 1 || go rest
-          | _ -> false
+    | [ a; b ] when a lxor b > 1 -> add_binary s a b
+    | _ -> add_sorted s (Array.of_list (List.sort_uniq Int.compare lits))
+  end
+
+let add_clause_buf s buf =
+  if not s.unsat then begin
+    assert (decision_level s = 0);
+    if Ivec.length buf = 2 && Ivec.get buf 0 lxor Ivec.get buf 1 > 1 then
+      add_binary s (Ivec.get buf 0) (Ivec.get buf 1)
+    else add_sorted s (Ivec.sort_uniq buf)
+  end
+
+(* Do the literals of [ls] have pairwise distinct variables?  [seen] is the
+   scratch mark (all clear outside conflict analysis). *)
+let distinct_vars s ls =
+  let n = Array.length ls in
+  let k = ref 0 in
+  while !k < n && not s.seen.(ls.(!k) lsr 1) do
+    s.seen.(ls.(!k) lsr 1) <- true;
+    incr k
+  done;
+  for i = 0 to !k - 1 do
+    s.seen.(ls.(i) lsr 1) <- false
+  done;
+  !k = n
+
+let descending ws =
+  let ok = ref true in
+  for i = 1 to Array.length ws - 1 do
+    if ws.(i) > ws.(i - 1) then ok := false
+  done;
+  !ok
+
+(* [sum ws.(i) * ls.(i) <= cap] over literals of distinct variables, at
+   level 0: false literals are dropped and true ones count against the cap
+   from the start.  The arrays become the constraint's when they need no
+   change. *)
+let add_pb_distinct s ws ls cap =
+  let n = Array.length ls in
+  let nfalse = ref 0 and fixed_true = ref 0 in
+  for i = 0 to n - 1 do
+    match lit_value s ls.(i) with
+    | 0 -> incr nfalse
+    | 1 -> fixed_true := !fixed_true + ws.(i)
+    | _ -> ()
+  done;
+  if cap < !fixed_true then s.unsat <- true
+  else begin
+    (* the literals kept, heaviest first (the propagation scan stops at the
+       first weight within the slack); equal weights keep their order *)
+    let pws, plits =
+      if !nfalse = 0 && descending ws then (ws, ls)
+      else begin
+        let idx =
+          Array.of_list (List.filter (fun i -> lit_value s ls.(i) <> 0) (List.init n Fun.id))
         in
-        go lits
-      in
-      let satisfied = List.exists (fun l -> lit_value s l = 1) lits in
-      if not (tautology || satisfied) then begin
-        match List.filter (fun l -> lit_value s l <> 0) lits with
-        | [] -> s.unsat <- true
-        | [ l ] -> ignore (enqueue s l Decision)
-        | [ a; b ] -> attach_binary s a b
-        | lits ->
-          let c =
-            { lits = Array.of_list lits; activity = 0.; learnt = false; deleted = false }
-          in
-          Vec.push s.clauses c;
-          attach_clause s c
+        Array.stable_sort (fun i j -> Int.compare ws.(j) ws.(i)) idx;
+        (Array.map (fun i -> ws.(i)) idx, Array.map (fun i -> ls.(i)) idx)
       end
+    in
+    (* initialize against the current (level-0) assignment; later updates
+       happen in unchecked_enqueue/cancel_until *)
+    let pb = { plits; pws; cap; sumtrue = !fixed_true } in
+    Vec.push s.pbs pb;
+    Array.iteri
+      (fun i l -> push_lit s.pb_occs ~shared:no_occs ~dummy:dummy_occ l (pb, i))
+      plits;
+    (* forced units at level 0 *)
+    Array.iteri
+      (fun i l ->
+        if lit_value s l = -1 && pb.pws.(i) > pb.cap - pb.sumtrue then
+          ignore (enqueue s (l lxor 1) Decision))
+      plits
+  end
+
+(* Merge repeated literals into one weight; a pair (l, ¬l) contributes its
+   lesser weight in every assignment, which comes off the cap. *)
+let add_pb_merged s ws ls cap =
+  let tbl = Hashtbl.create 16 in
+  Array.iteri
+    (fun i l -> Hashtbl.replace tbl l (ws.(i) + Option.value ~default:0 (Hashtbl.find_opt tbl l)))
+    ls;
+  let base = ref 0 in
+  let items = ref [] in
+  Hashtbl.iter
+    (fun l w ->
+      if l land 1 = 0 && Hashtbl.mem tbl (l lxor 1) then begin
+        (* handle the complementary pair once, from the positive side *)
+        let w' = Hashtbl.find tbl (l lxor 1) in
+        let m = min w w' in
+        base := !base + m;
+        if w > m then items := (w - m, l) :: !items
+        else if w' > m then items := (w' - m, l lxor 1) :: !items
+      end
+      else if not (Hashtbl.mem tbl (l lxor 1)) then items := (w, l) :: !items)
+    tbl;
+  add_pb_distinct s
+    (Array.of_list (List.map fst !items))
+    (Array.of_list (List.map snd !items))
+    (cap - !base)
+
+let add_pb_le_arrays s ws ls cap =
+  if not s.unsat then begin
+    assert (decision_level s = 0);
+    if Array.length ws <> Array.length ls then invalid_arg "add_pb_le: length mismatch";
+    Array.iter (fun w -> if w <= 0 then invalid_arg "add_pb_le: weights must be > 0") ws;
+    if distinct_vars s ls then add_pb_distinct s ws ls cap else add_pb_merged s ws ls cap
   end
 
 let add_pb_le s wls cap =
-  if not s.unsat then begin
-    assert (decision_level s = 0);
-    List.iter (fun (w, _) -> if w <= 0 then invalid_arg "add_pb_le: weights must be > 0") wls;
-    (* merge duplicate literals; a pair (l, ¬l) contributes min weight always *)
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (w, l) ->
-        Hashtbl.replace tbl l (w + Option.value ~default:0 (Hashtbl.find_opt tbl l)))
-      wls;
-    let base = ref 0 in
-    let items = ref [] in
-    Hashtbl.iter
-      (fun l w ->
-        if l land 1 = 0 && Hashtbl.mem tbl (l lxor 1) then begin
-          (* handle the complementary pair once, from the positive side *)
-          let w' = Hashtbl.find tbl (l lxor 1) in
-          let m = min w w' in
-          base := !base + m;
-          if w > m then items := (w - m, l) :: !items
-          else if w' > m then items := (w' - m, l lxor 1) :: !items
-        end
-        else if not (Hashtbl.mem tbl (l lxor 1)) then items := (w, l) :: !items)
-      tbl;
-    let cap = cap - !base in
-    let items = List.filter (fun (_, l) -> lit_value s l <> 0) !items in
-    let fixed_true =
-      List.fold_left (fun acc (w, l) -> if lit_value s l = 1 then acc + w else acc) 0 items
-    in
-    if cap < fixed_true then s.unsat <- true
-    else begin
-      let arr = Array.of_list items in
-      Array.sort (fun (w1, _) (w2, _) -> Int.compare w2 w1) arr;
-      let plits = Array.map snd arr and pws = Array.map fst arr in
-      (* initialize against the current (level-0) assignment; later updates
-         happen in unchecked_enqueue/cancel_until *)
-      let pb = { plits; pws; cap; sumtrue = fixed_true } in
-      Vec.push s.pbs pb;
-      Array.iteri
-        (fun i l -> push_lit s.pb_occs ~shared:no_occs ~dummy:dummy_occ l (pb, i))
-        plits;
-      (* forced units at level 0 *)
-      Array.iteri
-        (fun i l ->
-          if lit_value s l = -1 && pb.pws.(i) > pb.cap - pb.sumtrue then
-            ignore (enqueue s (l lxor 1) Decision))
-        plits
-    end
-  end
+  add_pb_le_arrays s
+    (Array.of_list (List.map fst wls))
+    (Array.of_list (List.map snd wls))
+    cap
 
 (* ---------------- propagation ---------------- *)
 

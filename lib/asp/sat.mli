@@ -53,7 +53,13 @@ type stats = {
   mutable pb_propagations : int;
 }
 
-val create : ?params:params -> unit -> t
+val create : ?params:params -> ?capacity:int -> unit -> t
+(** An empty solver.  Its per-variable and per-literal arrays start with
+    room for [capacity] variables (default and minimum 16) and double when
+    {!new_var} outgrows them: a caller that knows, or can bound, how many
+    variables it will create ({!Translate} does) allocates them once.  The
+    capacity changes no answer, model or search step. *)
+
 val num_vars : t -> int
 
 val new_var : t -> int
@@ -63,9 +69,19 @@ val add_clause : t -> lit list -> unit
 (** Add a clause (at decision level 0).  The solver may become trivially
     unsatisfiable; subsequent [solve] calls then return [Unsat]. *)
 
+val add_clause_buf : t -> Ivec.t -> unit
+(** [add_clause] over the literals of a buffer, which it sorts and dedups
+    in place: the same clause, without building a list. *)
+
 val add_pb_le : t -> (int * lit) list -> int -> unit
 (** [add_pb_le s wls k] adds [sum w_i * l_i <= k]; all weights must be
-    positive (normalize before calling). *)
+    positive (normalize before calling).  Repeated literals are merged and a
+    complementary pair's common weight comes off [k]; literals of distinct
+    variables, the common case, skip that merge. *)
+
+val add_pb_le_arrays : t -> int array -> lit array -> int -> unit
+(** [add_pb_le_arrays s ws ls k] is [add_pb_le] over [(ws.(i), ls.(i))].
+    The solver may keep the arrays: the caller must not change them. *)
 
 type result = Sat | Unsat
 

@@ -8,6 +8,7 @@ type outcome = {
   models_enumerated : int;
   ground_time : float;
   solve_time : float;
+  solve_steps : Phases.steps;
   verified : bool;
 }
 
@@ -130,6 +131,7 @@ let solve_program ?(config = Config.default) ?budget ?pool ?(jobs = 1) prog =
           sat_stats;
           models_enumerated;
           verified;
+          steps;
         } ->
       let answer = apply_show prog answer in
       Sat
@@ -143,6 +145,7 @@ let solve_program ?(config = Config.default) ?budget ?pool ?(jobs = 1) prog =
           models_enumerated;
           ground_time;
           solve_time;
+          solve_steps = steps;
           verified;
         })
 

@@ -26,6 +26,7 @@ type outcome = {
   models_enumerated : int;
   ground_time : float;  (** seconds *)
   solve_time : float;  (** translation + search + optimization, seconds *)
+  solve_steps : Phases.steps;  (** the parts of [solve_time] *)
   verified : bool;
   (** the answer passed independent verification ({!Verify}); [false] only
       when [config.verify] was off — a model that {e fails} verification is

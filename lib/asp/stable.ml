@@ -2,7 +2,6 @@
 
 type pending = {
   p_atom : int;  (** supported atom *)
-  s : Translate.support;
   mutable missing : int;  (** positive body atoms not yet founded *)
 }
 
@@ -16,8 +15,8 @@ let check (t : Translate.t) =
     let v = t.Translate.var_of_atom.(id) in
     v >= 0 && Sat.current_lit_value sat (Sat.Lit.pos v) = 1
   in
-  let support_body_holds (s : Translate.support) =
-    match s.Translate.s_lit with
+  let support_body_holds r =
+    match Translate.support_lit t r with
     | None -> true
     | Some l -> Sat.current_lit_value sat l = 1
   in
@@ -36,16 +35,16 @@ let check (t : Translate.t) =
     if Gatom.Store.is_fact store id then found id
     else if truth id then
       List.iter
-        (fun (s : Translate.support) ->
-          if support_body_holds s then begin
+        (fun r ->
+          if support_body_holds r then begin
             let relevant =
-              Array.to_list s.Translate.s_pos
+              Array.to_list (Translate.support_pos t r)
               |> List.filter (fun p -> not (Gatom.Store.is_fact store p))
             in
             match relevant with
             | [] -> found id
             | _ ->
-              let inst = { p_atom = id; s; missing = List.length relevant } in
+              let inst = { p_atom = id; missing = List.length relevant } in
               List.iter (fun p -> waiters.(p) <- inst :: waiters.(p)) relevant
           end)
         t.Translate.supports.(id)
@@ -80,9 +79,9 @@ let check (t : Translate.t) =
       List.concat_map
         (fun id ->
           List.filter_map
-            (fun (s : Translate.support) ->
-              if Array.exists (fun p -> in_u.(p)) s.Translate.s_pos then None
-              else s.Translate.s_lit)
+            (fun r ->
+              if Array.exists (fun p -> in_u.(p)) (Translate.support_pos t r) then None
+              else Translate.support_lit t r)
             t.Translate.supports.(id))
         u
       |> List.sort_uniq Int.compare

@@ -1,10 +1,3 @@
-type support = {
-  s_lit : Sat.lit option;
-  s_pos : int array;
-  s_neg : int array;
-  s_choice : bool;
-}
-
 (* Bodies are deduplicated by their atom-id tuples: plain int-array hashing,
    no tuple allocation per probe and no polymorphic hash. *)
 module Body_tbl = Hashtbl.Make (struct
@@ -24,14 +17,22 @@ module Body_tbl = Hashtbl.Make (struct
   let hash (b : Ground.body) = arr_hash (arr_hash 17 b.Ground.pos) b.Ground.neg
 end)
 
+type aux = {
+  mutable false_lit : Sat.lit option;  (* lazily created constant-false literal *)
+  body_cache : Sat.lit Body_tbl.t;  (* shared auxiliaries of multi-literal bodies *)
+  buf : Ivec.t;  (* the literals of the clause being built *)
+  rule_lit : int array;
+      (* rule index -> its body's indicator ([always] when the body always
+         holds); set for the rules with a head *)
+}
+
 type t = {
   sat : Sat.t;
   ground : Ground.t;
   var_of_atom : int array;
-  supports : support list array;
+  supports : int list array;
   tight : bool;
-  mutable false_lit : Sat.lit option;  (** lazily created constant-false literal *)
-  body_cache : Sat.lit option Body_tbl.t;
+  aux : aux;
 }
 
 let fact t id = Gatom.Store.is_fact t.ground.Ground.store id
@@ -41,132 +42,160 @@ let atom_lit t id =
   if v < 0 then None else Some (Sat.Lit.pos v)
 
 let constant_false t =
-  match t.false_lit with
+  match t.aux.false_lit with
   | Some l -> l
   | None ->
     let v = Sat.new_var t.sat in
     Sat.add_clause t.sat [ Sat.Lit.neg v ];
     let l = Sat.Lit.pos v in
-    t.false_lit <- Some l;
+    t.aux.false_lit <- Some l;
     l
 
-(* literal for a body atom occurrence: None = unconditionally satisfied *)
-let pos_occurrence t id =
-  if fact t id then `True
-  else match atom_lit t id with Some l -> `Lit l | None -> `False
+(* The literal of a body occurrence of atom [id], negated when [neg], or
+   one of two markers that are no literal: [always] when the occurrence
+   always holds (a positive fact, a negated atom with no variable), [never]
+   when it cannot (a negated fact, a positive atom with no variable). *)
+let always = -1
+and never = -2
 
-let neg_occurrence t id =
-  if fact t id then `False
-  else match atom_lit t id with Some l -> `Lit (Sat.Lit.negate l) | None -> `True
+let to_option l = if l = always then None else Some l
 
-(* Build (or fetch) the indicator literal of a body, with full equivalence. *)
-let body_indicator t (b : Ground.body) =
-  match Body_tbl.find_opt t.body_cache b with
-  | Some r -> r
-  | None ->
-    let lits = ref [] and impossible = ref false in
-    Array.iter
-      (fun id ->
-        match pos_occurrence t id with
-        | `True -> ()
-        | `False -> impossible := true
-        | `Lit l -> lits := l :: !lits)
-      b.pos;
-    Array.iter
-      (fun id ->
-        match neg_occurrence t id with
-        | `True -> ()
-        | `False -> impossible := true
-        | `Lit l -> lits := l :: !lits)
-      b.neg;
-    let result =
-      if !impossible then Some (constant_false t)
-      else
-        match !lits with
-        | [] -> None
-        | [ l ] -> Some l
-        | lits ->
-          let beta = Sat.Lit.pos (Sat.new_var t.sat) in
-          List.iter
-            (fun l -> Sat.add_clause t.sat [ Sat.Lit.negate beta; l ])
-            lits;
-          Sat.add_clause t.sat (beta :: List.map Sat.Lit.negate lits);
-          Some beta
+let occurrence t ~neg id =
+  if fact t id then if neg then never else always
+  else
+    let v = t.var_of_atom.(id) in
+    if v < 0 then if neg then always else never
+    else if neg then Sat.Lit.neg v
+    else Sat.Lit.pos v
+
+(* Push the literals of [b]'s occurrences onto [t.aux.buf] (cleared first),
+   each negated when [negate]; [false] when some occurrence can never
+   hold. *)
+let body_lits t ~negate (b : Ground.body) =
+  let buf = t.aux.buf in
+  Ivec.clear buf;
+  let possible = ref true in
+  let np = Array.length b.pos in
+  for i = 0 to np + Array.length b.neg - 1 do
+    let l =
+      if i < np then occurrence t ~neg:false b.pos.(i)
+      else occurrence t ~neg:true b.neg.(i - np)
     in
-    Body_tbl.add t.body_cache b result;
-    result
+    if l = never then possible := false
+    else if l <> always then Ivec.push buf (if negate then Sat.Lit.negate l else l)
+  done;
+  !possible
 
-let add_support t id s = t.supports.(id) <- s :: t.supports.(id)
+(* The body's indicator as a literal, [always] for a body that always
+   holds.  A body of two or more literals gets a shared auxiliary [beta]
+   with [beta <-> body]: a binary clause [not beta \/ l] per literal, added
+   last literal first, and the long clause [beta \/ not body], both from
+   [t.aux.buf]. *)
+let indicator t (b : Ground.body) =
+  if not (body_lits t ~negate:false b) then constant_false t
+  else
+    match Ivec.length t.aux.buf with
+    | 0 -> always
+    | 1 -> Ivec.get t.aux.buf 0
+    | n -> (
+      match Body_tbl.find_opt t.aux.body_cache b with
+      | Some beta -> beta
+      | None ->
+        let beta = Sat.Lit.pos (Sat.new_var t.sat) in
+        for i = n - 1 downto 0 do
+          Sat.add_clause t.sat [ Sat.Lit.negate beta; Ivec.get t.aux.buf i ]
+        done;
+        for i = 0 to n - 1 do
+          Ivec.set t.aux.buf i (Sat.Lit.negate (Ivec.get t.aux.buf i))
+        done;
+        Ivec.push t.aux.buf beta;
+        Sat.add_clause_buf t.sat t.aux.buf;
+        Body_tbl.add t.aux.body_cache b beta;
+        beta)
+
+let body_indicator t b = to_option (indicator t b)
+
+let add_support t id r = t.supports.(id) <- r :: t.supports.(id)
+
+let support_lit t r = to_option t.aux.rule_lit.(r)
+
+let support_pos t r =
+  match Vec.get t.ground.Ground.rules r with
+  | Ground.Rnormal (_, b) | Ground.Rconstraint b -> b.pos
+  | Ground.Rchoice c -> c.cbody.pos
 
 (* Add the clause [guard \/ not body] of an integrity constraint: the negated
    body literals, with no auxiliary variable.  A fact literal is dropped; an
    impossible one means the body can never hold, so no clause is needed.
    With no guard and an all-fact body the clause is empty: UNSAT. *)
 let add_constraint_clause t ?guard (b : Ground.body) =
-  let lits = ref (Option.to_list guard) and impossible = ref false in
-  let add = function
-    | `True -> ()
-    | `False -> impossible := true
-    | `Lit l -> lits := Sat.Lit.negate l :: !lits
-  in
-  Array.iter (fun id -> add (pos_occurrence t id)) b.pos;
-  Array.iter (fun id -> add (neg_occurrence t id)) b.neg;
-  if not !impossible then Sat.add_clause t.sat !lits
+  if body_lits t ~negate:true b then begin
+    Option.iter (Ivec.push t.aux.buf) guard;
+    Sat.add_clause_buf t.sat t.aux.buf
+  end
 
-let process_rule t = function
+(* Translate rule [i] of the ground program. *)
+let process_rule t i = function
   | Ground.Rconstraint b -> add_constraint_clause t b
   | Ground.Rnormal (h, b) ->
     if not (fact t h) then begin
-      let hlit = Option.get (atom_lit t h) in
-      let slit = body_indicator t b in
-      (match slit with
-      | None -> Sat.add_clause t.sat [ hlit ] (* should not happen: grounder makes facts *)
-      | Some l -> Sat.add_clause t.sat [ Sat.Lit.negate l; hlit ]);
-      add_support t h { s_lit = slit; s_pos = b.pos; s_neg = b.neg; s_choice = false }
+      let hlit = Sat.Lit.pos t.var_of_atom.(h) in
+      let l = indicator t b in
+      if l = always then Sat.add_clause t.sat [ hlit ] (* should not happen: grounder makes facts *)
+      else Sat.add_clause t.sat [ Sat.Lit.negate l; hlit ];
+      t.aux.rule_lit.(i) <- l;
+      add_support t h i
     end
   | Ground.Rchoice { lb; ub; heads; cbody } ->
-    let slit = body_indicator t cbody in
-    let var_heads = ref [] and nfacts = ref 0 in
+    let l = indicator t cbody in
+    t.aux.rule_lit.(i) <- l;
+    let m = ref 0 in
     Array.iter
       (fun h ->
-        if fact t h then incr nfacts
-        else begin
-          let hl = Option.get (atom_lit t h) in
-          var_heads := hl :: !var_heads;
-          add_support t h
-            { s_lit = slit; s_pos = cbody.pos; s_neg = cbody.neg; s_choice = true }
+        if not (fact t h) then begin
+          incr m;
+          add_support t h i
         end)
       heads;
-    let hs = Array.of_list !var_heads in
-    let m = Array.length hs in
+    let m = !m and nfacts = Array.length heads - !m in
     let body_false () =
-      match slit with
-      | None -> Sat.add_clause t.sat []
-      | Some l -> Sat.add_clause t.sat [ Sat.Lit.negate l ]
+      if l = always then Sat.add_clause t.sat [] else Sat.add_clause t.sat [ Sat.Lit.negate l ]
+    in
+    (* [sum lits <= cap] over the head literals, each negated when [negate],
+       conditioned on the body with weight [w]: [w*body + sum <= cap + w] *)
+    let add_bound ~negate ~w cap =
+      let guard = if l = always then 0 else 1 in
+      let ws = Array.make (m + guard) 1 and ls = Array.make (m + guard) 0 in
+      if guard = 1 then begin
+        ws.(0) <- w;
+        ls.(0) <- l
+      end;
+      let k = ref guard in
+      Array.iter
+        (fun h ->
+          if not (fact t h) then begin
+            let hl = Sat.Lit.pos t.var_of_atom.(h) in
+            ls.(!k) <- (if negate then Sat.Lit.negate hl else hl);
+            incr k
+          end)
+        heads;
+      Sat.add_pb_le_arrays t.sat ws ls (if guard = 1 then cap + w else cap)
     in
     (match lb with
     | Some lb ->
-      let lb = lb - !nfacts in
+      let lb = lb - nfacts in
       if lb > m then body_false ()
-      else if lb > 0 then begin
-        (* body -> at least lb of hs:  sum(not h) + lb*body <= m *)
-        let entries = Array.to_list (Array.map (fun h -> (1, Sat.Lit.negate h)) hs) in
-        match slit with
-        | None -> Sat.add_pb_le t.sat entries (m - lb)
-        | Some l -> Sat.add_pb_le t.sat ((lb, l) :: entries) m
-      end
+      else if lb > 0 then
+        (* body -> at least lb of the heads:  sum(not h) + lb*body <= m *)
+        add_bound ~negate:true ~w:lb (m - lb)
     | None -> ());
     match ub with
     | Some ub ->
-      let ub = ub - !nfacts in
+      let ub = ub - nfacts in
       if ub < 0 then body_false ()
-      else if ub < m then begin
-        (* body -> at most ub of hs:  sum(h) + (m-ub)*body <= m *)
-        let entries = Array.to_list (Array.map (fun h -> (1, h)) hs) in
-        match slit with
-        | None -> Sat.add_pb_le t.sat entries ub
-        | Some l -> Sat.add_pb_le t.sat ((m - ub, l) :: entries) m
-      end
+      else if ub < m then
+        (* body -> at most ub of the heads:  sum(h) + (m-ub)*body <= m *)
+        add_bound ~negate:false ~w:(m - ub) ub
     | None -> ()
 
 (* Does the positive dependency graph (head -> positive body atoms) have a
@@ -229,18 +258,28 @@ let has_positive_cycle (g : Ground.t) natoms =
   done;
   !cyclic
 
+(* The solver is created once, with room for every variable the
+   translation and {!Optimize.levels} can create.  A first pass numbers the
+   non-fact atoms the rules and minimize bodies mention, in the order they
+   are met, and bounds the rest: an auxiliary per body of two or more
+   literals, a selector per guarded constraint, the constant-false literal
+   and a group indicator per two minimize entries (only a group of two or
+   more bodies gets one). *)
 let build ~guard_constraints params (g : Ground.t) =
-  let natoms = Gatom.Store.count g.Ground.store in
-  let sat = Sat.create ~params () in
+  let store = g.Ground.store in
+  let natoms = Gatom.Store.count store in
   let var_of_atom = Array.make natoms (-1) in
-  (* allocate variables for every non-fact atom mentioned in the program *)
+  let nvars = ref 0 and extra = ref 1 in
   let touch id =
-    if var_of_atom.(id) < 0 && not (Gatom.Store.is_fact g.Ground.store id) then
-      var_of_atom.(id) <- Sat.new_var sat
+    if var_of_atom.(id) < 0 && not (Gatom.Store.is_fact store id) then begin
+      var_of_atom.(id) <- !nvars;
+      incr nvars
+    end
   in
   let touch_body (b : Ground.body) =
     Array.iter touch b.pos;
-    Array.iter touch b.neg
+    Array.iter touch b.neg;
+    if Array.length b.pos + Array.length b.neg >= 2 then incr extra
   in
   Vec.iter
     (function
@@ -250,18 +289,31 @@ let build ~guard_constraints params (g : Ground.t) =
       | Ground.Rchoice { heads; cbody; _ } ->
         Array.iter touch heads;
         touch_body cbody
-      | Ground.Rconstraint b -> touch_body b)
+      | Ground.Rconstraint b ->
+        Array.iter touch b.pos;
+        Array.iter touch b.neg;
+        if guard_constraints then incr extra)
     g.Ground.rules;
   Vec.iter (fun (m : Ground.min_entry) -> touch_body m.mbody) g.Ground.minimize;
+  extra := !extra + (Vec.length g.Ground.minimize / 2);
+  let sat = Sat.create ~params ~capacity:(!nvars + !extra) () in
+  for _ = 1 to !nvars do
+    ignore (Sat.new_var sat)
+  done;
   let t =
     {
       sat;
       ground = g;
       var_of_atom;
       supports = Array.make natoms [];
-      tight = true;
-      false_lit = None;
-      body_cache = Body_tbl.create 256;
+      tight = not (has_positive_cycle g natoms);
+      aux =
+        {
+          false_lit = None;
+          body_cache = Body_tbl.create 256;
+          buf = Ivec.create ();
+          rule_lit = Array.make (Vec.length g.Ground.rules) always;
+        };
     }
   in
   if g.Ground.inconsistent then Sat.add_clause sat [];
@@ -276,24 +328,22 @@ let build ~guard_constraints params (g : Ground.t) =
         let sel = Sat.Lit.pos (Sat.new_var sat) in
         add_constraint_clause t ~guard:(Sat.Lit.negate sel) b;
         selectors := (sel, i) :: !selectors
-      | r -> process_rule t r)
+      | r -> process_rule t i r)
     g.Ground.rules;
   (* completion: an atom needs at least one support *)
   Array.iteri
     (fun id v ->
       if v >= 0 then begin
-        let hlit = Sat.Lit.pos v in
-        let unconditional =
-          List.exists (fun s -> s.s_lit = None) t.supports.(id)
-        in
-        if not unconditional then begin
-          let slits = List.filter_map (fun s -> s.s_lit) t.supports.(id) in
-          Sat.add_clause sat (Sat.Lit.negate hlit :: slits)
+        let supports = t.supports.(id) in
+        if not (List.exists (fun r -> t.aux.rule_lit.(r) = always) supports) then begin
+          Ivec.clear t.aux.buf;
+          Ivec.push t.aux.buf (Sat.Lit.neg v);
+          List.iter (fun r -> Ivec.push t.aux.buf t.aux.rule_lit.(r)) supports;
+          Sat.add_clause_buf sat t.aux.buf
         end
       end)
     var_of_atom;
-  let tight = not (has_positive_cycle g natoms) in
-  ({ t with tight }, List.rev !selectors)
+  (t, List.rev !selectors)
 
 let translate ?(params = Sat.default_params) (g : Ground.t) =
   fst (build ~guard_constraints:false params g)

@@ -13,30 +13,33 @@
     dropped, a body that can never hold adds no clause, and a body of facts
     only adds the empty clause.
 
-    The translation also records, per atom, its supporting rules (body
-    auxiliary plus positive body atoms), which is what the unfounded-set check
-    in {!Stable} consumes, and whether the positive dependency graph is
-    cyclic (tight programs skip the stability check entirely). *)
+    The translation also records, per atom, its supporting rules (as rule
+    indices, whose body indicator and positive body atoms {!support_lit} and
+    {!support_pos} return), which is what the unfounded-set check in
+    {!Stable} consumes, and whether the positive dependency graph is
+    cyclic (tight programs skip the stability check entirely).
 
-type support = {
-  s_lit : Sat.lit option;  (** body indicator; [None] when the body is empty *)
-  s_pos : int array;  (** positive body atom ids *)
-  s_neg : int array;
-  s_choice : bool;  (** support comes from a choice rule *)
-}
+    The solver is created once, at its final size: a first pass over the
+    rules and minimize bodies numbers the atom variables (in the order the
+    atoms are met) and bounds the auxiliaries still to come, including the indicators {!Optimize.levels} adds, so {!Sat.new_var}
+    never regrows the solver's arrays during translation.  Clauses are built
+    in one reused literal buffer ({!Sat.add_clause_buf}), and a choice
+    rule's cardinality bounds go to {!Sat.add_pb_le_arrays} as arrays. *)
 
-module Body_tbl : Hashtbl.S with type key = Ground.body
-(** Bodies hashed by their atom-id tuples (used to share body auxiliaries). *)
+type aux
+(** The translation's own state: the shared auxiliaries of multi-literal
+    bodies (of rules and minimize entries), each rule's body indicator, the
+    constant-false literal and a clause buffer. *)
 
 type t = {
   sat : Sat.t;
   ground : Ground.t;
   var_of_atom : int array;  (** ground atom id -> solver var, or -1 *)
-  supports : support list array;  (** ground atom id -> supporting rules *)
+  supports : int list array;
+      (** ground atom id -> the rules with it in their head, as indices
+          into [ground.rules] *)
   tight : bool;  (** no cycle in the positive dependency graph *)
-  mutable false_lit : Sat.lit option;  (** lazily created constant-false literal *)
-  body_cache : Sat.lit option Body_tbl.t;
-      (** shared body auxiliaries of rules and minimize entries *)
+  aux : aux;
 }
 
 val translate : ?params:Sat.params -> Ground.t -> t
@@ -52,6 +55,13 @@ val translate_with_selectors :
     equisatisfiable with {!translate}; on UNSAT, {!Sat.last_core} is a set of
     selectors whose constraints suffice for the conflict (the aspcud-style
     unsat-core setup used by {!Explain}). *)
+
+val support_lit : t -> int -> Sat.lit option
+(** [support_lit t r]: the indicator literal of the body of rule [r], one
+    of the rules in [supports]; [None] when the body always holds. *)
+
+val support_pos : t -> int -> int array
+(** The positive body atom ids of rule [r]. *)
 
 val atom_lit : t -> int -> Sat.lit option
 (** Solver literal of a ground atom id ([None] for atoms with no variable:

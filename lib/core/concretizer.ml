@@ -9,6 +9,7 @@ type success = {
   n_possible : int;
   ground_stats : Asp.Grounder.stats;
   sat_stats : Asp.Sat.stats;
+  solve_steps : Asp.Phases.steps;
   verified : bool;
 }
 
@@ -173,7 +174,7 @@ let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_
         else Diagnose.explain ~env ~repo roots
       in
       Unsatisfiable { phases; n_facts; n_possible; reasons }
-    | Asp.Solve.Model { answer; costs; quality; sat_stats; verified; _ } ->
+    | Asp.Solve.Model { answer; costs; quality; sat_stats; verified; steps; _ } ->
       let info = Extract.of_index (Asp.Answer.of_list answer) in
       Concrete
         {
@@ -187,6 +188,7 @@ let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_
           n_possible;
           ground_stats;
           sat_stats;
+          solve_steps = steps;
           verified;
         })
 

@@ -24,6 +24,7 @@ type success = {
   n_possible : int;  (** possible dependencies considered (Fig. 7's x-axis) *)
   ground_stats : Asp.Grounder.stats;
   sat_stats : Asp.Sat.stats;
+  solve_steps : Asp.Phases.steps;  (** the parts of [phases.solve_time] *)
   verified : bool;
   (** the spec passed independent model verification ({!Asp.Verify});
       [false] only when [config.verify] is off — a model that {e fails}

@@ -12,6 +12,7 @@ type solution = {
   n_sets : int;
   ground_stats : Asp.Grounder.stats;
   sat_stats : Asp.Sat.stats;
+  solve_steps : Asp.Phases.steps;
 }
 
 type result =
@@ -182,7 +183,7 @@ let solve_with ?params ?(config = Asp.Config.default) ?budget ?pool ?racers
         else heuristic_reasons doc
       in
       Unsatisfiable { reasons; phases; n_facts }
-    | Asp.Solve.Model { answer; costs; quality; sat_stats; verified; _ } ->
+    | Asp.Solve.Model { answer; costs; quality; sat_stats; verified; steps; _ } ->
       let state = decode_state answer in
       let removed, installed_new, changed = diff_state doc state in
       Solution
@@ -200,6 +201,7 @@ let solve_with ?params ?(config = Asp.Config.default) ?budget ?pool ?racers
           n_sets = enc.Encode.n_sets;
           ground_stats;
           sat_stats;
+          solve_steps = steps;
         })
 
 let solve = solve_with ?params:None

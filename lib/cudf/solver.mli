@@ -21,6 +21,7 @@ type solution = {
   n_sets : int;
   ground_stats : Asp.Grounder.stats;
   sat_stats : Asp.Sat.stats;
+  solve_steps : Asp.Phases.steps;  (** the parts of [phases.solve_time] *)
 }
 
 type result =

@@ -291,6 +291,8 @@ let success_of_json j =
       n_possible;
       ground_stats;
       sat_stats;
+      (* like the ground-step times, the solve-step times are not carried *)
+      solve_steps = Asp.Phases.no_steps;
       verified;
     }
 

@@ -286,20 +286,33 @@ EOF
 out=$(timeout 60 dune exec bin/cudf_solve.exe -- --synth 200 --stats)
 echo "$out" | grep -q "optimality proven at every level"
 echo "$out" | grep -q "verified: independent model check passed"
-# the ground steps (seed, closure, emission) are parts of the ground phase:
-# their sum may exceed it by 5%, plus 2 ms for rounding four figures to the
-# millisecond
-steps=$(timeout 60 dune exec bin/cudf_solve.exe -- --synth 1000 --stats)
+# the ground steps (seed, closure, emission) are parts of the ground phase,
+# and the solve steps (translate, search, optimize, verify) parts of the
+# solve phase: each sum may exceed its phase by 5%, plus 2 ms for rounding
+# the figures to the millisecond
+for cmd in "bin/cudf_solve.exe -- --synth 1000 --stats" \
+           "bin/spack_solve.exe -- --repo 300 --stats app-007"; do
+steps=$(timeout 60 dune exec $cmd)
 python3 - "$steps" << 'EOF'
 import re, sys
 out = sys.argv[1]
-ground = float(re.search(r"^Phases: .*, ground ([0-9.]+)s,", out, re.M).group(1))
+phases = re.search(r"^Phases: .*, ground ([0-9.]+)s, solve ([0-9.]+)s", out, re.M)
+assert phases, "no Phases line:\n" + out
+ground, solve = float(phases.group(1)), float(phases.group(2))
 m = re.search(r"^Ground steps: seed ([0-9.]+)s, close ([0-9.]+)s, emit ([0-9.]+)s$", out, re.M)
 assert m, "no Ground steps line:\n" + out
 parts = [float(x) for x in m.groups()]
 assert sum(parts) <= ground * 1.05 + 0.002, (parts, ground)
 print("ground steps: seed %.3fs + close %.3fs + emit %.3fs of ground %.3fs" % (*parts, ground))
+m = re.search(r"^Solve steps: translate ([0-9.]+)s, search ([0-9.]+)s, optimize ([0-9.]+)s, "
+              r"verify ([0-9.]+)s$", out, re.M)
+assert m, "no Solve steps line:\n" + out
+parts = [float(x) for x in m.groups()]
+assert sum(parts) <= solve * 1.05 + 0.002, (parts, solve)
+print("solve steps: translate %.3fs + search %.3fs + optimize %.3fs + verify %.3fs of solve %.3fs"
+      % (*parts, solve))
 EOF
+done
 # the portfolio race must prove and verify the same cost vector
 raced=$(timeout 60 dune exec bin/cudf_solve.exe -- -j 2 --synth 200 --stats)
 echo "$raced" | grep -q "optimality proven at every level"

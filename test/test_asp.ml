@@ -244,6 +244,38 @@ let test_maximize () =
     (Asp.Solve.holds o "take" [ Asp.Term.str "gold" ]);
   Alcotest.(check (list (pair int int))) "negated cost" [ (1, -10) ] o.Asp.Solve.costs
 
+(* Every model of these programs is optimal, so the first one is: the
+   minimize levels exist before the first search, which therefore needs no
+   second solve to give their indicators values.  The programs use a group
+   of several bodies (one indicator for the group) and bodies of two
+   literals (an auxiliary each). *)
+let test_first_model_optimal () =
+  let programs =
+    [
+      ("one group", "1 { a; b } 1. #minimize { 1@1,x : a; 1@1,x : b }.", [ (1, 1) ]);
+      ( "two-literal bodies",
+        "{ a; b }. #minimize { 1@1,y : a, not b; 1@1,y : b, not a; 1@1,y : a, b; 1@1,y : not a, not b }.",
+        [ (1, 1) ] );
+      ( "two levels",
+        "{ a; b }. c :- a. c :- b. d :- not c. #minimize { 2@2 : c; 2@2 : d }. #minimize { 1@1,z : c; 1@1,z : d }.",
+        [ (2, 2); (1, 1) ] );
+    ]
+  in
+  List.iter
+    (fun strategy ->
+      let config = Asp.Config.make ~strategy () in
+      List.iter
+        (fun (name, src, costs) ->
+          let msg = Asp.Config.strategy_name strategy ^ ", " ^ name in
+          match solve ~config src with
+          | Asp.Solve.Sat o ->
+            Alcotest.(check int) (msg ^ ": models") 1 o.Asp.Solve.models_enumerated;
+            Alcotest.(check (list (pair int int))) (msg ^ ": costs") costs
+              (List.filter (fun (_, v) -> v <> 0) o.Asp.Solve.costs)
+          | _ -> Alcotest.fail (msg ^ ": expected SAT"))
+        programs)
+    [ Asp.Config.Bb; Asp.Config.Usc ]
+
 let test_cycle_detection_path () =
   (* the paper's acyclicity program *)
   let src =
@@ -670,6 +702,52 @@ let prop_optimal_cost_matches_naive =
           let nonzero = List.filter (fun (_, v) -> v <> 0) in
           nonzero o.Asp.Solve.costs = nonzero best_costs))
 
+(* [gen_small_program] with #minimize statements: weights from -2 to 3,
+   two priorities, three tuples (so a group often has several bodies) and
+   bodies of one or two literals, negated ones among them. *)
+let gen_small_min_program =
+  let open QCheck in
+  let atom = Gen.oneofl [ "a"; "b"; "c"; "d"; "e" ] in
+  let lit =
+    Gen.map2
+      (fun neg a -> if neg then Asp.Ast.Neg (Asp.Ast.atom a []) else Asp.Ast.Pos (Asp.Ast.atom a []))
+      Gen.bool atom
+  in
+  let element =
+    Gen.map3
+      (fun (w, p) t guard ->
+        {
+          Asp.Ast.weight = Asp.Ast.cst_int w;
+          priority = Asp.Ast.cst_int p;
+          tuple = [ Asp.Ast.cst_str t ];
+          guard;
+        })
+      (Gen.pair (Gen.int_range (-2) 3) (Gen.int_range 1 2))
+      (Gen.oneofl [ "x"; "y"; "z" ])
+      (Gen.list_size (Gen.int_range 1 2) lit)
+  in
+  let minimize = Gen.map (fun es -> Asp.Ast.Minimize es) (Gen.list_size (Gen.int_range 1 3) element) in
+  make
+    ~print:(fun p -> Format.asprintf "%a" Asp.Ast.pp_program p)
+    (Gen.map2 ( @ ) (QCheck.gen gen_small_program) (Gen.list_size (Gen.int_range 1 3) minimize))
+
+let prop_strategies_match_naive =
+  QCheck.Test.make ~count:200 ~name:"bb and usc optima match naive on #minimize"
+    gen_small_min_program (fun prog ->
+      let nonzero = List.filter (fun (_, v) -> v <> 0) in
+      let expected =
+        match Asp.Naive.optimal_models prog with
+        | [] -> None
+        | (_, costs) :: _ -> Some (nonzero costs)
+      in
+      List.for_all
+        (fun strategy ->
+          match Asp.Solve.solve_program ~config:(Asp.Config.make ~strategy ()) prog with
+          | Asp.Solve.Interrupted _ -> false
+          | Asp.Solve.Unsat _ -> expected = None
+          | Asp.Solve.Sat o -> expected = Some (nonzero o.Asp.Solve.costs))
+        [ Asp.Config.Bb; Asp.Config.Usc ])
+
 let prop_enumerate_matches_naive =
   QCheck.Test.make ~count:200 ~name:"model enumeration matches naive (no optimization)"
     gen_small_program (fun prog ->
@@ -695,16 +773,8 @@ let prop_usc_matches_bb =
       solve Asp.Config.Bb = solve Asp.Config.Usc)
 
 (* ------------------------------------------------------------------ *)
-(* Bound positive literals                                             *)
+(* Choice rules whose body mentions their heads                        *)
 (* ------------------------------------------------------------------ *)
-
-(* Once every argument of a positive body literal is bound, the grounder
-   looks its one possible atom up instead of scanning an index.  These
-   programs hold such literals with constant, function-term and arithmetic
-   arguments, present and absent atoms, and (in extensions) atoms on either
-   side of the semi-naive bound.  Each answer set list is checked twice:
-   against [Asp.Naive] over the whole program, and against the expected
-   atoms written out by hand. *)
 
 let models_strings ?(only = fun _ -> true) models =
   List.map
@@ -716,6 +786,86 @@ let models_strings ?(only = fun _ -> true) models =
       |> List.sort compare)
     models
   |> List.sort compare
+
+(* A choice rule's cardinality bounds become pseudo-Boolean constraints
+   over its head literals and its body's indicator.  When the indicator is
+   a head's literal or its negation, the constraint has a repeated or a
+   complementary literal, which the solver merges before adding it; the
+   answers must not change.  Enumeration runs without verification, which
+   would drop a wrong model instead of reporting it. *)
+let unverified_models prog =
+  models_strings (Asp.Solve.enumerate ~config:(Asp.Config.make ~verify:false ()) prog)
+
+let test_choice_body_heads () =
+  List.iter
+    (fun src ->
+      let prog = Asp.Parser.parse src in
+      Alcotest.(check (list (list string))) src
+        (models_strings (Asp.Naive.stable_models prog))
+        (unverified_models prog))
+    [
+      "1 { a; b } 1 :- a.";
+      "1 { a; b } 1 :- not a.";
+      "{ a }. 2 { a; b; c } :- a.";
+      "{ a }. 1 { a; b; c } 1 :- not a.";
+      "{ c }. 1 { a; b } 1 :- b, c.";
+      "{ a }. { b; c } 1 :- a, not b.";
+      "{ d }. 2 { a; b; c } 2 :- not a, d.";
+    ]
+
+let prop_choice_body_heads =
+  let open QCheck in
+  let head = Gen.oneofl [ "a"; "b"; "c" ] in
+  let lit =
+    Gen.map2
+      (fun neg a -> if neg then Asp.Ast.Neg (Asp.Ast.atom a []) else Asp.Ast.Pos (Asp.Ast.atom a []))
+      Gen.bool
+      (Gen.oneofl [ "a"; "b"; "c"; "d" ])
+  in
+  let choice =
+    Gen.map3
+      (fun heads (lb, ub) body ->
+        Asp.Ast.Rule
+          {
+            head =
+              Asp.Ast.Head_choice
+                {
+                  lb = Option.map Asp.Ast.cst_int lb;
+                  ub = Option.map Asp.Ast.cst_int ub;
+                  elems = List.map (fun a -> { Asp.Ast.elem = Asp.Ast.atom a []; guard = [] }) heads;
+                };
+            body;
+            line = 0;
+          })
+      (Gen.list_size (Gen.int_range 1 3) head)
+      (Gen.pair (Gen.opt (Gen.int_range 0 3)) (Gen.opt (Gen.int_range 0 3)))
+      (Gen.list_size (Gen.int_range 1 2) lit)
+  in
+  let rule =
+    Gen.map2
+      (fun h body -> Asp.Ast.Rule { head = Asp.Ast.Head_atom (Asp.Ast.atom h []); body; line = 0 })
+      (Gen.oneofl [ "a"; "b"; "c"; "d" ])
+      (Gen.list_size (Gen.int_range 0 2) lit)
+  in
+  Test.make ~count:300 ~name:"choice bodies over their heads match naive"
+    (make
+       ~print:(fun p -> Format.asprintf "%a" Asp.Ast.pp_program p)
+       (Gen.map2 ( @ ) (Gen.list_size (Gen.int_range 1 3) choice)
+          (Gen.list_size (Gen.int_range 0 3) rule)))
+    (fun prog ->
+      models_strings (Asp.Naive.stable_models prog) = unverified_models prog)
+
+(* ------------------------------------------------------------------ *)
+(* Bound positive literals                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Once every argument of a positive body literal is bound, the grounder
+   looks its one possible atom up instead of scanning an index.  These
+   programs hold such literals with constant, function-term and arithmetic
+   arguments, present and absent atoms, and (in extensions) atoms on either
+   side of the semi-naive bound.  Each answer set list is checked twice:
+   against [Asp.Naive] over the whole program, and against the expected
+   atoms written out by hand. *)
 
 let derived = function "p" | "r" | "e" -> false | _ -> true
 
@@ -1236,6 +1386,8 @@ let () =
         prop_optimal_cost_matches_naive;
         prop_usc_matches_bb;
         prop_enumerate_matches_naive;
+        prop_strategies_match_naive;
+        prop_choice_body_heads;
       ]
   in
   Alcotest.run "asp"
@@ -1273,6 +1425,7 @@ let () =
           Alcotest.test_case "forced cost" `Quick test_optimization_forced_cost;
           Alcotest.test_case "multi level" `Quick test_multi_level_optimization;
           Alcotest.test_case "maximize" `Quick test_maximize;
+          Alcotest.test_case "first model optimal" `Quick test_first_model_optimal;
         ] );
       ( "grounder",
         [
@@ -1298,6 +1451,8 @@ let () =
           Alcotest.test_case "condition triggers choice" `Quick
             test_condition_triggers_choice;
         ] );
+      ( "choice rules",
+        [ Alcotest.test_case "body among the heads" `Quick test_choice_body_heads ] );
       ( "bound lookup",
         [
           Alcotest.test_case "constant, function and arithmetic" `Quick test_bound_literals;

@@ -476,6 +476,63 @@ let prop_binary_heavy =
            List.iter (fun l -> check (sat (cnf @ units (List.filter (( <> ) l) small)))) small);
       !ok)
 
+(* A solver created with a capacity takes the same steps as one that grows
+   from the default size: the same answer, model, conflicts, decisions and
+   propagations, before and after variables are added past the capacity
+   (some capacities are below the instance's variable count, some above).
+   The shared per-literal lists stay empty throughout. *)
+let prop_capacity =
+  let open QCheck in
+  let nvars = 20 in
+  let lit = Gen.map2 (fun v s -> if s then pos v else neg v) (Gen.int_bound (nvars - 1)) Gen.bool in
+  let clause = Gen.list_size (Gen.int_range 1 4) lit in
+  let gen =
+    make
+      ~print:(fun (capacity, cnf, extra) ->
+        let cl c = "(" ^ String.concat "|" (List.map string_of_int c) ^ ")" in
+        Printf.sprintf "capacity %d: %s, then %s" capacity
+          (String.concat " & " (List.map cl cnf))
+          (String.concat " & " (List.map cl extra)))
+      Gen.(
+        triple (int_bound (2 * nvars)) (list_size (int_range 1 90) clause)
+          (list_size (int_range 1 10) clause))
+  in
+  Test.make ~count:300 ~name:"capacity changes no answer or step" gen
+    (fun (capacity, cnf, extra) ->
+      let run s =
+        let vars = Array.init nvars (fun _ -> S.new_var s) in
+        List.iter (S.add_clause s) cnf;
+        let steps () =
+          let st = S.stats s in
+          let model = match S.solve s with S.Sat -> Some (S.model_true_vars s) | S.Unsat -> None in
+          (model, st.S.conflicts, st.S.decisions, st.S.propagations)
+        in
+        let first = steps () in
+        (* the extra clauses are over fresh variables, numbered past the
+           first ones, each tied to an old variable *)
+        let fresh = Array.init nvars (fun _ -> S.new_var s) in
+        Array.iteri (fun i v -> S.add_clause s [ neg v; pos vars.(i) ]) fresh;
+        List.iter (fun c -> S.add_clause s (List.map (fun l -> l + (2 * nvars)) c)) extra;
+        (first, steps (), S.num_vars s, S.heap_ok s)
+      in
+      let grown = run (S.create ()) in
+      let sized = run (S.create ~capacity ()) in
+      grown = sized && S.shared_lists_empty ())
+
+let test_capacity_growth () =
+  let s = S.create ~capacity:4 () in
+  let vars = Array.init 100 (fun _ -> S.new_var s) in
+  (* a chain forcing every variable true, and the last one false *)
+  S.add_clause s [ pos vars.(0) ];
+  for i = 1 to 99 do
+    S.add_clause s [ neg vars.(i - 1); pos vars.(i) ]
+  done;
+  Alcotest.(check bool) "sat" true (S.solve s = S.Sat);
+  Alcotest.(check bool) "all true" true (Array.for_all (fun v -> S.value s (pos v)) vars);
+  S.add_clause s [ neg vars.(99) ];
+  Alcotest.(check bool) "unsat" true (S.solve s = S.Unsat);
+  Alcotest.(check bool) "shared lists untouched" true (S.shared_lists_empty ())
+
 let test_binary_portfolio_lists () =
   (* a ground program of mostly two-literal clauses, raced on other
      domains: the shared binary list stays empty throughout *)
@@ -510,6 +567,7 @@ let () =
         prop_pb_bound_respected;
         prop_heap_invariant;
         prop_binary_heavy;
+        prop_capacity;
       ]
   in
   Alcotest.run "sat"
@@ -521,6 +579,7 @@ let () =
           Alcotest.test_case "empty clause" `Quick test_empty_clause;
           Alcotest.test_case "tautology" `Quick test_tautology_ignored;
           Alcotest.test_case "pigeonhole" `Quick test_pigeonhole_unsat;
+          Alcotest.test_case "growth past capacity" `Quick test_capacity_growth;
         ] );
       ( "pseudo-boolean",
         [
