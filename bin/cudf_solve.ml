@@ -58,7 +58,10 @@ let print_result ~stack ~show_stats ~show_state result =
         st.Asp.Sat.conflicts st.Asp.Sat.decisions st.Asp.Sat.restarts;
       print_endline (Asp.Phases.to_line s.Cudf.Solver.phases);
       print_endline (Asp.Grounder.steps_line g);
-      print_endline (Asp.Phases.steps_line s.Cudf.Solver.solve_steps)
+      print_endline (Asp.Phases.steps_line s.Cudf.Solver.solve_steps);
+      print_endline
+        (Asp.Optimize.descent_line ~costs:s.Cudf.Solver.costs
+           ~descent_searches:s.Cudf.Solver.descent_searches)
     end;
     0
 

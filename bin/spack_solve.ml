@@ -72,7 +72,10 @@ let print_result repo show_stats validate spec_text result =
           print_newline ();
           print_endline (Asp.Phases.to_line s.Concretize.Concretizer.phases);
           print_endline (Asp.Grounder.steps_line g);
-          print_endline (Asp.Phases.steps_line s.Concretize.Concretizer.solve_steps)
+          print_endline (Asp.Phases.steps_line s.Concretize.Concretizer.solve_steps);
+          print_endline
+            (Asp.Optimize.descent_line ~costs:s.Concretize.Concretizer.costs
+               ~descent_searches:s.Concretize.Concretizer.descent_searches)
         end;
         0
 

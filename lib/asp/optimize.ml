@@ -1,6 +1,8 @@
 (* Lexicographic optimization over the ground [#minimize] entries.  [run]
-   builds every level's indicators first, searches once for a first stable
-   model, and then descends level by level from that model. *)
+   builds every level's indicators first, has the first search decide them
+   toward zero cost, searches once for a first stable model, and then
+   descends level by level from that model, skipping each level the model
+   already has at cost 0. *)
 
 type level = { priority : int; entries : (int * Sat.lit) list; offset : int }
 
@@ -96,6 +98,7 @@ type quality = [ `Optimal | `Degraded of (int * int) list ]
 type outcome = {
   costs : (int * int) list;
   models_enumerated : int;
+  descent_searches : int;
   quality : quality;
   search_time : float;
   optimize_time : float;
@@ -216,15 +219,24 @@ let usc_level sat ~(solve : ?assumptions:Sat.lit list -> unit -> Sat.result) ~bu
 
 let run ?(strategy = Config.Bb) ?(budget = Budget.unlimited) (t : Translate.t) ~on_model =
   let sat = t.Translate.sat in
-  let models = ref 0 in
+  let models = ref 0 and searches = ref 0 in
   let solve ?assumptions () =
+    incr searches;
     let r = Sat.solve ?assumptions ~on_model ~budget sat in
     if r = Sat.Sat then incr models;
     r
   in
-  (* the levels' indicators exist before the first search, which assigns
-     them like every other variable: the first model can be evaluated *)
-  let lvls, levels_time = Phases.time (fun () -> levels t) in
+  (* the levels' indicators exist before the first search, which decides
+     them false first, highest priority first (the objective-driven sign
+     and level heuristic of clasp): where every level's optimum is 0 the
+     first model already meets it and the descent runs no search *)
+  let lvls, levels_time =
+    Phases.time (fun () ->
+        let lvls = levels t in
+        Sat.set_preferred sat
+          (List.concat_map (fun l -> List.map (fun (_, y) -> Sat.Lit.negate y) l.entries) lvls);
+        lvls)
+  in
   Budget.enter budget Budget.Search;
   match Phases.time (fun () -> solve ()) with
   | Sat.Unsat, _ -> None
@@ -273,7 +285,12 @@ let run ?(strategy = Config.Bb) ?(budget = Budget.unlimited) (t : Translate.t) ~
       {
         costs;
         models_enumerated = !models;
+        descent_searches = !searches - 1;
         quality;
         search_time;
         optimize_time = levels_time +. (Unix.gettimeofday () -. t0);
       }
+
+let descent_line ~costs ~descent_searches =
+  Printf.sprintf "Optimize: %d levels, %d descent searches" (List.length costs)
+    descent_searches

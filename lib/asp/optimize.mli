@@ -14,7 +14,10 @@
     The levels' indicator literals are built before the first search, as
     clasp receives a program together with its objective: the first model
     already assigns them, so the descent starts from it without a second
-    solve. *)
+    solve.  That search decides them first ({!Sat.set_preferred}): the
+    negation of every level's entries, highest priority first, so a first
+    model meets each level whose optimum is 0, and the descent skips such
+    a level without a search. *)
 
 type level = {
   priority : int;
@@ -42,11 +45,16 @@ type outcome = {
   (** (priority, value) per level: the optimum for completed levels, the
       returned model's value for degraded ones *)
   models_enumerated : int;  (** SAT answers seen during descent *)
+  descent_searches : int;  (** searches after the first one *)
   quality : quality;
   search_time : float;  (** wall seconds up to the first stable model *)
   optimize_time : float;
       (** wall seconds building the levels and descending through them *)
 }
+
+val descent_line : costs:(int * int) list -> descent_searches:int -> string
+(** ["Optimize: 14 levels, 0 descent searches"], the line [--stats] prints
+    under [Solve steps:]; [costs] has one entry per level. *)
 
 val run :
   ?strategy:Config.strategy ->

@@ -34,6 +34,7 @@ type model = {
   quality : Optimize.quality;
   sat_stats : Sat.stats;
   models_enumerated : int;
+  descent_searches : int;
   verified : bool;
   steps : Phases.steps;
 }
@@ -54,31 +55,27 @@ let cancelled_info =
     progress = { Budget.conflicts = 0; instances = 0; opt_steps = 0 };
   }
 
-(* One configuration on the calling domain: translate, seed [hints],
-   optimize, then verify on a fresh unlimited budget — [budget] may have
+(* One configuration on the calling domain: translate, optimize, then
+   verify on a fresh unlimited budget — [budget] may have
    expired producing a degraded (but checkable) model. *)
-let solve_once ?hints ~verify ~params ~strategy ~budget ground =
-  let t, translate_time =
-    Phases.time (fun () ->
-        let t = Translate.translate ~params ground in
-        Option.iter (fun h -> h t) hints;
-        t)
-  in
+let solve_once ~verify ~params ~strategy ~budget ground =
+  let t, translate_time = Phases.time (fun () -> Translate.translate ~params ground) in
   match Optimize.run ~strategy ~budget t ~on_model:(Stable.hook t) with
   | None -> Proved_unsat
-  | Some { Optimize.costs; models_enumerated; quality; search_time; optimize_time } -> (
+  | Some ({ Optimize.search_time; optimize_time; _ } as o) -> (
     let checked, verify_time =
       Phases.time (fun () ->
-          if verify then Some (Verify.check_translation ~costs t) else None)
+          if verify then Some (Verify.check_translation ~costs:o.costs t) else None)
     in
     let model verified =
       Model
         {
           answer = Translate.answer t;
-          costs;
-          quality;
+          costs = o.costs;
+          quality = o.quality;
           sat_stats = Sat.stats t.Translate.sat;
-          models_enumerated;
+          models_enumerated = o.models_enumerated;
+          descent_searches = o.descent_searches;
           verified;
           steps = { Phases.translate_time; search_time; optimize_time; verify_time };
         }
@@ -88,7 +85,7 @@ let solve_once ?hints ~verify ~params ~strategy ~budget ground =
     | Some (Ok ()) -> model true
     | Some (Error vs) -> Quarantined { violations = Verify.describe_all ground vs })
 
-let run_racer ~hints ~verify ~race_token ~budget ground racer =
+let run_racer ~verify ~race_token ~budget ground racer =
   (* a racer that starts after the race is decided must not pay for a
      translation: losing promptly is the point of the cancel protocol *)
   if Budget.is_cancelled race_token then Gave_up cancelled_info
@@ -98,7 +95,7 @@ let run_racer ~hints ~verify ~race_token ~budget ground racer =
     (* [solve_once] verifies BEFORE the cancel below: a bogus model must
        never end the race *)
     match
-      solve_once ?hints ~verify ~params ~strategy:racer.rstrategy
+      solve_once ~verify ~params ~strategy:racer.rstrategy
         ~budget:(Budget.sibling ~cancel:race_token budget)
         ground
     with
@@ -172,7 +169,7 @@ let combine attempts =
             | _ -> ba)
           (List.hd attempts) (List.tl attempts)))
 
-let race ~pool ?hints ?(verify = true) ~racers ~budget ground =
+let race ~pool ?(verify = true) ~racers ~budget ground =
   if racers = [] then invalid_arg "Portfolio.race: no racers";
   let race_token =
     match Budget.cancel_token_of budget with
@@ -182,7 +179,7 @@ let race ~pool ?hints ?(verify = true) ~racers ~budget ground =
   let results =
     Pool.map_list pool
       (fun racer ->
-        (racer.rname, run_racer ~hints ~verify ~race_token ~budget ground racer))
+        (racer.rname, run_racer ~verify ~race_token ~budget ground racer))
       racers
   in
   { attempt = combine (List.map snd results); attempts = results }

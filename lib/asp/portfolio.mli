@@ -12,7 +12,9 @@
     What is shared between racers is immutable during the race: the ground
     program ({!Ground.t} including its atom store) and the global interned
     term table.  Each racer builds its own {!Sat} state via
-    {!Translate.translate}, so no solver state crosses domains.
+    {!Translate.translate}, so no solver state crosses domains.  Each
+    racer's first search decides the objective first ({!Optimize.run})
+    and then follows its own seed's heuristic.
 
     Cancellation protocol: every racer's budget shares one {e race token},
     a {!Budget.child_token} of the caller's token when there is one.  A
@@ -50,6 +52,7 @@ type model = {
   quality : Optimize.quality;  (** optimal iff [`Optimal] *)
   sat_stats : Sat.stats;
   models_enumerated : int;
+  descent_searches : int;  (** {!Optimize.outcome}'s *)
   verified : bool;  (** passed {!Verify} (always true when verifying) *)
   steps : Phases.steps;  (** how long this run's solve steps took *)
 }
@@ -72,7 +75,6 @@ type outcome = {
 }
 
 val solve_once :
-  ?hints:(Translate.t -> unit) ->
   verify:bool ->
   params:Sat.params ->
   strategy:Config.strategy ->
@@ -80,7 +82,7 @@ val solve_once :
   Ground.t ->
   attempt
 (** One configuration on the calling domain, as each racer runs it:
-    translate with [params], run [hints], optimize with [strategy], then,
+    translate with [params], optimize with [strategy], then,
     with [verify], re-check the model with {!Verify} on a fresh unlimited
     budget (so a [budget] that expired mid-descent cannot veto checking
     the degraded model).  Never [Gave_up]: a model that fails the check is
@@ -89,7 +91,6 @@ val solve_once :
 
 val race :
   pool:Pool.t ->
-  ?hints:(Translate.t -> unit) ->
   ?verify:bool ->
   racers:racer list ->
   budget:Budget.t ->
@@ -97,8 +98,7 @@ val race :
   outcome
 (** Race the configurations over the pool.  [budget] is the caller's armed
     budget: each racer gets a {!Budget.sibling} (same deadline and limits,
-    fresh counters) on the race token.  [hints] runs on each racer's fresh
-    translation before search (a frontend's phase seeding).
+    fresh counters) on the race token.
     With [verify] (default [true]) each winning model is independently
     re-checked {e before} the racer is allowed to cancel the others — the
     verify-then-cancel handshake; a failing model becomes {!Quarantined}

@@ -107,6 +107,8 @@ type t = {
   to_clear : Ivec.t;
   mutable max_learnts : float;
   mutable core : int list;  (* assumption core of the last Unsat-under-assumptions *)
+  mutable preferred : int array;  (* decided in order after the assumptions *)
+  mutable pref_next : int;  (* no literal before it is unassigned *)
 }
 
 (* The per-variable arrays start at [capacity] entries (at least 16) and
@@ -153,6 +155,8 @@ let create ?(params = default_params) ?(capacity = 16) () =
     to_clear = Ivec.create ();
     max_learnts = float_of_int params.learnt_start;
     core = [];
+    preferred = [||];
+    pref_next = 0;
   }
 
 let num_vars s = s.nvars
@@ -350,6 +354,7 @@ let cancel_until s level =
       heap_insert s v
     done;
     s.qhead <- bound;
+    s.pref_next <- 0;
     Ivec.shrink s.trail_lim level
   end
 
@@ -832,6 +837,18 @@ let analyze_final s confl =
 
 type result = Sat | Unsat
 
+(* The preferred list gives way to VSIDS with phase saving for good once
+   the solver has met this many conflicts. *)
+let preferred_conflicts = 16
+
+(* The first unassigned preferred literal, or [-1]. *)
+let next_preferred s =
+  let n = Array.length s.preferred in
+  while s.pref_next < n && lit_value s s.preferred.(s.pref_next) >= 0 do
+    s.pref_next <- s.pref_next + 1
+  done;
+  if s.pref_next < n then s.preferred.(s.pref_next) else -1
+
 let pick_branch_var s =
   let rec go () =
     if s.heap_len = 0 then -1
@@ -859,6 +876,7 @@ let solve ?(assumptions = []) ?(on_model = fun _ -> `Accept) ?(budget = Budget.u
       match propagate s with
       | Some confl ->
         s.stats.conflicts <- s.stats.conflicts + 1;
+        if s.stats.conflicts >= preferred_conflicts then s.preferred <- [||];
         decr conflicts_until_restart;
         if decision_level s = 0 then begin
           s.unsat <- true;
@@ -911,7 +929,8 @@ let solve ?(assumptions = []) ?(on_model = fun _ -> `Accept) ?(budget = Budget.u
             unchecked_enqueue s a Decision
         end
         else begin
-          let v = pick_branch_var s in
+          let p = next_preferred s in
+          let v = if p >= 0 then p lsr 1 else pick_branch_var s in
           if v < 0 then begin
             (* total assignment: consult the model hook *)
             match on_model s with
@@ -927,7 +946,7 @@ let solve ?(assumptions = []) ?(on_model = fun _ -> `Accept) ?(budget = Budget.u
           else begin
             s.stats.decisions <- s.stats.decisions + 1;
             Ivec.push s.trail_lim (Ivec.length s.trail);
-            let l = if s.phases.(v) then Lit.pos v else Lit.neg v in
+            let l = if p >= 0 then p else if s.phases.(v) then Lit.pos v else Lit.neg v in
             unchecked_enqueue s l Decision
           end
         end
@@ -992,4 +1011,8 @@ let shrink_core ?on_model ?(budget = Budget.unlimited) s core =
    with Budget.Exhausted _ -> minimal := false);
   (List.rev_append !necessary !pending, !minimal)
 
-let suggest_phase s l = s.phases.(l lsr 1) <- l land 1 = 0
+let set_preferred s lits =
+  if s.stats.conflicts < preferred_conflicts then begin
+    s.preferred <- Array.of_list lits;
+    s.pref_next <- 0
+  end

@@ -1,8 +1,9 @@
 (** A CDCL SAT solver with native pseudo-Boolean (cardinality) constraints.
 
     This plays the role of clasp's search core: conflict-driven clause
-    learning with two-watched-literal propagation, EVSIDS decision heuristic,
-    phase saving, Luby restarts, and activity-based deletion of learnt
+    learning with two-watched-literal propagation, EVSIDS decision heuristic
+    with phase saving (after a caller's preferred literals, see
+    {!set_preferred}), Luby restarts, and activity-based deletion of learnt
     clauses.  Like clasp's short-clause implication graph, two-literal
     clauses (most of what {!Translate} produces) are no clause records: each
     literal keeps a list of its binary partners, scanned before the watch
@@ -130,10 +131,15 @@ val current_lit_value : t -> lit -> int
     [0] false, [-1] unassigned.  Meant for [on_model] hooks, where the
     assignment is total. *)
 
-val suggest_phase : t -> lit -> unit
-(** Bias the decision heuristic so that, when the variable of [lit] is
-    branched on, [lit] is tried true first (until phase saving overrides
-    it).  Domain-aware polarity seeding, like clasp's [#heuristic]. *)
+val set_preferred : t -> lit list -> unit
+(** [set_preferred s lits] makes every search decide the unassigned
+    literals of [lits] in order, after the assumptions and before the
+    heuristic picks a variable.  The walk restarts from the head of the
+    list on every backtrack.  Once the solver has met 16 conflicts (since
+    its creation) the list is dropped for good, and a list set after that
+    is ignored: this is clasp's sign-and-level domain heuristic, confined
+    to the first searches.  It steers no answer, model check or core:
+    assumptions still come first. *)
 
 val last_core : t -> lit list
 (** After [solve ~assumptions] returned [Unsat]: a subset of the assumptions

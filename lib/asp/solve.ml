@@ -6,6 +6,7 @@ type outcome = {
   ground_stats : Grounder.stats;
   sat_stats : Sat.stats;
   models_enumerated : int;
+  descent_searches : int;
   ground_time : float;
   solve_time : float;
   solve_steps : Phases.steps;
@@ -43,16 +44,16 @@ type verdict =
    order steers CDCL away from whatever state triggered the bug); after a
    rejected model, a reseeded UNSAT proof means the rejected model was bogus
    and the independent verdict stands. *)
-let solve_ground_verified ?hints ~verify ~params ~strategy ~budget g =
+let solve_ground_verified ~verify ~params ~strategy ~budget g =
   let once params =
-    Portfolio.solve_once ?hints ~verify ~params ~strategy ~budget g
+    Portfolio.solve_once ~verify ~params ~strategy ~budget g
   in
   match once params with
   | Portfolio.Quarantined _ ->
     once { params with Sat.seed = params.Sat.seed + 7919 }
   | first -> first
 
-let solve_ground ~config ?params ?hints ?pool ?(racers = 1) ~budget g =
+let solve_ground ~config ?params ?pool ?(racers = 1) ~budget g =
   let { Config.strategy; verify; _ } = config in
   let params =
     match params with Some p -> p | None -> Config.params config.Config.preset
@@ -61,18 +62,18 @@ let solve_ground ~config ?params ?hints ?pool ?(racers = 1) ~budget g =
     match pool with
     | Some pool when racers > 1 -> (
       match
-        Portfolio.race ~pool ?hints ~verify
+        Portfolio.race ~pool ~verify
           ~racers:(Portfolio.racers ~config racers)
           ~budget g
       with
       | { Portfolio.attempt = Portfolio.Quarantined _; _ } ->
         (* every racer's model failed verification: a sequential
            reseeded re-solve of last resort *)
-        solve_ground_verified ?hints ~verify
+        solve_ground_verified ~verify
           ~params:{ params with Sat.seed = params.Sat.seed + 104729 }
           ~strategy ~budget g
       | { attempt; _ } -> attempt)
-    | _ -> solve_ground_verified ?hints ~verify ~params ~strategy ~budget g
+    | _ -> solve_ground_verified ~verify ~params ~strategy ~budget g
   with
   | exception Budget.Exhausted info -> Gave_up info
   | Portfolio.Model m -> Model m
@@ -123,30 +124,22 @@ let solve_program ?(config = Config.default) ?budget ?pool ?(jobs = 1) prog =
     match verdict with
     | Gave_up info -> Interrupted { info; ground_time; solve_time }
     | Proved_unsat -> Unsat { ground_time; solve_time }
-    | Model
-        {
-          Portfolio.answer;
-          costs;
-          quality;
-          sat_stats;
-          models_enumerated;
-          verified;
-          steps;
-        } ->
-      let answer = apply_show prog answer in
+    | Model m ->
+      let answer = apply_show prog m.answer in
       Sat
         {
           answer;
           index = lazy (Answer.of_list answer);
-          costs;
-          quality;
+          costs = m.costs;
+          quality = m.quality;
           ground_stats;
-          sat_stats;
-          models_enumerated;
+          sat_stats = m.sat_stats;
+          models_enumerated = m.models_enumerated;
+          descent_searches = m.descent_searches;
           ground_time;
           solve_time;
-          solve_steps = steps;
-          verified;
+          solve_steps = m.steps;
+          verified = m.verified;
         })
 
 let solve_text ?config ?budget src = solve_program ?config ?budget (Parser.parse src)

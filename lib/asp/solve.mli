@@ -6,6 +6,12 @@
     paper's instrumentation distinguishes {e load}, {e ground} and {e solve}
     phases; {e setup} — fact generation — happens in the caller).
 
+    No frontend steers the search: the first search decides the
+    objective's literals toward zero before its heuristic picks a variable
+    ({!Optimize.run}), which is what clasp's objective-driven heuristic
+    does for Spack's criteria, so both frontends solve the ground program
+    the same way and differ only in how they decode the model.
+
     Solves are budgeted (see {!Budget}): when the budget expires after a
     stable model is in hand the result is still [Sat], marked
     [`Degraded]; when it expires earlier the result is {!Interrupted}.
@@ -24,6 +30,7 @@ type outcome = {
   ground_stats : Grounder.stats;
   sat_stats : Sat.stats;
   models_enumerated : int;
+  descent_searches : int;  (** searches after the first ({!Optimize.outcome}) *)
   ground_time : float;  (** seconds *)
   solve_time : float;  (** translation + search + optimization, seconds *)
   solve_steps : Phases.steps;  (** the parts of [solve_time] *)
@@ -61,7 +68,6 @@ type verdict =
 val solve_ground :
   config:Config.t ->
   ?params:Sat.params ->
-  ?hints:(Translate.t -> unit) ->
   ?pool:Pool.t ->
   ?racers:int ->
   budget:Budget.t ->
@@ -70,15 +76,15 @@ val solve_ground :
 (** Solve an already-ground program.
 
     Sequentially (the default): translate with [params] (default: the
-    preset's), run [hints] (a frontend's phase seeding, see
-    {!Translate.suggest_phases}), optimize with [config.strategy], then
+    preset's), optimize with [config.strategy] (whose first search decides
+    the objective toward zero, see {!Optimize}), then
     re-check the model with {!Verify} on a fresh unlimited budget, so a
     budget that expired mid-descent cannot veto checking the degraded
     model.  A model that fails verification triggers one retry from a
     reseeded search.
 
     With a [pool] and [racers > 1]: {!Portfolio.race} [racers] diverse
-    configurations, each running [hints] on its own translation.  When
+    configurations, each on its own translation.  When
     every racer's model failed verification, the sequential runner
     rescues the solve from a seed shifted away from [params].
     @raise Solver_error.Error ([Verification_failed _]) when the

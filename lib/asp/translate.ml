@@ -361,17 +361,3 @@ let answer t =
     if atom_is_true t id then acc := Gatom.Store.atom t.ground.Ground.store id :: !acc
   done;
   !acc
-
-let suggest_phases preferred t =
-  let store = t.ground.Ground.store in
-  let fact pred args =
-    match Gatom.Store.find store (Gatom.make pred args) with
-    | Some id -> Gatom.Store.is_fact store id
-    | None -> false
-  in
-  for id = 0 to Gatom.Store.count store - 1 do
-    if preferred ~fact (Gatom.Store.atom store id) then
-      match atom_lit t id with
-      | Some l -> Sat.suggest_phase t.sat l
-      | None -> ()
-  done

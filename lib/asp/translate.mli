@@ -78,12 +78,3 @@ val atom_is_true : t -> int -> bool
 
 val answer : t -> Gatom.t list
 (** All atoms true in the last model, facts included, sorted. *)
-
-val suggest_phases :
-  (fact:(string -> Term.t list -> bool) -> Gatom.t -> bool) -> t -> unit
-(** [suggest_phases preferred t] seeds the search toward a near-optimal
-    first model (the role clasp's [#heuristic] plays for Spack): it walks
-    the ground atoms in id order and calls {!Sat.suggest_phase} on the
-    literal of every atom [preferred] accepts.  [fact pred args] tells
-    whether [pred(args)] is a fact of the program.  Frontends keep only
-    their preference match. *)

@@ -10,6 +10,7 @@ type success = {
   ground_stats : Asp.Grounder.stats;
   sat_stats : Asp.Sat.stats;
   solve_steps : Asp.Phases.steps;
+  descent_searches : int;
   verified : bool;
 }
 
@@ -96,30 +97,6 @@ let cacheable = function
   | Concrete { quality = `Optimal; _ } -> true
   | Concrete { quality = `Degraded _; _ } | Unsatisfiable _ | Interrupted _ -> false
 
-(* Seed the solver's polarity toward the default configuration (newest
-   version, default variants, best target, preferred compiler/OS/provider) so
-   that the first model found is already close to optimal and the
-   optimization descent mostly just proves optimality.  This plays the role
-   of the domain heuristics (clasp's #heuristic) Spack uses. *)
-let apply_phase_hints t =
-  let zero = Asp.Term.int 0 in
-  let preferred ~fact (a : Asp.Gatom.t) =
-    match (a.Asp.Gatom.pred, a.Asp.Gatom.args) with
-    | "attr", [ { Asp.Term.node = Asp.Term.Str "version"; _ }; p; v ] ->
-      fact "version_declared" [ p; v; zero ]
-    | "attr", [ { Asp.Term.node = Asp.Term.Str "variant_value"; _ }; p; var; value ] ->
-      fact "variant_default" [ p; var; value ]
-    | "attr", [ { Asp.Term.node = Asp.Term.Str "node_target"; _ }; _; tgt ] ->
-      fact "target_weight" [ tgt; zero ]
-    | "attr", [ { Asp.Term.node = Asp.Term.Str "node_os"; _ }; _; os ] ->
-      fact "os_weight" [ os; zero ]
-    | "attr", [ { Asp.Term.node = Asp.Term.Str "node_compiler_version"; _ }; _; c; v ] ->
-      fact "compiler_weight" [ c; v; zero ]
-    | "provider", [ v; p ] -> fact "provider_weight" [ v; p; zero ]
-    | _ -> false
-  in
-  Asp.Translate.suggest_phases preferred t
-
 let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_env)
     ?(prefs = Preferences.empty) ?installed ?reuse_mode ?budget ?pool ?racers
     ?(explain = false) ~repo roots =
@@ -159,8 +136,7 @@ let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_
     in
     let verdict, solve_time =
       Asp.Phases.time (fun () ->
-          Asp.Solve.solve_ground ~config ~params ~hints:apply_phase_hints ?pool
-            ?racers ~budget ground)
+          Asp.Solve.solve_ground ~config ~params ?pool ?racers ~budget ground)
     in
     let phases = { phases with solve_time } in
     match verdict with
@@ -174,7 +150,8 @@ let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_
         else Diagnose.explain ~env ~repo roots
       in
       Unsatisfiable { phases; n_facts; n_possible; reasons }
-    | Asp.Solve.Model { answer; costs; quality; sat_stats; verified; steps; _ } ->
+    | Asp.Solve.Model
+        { answer; costs; quality; sat_stats; descent_searches; verified; steps; _ } ->
       let info = Extract.of_index (Asp.Answer.of_list answer) in
       Concrete
         {
@@ -189,6 +166,7 @@ let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_
           ground_stats;
           sat_stats;
           solve_steps = steps;
+          descent_searches;
           verified;
         })
 

@@ -25,6 +25,7 @@ type success = {
   ground_stats : Asp.Grounder.stats;
   sat_stats : Asp.Sat.stats;
   solve_steps : Asp.Phases.steps;  (** the parts of [phases.solve_time] *)
+  descent_searches : int;  (** searches after the first ({!Asp.Optimize.outcome}) *)
   verified : bool;
   (** the spec passed independent model verification ({!Asp.Verify});
       [false] only when [config.verify] is off — a model that {e fails}

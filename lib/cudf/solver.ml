@@ -13,6 +13,7 @@ type solution = {
   ground_stats : Asp.Grounder.stats;
   sat_stats : Asp.Sat.stats;
   solve_steps : Asp.Phases.steps;
+  descent_searches : int;
 }
 
 type result =
@@ -75,19 +76,6 @@ let heuristic_reasons (doc : Doc.t) =
         doc.Doc.packages)
     doc.Doc.request.Doc.install;
   List.rev !reasons
-
-(* Seed the search's polarity toward a near-optimal initial model:
-   paranoid wants yesterday's state back, trendy wants the newest version
-   of everything that was installed.  Like the Spack hints this only
-   shapes the first descent — optimality is proved regardless. *)
-let apply_phase_hints stack =
-  Asp.Translate.suggest_phases (fun ~fact (a : Asp.Gatom.t) ->
-      match (a.Asp.Gatom.pred, a.Asp.Gatom.args) with
-      | "attr", [ { Asp.Term.node = Asp.Term.Str "in"; _ }; p; v ] -> (
-        match stack with
-        | Criteria.Paranoid -> fact "was_installed" [ p; v ]
-        | Criteria.Trendy -> fact "newest" [ p; v ] && fact "was_installed_name" [ p ])
-      | _ -> false)
 
 let decode_state answer =
   List.filter_map
@@ -167,8 +155,7 @@ let solve_with ?params ?(config = Asp.Config.default) ?budget ?pool ?racers
     in
     let verdict, solve_time =
       Asp.Phases.time (fun () ->
-          Asp.Solve.solve_ground ~config ~params ~hints:(apply_phase_hints stack)
-            ?pool ?racers ~budget ground)
+          Asp.Solve.solve_ground ~config ~params ?pool ?racers ~budget ground)
     in
     let phases = { phases with solve_time } in
     match verdict with
@@ -183,7 +170,8 @@ let solve_with ?params ?(config = Asp.Config.default) ?budget ?pool ?racers
         else heuristic_reasons doc
       in
       Unsatisfiable { reasons; phases; n_facts }
-    | Asp.Solve.Model { answer; costs; quality; sat_stats; verified; steps; _ } ->
+    | Asp.Solve.Model
+        { answer; costs; quality; sat_stats; descent_searches; verified; steps; _ } ->
       let state = decode_state answer in
       let removed, installed_new, changed = diff_state doc state in
       Solution
@@ -202,6 +190,7 @@ let solve_with ?params ?(config = Asp.Config.default) ?budget ?pool ?racers
           ground_stats;
           sat_stats;
           solve_steps = steps;
+          descent_searches;
         })
 
 let solve = solve_with ?params:None

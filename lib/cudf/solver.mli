@@ -22,6 +22,7 @@ type solution = {
   ground_stats : Asp.Grounder.stats;
   sat_stats : Asp.Sat.stats;
   solve_steps : Asp.Phases.steps;  (** the parts of [phases.solve_time] *)
+  descent_searches : int;  (** searches after the first ({!Asp.Optimize.outcome}) *)
 }
 
 type result =

@@ -293,6 +293,7 @@ let success_of_json j =
       sat_stats;
       (* like the ground-step times, the solve-step times are not carried *)
       solve_steps = Asp.Phases.no_steps;
+      descent_searches = 0;
       verified;
     }
 

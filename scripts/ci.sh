@@ -311,8 +311,15 @@ parts = [float(x) for x in m.groups()]
 assert sum(parts) <= solve * 1.05 + 0.002, (parts, solve)
 print("solve steps: translate %.3fs + search %.3fs + optimize %.3fs + verify %.3fs of solve %.3fs"
       % (*parts, solve))
+m = re.search(r"^Optimize: ([0-9]+) levels, ([0-9]+) descent searches$", out, re.M)
+assert m, "no Optimize line:\n" + out
+print("optimize: %s levels, %s descent searches" % m.groups())
 EOF
 done
+# the first search decides the objective toward zero: every level of this
+# root (the loop's last command) has optimum 0, so its first model is
+# optimal and the descent runs no search
+echo "$steps" | grep -q "^Optimize: [0-9]* levels, 0 descent searches$"
 # the portfolio race must prove and verify the same cost vector
 raced=$(timeout 60 dune exec bin/cudf_solve.exe -- -j 2 --synth 200 --stats)
 echo "$raced" | grep -q "optimality proven at every level"

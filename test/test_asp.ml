@@ -276,6 +276,27 @@ let test_first_model_optimal () =
         programs)
     [ Asp.Config.Bb; Asp.Config.Usc ]
 
+(* Every level's optimum is 0, but a first search that decides [v] and [w]
+   by the default phase picks [v(1)] and [w(1)]: cost 1 on level 1.  The
+   first search decides the objective first, so its model costs 0
+   everywhere and the descent runs no search. *)
+let test_zero_optimum_first () =
+  let src =
+    "d(1..5). 1 { v(X) : d(X) } 1. 1 { w(X) : d(X) } 1. #minimize{1@2,X: v(X), X != 1}. \
+     #minimize{1@1,X: w(X), X != 2}."
+  in
+  List.iter
+    (fun strategy ->
+      let msg = Asp.Config.strategy_name strategy in
+      match solve ~config:(Asp.Config.make ~strategy ()) src with
+      | Asp.Solve.Sat o ->
+        Alcotest.(check int) (msg ^ ": models") 1 o.Asp.Solve.models_enumerated;
+        Alcotest.(check int) (msg ^ ": descent searches") 0 o.Asp.Solve.descent_searches;
+        Alcotest.(check (list (pair int int))) (msg ^ ": costs") [ (2, 0); (1, 0) ]
+          o.Asp.Solve.costs
+      | _ -> Alcotest.fail (msg ^ ": expected SAT"))
+    [ Asp.Config.Bb; Asp.Config.Usc ]
+
 let test_cycle_detection_path () =
   (* the paper's acyclicity program *)
   let src =
@@ -1426,6 +1447,7 @@ let () =
           Alcotest.test_case "multi level" `Quick test_multi_level_optimization;
           Alcotest.test_case "maximize" `Quick test_maximize;
           Alcotest.test_case "first model optimal" `Quick test_first_model_optimal;
+          Alcotest.test_case "zero optimum decided first" `Quick test_zero_optimum_first;
         ] );
       ( "grounder",
         [

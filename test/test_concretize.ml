@@ -624,6 +624,16 @@ let prop_synth_solutions_validate =
       | Concretizer.Unsatisfiable _ -> true (* conflicts can make roots unsolvable *)
       | Concretizer.Concrete s -> Validate.is_valid ~repo:sr s.Concretizer.spec)
 
+(* A root of the 300-package synthetic repo: the first model meets every
+   level's optimum (all 0 here), so the descent runs no search. *)
+let test_root_no_descent () =
+  let repo = Pkg.Repo_synth.repo (Pkg.Repo_synth.scaled 300) in
+  match Concretizer.solve_spec ~repo "app-007" with
+  | Concretizer.Concrete s ->
+    Alcotest.(check bool) "optimal" true (s.Concretizer.quality = `Optimal);
+    Alcotest.(check int) "descent searches" 0 s.Concretizer.descent_searches
+  | _ -> Alcotest.fail "app-007 did not concretize"
+
 let test_multishot () =
   let roots =
     List.map Specs.Spec_parser.parse [ "hdf5"; "h5utils"; "openblas"; "berkeleygw+openmp" ]
@@ -808,6 +818,8 @@ let () =
           Alcotest.test_case "corruption caught" `Quick test_validator_catches_corruption;
           QCheck_alcotest.to_alcotest prop_synth_solutions_validate;
         ] );
+      ( "optimization",
+        [ Alcotest.test_case "synthetic root needs no descent" `Quick test_root_no_descent ] );
       ( "multishot",
         [ Alcotest.test_case "divide and conquer" `Quick test_multishot ] );
       ( "service hooks",

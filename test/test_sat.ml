@@ -308,8 +308,8 @@ let prop_pb_bound_respected =
       let vars = List.map (fun _ -> S.new_var s) ws in
       let entries = List.map2 (fun w v -> (w, pos v)) ws vars in
       S.add_pb_le s entries k;
-      (* maximize the number of true vars via hook-free solve with phases *)
-      List.iter (fun v -> S.suggest_phase s (pos v)) vars;
+      (* maximize the number of true vars: decide every one true first *)
+      S.set_preferred s (List.map pos vars);
       match S.solve s with
       | S.Unsat -> k < 0
       | S.Sat ->
@@ -324,7 +324,8 @@ let prop_pb_bound_respected =
    created after a solve push the heap past its initial capacity.  A
    completed search pops every variable and rebuilds the heap by inserts,
    so most solves here run under a small conflict budget: an interrupted
-   search leaves the heap partly popped. *)
+   search leaves the heap partly popped.  Each instance runs twice, the
+   second time with a preferred list (whose decisions pop nothing). *)
 let prop_heap_invariant =
   let open QCheck in
   let clause nv =
@@ -347,27 +348,77 @@ let prop_heap_invariant =
   in
   Test.make ~count:200 ~name:"decision heap invariant holds after every solve" gen
     (fun (c1, c2, runs) ->
-      let s, _ = mk 8 in
-      List.iter (S.add_clause s) c1;
-      let models_ok clauses = function
-        | S.Unsat -> true
-        | S.Sat -> List.for_all (fun c -> List.exists (S.value s) c) clauses
+      let run preferred =
+        let s, _ = mk 8 in
+        List.iter (S.add_clause s) c1;
+        let models_ok clauses = function
+          | S.Unsat -> true
+          | S.Sat -> List.for_all (fun c -> List.exists (S.value s) c) clauses
+        in
+        let ok = ref (models_ok c1 (S.solve s) && S.heap_ok s) in
+        (* 40 variables created after the first solve *)
+        ignore (Array.init 40 (fun _ -> S.new_var s));
+        List.iter (S.add_clause s) c2;
+        S.set_preferred s preferred;
+        List.iter
+          (fun (k, assumptions) ->
+            let budget =
+              Asp.Budget.start { Asp.Budget.no_limits with Asp.Budget.conflicts = Some k }
+            in
+            (match S.solve ~assumptions ~budget s with
+            | r -> ok := !ok && models_ok (c1 @ c2) r
+            | exception Asp.Budget.Exhausted _ -> ());
+            ok := !ok && S.heap_ok s)
+          runs;
+        !ok && models_ok (c1 @ c2) (S.solve s) && S.heap_ok s
       in
-      let ok = ref (models_ok c1 (S.solve s) && S.heap_ok s) in
-      (* 40 variables created after the first solve *)
-      ignore (Array.init 40 (fun _ -> S.new_var s));
-      List.iter (S.add_clause s) c2;
-      List.iter
-        (fun (k, assumptions) ->
-          let budget =
-            Asp.Budget.start { Asp.Budget.no_limits with Asp.Budget.conflicts = Some k }
-          in
-          (match S.solve ~assumptions ~budget s with
-          | r -> ok := !ok && models_ok (c1 @ c2) r
-          | exception Asp.Budget.Exhausted _ -> ());
-          ok := !ok && S.heap_ok s)
-        runs;
-      !ok && models_ok (c1 @ c2) (S.solve s) && S.heap_ok s)
+      run [] && run (List.map List.hd c2))
+
+(* A preferred list changes which model a search finds, never its answer:
+   with a random list (which may repeat variables or name both signs of
+   one), [solve ~assumptions] is Sat exactly when brute force finds a
+   model of the CNF and the assumptions, every model satisfies both, and an
+   Unsat core is a subset of the assumptions that is Unsat on its own.
+   Three assumption sets run in turn on one solver, so later solves see
+   the list after earlier conflicts, and some past its 16-conflict
+   cutoff. *)
+let prop_preferred_sound =
+  let open QCheck in
+  let lit = Gen.map2 (fun v s -> if s then pos v else neg v) (Gen.int_range 0 7) Gen.bool in
+  let gen =
+    make
+      ~print:(fun (cnf, preferred, assumption_sets) ->
+        let ls l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]" in
+        Printf.sprintf "%s preferring %s assuming %s"
+          (String.concat " & " (List.map ls cnf))
+          (ls preferred)
+          (String.concat ", " (List.map ls assumption_sets)))
+      Gen.(
+        triple
+          (list_size (int_range 1 40) (list_size (int_range 1 3) lit))
+          (list_size (int_range 0 10) lit)
+          (list_repeat 3 (list_size (int_range 0 4) lit)))
+  in
+  Test.make ~count:500 ~name:"preferred list keeps answers, models and cores" gen
+    (fun (cnf, preferred, assumption_sets) ->
+      let s, _ = mk 8 in
+      List.iter (S.add_clause s) cnf;
+      S.set_preferred s preferred;
+      let units = List.map (fun l -> [ l ]) in
+      List.for_all
+        (fun assumptions ->
+          let expected = brute_force_sat (cnf @ units assumptions) in
+          match S.solve ~assumptions s with
+          | S.Sat ->
+            expected
+            && List.for_all (fun c -> List.exists (S.value s) c) (cnf @ units assumptions)
+          | S.Unsat ->
+            let core = S.last_core s in
+            (not expected)
+            && List.for_all (fun l -> List.mem l assumptions) core
+            && (not (brute_force_sat (cnf @ units core)))
+            && S.solve ~assumptions:core s = S.Unsat)
+        assumption_sets)
 
 (* Unit propagation over [cnf] from [assumptions], on [nvars] variables:
    [true] when it either refutes the assumptions or assigns every
@@ -566,6 +617,7 @@ let () =
         prop_cdcl_matches_brute_force;
         prop_pb_bound_respected;
         prop_heap_invariant;
+        prop_preferred_sound;
         prop_binary_heavy;
         prop_capacity;
       ]
