@@ -61,7 +61,8 @@ let print_result ~stack ~show_stats ~show_state result =
       print_endline (Asp.Phases.steps_line s.Cudf.Solver.solve_steps);
       print_endline
         (Asp.Optimize.descent_line ~costs:s.Cudf.Solver.costs
-           ~descent_searches:s.Cudf.Solver.descent_searches)
+           ~descent_searches:s.Cudf.Solver.descent_searches);
+      print_endline (Asp.Sat.instance_line st)
     end;
     0
 

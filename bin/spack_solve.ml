@@ -75,7 +75,8 @@ let print_result repo show_stats validate spec_text result =
           print_endline (Asp.Phases.steps_line s.Concretize.Concretizer.solve_steps);
           print_endline
             (Asp.Optimize.descent_line ~costs:s.Concretize.Concretizer.costs
-               ~descent_searches:s.Concretize.Concretizer.descent_searches)
+               ~descent_searches:s.Concretize.Concretizer.descent_searches);
+          print_endline (Asp.Sat.instance_line st)
         end;
         0
 

@@ -36,6 +36,9 @@ type stats = {
   mutable restarts : int;
   mutable learnt_literals : int;
   mutable pb_propagations : int;
+  mutable vars : int;
+  mutable clauses : int;  (* problem clauses kept, binary ones included *)
+  mutable pb_constraints : int;
 }
 
 type clause = {
@@ -151,6 +154,9 @@ let create ?(params = default_params) ?(capacity = 16) () =
         restarts = 0;
         learnt_literals = 0;
         pb_propagations = 0;
+        vars = 0;
+        clauses = 0;
+        pb_constraints = 0;
       };
     to_clear = Ivec.create ();
     max_learnts = float_of_int params.learnt_start;
@@ -161,6 +167,10 @@ let create ?(params = default_params) ?(capacity = 16) () =
 
 let num_vars s = s.nvars
 let stats s = s.stats
+
+let instance_line st =
+  Printf.sprintf "Instance: %d variables, %d clauses, %d PB constraints" st.vars st.clauses
+    st.pb_constraints
 
 (* ---------------- heap (max-heap on activity) ---------------- *)
 
@@ -283,6 +293,7 @@ let grow_arrays s =
 let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
+  s.stats.vars <- v + 1;
   grow_arrays s;
   s.values.(v) <- -1;
   s.phases.(v) <- s.params.default_phase;
@@ -407,7 +418,9 @@ let add_binary s a b =
   | 0, 0 -> s.unsat <- true
   | 0, _ -> ignore (enqueue s b Decision)
   | _, 0 -> ignore (enqueue s a Decision)
-  | _ -> attach_binary s a b
+  | _ ->
+    s.stats.clauses <- s.stats.clauses + 1;
+    attach_binary s a b
 
 (* Add the clause [lits], sorted ascending without duplicates (its own
    array: a clause record keeps it): drop it when it is a tautology (a
@@ -429,8 +442,11 @@ let add_sorted s lits =
     match lits with
     | [||] -> s.unsat <- true
     | [| l |] -> ignore (enqueue s l Decision)
-    | [| a; b |] -> attach_binary s a b
+    | [| a; b |] ->
+      s.stats.clauses <- s.stats.clauses + 1;
+      attach_binary s a b
     | lits ->
+      s.stats.clauses <- s.stats.clauses + 1;
       let c = { lits; activity = 0.; learnt = false; deleted = false } in
       Vec.push s.clauses c;
       attach_clause s c
@@ -505,6 +521,7 @@ let add_pb_distinct s ws ls cap =
        happen in unchecked_enqueue/cancel_until *)
     let pb = { plits; pws; cap; sumtrue = !fixed_true } in
     Vec.push s.pbs pb;
+    s.stats.pb_constraints <- s.stats.pb_constraints + 1;
     Array.iteri
       (fun i l -> push_lit s.pb_occs ~shared:no_occs ~dummy:dummy_occ l (pb, i))
       plits;

@@ -52,6 +52,11 @@ type stats = {
   mutable restarts : int;
   mutable learnt_literals : int;
   mutable pb_propagations : int;
+  mutable vars : int;  (** the instance's size: variables created, *)
+  mutable clauses : int;
+      (** problem clauses kept (binary ones included; units, satisfied
+          clauses and learnt clauses are not counted), *)
+  mutable pb_constraints : int;  (** and pseudo-Boolean constraints kept *)
 }
 
 val create : ?params:params -> ?capacity:int -> unit -> t
@@ -115,6 +120,10 @@ val model_true_vars : t -> int list
     @raise Solver_error.Error [No_model] before the first successful solve. *)
 
 val stats : t -> stats
+
+val instance_line : stats -> string
+(** [Instance: <V> variables, <C> clauses, <P> PB constraints], the
+    instance's size as the counters stand. *)
 
 val shared_lists_empty : unit -> bool
 (** Self-check of the per-literal list allocation: the one watch list, the

@@ -162,9 +162,14 @@ let enumerate ?(config = Config.default) ?budget ?(limit = max_int) prog =
     | exception Budget.Exhausted _ -> []
     | None -> []
     | Some _ ->
-      (* block each found model on its atom variables and continue *)
+      (* block each found model on the variables of its atoms' literals and
+         continue (an atom may share its literal with its body or another
+         atom) *)
       let atom_vars =
-        Array.to_list t.Translate.var_of_atom |> List.filter (fun v -> v >= 0)
+        Array.fold_left
+          (fun acc l -> if l >= 0 then Sat.Lit.var l :: acc else acc)
+          [] t.Translate.lit_of_atom
+        |> List.sort_uniq Int.compare
       in
       let results = ref [] in
       let found = ref 0 in

@@ -10,10 +10,8 @@ let check (t : Translate.t) =
   let natoms = Gatom.Store.count store in
   let sat = t.Translate.sat in
   let truth id =
-    Gatom.Store.is_fact store id
-    ||
-    let v = t.Translate.var_of_atom.(id) in
-    v >= 0 && Sat.current_lit_value sat (Sat.Lit.pos v) = 1
+    let l = t.Translate.lit_of_atom.(id) in
+    l = Translate.always || (l <> Translate.never && Sat.current_lit_value sat l = 1)
   in
   let support_body_holds r =
     match Translate.support_lit t r with
@@ -86,11 +84,12 @@ let check (t : Translate.t) =
         u
       |> List.sort_uniq Int.compare
     in
+    (* an atom of [U] is read through its literal, which it may share with
+       its body or another atom; it is a literal, not a marker: atoms fixed
+       true hold by facts alone, so they are founded *)
     let clauses =
       List.map
-        (fun id ->
-          let head_lit = Sat.Lit.pos t.Translate.var_of_atom.(id) in
-          Sat.Lit.negate head_lit :: external_supports)
+        (fun id -> Sat.Lit.negate t.Translate.lit_of_atom.(id) :: external_supports)
         u
     in
     `Refine clauses

@@ -24,22 +24,32 @@ type aux = {
   rule_lit : int array;
       (* rule index -> its body's indicator ([always] when the body always
          holds); set for the rules with a head *)
+  mark : Bytes.t;
+      (* atom id -> ['\002'] when the atom is its rule's body (see
+         [build]) *)
 }
 
 type t = {
   sat : Sat.t;
   ground : Ground.t;
-  var_of_atom : int array;
+  lit_of_atom : int array;
   supports : int list array;
   tight : bool;
   aux : aux;
 }
 
+(* The markers of [lit_of_atom] and of a body occurrence that are no
+   literal: [always] for a truth fixed true (a fact, a body that always
+   holds), [never] for one fixed false (an atom no rule can derive, a body
+   that never holds). *)
+let always = -1
+and never = -2
+
 let fact t id = Gatom.Store.is_fact t.ground.Ground.store id
 
 let atom_lit t id =
-  let v = t.var_of_atom.(id) in
-  if v < 0 then None else Some (Sat.Lit.pos v)
+  let l = t.lit_of_atom.(id) in
+  if l < 0 then None else Some l
 
 let constant_false t =
   match t.aux.false_lit with
@@ -51,22 +61,16 @@ let constant_false t =
     t.aux.false_lit <- Some l;
     l
 
-(* The literal of a body occurrence of atom [id], negated when [neg], or
-   one of two markers that are no literal: [always] when the occurrence
-   always holds (a positive fact, a negated atom with no variable), [never]
-   when it cannot (a negated fact, a positive atom with no variable). *)
-let always = -1
-and never = -2
-
 let to_option l = if l = always then None else Some l
 
+(* The literal of a body occurrence of atom [id], negated when [neg], or a
+   marker. *)
 let occurrence t ~neg id =
-  if fact t id then if neg then never else always
-  else
-    let v = t.var_of_atom.(id) in
-    if v < 0 then if neg then always else never
-    else if neg then Sat.Lit.neg v
-    else Sat.Lit.pos v
+  let l = t.lit_of_atom.(id) in
+  if not neg then l
+  else if l = always then never
+  else if l = never then always
+  else Sat.Lit.negate l
 
 (* Push the literals of [b]'s occurrences onto [t.aux.buf] (cleared first),
    each negated when [negate]; [false] when some occurrence can never
@@ -86,13 +90,13 @@ let body_lits t ~negate (b : Ground.body) =
   done;
   !possible
 
-(* The body's indicator as a literal, [always] for a body that always
-   holds.  A body of two or more literals gets a shared auxiliary [beta]
-   with [beta <-> body]: a binary clause [not beta \/ l] per literal, added
-   last literal first, and the long clause [beta \/ not body], both from
-   [t.aux.buf]. *)
-let indicator t (b : Ground.body) =
-  if not (body_lits t ~negate:false b) then constant_false t
+(* The body's literal, [always] for a body that always holds and [never]
+   for one that never does.  A body of two or more literals gets a shared
+   auxiliary [beta] with [beta <-> body]: a binary clause [not beta \/ l] per
+   literal, added last literal first, and the long clause
+   [beta \/ not body], both from [t.aux.buf]. *)
+let body_lit t (b : Ground.body) =
+  if not (body_lits t ~negate:false b) then never
   else
     match Ivec.length t.aux.buf with
     | 0 -> always
@@ -112,6 +116,11 @@ let indicator t (b : Ground.body) =
         Sat.add_clause_buf t.sat t.aux.buf;
         Body_tbl.add t.aux.body_cache b beta;
         beta)
+
+(* [body_lit] with a literal fixed false for [never]. *)
+let indicator t b =
+  let l = body_lit t b in
+  if l = never then constant_false t else l
 
 let body_indicator t b = to_option (indicator t b)
 
@@ -138,13 +147,23 @@ let add_constraint_clause t ?guard (b : Ground.body) =
 let process_rule t i = function
   | Ground.Rconstraint b -> add_constraint_clause t b
   | Ground.Rnormal (h, b) ->
-    if not (fact t h) then begin
-      let hlit = Sat.Lit.pos t.var_of_atom.(h) in
+    if fact t h then ()
+    else if Bytes.get t.aux.mark h <> '\002' then begin
+      let hlit = t.lit_of_atom.(h) in
       let l = indicator t b in
       if l = always then Sat.add_clause t.sat [ hlit ] (* should not happen: grounder makes facts *)
       else Sat.add_clause t.sat [ Sat.Lit.negate l; hlit ];
       t.aux.rule_lit.(i) <- l;
       add_support t h i
+    end
+    else begin
+      (* [h] is this rule's body: no clause; an [h] that never holds needs
+         no support *)
+      let l = t.lit_of_atom.(h) in
+      if l <> never then begin
+        t.aux.rule_lit.(i) <- l;
+        add_support t h i
+      end
     end
   | Ground.Rchoice { lb; ub; heads; cbody } ->
     let l = indicator t cbody in
@@ -174,7 +193,7 @@ let process_rule t i = function
       Array.iter
         (fun h ->
           if not (fact t h) then begin
-            let hl = Sat.Lit.pos t.var_of_atom.(h) in
+            let hl = t.lit_of_atom.(h) in
             ls.(!k) <- (if negate then Sat.Lit.negate hl else hl);
             incr k
           end)
@@ -259,21 +278,38 @@ let has_positive_cycle (g : Ground.t) natoms =
   !cyclic
 
 (* The solver is created once, with room for every variable the
-   translation and {!Optimize.levels} can create.  A first pass numbers the
-   non-fact atoms the rules and minimize bodies mention, in the order they
-   are met, and bounds the rest: an auxiliary per body of two or more
-   literals, a selector per guarded constraint, the constant-false literal
-   and a group indicator per two minimize entries (only a group of two or
-   more bodies gets one). *)
+   translation and {!Optimize.levels} can create.
+
+   A first pass lists the non-fact atoms the rules and minimize bodies
+   mention, in the order they are met, and finds each one's defining rule:
+   an atom whose only rule is a normal rule (a choice head counts as a rule)
+   is that rule's body and gets no variable.  A depth-first walk over
+   these atoms, from each to those of its body, orders them so that every
+   atom comes after the atoms of its body; an atom met again while its own
+   body is being walked closes a cycle (positive or through [not]) and
+   gets a variable of its own, its rule translated as any other.  The
+   other atoms are numbered in the order they were met.  The
+   bound counts the rest: an auxiliary per body of two or more literals, a
+   selector per guarded constraint, the constant-false literal and a group
+   indicator per two minimize entries (only a group of two or more bodies
+   gets one).
+
+   Then the aliased atoms get their body's literal, in walk order, which is
+   all of their translation: atom <-> body holds by construction, so their
+   rule adds no clause and they add no completion clause. *)
 let build ~guard_constraints params (g : Ground.t) =
   let store = g.Ground.store in
   let natoms = Gatom.Store.count store in
-  let var_of_atom = Array.make natoms (-1) in
-  let nvars = ref 0 and extra = ref 1 in
+  (* [defn.(id)]: the one normal rule with head [id] while there is one, or
+     [-1] before any, [-2] for an atom with its own variable (several rules,
+     a choice head) *)
+  let defn = Array.make natoms (-1) in
+  let met = Ivec.create () and is_met = Bytes.make natoms '\000' in
+  let extra = ref 1 in
   let touch id =
-    if var_of_atom.(id) < 0 && not (Gatom.Store.is_fact store id) then begin
-      var_of_atom.(id) <- !nvars;
-      incr nvars
+    if Bytes.get is_met id = '\000' && not (Gatom.Store.is_fact store id) then begin
+      Bytes.set is_met id '\001';
+      Ivec.push met id
     end
   in
   let touch_body (b : Ground.body) =
@@ -281,13 +317,19 @@ let build ~guard_constraints params (g : Ground.t) =
     Array.iter touch b.neg;
     if Array.length b.pos + Array.length b.neg >= 2 then incr extra
   in
-  Vec.iter
-    (function
+  Vec.iteri
+    (fun i r ->
+      match r with
       | Ground.Rnormal (h, b) ->
         touch h;
+        defn.(h) <- (if defn.(h) = -1 then i else -2);
         touch_body b
       | Ground.Rchoice { heads; cbody; _ } ->
-        Array.iter touch heads;
+        Array.iter
+          (fun h ->
+            touch h;
+            defn.(h) <- -2)
+          heads;
         touch_body cbody
       | Ground.Rconstraint b ->
         Array.iter touch b.pos;
@@ -296,6 +338,62 @@ let build ~guard_constraints params (g : Ground.t) =
     g.Ground.rules;
   Vec.iter (fun (m : Ground.min_entry) -> touch_body m.mbody) g.Ground.minimize;
   extra := !extra + (Vec.length g.Ground.minimize / 2);
+  let body_of id =
+    match Vec.get g.Ground.rules defn.(id) with
+    | Ground.Rnormal (_, b) -> b
+    | _ -> assert false
+  in
+  (* the walk: [mark] is 1 while an atom's body is walked, 2 once it is
+     aliased, 3 when it closed a cycle; [stack] holds the path and [next]
+     each one's next body position *)
+  let mark = Bytes.make natoms '\000' in
+  let order = Ivec.create () and stack = Ivec.create () and next = Ivec.create () in
+  let aliasable id = defn.(id) >= 0 && not (Gatom.Store.is_fact store id) in
+  let enter id =
+    Bytes.set mark id '\001';
+    Ivec.push stack id;
+    Ivec.push next 0
+  in
+  for k = 0 to Ivec.length met - 1 do
+    let root = Ivec.get met k in
+    if aliasable root && Bytes.get mark root = '\000' then begin
+      enter root;
+      while Ivec.length stack > 0 do
+        let top = Ivec.length stack - 1 in
+        let a = Ivec.get stack top and j = Ivec.get next top in
+        let b = body_of a in
+        let np = Array.length b.pos in
+        if j < np + Array.length b.neg then begin
+          Ivec.set next top (j + 1);
+          let x = if j < np then b.pos.(j) else b.neg.(j - np) in
+          if aliasable x then
+            match Bytes.get mark x with
+            | '\000' -> enter x
+            | '\001' -> Bytes.set mark x '\003'
+            | _ -> ()
+        end
+        else begin
+          ignore (Ivec.pop stack);
+          ignore (Ivec.pop next);
+          if Bytes.get mark a = '\001' then begin
+            Bytes.set mark a '\002';
+            Ivec.push order a
+          end
+        end
+      done
+    end
+  done;
+  let lit_of_atom =
+    Array.init natoms (fun id -> if Gatom.Store.is_fact store id then always else never)
+  in
+  let nvars = ref 0 in
+  Ivec.iter
+    (fun id ->
+      if Bytes.get mark id <> '\002' then begin
+        lit_of_atom.(id) <- Sat.Lit.pos !nvars;
+        incr nvars
+      end)
+    met;
   let sat = Sat.create ~params ~capacity:(!nvars + !extra) () in
   for _ = 1 to !nvars do
     ignore (Sat.new_var sat)
@@ -304,7 +402,7 @@ let build ~guard_constraints params (g : Ground.t) =
     {
       sat;
       ground = g;
-      var_of_atom;
+      lit_of_atom;
       supports = Array.make natoms [];
       tight = not (has_positive_cycle g natoms);
       aux =
@@ -313,10 +411,12 @@ let build ~guard_constraints params (g : Ground.t) =
           body_cache = Body_tbl.create 256;
           buf = Ivec.create ();
           rule_lit = Array.make (Vec.length g.Ground.rules) always;
+          mark;
         };
     }
   in
   if g.Ground.inconsistent then Sat.add_clause sat [];
+  Ivec.iter (fun id -> lit_of_atom.(id) <- body_lit t (body_of id)) order;
   let selectors = ref [] in
   Vec.iteri
     (fun i r ->
@@ -330,19 +430,19 @@ let build ~guard_constraints params (g : Ground.t) =
         selectors := (sel, i) :: !selectors
       | r -> process_rule t i r)
     g.Ground.rules;
-  (* completion: an atom needs at least one support *)
-  Array.iteri
-    (fun id v ->
-      if v >= 0 then begin
+  (* completion: an atom with its own variable needs at least one support *)
+  Ivec.iter
+    (fun id ->
+      if Bytes.get mark id <> '\002' then begin
         let supports = t.supports.(id) in
         if not (List.exists (fun r -> t.aux.rule_lit.(r) = always) supports) then begin
           Ivec.clear t.aux.buf;
-          Ivec.push t.aux.buf (Sat.Lit.neg v);
+          Ivec.push t.aux.buf (Sat.Lit.negate lit_of_atom.(id));
           List.iter (fun r -> Ivec.push t.aux.buf t.aux.rule_lit.(r)) supports;
           Sat.add_clause_buf sat t.aux.buf
         end
       end)
-    var_of_atom;
+    met;
   (t, List.rev !selectors)
 
 let translate ?(params = Sat.default_params) (g : Ground.t) =
@@ -352,8 +452,8 @@ let translate_with_selectors ?(params = Sat.default_params) (g : Ground.t) =
   build ~guard_constraints:true params g
 
 let atom_is_true t id =
-  if fact t id then true
-  else match atom_lit t id with None -> false | Some l -> Sat.value t.sat l
+  let l = t.lit_of_atom.(id) in
+  l = always || (l <> never && Sat.value t.sat l)
 
 let answer t =
   let acc = ref [] in

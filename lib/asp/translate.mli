@@ -1,12 +1,20 @@
 (** Translation of a ground program into a {!Sat} instance via Clark
     completion.
 
-    Each (possibly true, non-fact) ground atom gets a solver variable.  Rule
-    bodies get shared auxiliary variables with full equivalence clauses;
-    normal rules force their head; choice rules merely {e support} their
-    heads, with cardinality bounds expressed as native pseudo-Boolean
-    constraints conditioned on the body.  Completion clauses close each atom
-    under its set of supports.
+    Each ground atom is read through its literal ({!lit_of_atom}).  An atom
+    that is not a fact and whose only rule is a normal rule (a choice head
+    counts as a rule) is that rule's body, as clasp's preprocessing merges
+    an atom with its body: its literal is the body's indicator (the one body
+    literal, or the body's shared auxiliary), or a constant when the body
+    always or never holds, and it has no variable, no rule clause and no
+    completion clause.  An atom met again while its own body is resolved
+    closes a cycle (positive or through [not]) and keeps its variable.
+    Every other non-fact atom gets a solver variable.  Rule bodies get
+    shared auxiliary variables with full equivalence clauses; normal rules
+    force their head; choice rules merely {e support} their heads, with
+    cardinality bounds expressed as native pseudo-Boolean constraints
+    conditioned on the body.  Completion clauses close each atom with its
+    own variable under its set of supports.
 
     An integrity constraint maps to one clause, the negated body literals,
     with no auxiliary variable (clasp's nogood): a literal over a fact is
@@ -20,11 +28,13 @@
     cyclic (tight programs skip the stability check entirely).
 
     The solver is created once, at its final size: a first pass over the
-    rules and minimize bodies numbers the atom variables (in the order the
-    atoms are met) and bounds the auxiliaries still to come, including the indicators {!Optimize.levels} adds, so {!Sat.new_var}
-    never regrows the solver's arrays during translation.  Clauses are built
-    in one reused literal buffer ({!Sat.add_clause_buf}), and a choice
-    rule's cardinality bounds go to {!Sat.add_pb_le_arrays} as arrays. *)
+    rules and minimize bodies decides which atoms keep a variable (cycle
+    breaks included), numbers them in the order the atoms are met and
+    bounds the auxiliaries still to come, including the indicators
+    {!Optimize.levels} adds, so {!Sat.new_var} never regrows the solver's
+    arrays during translation.  Clauses are built in one reused literal
+    buffer ({!Sat.add_clause_buf}), and a choice rule's cardinality bounds
+    go to {!Sat.add_pb_le_arrays} as arrays. *)
 
 type aux
 (** The translation's own state: the shared auxiliaries of multi-literal
@@ -34,13 +44,23 @@ type aux
 type t = {
   sat : Sat.t;
   ground : Ground.t;
-  var_of_atom : int array;  (** ground atom id -> solver var, or -1 *)
+  lit_of_atom : int array;
+      (** ground atom id -> the solver literal of its truth, or {!always}
+          (facts) or {!never} (atoms no rule can derive) when the
+          translation fixed it; an atom's literal may be another atom's or
+          a body's *)
   supports : int list array;
       (** ground atom id -> the rules with it in their head, as indices
           into [ground.rules] *)
   tight : bool;  (** no cycle in the positive dependency graph *)
   aux : aux;
 }
+
+val always : int
+(** The [lit_of_atom] marker of an atom that always holds. *)
+
+val never : int
+(** The [lit_of_atom] marker of an atom that never holds. *)
 
 val translate : ?params:Sat.params -> Ground.t -> t
 (** Build the instance.  If the ground program was flagged inconsistent the
@@ -64,8 +84,9 @@ val support_pos : t -> int -> int array
 (** The positive body atom ids of rule [r]. *)
 
 val atom_lit : t -> int -> Sat.lit option
-(** Solver literal of a ground atom id ([None] for atoms with no variable:
-    facts and impossible atoms). *)
+(** Solver literal of a ground atom id ([None] for atoms whose truth the
+    translation fixed: facts, atoms whose only body always or never holds,
+    impossible atoms; {!atom_is_true} tells which). *)
 
 val body_indicator : t -> Ground.body -> Sat.lit option
 (** Indicator literal [b] with [body -> b] and [b -> body] (full

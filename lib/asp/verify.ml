@@ -40,6 +40,77 @@ let describe (g : Ground.t) = function
     Format.asprintf "claimed cost vector [%a] but the model's recomputed costs are [%a]"
       pp_costs claimed pp_costs actual
 
+(* The founded atoms under [is_true], as {!Naive.founded_set} defines them,
+   in one sweep over the rules and a worklist, instead of sweeping until
+   nothing changes.  A rule can found something when its body holds and
+   one of its heads is true and not founded yet.  The sweep fires such a
+   rule at once when its positive body atoms are all founded; otherwise
+   the rule waits, counting the atoms it misses, and each of those atoms
+   lists it (a linked list through [edge_rule] and [edge_next], from
+   [first]).  Every atom founded is pushed on the worklist, and popping an
+   atom counts down the rules it lists: a rule at zero fires. *)
+let founded_set (g : Ground.t) natoms is_true =
+  let store = g.Ground.store in
+  let rules = g.Ground.rules in
+  let founded = Array.make natoms false in
+  for id = 0 to natoms - 1 do
+    if Gatom.Store.is_fact store id then founded.(id) <- true
+  done;
+  let unfounded_true h = is_true h && not founded.(h) in
+  let rec some_unfounded heads i =
+    i < Array.length heads && (unfounded_true heads.(i) || some_unfounded heads (i + 1))
+  in
+  let work = Array.make natoms 0 and nwork = ref 0 in
+  let found h =
+    if unfounded_true h then begin
+      founded.(h) <- true;
+      work.(!nwork) <- h;
+      incr nwork
+    end
+  in
+  let fire = function
+    | Ground.Rnormal (h, _) -> found h
+    | Ground.Rchoice c ->
+      for i = 0 to Array.length c.heads - 1 do
+        found c.heads.(i)
+      done
+    | Ground.Rconstraint _ -> ()
+  in
+  let missing = Array.make (Vec.length rules) 0 in
+  let first = Array.make natoms (-1) in
+  let edge_rule = Ivec.create () and edge_next = Ivec.create () in
+  let sweep r rule (b : Ground.body) =
+    for k = 0 to Array.length b.pos - 1 do
+      let p = b.pos.(k) in
+      if not founded.(p) then begin
+        missing.(r) <- missing.(r) + 1;
+        Ivec.push edge_next first.(p);
+        first.(p) <- Ivec.length edge_rule;
+        Ivec.push edge_rule r
+      end
+    done;
+    if missing.(r) = 0 then fire rule
+  in
+  Vec.iteri
+    (fun r rule ->
+      match rule with
+      | Ground.Rnormal (h, b) -> if unfounded_true h && Naive.body_holds is_true b then sweep r rule b
+      | Ground.Rchoice c ->
+        if some_unfounded c.heads 0 && Naive.body_holds is_true c.cbody then sweep r rule c.cbody
+      | Ground.Rconstraint _ -> ())
+    rules;
+  while !nwork > 0 do
+    decr nwork;
+    let e = ref first.(work.(!nwork)) in
+    while !e >= 0 do
+      let r = Ivec.get edge_rule !e in
+      missing.(r) <- missing.(r) - 1;
+      if missing.(r) = 0 then fire (Vec.get rules r);
+      e := Ivec.get edge_next !e
+    done
+  done;
+  founded
+
 (* cap the report: one violation proves the answer wrong, a handful helps
    debugging, thousands help nobody *)
 let max_reported = 20
@@ -99,7 +170,7 @@ let check ?(budget = Budget.unlimited) ?costs (g : Ground.t) ~is_true =
      fixpoint under the reduct — supported but circular justifications
      (which Clark completion admits and {!Stable} exists to exclude) fail
      here *)
-  let founded = Naive.founded_set g natoms is_true in
+  let founded = founded_set g natoms is_true in
   for id = 0 to natoms - 1 do
     Budget.tick_verify_step budget;
     if is_true id && not founded.(id) then

@@ -4,8 +4,7 @@
     program using only the naive reference semantics ({!Naive}): rule
     satisfaction, Clark-completion support, unfounded-freeness, and
     weak-constraint cost recomputation.  One O(ground-program) pass (the
-    foundedness fixpoint is worst-case quadratic but linear in practice), so
-    it is cheap enough to run on every returned model — {!Solve} and
+    foundedness fixpoint included, {!founded_set}), so it is cheap enough to run on every returned model — {!Solve} and
     {!Portfolio} do exactly that before a winning model is allowed to cancel
     the other racers. *)
 
@@ -41,6 +40,12 @@ val check_translation :
   Translate.t ->
   (unit, violation list) result
 (** {!check} against the translation's last stored SAT model. *)
+
+val founded_set : Ground.t -> int -> (int -> bool) -> bool array
+(** [founded_set g natoms is_true]: the least fixpoint of the reduct under
+    [is_true], exactly {!Naive.founded_set}, computed in one pass with a
+    counter per rule and a worklist instead of rescanning the rules until
+    nothing changes.  It reads only the ground program. *)
 
 val describe : Ground.t -> violation -> string
 

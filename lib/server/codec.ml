@@ -275,6 +275,10 @@ let success_of_json j =
           restarts;
           learnt_literals;
           pb_propagations;
+          (* replies carry no instance size *)
+          vars = 0;
+          clauses = 0;
+          pb_constraints = 0;
         }
     | _ -> None
   in

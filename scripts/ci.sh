@@ -314,8 +314,19 @@ print("solve steps: translate %.3fs + search %.3fs + optimize %.3fs + verify %.3
 m = re.search(r"^Optimize: ([0-9]+) levels, ([0-9]+) descent searches$", out, re.M)
 assert m, "no Optimize line:\n" + out
 print("optimize: %s levels, %s descent searches" % m.groups())
+m = re.search(r"^Instance: ([0-9]+) variables, ([0-9]+) clauses, ([0-9]+) PB constraints$",
+              out, re.M)
+assert m, "no Instance line:\n" + out
+print("instance: %s variables, %s clauses, %s PB constraints" % m.groups())
 EOF
 done
+# an atom defined by one rule is its body and gets no variable; when every
+# atom gets its own, this root (the loop's last command) has 11,078 variables
+python3 - "$steps" << 'EOF'
+import re, sys
+n = int(re.search(r"^Instance: ([0-9]+) variables", sys.argv[1], re.M).group(1))
+assert n < 9000, "app-007 has %d solver variables, not fewer than 9000" % n
+EOF
 # the first search decides the objective toward zero: every level of this
 # root (the loop's last command) has optimum 0, so its first model is
 # optimal and the descent runs no search

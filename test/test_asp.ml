@@ -1327,8 +1327,13 @@ let hand_program () =
 
 let constr ?(pos = [||]) ?(neg = [||]) () = G.Rconstraint { G.pos; neg }
 
-let atom_vars (tr : Asp.Translate.t) =
-  Array.fold_left (fun n v -> if v >= 0 then n + 1 else n) 0 tr.Asp.Translate.var_of_atom
+(* the variables of the atoms' literals *)
+let lit_vars (tr : Asp.Translate.t) =
+  Array.to_list tr.Asp.Translate.lit_of_atom
+  |> List.filter_map (fun l -> if l >= 0 then Some (S.Lit.var l) else None)
+  |> List.sort_uniq Int.compare
+
+let atom_vars tr = List.length (lit_vars tr)
 
 let check_no_indicator msg tr ~extra =
   Alcotest.(check int) (msg ^ ": no indicator variable") (atom_vars tr + extra)
@@ -1398,6 +1403,152 @@ let test_constraint_selectors () =
   Alcotest.(check (list int)) "core names the guarded rules" [ 1; 2 ] rules;
   Alcotest.(check bool) "sat with the third alone" true
     (S.solve ~assumptions:[ fst (List.nth sels 2) ] tr.sat = S.Sat)
+
+(* ------------------------------------------------------------------ *)
+(* Atoms that are their body                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* An atom whose only rule is a normal rule is that rule's body: it shares
+   the body's literal and has no variable of its own.  The programs start
+   from [hand_program]'s choice [{ a; b }] (two variables) and facts [f],
+   [g]. *)
+
+let fresh h name = Asp.Gatom.Store.intern h.hg.G.store (Asp.Gatom.make name [])
+let normal h head ?(pos = [||]) ?(neg = [||]) () = add_rule h.hg (G.Rnormal (head, { G.pos; neg }))
+
+(* Every stable model of [tr]'s program, as the sorted ids of its true
+   atoms: solve, block the model on its atoms' literals, repeat. *)
+let models_of (tr : Asp.Translate.t) =
+  let natoms = Asp.Gatom.Store.count tr.Asp.Translate.ground.G.store in
+  let vars = lit_vars tr in
+  let block v = if S.value tr.sat (S.Lit.pos v) then S.Lit.neg v else S.Lit.pos v in
+  let rec go acc =
+    match S.solve ~on_model:(Asp.Stable.hook tr) tr.sat with
+    | S.Unsat -> List.sort compare acc
+    | S.Sat ->
+      let m = List.filter (Asp.Translate.atom_is_true tr) (List.init natoms Fun.id) in
+      S.add_clause tr.sat (List.map block vars);
+      go (m :: acc)
+  in
+  go []
+
+let naive_models g =
+  let natoms = Asp.Gatom.Store.count g.G.store in
+  snd (Asp.Naive.stable_models_ground g)
+  |> List.map (fun truth -> List.filter (fun i -> truth.(i)) (List.init natoms Fun.id))
+  |> List.sort compare
+
+let check_models msg h =
+  Alcotest.(check (list (list int))) (msg ^ ": models match naive") (naive_models h.hg)
+    (models_of (Asp.Translate.translate h.hg))
+
+let test_alias_literal () =
+  (* p :- a.  q :- not a.  Both share a's variable: p's literal is a's,
+     q's its negation. *)
+  let h = hand_program () in
+  let p = fresh h "p" and q = fresh h "q" in
+  normal h p ~pos:[| h.a |] ();
+  normal h q ~neg:[| h.a |] ();
+  let tr = Asp.Translate.translate h.hg in
+  Alcotest.(check int) "a and b only" 2 (S.num_vars tr.sat);
+  Alcotest.(check int) "p is a" (lit_of tr h.a) (lit_of tr p);
+  Alcotest.(check int) "q is not a" (S.Lit.negate (lit_of tr h.a)) (lit_of tr q);
+  check_models "literal" h
+
+let test_alias_shared_body () =
+  (* p :- a, b.  { c } :- a, b.  p is the body's auxiliary, which the
+     choice rule's body shares. *)
+  let h = hand_program () in
+  let p = fresh h "p" and c = fresh h "c" in
+  normal h p ~pos:[| h.a; h.b |] ();
+  add_rule h.hg
+    (G.Rchoice
+       { lb = None; ub = None; heads = [| c |]; cbody = { G.pos = [| h.a; h.b |]; neg = [||] } });
+  let tr = Asp.Translate.translate h.hg in
+  Alcotest.(check int) "a, b, c and one auxiliary" 4 (S.num_vars tr.sat);
+  Alcotest.(check (option int)) "the choice body is p" (Some (lit_of tr p))
+    (Asp.Translate.support_lit tr 2);
+  Alcotest.(check bool) "p with a and b" true
+    (S.solve ~assumptions:[ lit_of tr h.a; lit_of tr h.b; S.Lit.negate (lit_of tr p) ] tr.sat
+    = S.Unsat);
+  Alcotest.(check bool) "p without b" true
+    (S.solve ~assumptions:[ S.Lit.negate (lit_of tr h.b); lit_of tr p ] tr.sat = S.Unsat);
+  check_models "shared body" h
+
+let test_alias_keeps_variable () =
+  (* p :- a.  p :- b.  a :- b.  p has two rules and a is a choice head:
+     both keep their variables. *)
+  let h = hand_program () in
+  let p = fresh h "p" in
+  normal h p ~pos:[| h.a |] ();
+  normal h p ~pos:[| h.b |] ();
+  normal h h.a ~pos:[| h.b |] ();
+  let tr = Asp.Translate.translate h.hg in
+  Alcotest.(check int) "a, b and p" 3 (atom_vars tr);
+  Alcotest.(check int) "no other variable" 3 (S.num_vars tr.sat);
+  Alcotest.(check bool) "p is its own" true
+    (lit_of tr p <> lit_of tr h.a && lit_of tr p <> lit_of tr h.b);
+  check_models "two rules" h
+
+let test_alias_positive_cycle () =
+  (* p :- q.  q :- p.  p, met again while its own body is resolved, keeps
+     a variable and q is p; no stable model makes them true. *)
+  let h = hand_program () in
+  let p = fresh h "p" and q = fresh h "q" in
+  normal h p ~pos:[| q |] ();
+  normal h q ~pos:[| p |] ();
+  let tr = Asp.Translate.translate h.hg in
+  Alcotest.(check int) "one variable for the cycle" 3 (S.num_vars tr.sat);
+  Alcotest.(check bool) "not tight" false tr.tight;
+  check_models "positive cycle" h
+
+let test_alias_negative_pair () =
+  (* p :- not q.  q :- not p.  r :- p, a.  One of p, q keeps a variable,
+     the other is its negation. *)
+  let h = hand_program () in
+  let p = fresh h "p" and q = fresh h "q" and r = fresh h "r" in
+  normal h p ~neg:[| q |] ();
+  normal h q ~neg:[| p |] ();
+  normal h r ~pos:[| p; h.a |] ();
+  let tr = Asp.Translate.translate h.hg in
+  Alcotest.(check int) "p and q are one variable" (S.Lit.negate (lit_of tr p)) (lit_of tr q);
+  Alcotest.(check int) "a, b, p or q, r's body" 4 (S.num_vars tr.sat);
+  check_models "negative pair" h
+
+let test_alias_promoted_fact () =
+  (* p :- a.  q :- p.  s :- not p.  Then p becomes a fact (as when a later
+     emission derives it): q always holds, s never does. *)
+  let h = hand_program () in
+  let p = fresh h "p" and q = fresh h "q" and s = fresh h "s" in
+  normal h p ~pos:[| h.a |] ();
+  normal h q ~pos:[| p |] ();
+  normal h s ~neg:[| p |] ();
+  Asp.Gatom.Store.mark_fact h.hg.G.store p;
+  let tr = Asp.Translate.translate h.hg in
+  Alcotest.(check int) "a and b only" 2 (S.num_vars tr.sat);
+  Alcotest.(check (option int)) "q has no literal" None (Asp.Translate.atom_lit tr q);
+  Alcotest.(check bool) "q holds" true (Asp.Translate.atom_is_true tr q);
+  Alcotest.(check bool) "s does not" false (Asp.Translate.atom_is_true tr s);
+  check_models "promoted fact" h
+
+let test_alias_selectors () =
+  (* p :- a.  :- not p.  :- p, b.  :- not b.  The three constraints (rules
+     2 to 4) conflict only together, through p's shared literal: the core
+     names all three. *)
+  let h = hand_program () in
+  let p = fresh h "p" in
+  normal h p ~pos:[| h.a |] ();
+  add_rule h.hg (constr ~neg:[| p |] ());
+  add_rule h.hg (constr ~pos:[| p; h.b |] ());
+  add_rule h.hg (constr ~neg:[| h.b |] ());
+  let tr, sels = Asp.Translate.translate_with_selectors h.hg in
+  check_no_indicator "selectors" tr ~extra:(List.length sels);
+  Alcotest.(check bool) "unsat under all selectors" true
+    (S.solve ~assumptions:(List.map fst sels) tr.sat = S.Unsat);
+  let core, minimal = S.shrink_core tr.sat (S.last_core tr.sat) in
+  Alcotest.(check bool) "minimal" true minimal;
+  let rules = List.sort compare (List.map (fun l -> List.assoc l sels) core) in
+  Alcotest.(check (list int)) "core names the guarded rules" [ 2; 3; 4 ] rules
 
 let () =
   let qsuite =
@@ -1510,6 +1661,16 @@ let () =
             test_constraint_unsupported_atom;
           Alcotest.test_case "all-fact body" `Quick test_constraint_all_facts;
           Alcotest.test_case "selectors name rules" `Quick test_constraint_selectors;
+        ] );
+      ( "atoms that are their body",
+        [
+          Alcotest.test_case "one literal" `Quick test_alias_literal;
+          Alcotest.test_case "shared body" `Quick test_alias_shared_body;
+          Alcotest.test_case "two rules keep a variable" `Quick test_alias_keeps_variable;
+          Alcotest.test_case "positive cycle" `Quick test_alias_positive_cycle;
+          Alcotest.test_case "negative pair" `Quick test_alias_negative_pair;
+          Alcotest.test_case "promoted fact" `Quick test_alias_promoted_fact;
+          Alcotest.test_case "selectors" `Quick test_alias_selectors;
         ] );
       ("properties", qsuite);
     ]

@@ -182,6 +182,71 @@ let test_verifies_optimum_costs () =
       o.Asp.Solve.costs
   | _ -> Alcotest.fail "expected SAT"
 
+(* --- the one-pass founded set ------------------------------------------- *)
+
+module G = Asp.Ground
+
+(* A random ground program over atoms a0..a(n-1), built directly on
+   [Ground.t] (so heads may be facts, bodies may repeat atoms and nothing is
+   simplified away), with some atoms marked facts and a random candidate
+   set. *)
+type founded_case = { n : int; facts : int list; rules : G.rule list; truth : bool array }
+
+let gen_founded_case =
+  let open QCheck.Gen in
+  int_range 1 8 >>= fun n ->
+  let atom = int_bound (n - 1) in
+  let body =
+    map2
+      (fun pos neg -> { G.pos = Array.of_list pos; neg = Array.of_list neg })
+      (list_size (int_bound 3) atom)
+      (list_size (int_bound 2) atom)
+  in
+  let rule =
+    frequency
+      [
+        (5, map2 (fun h b -> G.Rnormal (h, b)) atom body);
+        ( 2,
+          map2
+            (fun hs b -> G.Rchoice { lb = None; ub = None; heads = Array.of_list hs; cbody = b })
+            (list_size (int_range 1 3) atom)
+            body );
+        (1, map (fun b -> G.Rconstraint b) body);
+      ]
+  in
+  map3
+    (fun facts rules truth -> { n; facts; rules; truth = Array.of_list truth })
+    (list_size (int_bound n) atom)
+    (list_size (int_bound 12) rule)
+    (list_repeat n bool)
+
+(* the atoms are interned first, so atom i has id i *)
+let ground_of_case c =
+  let store = Asp.Gatom.Store.create () in
+  for i = 0 to c.n - 1 do
+    assert (Asp.Gatom.Store.intern store (Asp.Gatom.make (atom i) []) = i)
+  done;
+  List.iter (Asp.Gatom.Store.mark_fact store) c.facts;
+  let g = G.create store in
+  List.iter (fun r -> G.push_rule g r { G.o_line = 0; o_text = ""; o_pos = [||] }) c.rules;
+  g
+
+let print_founded_case c =
+  Format.asprintf "%afacts %s\ntrue %s" G.pp (ground_of_case c)
+    (String.concat " " (List.map atom c.facts))
+    (String.concat " "
+       (List.filter_map
+          (fun i -> if c.truth.(i) then Some (atom i) else None)
+          (List.init c.n Fun.id)))
+
+let prop_founded_set_matches_naive =
+  QCheck.Test.make ~count:1000 ~name:"one-pass founded set = naive founded set"
+    (QCheck.make ~print:print_founded_case gen_founded_case)
+    (fun c ->
+      let g = ground_of_case c in
+      let is_true i = c.truth.(i) in
+      V.founded_set g c.n is_true = N.founded_set g c.n is_true)
+
 let () =
   Alcotest.run "verify"
     [
@@ -193,6 +258,7 @@ let () =
             test_rejects_corrupted_models;
           Alcotest.test_case "solve agrees and verifies" `Quick
             test_solve_agrees_and_verifies;
+          QCheck_alcotest.to_alcotest prop_founded_set_matches_naive;
         ] );
       ( "violations",
         [
