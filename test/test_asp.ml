@@ -1662,7 +1662,7 @@ let () =
           Alcotest.test_case "all-fact body" `Quick test_constraint_all_facts;
           Alcotest.test_case "selectors name rules" `Quick test_constraint_selectors;
         ] );
-      ( "atoms that are their body",
+      ( "aliases",
         [
           Alcotest.test_case "one literal" `Quick test_alias_literal;
           Alcotest.test_case "shared body" `Quick test_alias_shared_body;
