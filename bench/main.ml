@@ -123,12 +123,14 @@ let table2 () =
   section "Table II: optimization criteria (priority order)";
   List.iter (fun (i, name) -> Printf.printf "%4d  %s\n" i name) Concretize.Criteria.names;
   subsection "objective vector of hdf5@1.10.2%gcc@8.5.0 (forces old version + compiler)";
-  match Concretize.Concretizer.solve_spec ~repo "hdf5@1.10.2%gcc@8.5.0" with
+  let roots = [ Specs.Spec_parser.parse "hdf5@1.10.2%gcc@8.5.0" ] in
+  match Concretize.Concretizer.solve (Concretize.Concretizer.request ~repo roots) with
   | Concretize.Concretizer.Unsatisfiable _ -> print_endline "UNSAT"
   | Concretize.Concretizer.Interrupted _ -> print_endline "INTERRUPTED"
   | Concretize.Concretizer.Concrete s ->
     Printf.printf "%s"
-      (Format.asprintf "%a" Concretize.Criteria.pp_costs s.Concretize.Concretizer.costs)
+      (Format.asprintf "%a" Concretize.Criteria.pp_costs
+         s.Concretize.Concretizer.stats.Asp.Solve.costs)
 
 (* ------------------------------------------------------------------ *)
 (* Figs. 4-6: reuse                                                    *)
@@ -167,7 +169,8 @@ let fig6 () =
       (List.length nodes)
       (List.length nodes - hits));
   (* 6b: solving for reuse *)
-  match Concretize.Concretizer.solve_spec ~repo ~installed:db request with
+  let roots = [ Specs.Spec_parser.parse request ] in
+  match Concretize.Concretizer.solve (Concretize.Concretizer.request ~installed:db ~repo roots) with
   | Concretize.Concretizer.Unsatisfiable _ -> print_endline "UNSAT"
   | Concretize.Concretizer.Interrupted _ -> print_endline "INTERRUPTED"
   | Concretize.Concretizer.Concrete s ->
@@ -179,7 +182,8 @@ let fig6 () =
 let fig5 () =
   section "Fig. 5: two-bucket objective vector of a mixed solve";
   let db = reuse_cache [ "zlib"; "cmake" ] in
-  match Concretize.Concretizer.solve_spec ~repo ~installed:db "h5utils" with
+  let roots = [ Specs.Spec_parser.parse "h5utils" ] in
+  match Concretize.Concretizer.solve (Concretize.Concretizer.request ~installed:db ~repo roots) with
   | Concretize.Concretizer.Unsatisfiable _ -> print_endline "UNSAT"
   | Concretize.Concretizer.Interrupted _ -> print_endline "INTERRUPTED"
   | Concretize.Concretizer.Concrete s ->
@@ -190,7 +194,7 @@ let fig5 () =
       (Format.asprintf "%a"
          (fun ppf costs ->
            List.iter (fun pv -> Format.fprintf ppf "  %a@." Concretize.Criteria.pp_cost pv) costs)
-         s.Concretize.Concretizer.costs)
+         s.Concretize.Concretizer.stats.Asp.Solve.costs)
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 7a-c: solve times vs. possible dependencies                    *)
@@ -214,6 +218,37 @@ type row = {
   decisions : int option;  (* the same for decisions; unknown when interrupted *)
 }
 
+(* The row of one solve: [Ok stats] when it produced a model, [Error info]
+   when the budget interrupted it first. *)
+let make_row ~pkg ~possible ~wall ~jobs ~cache (phases : Asp.Phases.t) solved =
+  let outcome, verified, conflicts, decisions =
+    match solved with
+    | Ok (st : Asp.Solve.stats) ->
+      ( (match st.Asp.Solve.quality with
+        | `Optimal -> "optimal"
+        | `Degraded _ -> "degraded"),
+        st.Asp.Solve.verified,
+        st.Asp.Solve.sat_stats.Asp.Sat.conflicts,
+        Some st.Asp.Solve.sat_stats.Asp.Sat.decisions )
+    | Error (info : Asp.Budget.info) ->
+      ("interrupted", false, info.Asp.Budget.progress.Asp.Budget.conflicts, None)
+  in
+  {
+    pkg;
+    possible;
+    ground_t = phases.Asp.Phases.ground_time;
+    solve_t = phases.Asp.Phases.solve_time;
+    total_t = Asp.Phases.total phases;
+    wall_t = wall;
+    jobs;
+    outcome;
+    verified;
+    cache;
+    peak_rss_mb = Rss.peak_mb ();
+    conflicts;
+    decisions;
+  }
+
 (* Every solve performed by any experiment is recorded here, tagged with the
    experiment currently running, and dumped at exit when --json was given. *)
 let current_experiment = ref ""
@@ -224,59 +259,27 @@ let solve_rows ?config ?installed ?cache ?(repo = repo) names =
      a [hit] (served without solving), anything else a [miss] that the solve
      below will populate.  Status is computed against the cache state at
      dispatch time, so a warm second pass over the same names reports hits. *)
+  let request pkg =
+    Concretize.Concretizer.request ?installed ~repo [ Specs.Spec_parser.parse pkg ]
+  in
   let status_of pkg =
     match cache with
     | None -> "off"
     | Some c ->
-      let key =
-        Concretize.Concretizer.request_key ?config ?installed ~repo
-          [ Specs.Spec_parser.parse pkg ]
-      in
+      let key = Concretize.Concretizer.request_key ?config (request pkg) in
       if Server.Cache.mem c key then "hit" else "miss"
   in
   let hook = Option.map Server.Cache.hook cache in
   let row_of pkg status wall result =
+    let row = make_row ~pkg ~wall ~jobs:!jobs ~cache:status in
     match result with
     | Concretize.Concretizer.Concrete s ->
-      let p = s.Concretize.Concretizer.phases in
-      Some
-        {
-          pkg;
-          possible = s.Concretize.Concretizer.n_possible;
-          ground_t = p.Asp.Phases.ground_time;
-          solve_t = p.Asp.Phases.solve_time;
-          total_t = Asp.Phases.total p;
-          wall_t = wall;
-          jobs = !jobs;
-          outcome =
-            (match s.Concretize.Concretizer.quality with
-            | `Optimal -> "optimal"
-            | `Degraded _ -> "degraded");
-          verified = s.Concretize.Concretizer.verified;
-          cache = status;
-          peak_rss_mb = Rss.peak_mb ();
-          conflicts = s.Concretize.Concretizer.sat_stats.Asp.Sat.conflicts;
-          decisions = Some s.Concretize.Concretizer.sat_stats.Asp.Sat.decisions;
-        }
-    | Concretize.Concretizer.Interrupted { phases = p; n_possible; info; _ } ->
+      let st = s.Concretize.Concretizer.stats in
+      Some (row ~possible:s.Concretize.Concretizer.n_possible st.Asp.Solve.phases (Ok st))
+    | Concretize.Concretizer.Interrupted { phases; n_possible; info; _ } ->
       (* only reachable when a budget is configured; keep the row so
          --json accounts for every attempted solve *)
-      Some
-        {
-          pkg;
-          possible = n_possible;
-          ground_t = p.Asp.Phases.ground_time;
-          solve_t = p.Asp.Phases.solve_time;
-          total_t = Asp.Phases.total p;
-          wall_t = wall;
-          jobs = !jobs;
-          outcome = "interrupted";
-          verified = false;
-          cache = status;
-          peak_rss_mb = Rss.peak_mb ();
-          conflicts = info.Asp.Budget.progress.Asp.Budget.conflicts;
-          decisions = None;
-        }
+      Some (row ~possible:n_possible phases (Error info))
     | Concretize.Concretizer.Unsatisfiable _ -> None
   in
   let rows =
@@ -288,8 +291,8 @@ let solve_rows ?config ?installed ?cache ?(repo = repo) names =
       let statuses = List.map status_of names in
       let t0 = Unix.gettimeofday () in
       let batch =
-        Concretize.Concretizer.solve_many ~pool:p ?config ?installed ?cache:hook ~repo
-          (List.map (fun pkg -> [ Specs.Spec_parser.parse pkg ]) names)
+        Concretize.Concretizer.solve_many ~pool:p ?config ?cache:hook
+          (List.map request names)
       in
       let wall = Unix.gettimeofday () -. t0 in
       let rows =
@@ -308,7 +311,7 @@ let solve_rows ?config ?installed ?cache ?(repo = repo) names =
           let status = status_of pkg in
           let t0 = Unix.gettimeofday () in
           match
-            Concretize.Concretizer.solve_spec ?config ?installed ?cache:hook ~repo pkg
+            Concretize.Concretizer.solve ?config ?cache:hook (request pkg)
           with
           | r -> row_of pkg status (Unix.gettimeofday () -. t0) r
           | exception Concretize.Facts.Unknown_package _ -> None)
@@ -724,7 +727,7 @@ let usability () =
         | Concretize.Greedy.Error _ -> "FAILED (asks user to fix)"
       in
       let asp =
-        match Concretize.Concretizer.solve_spec ~repo spec with
+        match Concretize.Concretizer.(solve (request ~repo [ Specs.Spec_parser.parse spec ])) with
         | Concretize.Concretizer.Concrete _ -> "solved"
         | Concretize.Concretizer.Unsatisfiable _ -> "proven unsatisfiable"
         | Concretize.Concretizer.Interrupted _ -> "interrupted"
@@ -752,9 +755,11 @@ let scaling () =
           (Pkg.Repo.package_names sr)
         |> List.map Specs.Spec_parser.parse
       in
-      match Concretize.Concretizer.solve ~repo:sr roots with
+      match
+        Concretize.Concretizer.solve (Concretize.Concretizer.request ~repo:sr roots)
+      with
       | Concretize.Concretizer.Concrete s ->
-        let p = s.Concretize.Concretizer.phases in
+        let p = s.Concretize.Concretizer.stats.Asp.Solve.phases in
         Printf.printf "%-12d %8d %7d %9d %10.3f %10.3f %10.3f %8d\n" n
           (Pkg.Repo.size sr) (List.length roots) s.Concretize.Concretizer.n_facts
           p.Asp.Phases.ground_time p.Asp.Phases.solve_time
@@ -772,9 +777,9 @@ let multishot () =
   section "Multi-shot vs unified concretization (the paper's closing remark)";
   let roots = List.map Specs.Spec_parser.parse Pkg.Repo_core.e4s_roots in
   (* unified: one combinatorial solve, globally optimal *)
-  (match Concretize.Concretizer.solve ~repo roots with
+  (match Concretize.Concretizer.solve (Concretize.Concretizer.request ~repo roots) with
   | Concretize.Concretizer.Concrete s ->
-    let p = s.Concretize.Concretizer.phases in
+    let p = s.Concretize.Concretizer.stats.Asp.Solve.phases in
     Printf.printf
       "unified   : %d roots -> %d nodes in %.2fs (one configuration per package)\n"
       (List.length roots)
@@ -783,7 +788,7 @@ let multishot () =
   | Concretize.Concretizer.Unsatisfiable _ -> print_endline "unified: UNSAT"
   | Concretize.Concretizer.Interrupted _ -> print_endline "unified: INTERRUPTED");
   (* multi-shot: divide and conquer, later shots reuse earlier results *)
-  let ms = Concretize.Multishot.solve_stack ~repo roots in
+  let ms = Concretize.Multishot.solve_stack (Concretize.Concretizer.request ~repo roots) in
   let solved =
     List.length
       (List.filter
@@ -816,14 +821,16 @@ let multishot () =
       (Pkg.Repo.package_names sr)
     |> List.map Specs.Spec_parser.parse
   in
-  (match Concretize.Concretizer.solve ~repo:sr roots with
+  (match
+     Concretize.Concretizer.solve (Concretize.Concretizer.request ~repo:sr roots)
+   with
   | Concretize.Concretizer.Concrete s ->
     Printf.printf "unified   : %d roots, %d packages -> %.2fs\n" (List.length roots)
       (Pkg.Repo.size sr)
-      (Asp.Phases.total s.Concretize.Concretizer.phases)
+      (Asp.Phases.total s.Concretize.Concretizer.stats.Asp.Solve.phases)
   | Concretize.Concretizer.Unsatisfiable _ -> print_endline "unified: UNSAT"
   | Concretize.Concretizer.Interrupted _ -> print_endline "unified: INTERRUPTED");
-  let ms = Concretize.Multishot.solve_stack ~repo:sr roots in
+  let ms = Concretize.Multishot.solve_stack (Concretize.Concretizer.request ~repo:sr roots) in
   Printf.printf "multi-shot: %.2fs, %d package(s) with several configs\n"
     ms.Concretize.Multishot.total_time
     (List.length ms.Concretize.Multishot.distinct_configs)
@@ -930,9 +937,9 @@ let cudf_bench () =
             match Cudf.Solver.solve ~stack d with
             | Cudf.Solver.Solution s ->
               let wall = Unix.gettimeofday () -. t0 in
-              let p = s.Cudf.Solver.phases in
-              let g = s.Cudf.Solver.ground_stats in
-              if not (s.Cudf.Solver.verified && s.Cudf.Solver.quality = `Optimal)
+              let st = s.Cudf.Solver.stats in
+              let p = st.Asp.Solve.phases and g = st.Asp.Solve.ground_stats in
+              if not (st.Asp.Solve.verified && st.Asp.Solve.quality = `Optimal)
               then failwith (tag ^ ": solve did not reach a verified optimum");
               times := Asp.Phases.total p :: !times;
               max_rules := max !max_rules g.Asp.Grounder.ground_rules;
@@ -943,26 +950,15 @@ let cudf_bench () =
                 (String.concat ","
                    (List.map
                       (fun (pr, v) -> Printf.sprintf "%d@%d" v pr)
-                      s.Cudf.Solver.costs))
+                      st.Asp.Solve.costs))
                 g.Asp.Grounder.possible_atoms g.Asp.Grounder.ground_rules;
               if !json_file <> None then
                 recorded_rows :=
                   ( tag,
-                    {
-                      pkg = Printf.sprintf "synth-%d-%d" n seed;
-                      possible = g.Asp.Grounder.possible_atoms;
-                      ground_t = p.Asp.Phases.ground_time;
-                      solve_t = p.Asp.Phases.solve_time;
-                      total_t = Asp.Phases.total p;
-                      wall_t = wall;
-                      jobs = 1;
-                      outcome = "optimal";
-                      verified = s.Cudf.Solver.verified;
-                      cache = "off";
-                      peak_rss_mb = Rss.peak_mb ();
-                      conflicts = s.Cudf.Solver.sat_stats.Asp.Sat.conflicts;
-                      decisions = Some s.Cudf.Solver.sat_stats.Asp.Sat.decisions;
-                    } )
+                    make_row
+                      ~pkg:(Printf.sprintf "synth-%d-%d" n seed)
+                      ~possible:g.Asp.Grounder.possible_atoms ~wall ~jobs:1
+                      ~cache:"off" p (Ok st) )
                   :: !recorded_rows
             | Cudf.Solver.Unsatisfiable _ ->
               failwith (tag ^ ": synthetic universe unexpectedly unsatisfiable")

@@ -9,6 +9,10 @@ let read_file = function
   | "-" -> In_channel.input_all In_channel.stdin
   | path -> In_channel.with_open_text path In_channel.input_all
 
+let print_time (p : Asp.Phases.t) =
+  Printf.printf "Time: ground %.3fs, solve %.3fs\n" p.Asp.Phases.ground_time
+    p.Asp.Phases.solve_time
+
 let run files preset show_stats nmodels timeout jobs explain no_verify =
   let preset =
     match Asp.Config.preset_of_name preset with
@@ -32,18 +36,16 @@ let run files preset show_stats nmodels timeout jobs explain no_verify =
        (fun _ ->
          if Asp.Budget.is_cancelled tok then exit 130;
          Asp.Budget.cancel tok));
-  let budget = Asp.Budget.start ~cancel:tok limits in
   let src = String.concat "\n" (List.map read_file files) in
-  match Asp.Solve.solve_program ~config ~budget ~jobs (Asp.Parser.parse src) with
+  match Asp.Solve.solve_program ~config ~cancel:tok ~jobs (Asp.Parser.parse src) with
   | exception Asp.Solver_error.Error e ->
     Format.eprintf "error: %a@." Asp.Solver_error.pp e;
     exit 2
-  | Asp.Solve.Interrupted { info; ground_time; solve_time } ->
+  | Asp.Solve.Interrupted { info; phases } ->
     Format.printf "INTERRUPTED: %a@." Asp.Budget.pp_info info;
-    if show_stats then
-      Printf.printf "Time: ground %.3fs, solve %.3fs\n" ground_time solve_time;
+    if show_stats then print_time phases;
     exit 3
-  | Asp.Solve.Unsat { ground_time; solve_time } ->
+  | Asp.Solve.Unsat { phases } ->
     print_endline "UNSATISFIABLE";
     if explain then begin
       (* re-ground and extract a minimal core of constraint instances, each
@@ -61,8 +63,7 @@ let run files preset show_stats nmodels timeout jobs explain no_verify =
       | Asp.Explain.Exhausted info ->
         Format.printf "explain: budget exhausted (%a)@." Asp.Budget.pp_info info
     end;
-    if show_stats then
-      Printf.printf "Time: ground %.3fs, solve %.3fs\n" ground_time solve_time;
+    if show_stats then print_time phases;
     exit 1
   | Asp.Solve.Sat o ->
     (if nmodels <> 1 then begin
@@ -80,25 +81,27 @@ let run files preset show_stats nmodels timeout jobs explain no_verify =
        List.iter (fun a -> Format.printf "%a " Asp.Gatom.pp a) o.Asp.Solve.answer;
        Format.printf "@."
      end);
-    if o.Asp.Solve.costs <> [] then begin
+    let st = o.Asp.Solve.stats in
+    if st.Asp.Solve.costs <> [] then begin
       print_string "Optimization:";
-      List.iter (fun (p, v) -> Printf.printf " %d@%d" v p) o.Asp.Solve.costs;
-      (match o.Asp.Solve.quality with
+      List.iter (fun (p, v) -> Printf.printf " %d@%d" v p) st.Asp.Solve.costs;
+      (match st.Asp.Solve.quality with
       | `Degraded _ -> print_string "  (suboptimal: budget expired mid-optimization)"
       | `Optimal -> ());
       print_newline ()
     end;
     print_endline "SATISFIABLE";
     if show_stats then begin
-      let s = o.Asp.Solve.sat_stats in
-      Printf.printf "Atoms      : %d possible\n" o.Asp.Solve.ground_stats.Asp.Grounder.possible_atoms;
-      Printf.printf "Rules      : %d ground\n" o.Asp.Solve.ground_stats.Asp.Grounder.ground_rules;
+      let s = st.Asp.Solve.sat_stats and g = st.Asp.Solve.ground_stats in
+      Printf.printf "Atoms      : %d possible\n" g.Asp.Grounder.possible_atoms;
+      Printf.printf "Rules      : %d ground\n" g.Asp.Grounder.ground_rules;
       Printf.printf "Models     : %d enumerated\n" o.Asp.Solve.models_enumerated;
       Printf.printf "Conflicts  : %d\n" s.Asp.Sat.conflicts;
       Printf.printf "Decisions  : %d\n" s.Asp.Sat.decisions;
       Printf.printf "Restarts   : %d\n" s.Asp.Sat.restarts;
-      Printf.printf "Time       : ground %.3fs, solve %.3fs\n" o.Asp.Solve.ground_time
-        o.Asp.Solve.solve_time
+      Printf.printf "Time       : ground %.3fs, solve %.3fs\n"
+        st.Asp.Solve.phases.Asp.Phases.ground_time
+        st.Asp.Solve.phases.Asp.Phases.solve_time
     end
 
 let files =

@@ -5,23 +5,24 @@
 open Cmdliner
 
 let print_result ~stack ~show_stats ~show_state result =
-  match result with
-  | Cudf.Solver.Interrupted { info; phases; n_facts } ->
-    Format.printf "INTERRUPTED: %a@." Asp.Budget.pp_info info;
+  let phase_stats phases n_facts =
     if show_stats then begin
       Printf.printf "Facts: %d\n" n_facts;
       print_endline (Asp.Phases.to_line phases)
-    end;
+    end
+  in
+  match result with
+  | Cudf.Solver.Interrupted { info; phases; n_facts } ->
+    Format.printf "INTERRUPTED: %a@." Asp.Budget.pp_info info;
+    phase_stats phases n_facts;
     3
   | Cudf.Solver.Unsatisfiable { reasons; phases; n_facts } ->
     print_endline "UNSATISFIABLE: no state satisfies the request";
     List.iter (Printf.printf "  possible cause: %s\n") reasons;
-    if show_stats then begin
-      Printf.printf "Facts: %d\n" n_facts;
-      print_endline (Asp.Phases.to_line phases)
-    end;
+    phase_stats phases n_facts;
     1
   | Cudf.Solver.Solution s ->
+    let st = s.Cudf.Solver.stats in
     Printf.printf "SOLVED (%s): %d packages in the final state\n"
       (Cudf.Criteria.name stack)
       (List.length s.Cudf.Solver.state);
@@ -31,14 +32,14 @@ let print_result ~stack ~show_stats ~show_state result =
       (List.length s.Cudf.Solver.changed);
     List.iter
       (fun pv -> Format.printf "  %a@." (Cudf.Criteria.pp_cost stack) pv)
-      s.Cudf.Solver.costs;
-    (match s.Cudf.Solver.quality with
+      st.Asp.Solve.costs;
+    (match st.Asp.Solve.quality with
     | `Optimal -> print_endline "  optimality proven at every level"
     | `Degraded _ ->
       print_endline
         "  note: budget expired mid-optimization; this state is valid but \
          may be suboptimal");
-    if s.Cudf.Solver.verified then
+    if st.Asp.Solve.verified then
       print_endline "  verified: independent model check passed";
     if show_state then
       List.iter
@@ -50,19 +51,7 @@ let print_result ~stack ~show_stats ~show_state result =
          %d lines\n"
         s.Cudf.Solver.n_packages s.Cudf.Solver.n_facts s.Cudf.Solver.n_sets
         (Cudf.Logic.line_count stack);
-      let g = s.Cudf.Solver.ground_stats in
-      Printf.printf "Ground: %d atoms, %d rules\n" g.Asp.Grounder.possible_atoms
-        g.Asp.Grounder.ground_rules;
-      let st = s.Cudf.Solver.sat_stats in
-      Printf.printf "Search: %d conflicts, %d decisions, %d restarts\n"
-        st.Asp.Sat.conflicts st.Asp.Sat.decisions st.Asp.Sat.restarts;
-      print_endline (Asp.Phases.to_line s.Cudf.Solver.phases);
-      print_endline (Asp.Grounder.steps_line g);
-      print_endline (Asp.Phases.steps_line s.Cudf.Solver.solve_steps);
-      print_endline
-        (Asp.Optimize.descent_line ~costs:s.Cudf.Solver.costs
-           ~descent_searches:s.Cudf.Solver.descent_searches);
-      print_endline (Asp.Sat.instance_line st)
+      Asp.Solve.print_stats st
     end;
     0
 
@@ -125,7 +114,7 @@ let run file synth seed stack_name preset timeout retries jobs explain
          if Asp.Budget.is_cancelled tok then exit 130;
          Asp.Budget.cancel tok));
   let solve ?pool ?racers () =
-    Cudf.Solver.solve_escalating ~attempts:(retries + 1) ~config ~cancel:tok
+    Cudf.Solver.solve ~attempts:(retries + 1) ~config ~cancel:tok
       ?pool ?racers ~explain ~stack doc
   in
   let result =

@@ -14,25 +14,26 @@ let pick_repo = function
 
 (* Render one concretization result; returns the exit code. *)
 let print_result repo show_stats validate spec_text result =
-  match result with
-  | Concretize.Concretizer.Interrupted { info; phases; n_facts; n_possible } ->
-    Format.printf "INTERRUPTED: %a@." Asp.Budget.pp_info info;
+  let phase_stats phases n_facts n_possible =
     if show_stats then begin
       Printf.printf "Facts: %d, possible dependencies: %d\n" n_facts n_possible;
       print_endline (Asp.Phases.to_line phases)
-    end;
+    end
+  in
+  match result with
+  | Concretize.Concretizer.Interrupted { info; phases; n_facts; n_possible } ->
+    Format.printf "INTERRUPTED: %a@." Asp.Budget.pp_info info;
+    phase_stats phases n_facts n_possible;
     3
   | Concretize.Concretizer.Unsatisfiable { phases; n_facts; n_possible; reasons } ->
     Printf.printf "UNSATISFIABLE: no valid configuration of %s exists\n" spec_text;
     List.iter (Printf.printf "  possible cause: %s\n") reasons;
-    if show_stats then begin
-      Printf.printf "Facts: %d, possible dependencies: %d\n" n_facts n_possible;
-      print_endline (Asp.Phases.to_line phases)
-    end;
+    phase_stats phases n_facts n_possible;
     1
   | Concretize.Concretizer.Concrete s ->
+        let st = s.Concretize.Concretizer.stats in
         Format.printf "%a@." Specs.Spec.pp_concrete s.Concretize.Concretizer.spec;
-        (match s.Concretize.Concretizer.quality with
+        (match st.Asp.Solve.quality with
         | `Optimal -> ()
         | `Degraded _ ->
           print_endline
@@ -54,31 +55,26 @@ let print_result repo show_stats validate spec_text result =
             (fun (p, h) -> Printf.printf "  [%s]  %s\n" (String.sub h 0 8) p)
             s.Concretize.Concretizer.reused
         end;
-        if s.Concretize.Concretizer.verified then
+        if st.Asp.Solve.verified then
           print_endline "verified: independent model check passed";
         if show_stats then begin
           Printf.printf "Facts: %d, possible dependencies: %d, logic program: %d lines\n"
             s.Concretize.Concretizer.n_facts s.Concretize.Concretizer.n_possible
             Concretize.Logic_program.line_count;
-          let g = s.Concretize.Concretizer.ground_stats in
-          Printf.printf "Ground: %d atoms, %d rules\n" g.Asp.Grounder.possible_atoms
-            g.Asp.Grounder.ground_rules;
-          let st = s.Concretize.Concretizer.sat_stats in
-          Printf.printf "Search: %d conflicts, %d decisions, %d restarts\n"
-            st.Asp.Sat.conflicts st.Asp.Sat.decisions st.Asp.Sat.restarts;
-          Printf.printf "Optimization vector (priority, value):";
-          List.iter (fun (p, v) -> Printf.printf " (%d,%d)" p v)
-            (List.filter (fun (_, v) -> v <> 0) s.Concretize.Concretizer.costs);
-          print_newline ();
-          print_endline (Asp.Phases.to_line s.Concretize.Concretizer.phases);
-          print_endline (Asp.Grounder.steps_line g);
-          print_endline (Asp.Phases.steps_line s.Concretize.Concretizer.solve_steps);
-          print_endline
-            (Asp.Optimize.descent_line ~costs:s.Concretize.Concretizer.costs
-               ~descent_searches:s.Concretize.Concretizer.descent_searches);
-          print_endline (Asp.Sat.instance_line st)
+          Asp.Solve.print_stats ~vector:true st
         end;
         0
+
+(* Run [f] (a solve and its rendering); a solver error prints and exits 2. *)
+let guarded f =
+  match f () with
+  | exception Concretize.Facts.Unknown_package p ->
+    Printf.eprintf "Error: unknown package %s\n" p;
+    2
+  | exception Asp.Solver_error.Error e ->
+    Format.eprintf "Error: %a@." Asp.Solver_error.pp e;
+    2
+  | rc -> rc
 
 let solve_one repo config installed cancel attempts show_stats greedy validate
     explain ?pool ?racers spec_text =
@@ -100,49 +96,35 @@ let solve_one repo config installed cancel attempts show_stats greedy validate
       Printf.eprintf "Error: invalid spec: %s\n"
         (Specs.Spec_parser.error_to_string e);
       2
-    | root -> (
-      match
-        Concretize.Concretizer.solve_escalating ~attempts ~config ?installed
-          ?cancel ?pool ?racers ~explain ~repo [ root ]
-      with
-      | exception Concretize.Facts.Unknown_package p ->
-        Printf.eprintf "Error: unknown package %s\n" p;
-        2
-      | exception Asp.Solver_error.Error e ->
-        Format.eprintf "Error: %a@." Asp.Solver_error.pp e;
-        2
-      | result -> print_result repo show_stats validate spec_text result)
+    | root ->
+      guarded (fun () ->
+          print_result repo show_stats validate spec_text
+            (Concretize.Concretizer.solve ~attempts ~config ?cancel ?pool ?racers
+               ~explain
+               (Concretize.Concretizer.request ?installed ~repo [ root ])))
 
 (* --jobs N with several specs: concretize the batch across the pool, then
    print in input order. *)
 let solve_batch repo config installed cancel attempts show_stats validate
     explain pool specs =
-  let roots =
+  let requests =
     List.map
       (fun s ->
         match Specs.Spec_parser.parse s with
-        | root -> [ root ]
+        | root -> Concretize.Concretizer.request ?installed ~repo [ root ]
         | exception Specs.Spec_parser.Error e ->
           Printf.eprintf "Error: invalid spec: %s\n"
             (Specs.Spec_parser.error_to_string e);
           exit 2)
       specs
   in
-  match
-    Concretize.Concretizer.solve_many ~pool ~attempts ~config ?installed
-      ?cancel ~explain ~repo roots
-  with
-  | exception Concretize.Facts.Unknown_package p ->
-    Printf.eprintf "Error: unknown package %s\n" p;
-    2
-  | exception Asp.Solver_error.Error e ->
-    Format.eprintf "Error: %a@." Asp.Solver_error.pp e;
-    2
-  | results ->
-    List.fold_left2
-      (fun rc spec result ->
-        max rc (print_result repo show_stats validate spec result))
-      0 specs results
+  guarded (fun () ->
+      List.fold_left2
+        (fun rc spec result ->
+          max rc (print_result repo show_stats validate spec result))
+        0 specs
+        (Concretize.Concretizer.solve_many ~pool ~config ~attempts ?cancel
+           ~explain requests))
 
 let run_multishot repo config installed ?pool ?racers specs =
   let roots =
@@ -157,8 +139,8 @@ let run_multishot repo config installed ?pool ?racers specs =
       specs
   in
   let ms =
-    Concretize.Multishot.solve_stack ~config ?installed ?pool ?racers ~repo
-      roots
+    Concretize.Multishot.solve_stack ~config ?pool ?racers
+      (Concretize.Concretizer.request ?installed ~repo roots)
   in
   List.iter
     (fun (sh : Concretize.Multishot.shot) ->

@@ -26,7 +26,7 @@ let () =
     Option.iter (Printf.printf "Hint: %s\n") e.Concretize.Greedy.hint);
 
   print_endline "\n--- ASP concretizer ---";
-  match Concretize.Concretizer.solve_spec ~repo spec with
+  match Concretize.Concretizer.(solve (request ~repo [ Specs.Spec_parser.parse spec ])) with
   | Concretize.Concretizer.Interrupted _ -> print_endline "INTERRUPTED"
   | Concretize.Concretizer.Unsatisfiable _ -> print_endline "UNSAT (unexpected)"
   | Concretize.Concretizer.Concrete s ->

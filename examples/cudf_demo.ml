@@ -64,10 +64,10 @@ let show stack doc =
       s.Cudf.Solver.state;
     List.iter
       (fun pv -> Format.printf "  %a@." (Cudf.Criteria.pp_cost stack) pv)
-      s.Cudf.Solver.costs;
+      s.Cudf.Solver.stats.Asp.Solve.costs;
     Printf.printf "  optimal: %b, verified: %b\n"
-      (s.Cudf.Solver.quality = `Optimal)
-      s.Cudf.Solver.verified
+      (s.Cudf.Solver.stats.Asp.Solve.quality = `Optimal)
+      s.Cudf.Solver.stats.Asp.Solve.verified
   | Cudf.Solver.Unsatisfiable { reasons; _ } ->
     print_endline "  UNSATISFIABLE";
     List.iter (Printf.printf "    %s\n") reasons

@@ -16,12 +16,12 @@ let () =
   let total_time = ref 0.0 in
   List.iter
     (fun root ->
-      match Concretize.Concretizer.solve_spec ~repo root with
+      match Concretize.Concretizer.(solve (request ~repo [ Specs.Spec_parser.parse root ])) with
       | Concretize.Concretizer.Interrupted _ -> print_endline "INTERRUPTED"
       | Concretize.Concretizer.Unsatisfiable _ ->
         Printf.printf "%-20s UNSAT\n" root
       | Concretize.Concretizer.Concrete s ->
-        let p = s.Concretize.Concretizer.phases in
+        let p = s.Concretize.Concretizer.stats.Asp.Solve.phases in
         total_time := !total_time +. Asp.Phases.total p;
         Printf.printf "%-20s %9d %7d %9.3f %9.3f\n" root
           s.Concretize.Concretizer.n_possible
@@ -34,12 +34,12 @@ let () =
      environment with unified concretization *)
   print_endline "\nUnified stack solve (all roots in one DAG):";
   let abstracts = List.map Specs.Spec_parser.parse roots in
-  match Concretize.Concretizer.solve ~repo abstracts with
+  match Concretize.Concretizer.solve (Concretize.Concretizer.request ~repo abstracts) with
   | Concretize.Concretizer.Interrupted _ -> print_endline "INTERRUPTED"
   | Concretize.Concretizer.Unsatisfiable _ -> print_endline "UNSAT"
   | Concretize.Concretizer.Concrete s ->
     let nodes = Specs.Spec.concrete_nodes s.Concretize.Concretizer.spec in
-    let p = s.Concretize.Concretizer.phases in
+    let p = s.Concretize.Concretizer.stats.Asp.Solve.phases in
     Printf.printf "  %d packages concretized together in %.2fs (ground %.2fs, solve %.2fs)\n"
       (List.length nodes)
       (Asp.Phases.total p)

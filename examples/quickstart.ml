@@ -12,7 +12,7 @@ let () =
   (* 2. Concretize it: the ASP solver picks versions, variants, compilers,
         targets and providers for the whole dependency DAG, optimally
         w.r.t. the 15 criteria of Table II. *)
-  match Concretize.Concretizer.solve ~repo [ abstract ] with
+  match Concretize.Concretizer.solve (Concretize.Concretizer.request ~repo [ abstract ]) with
   | Concretize.Concretizer.Interrupted _ -> print_endline "INTERRUPTED"
   | Concretize.Concretizer.Unsatisfiable _ ->
     print_endline "no valid configuration exists"
@@ -29,7 +29,7 @@ let () =
     Printf.printf "DAG hash      : %s\n" (Specs.Spec.node_hash spec "hdf5");
 
     (* 4. Solver diagnostics: the phases the paper measures (§VII). *)
-    let p = s.Concretize.Concretizer.phases in
+    let p = s.Concretize.Concretizer.stats.Asp.Solve.phases in
     Printf.printf "\nPhases        : setup %.3fs | ground %.3fs | solve %.3fs\n"
       p.Asp.Phases.setup_time p.Asp.Phases.ground_time
       p.Asp.Phases.solve_time;

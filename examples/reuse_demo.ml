@@ -43,7 +43,8 @@ let () =
 
   (* --- Fig. 6b: solving for reuse --- *)
   print_endline "\n--- solver-based reuse (Fig. 6b) ---";
-  match Concretize.Concretizer.solve_spec ~repo ~installed:db request with
+  let roots = [ Specs.Spec_parser.parse request ] in
+  match Concretize.Concretizer.solve (Concretize.Concretizer.request ~installed:db ~repo roots) with
   | Concretize.Concretizer.Interrupted _ -> print_endline "INTERRUPTED"
   | Concretize.Concretizer.Unsatisfiable _ -> print_endline "UNSAT (unexpected)"
   | Concretize.Concretizer.Concrete s ->

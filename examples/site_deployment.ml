@@ -27,7 +27,11 @@ let site_prefs =
 
 let () =
   print_endline "== single solve under site preferences ==";
-  (match Concretize.Concretizer.solve_spec ~prefs:site_prefs ~repo "hdf5" with
+  (match
+     Concretize.Concretizer.solve
+       (Concretize.Concretizer.request ~prefs:site_prefs ~repo
+          [ Specs.Spec_parser.parse "hdf5" ])
+   with
   | Concretize.Concretizer.Interrupted _ -> print_endline "INTERRUPTED"
   | Concretize.Concretizer.Unsatisfiable _ -> print_endline "UNSAT"
   | Concretize.Concretizer.Concrete s ->
@@ -38,8 +42,9 @@ let () =
   print_endline "\n== multi-shot deployment of a small stack ==";
   let stack = [ "hdf5"; "netcdf-c"; "h5utils"; "fftw"; "gromacs" ] in
   let ms =
-    Concretize.Multishot.solve_stack ~prefs:site_prefs ~repo
-      (List.map Specs.Spec_parser.parse stack)
+    Concretize.Multishot.solve_stack
+      (Concretize.Concretizer.request ~prefs:site_prefs ~repo
+         (List.map Specs.Spec_parser.parse stack))
   in
   List.iter
     (fun (sh : Concretize.Multishot.shot) ->

@@ -11,7 +11,7 @@
 let repo = Pkg.Repo_core.repo
 
 let solve spec =
-  match Concretize.Concretizer.solve_spec ~repo spec with
+  match Concretize.Concretizer.(solve (request ~repo [ Specs.Spec_parser.parse spec ])) with
   | Concretize.Concretizer.Concrete s -> s.Concretize.Concretizer.spec
   | Concretize.Concretizer.Interrupted _ -> failwith ("INTERRUPTED: " ^ spec)
   | Concretize.Concretizer.Unsatisfiable _ -> failwith ("UNSAT: " ^ spec)

@@ -5,7 +5,7 @@
     but by {e strategy diversity}: several configurations (heuristic decay,
     restart schedule, optimization strategy, seeds) attack the same instance
     and the first to prove optimality wins.  This module reproduces that on
-    OCaml 5 domains.  {!Solve.solve_ground} runs the race, and the
+    OCaml 5 domains.  {!Solve.escalate} runs the race, and the
     sequential rescue when every racer's model failed verification, for
     every entry point.
 
@@ -45,7 +45,7 @@ val racers : ?config:Config.t -> int -> racer list
     strategy × preset pair is used, seeds are reshuffled. *)
 
 (** A stable model with its cost vector, as a racer (or the sequential
-    runner of {!Solve.solve_ground}) found it. *)
+    runner of {!Solve.escalate}) found it. *)
 type model = {
   answer : Gatom.t list;  (** atoms of the model, facts included *)
   costs : (int * int) list;
@@ -67,7 +67,7 @@ type attempt =
       (** the racer's model failed independent verification: it is excluded
           from the combination (and never cancels the race); selected only
           when no racer produced anything usable, signalling the
-          sequential rescue of {!Solve.solve_ground} *)
+          sequential rescue of {!Solve.escalate} *)
 
 type outcome = {
   attempt : attempt;  (** the combined verdict (see module doc) *)

@@ -1,26 +1,44 @@
+type stats = {
+  phases : Phases.t;
+  ground_stats : Grounder.stats;
+  sat_stats : Sat.stats;
+  solve_steps : Phases.steps;
+  descent_searches : int;
+  costs : (int * int) list;
+  quality : Optimize.quality;
+  verified : bool;
+}
+
+let print_stats ?(vector = false) s =
+  let g = s.ground_stats and st = s.sat_stats in
+  Printf.printf "Ground: %d atoms, %d rules\n" g.Grounder.possible_atoms
+    g.Grounder.ground_rules;
+  Printf.printf "Search: %d conflicts, %d decisions, %d restarts\n"
+    st.Sat.conflicts st.Sat.decisions st.Sat.restarts;
+  if vector then begin
+    Printf.printf "Optimization vector (priority, value):";
+    List.iter (fun (p, v) -> Printf.printf " (%d,%d)" p v)
+      (List.filter (fun (_, v) -> v <> 0) s.costs);
+    print_newline ()
+  end;
+  print_endline (Phases.to_line s.phases);
+  print_endline (Grounder.steps_line g);
+  print_endline (Phases.steps_line s.solve_steps);
+  print_endline
+    (Optimize.descent_line ~costs:s.costs ~descent_searches:s.descent_searches);
+  print_endline (Sat.instance_line st)
+
 type outcome = {
   answer : Gatom.t list;
   index : Answer.t Lazy.t;
-  costs : (int * int) list;
-  quality : Optimize.quality;
-  ground_stats : Grounder.stats;
-  sat_stats : Sat.stats;
   models_enumerated : int;
-  descent_searches : int;
-  ground_time : float;
-  solve_time : float;
-  solve_steps : Phases.steps;
-  verified : bool;
+  stats : stats;
 }
 
 type result =
   | Sat of outcome
-  | Unsat of { ground_time : float; solve_time : float }
-  | Interrupted of {
-      info : Budget.info;
-      ground_time : float;
-      solve_time : float;
-    }
+  | Unsat of { phases : Phases.t }
+  | Interrupted of { info : Budget.info; phases : Phases.t }
 
 (* Apply #show statements: when any are present, only atoms whose
    (predicate, arity) is explicitly shown are reported. *)
@@ -33,11 +51,6 @@ let apply_show prog answer =
       (fun (a : Gatom.t) ->
         List.mem (a.Gatom.pred, List.length a.Gatom.args) shown)
       answer
-
-type verdict =
-  | Model of Portfolio.model
-  | Proved_unsat
-  | Gave_up of Budget.info
 
 (* The verified sequential runner.  A model that fails verification is
    retried once from a reseeded search (a different EVSIDS tie-breaking
@@ -53,11 +66,15 @@ let solve_ground_verified ~verify ~params ~strategy ~budget g =
     once { params with Sat.seed = params.Sat.seed + 7919 }
   | first -> first
 
-let solve_ground ~config ?params ?pool ?(racers = 1) ~budget g =
+(* The solve stage: translate, optimize with [config.strategy], then
+   re-check the model with [Verify] on a fresh unlimited budget, so a
+   budget that expired mid-descent cannot veto checking the degraded model.
+   With a [pool] and [racers > 1], [Portfolio.race] runs [racers] diverse
+   configurations instead, each on its own translation; when every racer's
+   model failed verification, the sequential runner rescues the solve from
+   a seed shifted away from [params]. *)
+let solve_ground ~config ~params ?pool ?(racers = 1) ~budget g =
   let { Config.strategy; verify; _ } = config in
-  let params =
-    match params with Some p -> p | None -> Config.params config.Config.preset
-  in
   match
     match pool with
     | Some pool when racers > 1 -> (
@@ -75,74 +92,108 @@ let solve_ground ~config ?params ?pool ?(racers = 1) ~budget g =
       | { attempt; _ } -> attempt)
     | _ -> solve_ground_verified ~verify ~params ~strategy ~budget g
   with
-  | exception Budget.Exhausted info -> Gave_up info
-  | Portfolio.Model m -> Model m
-  | Portfolio.Proved_unsat -> Proved_unsat
-  | Portfolio.Gave_up info -> Gave_up info
-  | Portfolio.Quarantined { violations } ->
-    (* never a wrong answer: the typed error surfaces instead *)
-    raise (Solver_error.Error (Solver_error.Verification_failed { violations }))
+  | exception Budget.Exhausted info -> Portfolio.Gave_up info
+  | attempt -> attempt
 
-let escalate ?(attempts = 3) ?(config = Config.default) ?cancel ?fault
-    ~interrupted solve =
+type ('f, 'e) frontend = {
+  setup : unit -> 'f * Ast.program * ((Gatom.t -> unit) -> unit) option;
+  load : unit -> Ast.program;
+  explain : 'f -> params:Sat.params -> budget:Budget.t -> Ground.t -> 'e;
+}
+
+type ('f, 'e) staged =
+  | Solved of {
+      facts : 'f;
+      answer : Gatom.t list;
+      models_enumerated : int;
+      stats : stats;
+    }
+  | Refuted of { facts : 'f; phases : Phases.t; reasons : 'e }
+  | Stopped of { facts : 'f; phases : Phases.t; info : Budget.info }
+
+(* One round: setup, load, a budgeted ground with the frontend's facts
+   stream, then the solve stage, each timed.  The explanation runs after
+   the solve phase's clock stopped. *)
+let stage ~config ?pool ?racers ~params ~budget fe =
+  let (facts, statements, facts_stream), setup_time = Phases.time fe.setup in
+  let lp, load_time = Phases.time fe.load in
+  let grounded, ground_time =
+    Phases.time (fun () ->
+        match Grounder.ground ~budget ?facts_stream (lp @ statements) with
+        | exception Budget.Exhausted info -> Error info
+        | g -> Ok g)
+  in
+  let phases = { Phases.zero with setup_time; load_time; ground_time } in
+  match grounded with
+  | Error info -> Stopped { facts; phases; info }
+  | Ok (ground, ground_stats) -> (
+    let verdict, solve_time =
+      Phases.time (fun () ->
+          solve_ground ~config ~params ?pool ?racers ~budget ground)
+    in
+    let phases = { phases with solve_time } in
+    match verdict with
+    | Portfolio.Gave_up info -> Stopped { facts; phases; info }
+    | Portfolio.Quarantined { violations } ->
+      (* never a wrong answer: the typed error surfaces instead *)
+      raise (Solver_error.Error (Solver_error.Verification_failed { violations }))
+    | Portfolio.Proved_unsat ->
+      Refuted { facts; phases; reasons = fe.explain facts ~params ~budget ground }
+    | Portfolio.Model m ->
+      Solved
+        {
+          facts;
+          answer = m.answer;
+          models_enumerated = m.models_enumerated;
+          stats =
+            {
+              phases;
+              ground_stats;
+              sat_stats = m.sat_stats;
+              solve_steps = m.steps;
+              descent_searches = m.descent_searches;
+              costs = m.costs;
+              quality = m.quality;
+              verified = m.verified;
+            };
+        })
+
+let escalate ?(config = Config.default) ?(attempts = 1) ?cancel ?fault ?pool
+    ?racers fe =
   let base = Config.params config.Config.preset in
   let rec go k limits =
     let budget = Budget.start ?cancel limits in
     Option.iter (fun f -> f k budget) fault;
-    let r =
-      solve ~params:{ base with Sat.seed = base.Sat.seed + (k * 7919) } ~budget
-    in
-    match interrupted r with
-    | Some { Budget.reason; _ }
+    let params = { base with Sat.seed = base.Sat.seed + (k * 7919) } in
+    match stage ~config ?pool ?racers ~params ~budget fe with
+    | Stopped { info = { Budget.reason; _ }; _ }
       when reason <> Budget.Cancelled && k + 1 < attempts ->
       go (k + 1) (Budget.double limits)
-    | _ -> r
+    | r -> r
   in
   go 0 config.Config.limits
 
-let solve_program ?(config = Config.default) ?budget ?pool ?(jobs = 1) prog =
-  let budget =
-    match budget with Some b -> b | None -> Budget.start config.Config.limits
+let solve_program ?config ?attempts ?cancel ?fault ?pool ?(jobs = 1) prog =
+  let fe =
+    {
+      setup = (fun () -> ((), [], None));
+      load = (fun () -> prog);
+      explain = (fun () ~params:_ ~budget:_ _ -> ());
+    }
   in
+  let run pool = escalate ?config ?attempts ?cancel ?fault ?pool ~racers:jobs fe in
   match
-    Phases.time (fun () ->
-        match Grounder.ground ~budget prog with
-        | exception Budget.Exhausted info -> Error info
-        | r -> Ok r)
+    match pool with
+    | None when jobs > 1 ->
+      Pool.with_pool ~domains:(min jobs (Pool.default_size ())) (fun p ->
+          run (Some p))
+    | pool -> run pool
   with
-  | Error info, ground_time -> Interrupted { info; ground_time; solve_time = 0. }
-  | Ok (g, ground_stats), ground_time -> (
-    let solve pool = solve_ground ~config ?pool ~racers:jobs ~budget g in
-    let verdict, solve_time =
-      Phases.time (fun () ->
-          match pool with
-          | None when jobs > 1 ->
-            Pool.with_pool ~domains:(min jobs (Pool.default_size ())) (fun p ->
-                solve (Some p))
-          | pool -> solve pool)
-    in
-    match verdict with
-    | Gave_up info -> Interrupted { info; ground_time; solve_time }
-    | Proved_unsat -> Unsat { ground_time; solve_time }
-    | Model m ->
-      let answer = apply_show prog m.answer in
-      Sat
-        {
-          answer;
-          index = lazy (Answer.of_list answer);
-          costs = m.costs;
-          quality = m.quality;
-          ground_stats;
-          sat_stats = m.sat_stats;
-          models_enumerated = m.models_enumerated;
-          descent_searches = m.descent_searches;
-          ground_time;
-          solve_time;
-          solve_steps = m.steps;
-          verified = m.verified;
-        })
-
-let solve_text ?config ?budget src = solve_program ?config ?budget (Parser.parse src)
+  | Stopped { info; phases; _ } -> Interrupted { info; phases }
+  | Refuted { phases; _ } -> Unsat { phases }
+  | Solved { answer; models_enumerated; stats; _ } ->
+    let answer = apply_show prog answer in
+    Sat { answer; index = lazy (Answer.of_list answer); models_enumerated; stats }
 
 let index o = Lazy.force o.index
 let holds o p args = Answer.holds (index o) p args

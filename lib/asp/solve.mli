@@ -1,10 +1,11 @@
-(** Top-level solving pipeline: ground, translate, search, optimize.
+(** The solve pipeline of every frontend: setup, load, ground, solve.
 
-    This is the [clingo]-equivalent entry point: it takes a first-order
-    program, grounds it, runs CDCL search under stable-model semantics and
-    returns the optimal answer set together with per-phase timings (the
-    paper's instrumentation distinguishes {e load}, {e ground} and {e solve}
-    phases; {e setup} — fact generation — happens in the caller).
+    {!escalate} is the one pipeline: Spack's [Concretize.Concretizer],
+    CUDF's [Cudf.Solver] and the [clingo]-equivalent {!solve_program} each
+    supply their facts producer, logic program and UNSAT explainer to it,
+    and it times the paper's four phases ({e setup} — fact generation —,
+    {e load}, {e ground} and {e solve}) into one {!Phases.t}.  Every
+    frontend's budget is armed there.
 
     No frontend steers the search: the first search decides the
     objective's literals toward zero before its heuristic picks a variable
@@ -17,115 +18,125 @@
     [`Degraded]; when it expires earlier the result is {!Interrupted}.
     Neither case raises. *)
 
-type outcome = {
-  answer : Gatom.t list;  (** atoms of the stable model, facts included *)
-  index : Answer.t Lazy.t;
-  (** id-keyed index over [answer], built on first use; {!holds} and
-      {!atoms_of} query it instead of scanning the list *)
+(** {1 Shared statistics} *)
+
+type stats = {
+  phases : Phases.t;
+  ground_stats : Grounder.stats;
+  sat_stats : Sat.stats;
+  solve_steps : Phases.steps;  (** the parts of [phases.solve_time] *)
+  descent_searches : int;  (** searches after the first ({!Optimize.outcome}) *)
   costs : (int * int) list;  (** optimization results: (priority, value) *)
   quality : Optimize.quality;
   (** [`Optimal], or [`Degraded bounds] when the budget expired
       mid-optimization (the answer is the best model found; completed
       levels are exact, [bounds] are the proved lower bounds of the rest) *)
-  ground_stats : Grounder.stats;
-  sat_stats : Sat.stats;
-  models_enumerated : int;
-  descent_searches : int;  (** searches after the first ({!Optimize.outcome}) *)
-  ground_time : float;  (** seconds *)
-  solve_time : float;  (** translation + search + optimization, seconds *)
-  solve_steps : Phases.steps;  (** the parts of [solve_time] *)
   verified : bool;
   (** the answer passed independent verification ({!Verify}); [false] only
       when [config.verify] was off — a model that {e fails} verification is
       never returned (reseeded retry, then
       {!Solver_error.Verification_failed}) *)
 }
+(** What every solved answer reports, whichever frontend produced it. *)
+
+val print_stats : ?vector:bool -> stats -> unit
+(** The [--stats] block of [spack_solve] and [cudf_solve]: the [Ground:],
+    [Search:], [Phases:], [Ground steps:], [Solve steps:], [Optimize:] and
+    [Instance:] lines, in that order.  With [vector] (Spack's block) an
+    [Optimization vector (priority, value):] line of the nonzero costs
+    follows [Search:].  perfbench and ci.sh parse these lines: keep them
+    byte-stable. *)
+
+type outcome = {
+  answer : Gatom.t list;  (** atoms of the stable model, facts included *)
+  index : Answer.t Lazy.t;
+  (** id-keyed index over [answer], built on first use; {!holds} and
+      {!atoms_of} query it instead of scanning the list *)
+  models_enumerated : int;
+  stats : stats;
+}
 
 type result =
   | Sat of outcome
-  | Unsat of { ground_time : float; solve_time : float }
+  | Unsat of { phases : Phases.t }
   | Interrupted of {
       info : Budget.info;  (** phase, reason and partial stats at expiry *)
-      ground_time : float;
-      solve_time : float;
+      phases : Phases.t;
     }  (** the budget expired before any stable model was found *)
 
-(** {1 The solve stage}
+(** {1 The pipeline}
 
-    Every entry point runs the step after grounding through
-    {!solve_ground}: {!solve_program} here, [Concretize.Concretizer.solve]
-    and [Cudf.Solver.solve] for the two frontends.  Each frontend times
-    it, matches the {!verdict} and decodes the model its own way. *)
+    The paper's four timed phases, the same for every input: {e setup}
+    (the frontend's facts), {e load} (its logic program), {e ground} and
+    {e solve} (translation, optimization with [config.strategy] and
+    independent verification of the model, {!Verify}).  A frontend
+    supplies only what differs: its facts producer, its logic program and
+    its UNSAT explainer; it decodes the model of a {!Solved} result
+    itself. *)
 
-type verdict =
-  | Model of Portfolio.model
-      (** a verified stable model (unverified when [config.verify] is off);
-          optimal iff its [quality] is [`Optimal] *)
-  | Proved_unsat
-  | Gave_up of Budget.info
+type ('f, 'e) frontend = {
+  setup : unit -> 'f * Ast.program * ((Gatom.t -> unit) -> unit) option;
+      (** the facts value the frontend keeps (['f]), its fact statements
+          and an optional facts stream for {!Grounder.ground} *)
+  load : unit -> Ast.program;  (** the logic program, grounded before the facts *)
+  explain : 'f -> params:Sat.params -> budget:Budget.t -> Ground.t -> 'e;
+      (** the reasons of a proved UNSAT, given the round's search
+          parameters, budget and ground program *)
+}
+
+type ('f, 'e) staged =
+  | Solved of {
+      facts : 'f;
+      answer : Gatom.t list;  (** the model, facts included *)
+      models_enumerated : int;
+      stats : stats;
+    }
+  | Refuted of { facts : 'f; phases : Phases.t; reasons : 'e }
+  | Stopped of { facts : 'f; phases : Phases.t; info : Budget.info }
       (** the budget expired (or was cancelled) before any model *)
 
-val solve_ground :
-  config:Config.t ->
-  ?params:Sat.params ->
-  ?pool:Pool.t ->
-  ?racers:int ->
-  budget:Budget.t ->
-  Ground.t ->
-  verdict
-(** Solve an already-ground program.
-
-    Sequentially (the default): translate with [params] (default: the
-    preset's), optimize with [config.strategy] (whose first search decides
-    the objective toward zero, see {!Optimize}), then
-    re-check the model with {!Verify} on a fresh unlimited budget, so a
-    budget that expired mid-descent cannot veto checking the degraded
-    model.  A model that fails verification triggers one retry from a
-    reseeded search.
-
-    With a [pool] and [racers > 1]: {!Portfolio.race} [racers] diverse
-    configurations, each on its own translation.  When
-    every racer's model failed verification, the sequential runner
-    rescues the solve from a seed shifted away from [params].
-    @raise Solver_error.Error ([Verification_failed _]) when the
-    sequential runner's model and its reseeded retry both fail
-    verification. *)
-
 val escalate :
-  ?attempts:int ->
   ?config:Config.t ->
+  ?attempts:int ->
   ?cancel:Budget.cancel_token ->
   ?fault:(int -> Budget.t -> unit) ->
-  interrupted:('r -> Budget.info option) ->
-  (params:Sat.params -> budget:Budget.t -> 'r) ->
-  'r
-(** The retry loop of both frontends.  Round [k] (from 0) arms a budget
-    from [config.limits] doubled [k] times, on [cancel] (shared by every
-    round, so a SIGINT during any round sticks), lets [fault k] observe it,
-    and runs the solve with the preset's parameters reseeded by [k].  When
-    [interrupted] finds the result interrupted for a reason other than
-    [Cancelled] and fewer than [attempts] (default 3) rounds ran, the next
-    round starts; otherwise the result is returned. *)
+  ?pool:Pool.t ->
+  ?racers:int ->
+  ('f, 'e) frontend ->
+  ('f, 'e) staged
+(** Run the pipeline in rounds; the only place a frontend's budget is
+    armed.  Round [k] (from 0) arms a budget from [config.limits] doubled
+    [k] times, on [cancel] (shared by every round, so a SIGINT during any
+    round sticks), lets [fault k] observe it (the fault-injection tests arm
+    it there), and runs the pipeline with the preset's parameters reseeded
+    by [k * 7919].  When the round stopped for a reason other than
+    [Cancelled] and fewer than [attempts] (default 1) rounds ran, the next
+    round starts; otherwise its result is returned.
+
+    A model that fails verification is retried once from a reseeded
+    search.  [pool] with [racers > 1] races that many diverse
+    configurations ({!Portfolio.race}) in the solve phase; when every
+    racer's model failed verification, a sequential reseeded solve rescues
+    the round.
+    @raise Solver_error.Error ([Ground _]) on unsafe or unsupported
+    programs; ([Verification_failed _]) when a model and its reseeded
+    retry both fail verification. *)
 
 val solve_program :
   ?config:Config.t ->
-  ?budget:Budget.t ->
+  ?attempts:int ->
+  ?cancel:Budget.cancel_token ->
+  ?fault:(int -> Budget.t -> unit) ->
   ?pool:Pool.t ->
   ?jobs:int ->
   Ast.program ->
   result
-(** Ground, then {!solve_ground}.  A budget is armed from [config.limits]
-    unless an explicit (possibly fault-injected, see {!Fault}) [budget] is
-    given.  [jobs > 1] races that many configurations over [pool], or over
-    an ephemeral pool of [min jobs (Pool.default_size ())] domains when no
-    pool is given; grounding stays on the calling domain.  The answer is
-    filtered through the program's [#show] statements.
-    @raise Solver_error.Error ([Ground _]) on unsafe or unsupported
-    programs; ([Verification_failed _]) as {!solve_ground}. *)
-
-val solve_text : ?config:Config.t -> ?budget:Budget.t -> string -> result
-(** Parse then solve.
-    @raise Solver_error.Error ([Parse _]) on syntax errors. *)
+(** {!escalate} with no facts: the program is the logic program.
+    [jobs > 1] races that many configurations over [pool], or over an
+    ephemeral pool of [min jobs (Pool.default_size ())] domains when no
+    pool is given.  The answer is filtered through the program's [#show]
+    statements.
+    @raise Solver_error.Error as {!escalate}. *)
 
 val index : outcome -> Answer.t
 (** Force and return the answer index (O(answer) the first time, O(1)

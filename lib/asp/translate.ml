@@ -151,7 +151,10 @@ let process_rule t i = function
     else if Bytes.get t.aux.mark h <> '\002' then begin
       let hlit = t.lit_of_atom.(h) in
       let l = indicator t b in
-      if l = always then Sat.add_clause t.sat [ hlit ] (* should not happen: grounder makes facts *)
+      (* [always]: a body that holds by facts alone, left by the grounder
+         when its atoms became facts after the rule was emitted; an atom
+         defined by this rule only is its body, so [h] has other rules *)
+      if l = always then Sat.add_clause t.sat [ hlit ]
       else Sat.add_clause t.sat [ Sat.Lit.negate l; hlit ];
       t.aux.rule_lit.(i) <- l;
       add_support t h i

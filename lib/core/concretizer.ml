@@ -2,16 +2,9 @@ type success = {
   spec : Specs.Spec.concrete;
   reused : (string * string) list;
   built : string list;
-  costs : (int * int) list;
-  quality : Asp.Optimize.quality;
-  phases : Asp.Phases.t;
   n_facts : int;
   n_possible : int;
-  ground_stats : Asp.Grounder.stats;
-  sat_stats : Asp.Sat.stats;
-  solve_steps : Asp.Phases.steps;
-  descent_searches : int;
-  verified : bool;
+  stats : Asp.Solve.stats;
 }
 
 type result =
@@ -29,6 +22,19 @@ type result =
       n_possible : int;
     }
 
+type request = {
+  repo : Pkg.Repo.t;
+  roots : Specs.Spec.abstract list;
+  env : Facts.env;
+  prefs : Preferences.t;
+  installed : Pkg.Database.t option;
+  reuse_mode : Facts.reuse_mode;
+}
+
+let request ?(env = Facts.default_env) ?(prefs = Preferences.empty) ?installed
+    ?(reuse_mode = `Stream) ~repo roots =
+  { repo; roots; env; prefs; installed; reuse_mode }
+
 (* ------------------------------------------------------------------ *)
 (* Content-addressed solve caching.
 
@@ -39,6 +45,7 @@ type result =
    change the answer (preset, strategy, verify — budgets are excluded
    because only [`Optimal] results are stored, and those are
    limit-independent), the environment roster and the preferences.  The
+   reuse mode is not keyed: both modes hand the grounder the same facts.  The
    cache itself lives outside this library ([Server.Cache] provides an LRU +
    on-disk implementation); here it is just a pair of closures. *)
 (* ------------------------------------------------------------------ *)
@@ -48,8 +55,8 @@ type cache = {
   store : string -> result -> unit;
 }
 
-let request_key ?(config = Asp.Config.default) ?(env = Facts.default_env)
-    ?(prefs = Preferences.empty) ?installed ~repo roots =
+let request_key ?(config = Asp.Config.default)
+    { repo; roots; env; prefs; installed; reuse_mode = _ } =
   let b = Buffer.create 512 in
   let add s =
     Buffer.add_string b s;
@@ -94,92 +101,56 @@ let request_key ?(config = Asp.Config.default) ?(env = Facts.default_env)
    interrupted outcomes depend on the budget that produced them, and UNSAT
    diagnoses depend on [explain]. *)
 let cacheable = function
-  | Concrete { quality = `Optimal; _ } -> true
-  | Concrete { quality = `Degraded _; _ } | Unsatisfiable _ | Interrupted _ -> false
+  | Concrete { stats = { quality = `Optimal; _ }; _ } -> true
+  | Concrete { stats = { quality = `Degraded _; _ }; _ }
+  | Unsatisfiable _ | Interrupted _ -> false
 
-let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_env)
-    ?(prefs = Preferences.empty) ?installed ?reuse_mode ?budget ?pool ?racers
-    ?(explain = false) ~repo roots =
-  let budget =
-    match budget with
-    | Some b -> b
-    | None -> Asp.Budget.start config.Asp.Config.limits
+let solve ?(config = Asp.Config.default) ?attempts ?cancel ?fault ?pool ?racers
+    ?(explain = false) ?cache ({ repo; roots; env; prefs; installed; reuse_mode } as req) =
+  let setup () =
+    let facts = Facts.generate ~env ~prefs ?installed ~reuse_mode ~repo roots in
+    (facts, facts.Facts.statements, facts.Facts.reuse_stream)
   in
-  (* setup: generate the problem-instance facts *)
-  let facts, setup_time =
-    Asp.Phases.time (fun () ->
-        Facts.generate ~env ~prefs ?installed ?reuse_mode ~repo roots)
-  in
-  let n_facts = facts.Facts.n_facts in
-  let n_possible = List.length facts.Facts.possible in
   (* load: parse the logic program (not memoized: the paper times this) *)
-  let lp, load_time =
-    Asp.Phases.time (fun () -> Asp.Parser.parse Logic_program.text)
+  let load () = Asp.Parser.parse Logic_program.text in
+  let explain facts ~params ~budget ground =
+    (* provenance-mapped unsat core on demand: re-solves the ground program
+       with selector guards, so it is opt-in *)
+    if explain then
+      Diagnose.explain_core ~params ~budget ~cond_origins:facts.Facts.cond_origins
+        ~fallback:(fun () -> Diagnose.explain ~env ~repo roots)
+        ground
+    else Diagnose.explain ~env ~repo roots
   in
-  let grounded, ground_time =
-    Asp.Phases.time (fun () ->
-        match
-          Asp.Grounder.ground ~budget ?facts_stream:facts.Facts.reuse_stream
-            (lp @ facts.Facts.statements)
-        with
-        | exception Asp.Budget.Exhausted info -> Error info
-        | g -> Ok g)
-  in
-  let phases = { Asp.Phases.zero with setup_time; load_time; ground_time } in
-  match grounded with
-  | Error info -> Interrupted { info; phases; n_facts; n_possible }
-  | Ok (ground, ground_stats) -> (
-    let params =
-      match params with
-      | Some p -> p
-      | None -> Asp.Config.params config.Asp.Config.preset
-    in
-    let verdict, solve_time =
-      Asp.Phases.time (fun () ->
-          Asp.Solve.solve_ground ~config ~params ?pool ?racers ~budget ground)
-    in
-    let phases = { phases with solve_time } in
-    match verdict with
-    | Asp.Solve.Gave_up info -> Interrupted { info; phases; n_facts; n_possible }
-    | Asp.Solve.Proved_unsat ->
-      let reasons =
-        (* provenance-mapped unsat core on demand: re-solves the ground
-           program with selector guards, so it is opt-in *)
-        if explain then
-          Diagnose.explain_core ~params ~budget ~env ~repo ~facts ~ground roots
-        else Diagnose.explain ~env ~repo roots
-      in
+  let counts (f : Facts.t) = (f.Facts.n_facts, List.length f.Facts.possible) in
+  let run () =
+    match
+      Asp.Solve.escalate ~config ?attempts ?cancel ?fault ?pool ?racers
+        { Asp.Solve.setup; load; explain }
+    with
+    | Asp.Solve.Stopped { facts; phases; info } ->
+      let n_facts, n_possible = counts facts in
+      Interrupted { info; phases; n_facts; n_possible }
+    | Asp.Solve.Refuted { facts; phases; reasons } ->
+      let n_facts, n_possible = counts facts in
       Unsatisfiable { phases; n_facts; n_possible; reasons }
-    | Asp.Solve.Model
-        { answer; costs; quality; sat_stats; descent_searches; verified; steps; _ } ->
-      let info = Extract.of_index (Asp.Answer.of_list answer) in
+    | Asp.Solve.Solved { facts; answer; stats; _ } ->
+      let n_facts, n_possible = counts facts in
+      let info = Extract.extract answer in
       Concrete
         {
           spec = info.Extract.spec;
           reused = info.Extract.reused;
           built = info.Extract.built;
-          costs;
-          quality;
-          phases;
           n_facts;
           n_possible;
-          ground_stats;
-          sat_stats;
-          solve_steps = steps;
-          descent_searches;
-          verified;
-        })
-
-let solve_with ?params ?config ?env ?prefs ?installed ?reuse_mode ?budget ?pool
-    ?racers ?explain ?cache ~repo roots =
-  let run () =
-    solve_uncached ?config ?params ?env ?prefs ?installed ?reuse_mode ?budget
-      ?pool ?racers ?explain ~repo roots
+          stats;
+        }
   in
   match cache with
   | None -> run ()
   | Some c -> (
-    let key = request_key ?config ?env ?prefs ?installed ~repo roots in
+    let key = request_key ~config req in
     match c.lookup key with
     | Some r -> r
     | None ->
@@ -187,56 +158,29 @@ let solve_with ?params ?config ?env ?prefs ?installed ?reuse_mode ?budget ?pool
       if cacheable r then c.store key r;
       r)
 
-let solve = solve_with ?params:None
-
-let solve_spec ?config ?env ?prefs ?installed ?reuse_mode ?budget ?explain
-    ?cache ~repo text =
-  solve ?config ?env ?prefs ?installed ?reuse_mode ?budget ?explain ?cache
-    ~repo
-    [ Specs.Spec_parser.parse text ]
-
-(* Retry with escalation ({!Asp.Solve.escalate}): each interrupted attempt
-   doubles every finite limit and reseeds the search; a cancellation is
-   never retried. *)
-let solve_escalating ?attempts ?config ?env ?prefs ?installed ?reuse_mode
-    ?cancel ?fault ?pool ?racers ?explain ?cache ~repo roots =
-  Asp.Solve.escalate ?attempts ?config ?cancel ?fault
-    ~interrupted:(function Interrupted { info; _ } -> Some info | _ -> None)
-    (fun ~params ~budget ->
-      solve_with ~params ?config ?env ?prefs ?installed ?reuse_mode ~budget
-        ?pool ?racers ?explain ?cache ~repo roots)
-
 (* Batch-level parallelism: independent root sets concretized across the
    pool, one full pipeline (setup, load, ground, solve) per job.  Jobs are
    sequential inside — batch parallelism and portfolio racing compose only
    by over-subscribing, so [solve_many] keeps each job single-domain.
    Results are in input order. *)
-let solve_many ?pool ?(attempts = 1) ?config ?env ?prefs ?installed ?reuse_mode
-    ?cancel ?fault ?explain ?cache ~repo jobs =
-  let one roots =
-    solve_escalating ~attempts ?config ?env ?prefs ?installed ?reuse_mode
-      ?cancel ?fault ?explain ?cache ~repo roots
-  in
+let solve_many ?pool ?config ?attempts ?cancel ?fault ?explain ?cache jobs =
+  let one req = solve ?config ?attempts ?cancel ?fault ?explain ?cache req in
   (* Dedupe identical requests within the batch before dispatch: duplicate-
      heavy batches (environment refreshes, CI matrices) pay for each unique
      request once and the single result fans back out in input order.  The
-     key is the same normalized constraint digest the solve cache uses, so
-     two spellings of one spec dedupe too. *)
-  let key roots =
-    String.concat "\x00" (List.map Specs.Spec.abstract_digest roots)
-  in
+     key is the solve cache's, so two spellings of one spec dedupe too. *)
   let seen = Hashtbl.create 16 in
   let uniques = ref [] in
   let slots =
     List.map
-      (fun roots ->
-        let k = key roots in
+      (fun req ->
+        let k = request_key ?config req in
         match Hashtbl.find_opt seen k with
         | Some idx -> idx
         | None ->
           let idx = Hashtbl.length seen in
           Hashtbl.add seen k idx;
-          uniques := roots :: !uniques;
+          uniques := req :: !uniques;
           idx)
       jobs
   in

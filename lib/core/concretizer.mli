@@ -2,35 +2,30 @@
 
     Pipeline (§VII): {e setup} generates facts for the problem instance,
     {e load} parses the logic program, {e ground} instantiates it, and
-    {e solve} runs CDCL search with lexicographic optimization.  Each phase
-    is timed separately, matching the paper's instrumentation.
+    {e solve} runs CDCL search with lexicographic optimization.  The
+    pipeline is {!Asp.Solve.escalate}, which times each phase separately,
+    matching the paper's instrumentation; this module supplies the facts
+    ({!Facts}), the logic program ({!Logic_program}), the UNSAT explainer
+    ({!Diagnose}) and the model decoder ({!Extract}).
 
-    Solves are budgeted (see {!Asp.Budget}): a budget expiring after a
-    stable model is in hand still yields {!Concrete}, marked [`Degraded];
-    expiring earlier yields {!Interrupted}.  Neither case raises, and
-    {!solve_escalating} retries interrupted solves with doubled limits. *)
+    The entry points are {!request_key}, {!solve} and {!solve_many}; each
+    takes a {!request}.  Solves are budgeted (see {!Asp.Budget}): a budget
+    expiring after a stable model is in hand still yields {!Concrete},
+    marked [`Degraded]; expiring earlier yields {!Interrupted}.  Neither
+    case raises, and [~attempts] retries interrupted solves with doubled
+    limits. *)
 
 type success = {
   spec : Specs.Spec.concrete;
   reused : (string * string) list;  (** (package, hash) reused from the DB *)
   built : string list;  (** packages built from source *)
-  costs : (int * int) list;  (** optimization vector: (priority, value) *)
-  quality : Asp.Optimize.quality;
-  (** [`Optimal], or [`Degraded bounds] when the budget expired
-      mid-optimization: the spec is valid (it is a stable model) but its
-      costs are only guaranteed optimal for completed levels *)
-  phases : Asp.Phases.t;
   n_facts : int;
   n_possible : int;  (** possible dependencies considered (Fig. 7's x-axis) *)
-  ground_stats : Asp.Grounder.stats;
-  sat_stats : Asp.Sat.stats;
-  solve_steps : Asp.Phases.steps;  (** the parts of [phases.solve_time] *)
-  descent_searches : int;  (** searches after the first ({!Asp.Optimize.outcome}) *)
-  verified : bool;
-  (** the spec passed independent model verification ({!Asp.Verify});
-      [false] only when [config.verify] is off — a model that {e fails}
-      verification is never returned (reseeded retry, then
-      {!Asp.Solver_error.Verification_failed}) *)
+  stats : Asp.Solve.stats;
+  (** phases, ground and search statistics, the cost vector (a
+      [`Degraded] quality means the spec is valid, it is a stable model,
+      but its costs are only guaranteed optimal for completed levels) and
+      the verification flag *)
 }
 
 type result =
@@ -48,6 +43,33 @@ type result =
       n_possible : int;
     }  (** the budget expired before any stable model was found *)
 
+(** {1 Requests} *)
+
+type request = {
+  repo : Pkg.Repo.t;
+  roots : Specs.Spec.abstract list;
+      (** concretized together, as one unified DAG rooted at the first *)
+  env : Facts.env;
+  prefs : Preferences.t;
+  installed : Pkg.Database.t option;  (** reuse candidates *)
+  reuse_mode : Facts.reuse_mode;
+      (** [`Materialize] is the reference the tests compare the streamed
+          path against; it does not change the answer *)
+}
+(** Everything a solve's answer depends on apart from the solver
+    configuration. *)
+
+val request :
+  ?env:Facts.env ->
+  ?prefs:Preferences.t ->
+  ?installed:Pkg.Database.t ->
+  ?reuse_mode:Facts.reuse_mode ->
+  repo:Pkg.Repo.t ->
+  Specs.Spec.abstract list ->
+  request
+(** Defaults: {!Facts.default_env}, {!Preferences.empty}, no installed
+    database, [`Stream]. *)
+
 (** {1 Solve caching}
 
     A content-addressed cache of solve results, supplied by the caller as a
@@ -63,21 +85,18 @@ type cache = {
   store : string -> result -> unit;
 }
 
-val request_key :
-  ?config:Asp.Config.t ->
-  ?env:Facts.env ->
-  ?prefs:Preferences.t ->
-  ?installed:Pkg.Database.t ->
-  repo:Pkg.Repo.t ->
-  Specs.Spec.abstract list ->
-  string
+val cacheable : result -> bool
+(** Whether a result may be stored: a proven-optimal {!Concrete} one. *)
+
+val request_key : ?config:Asp.Config.t -> request -> string
 (** Canonical digest of everything a solve's answer depends on: the
     normalized request ({!Specs.Spec.abstract_digest} per root, root order
     preserved), {!Pkg.Repo.fingerprint}, {!Facts.reuse_digest} of the
     installed DB (the whole-DB {!Pkg.Database.fingerprint} only as a
     fallback for unknown packages), the answer-relevant solver
     configuration (preset/strategy/verify; budgets excluded), the
-    environment roster and the preferences.  Installing a package changes
+    environment roster and the preferences; not the reuse mode, which
+    does not change the answer.  Installing a package changes
     the reuse digest — and therefore the key — only for requests whose
     package closure can observe the new record; every other cached answer
     survives the install.  Stale entries are never served, they just stop
@@ -85,20 +104,20 @@ val request_key :
 
 val solve :
   ?config:Asp.Config.t ->
-  ?env:Facts.env ->
-  ?prefs:Preferences.t ->
-  ?installed:Pkg.Database.t ->
-  ?reuse_mode:Facts.reuse_mode ->
-  ?budget:Asp.Budget.t ->
+  ?attempts:int ->
+  ?cancel:Asp.Budget.cancel_token ->
+  ?fault:(int -> Asp.Budget.t -> unit) ->
   ?pool:Asp.Pool.t ->
   ?racers:int ->
   ?explain:bool ->
   ?cache:cache ->
-  repo:Pkg.Repo.t ->
-  Specs.Spec.abstract list ->
+  request ->
   result
-(** Concretize one or more root specs together (unified DAG).  A budget is
-    armed from [config.limits] unless an explicit [budget] is given.
+(** Concretize the request's roots together (unified DAG) through
+    {!Asp.Solve.escalate}: up to [attempts] (default 1) rounds, each armed
+    from [config.limits] doubled once more and reseeded, on [cancel];
+    [fault] observes each round's budget (the fault-injection tests arm it
+    there).  A cancellation is never retried.
 
     With [explain] (default [false]) an unsatisfiable solve is diagnosed
     through {!Diagnose.explain_core} — a provenance-mapped minimal unsat
@@ -106,78 +125,33 @@ val solve :
     of the cheap syntactic heuristics.
 
     With [config.verify] (default on) the winning model is independently
-    re-checked before being reported; see [success.verified].
+    re-checked before being reported; see [stats.verified].
 
-    The solve phase is {!Asp.Solve.solve_ground}.  When [racers > 1] and a
-    [pool] is given it runs as a parallel portfolio ({!Asp.Portfolio}):
-    setup, load and grounding stay on the calling domain, then [racers]
-    diverse configurations race over the shared ground program; the cost
-    vector of the result is the same as the sequential solver's.
+    When [racers > 1] and a [pool] is given the solve phase runs as a
+    parallel portfolio ({!Asp.Portfolio}): setup, load and grounding stay
+    on the calling domain, then [racers] diverse configurations race over
+    the shared ground program; the cost vector of the result is the same
+    as the sequential solver's.  With a [cache], a stored result under
+    {!request_key} is returned without solving.
     @raise Facts.Unknown_package on unknown roots or [^deps]. *)
-
-val solve_spec :
-  ?config:Asp.Config.t ->
-  ?env:Facts.env ->
-  ?prefs:Preferences.t ->
-  ?installed:Pkg.Database.t ->
-  ?reuse_mode:Facts.reuse_mode ->
-  ?budget:Asp.Budget.t ->
-  ?explain:bool ->
-  ?cache:cache ->
-  repo:Pkg.Repo.t ->
-  string ->
-  result
-(** Parse a spec string, then {!solve}.
-    @raise Specs.Spec_parser.Error on malformed spec syntax. *)
-
-val solve_escalating :
-  ?attempts:int ->
-  ?config:Asp.Config.t ->
-  ?env:Facts.env ->
-  ?prefs:Preferences.t ->
-  ?installed:Pkg.Database.t ->
-  ?reuse_mode:Facts.reuse_mode ->
-  ?cancel:Asp.Budget.cancel_token ->
-  ?fault:(int -> Asp.Budget.t -> unit) ->
-  ?pool:Asp.Pool.t ->
-  ?racers:int ->
-  ?explain:bool ->
-  ?cache:cache ->
-  repo:Pkg.Repo.t ->
-  Specs.Spec.abstract list ->
-  result
-(** {!solve} with retry-on-interruption ({!Asp.Solve.escalate}): up to
-    [attempts] (default 3) rounds, doubling every finite limit of
-    [config.limits] and reseeding the search each round.  Returns the first non-interrupted result, or
-    the last {!Interrupted} one.  Cancellation (reason [Cancelled]) is
-    never retried.  [fault] observes each round's armed budget before the
-    solve — the fault-injection tests use it; [cancel] is shared across
-    rounds so a SIGINT during any round sticks.  [pool]/[racers] enable the
-    portfolio solve phase of {!solve} on every round. *)
 
 val solve_many :
   ?pool:Asp.Pool.t ->
-  ?attempts:int ->
   ?config:Asp.Config.t ->
-  ?env:Facts.env ->
-  ?prefs:Preferences.t ->
-  ?installed:Pkg.Database.t ->
-  ?reuse_mode:Facts.reuse_mode ->
+  ?attempts:int ->
   ?cancel:Asp.Budget.cancel_token ->
   ?fault:(int -> Asp.Budget.t -> unit) ->
   ?explain:bool ->
   ?cache:cache ->
-  repo:Pkg.Repo.t ->
-  Specs.Spec.abstract list list ->
+  request list ->
   result list
-(** Concretize independent root sets in parallel across [pool] (sequential
-    when the pool is absent or has one domain), each through
-    {!solve_escalating} with [attempts] rounds (default 1, i.e. no
-    retries).  Identical requests within the batch (same normalized
-    constraint digests, any spelling) are deduplicated before dispatch: a
-    duplicate-heavy batch performs one solve per {e unique} request and the
-    result fans back out, so results are still in input order and
-    one-per-job.  [cancel] is shared by every job, so one SIGINT stops the
-    whole batch; [fault] observes each solve's armed budget (tests count
-    dispatches through it).  Jobs are single-domain inside — batch
-    parallelism does not compose with portfolio racing. *)
+(** Concretize independent requests in parallel across [pool] (sequential
+    when the pool is absent or has one domain), each through {!solve}.
+    Requests with the same {!request_key} within the batch (any spelling)
+    are deduplicated before dispatch: a duplicate-heavy batch performs one
+    solve per {e unique} request and the result fans back out, so results
+    are still in input order and one-per-job.  [cancel] is shared by every
+    job, so one SIGINT stops the whole batch; [fault] observes each solve's
+    armed budget (tests count dispatches through it).  Jobs are
+    single-domain inside — batch parallelism does not compose with
+    portfolio racing. *)

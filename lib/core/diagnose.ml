@@ -159,8 +159,8 @@ let attr_condition_ids store cond_ids (a : Asp.Gatom.t) =
    any frontend that emits them — Spack's [Facts], the CUDF encoder — gets
    its own [cond_origins] provenance printed; only the [fallback] heuristics
    are per-frontend. *)
-let explain_core_origins ?params ?budget ~cond_origins ~fallback ~ground () =
-  match Asp.Explain.explain ?params ?budget ground with
+let explain_core ~params ~budget ~cond_origins ~fallback ground =
+  match Asp.Explain.explain ~params ~budget ground with
   | Asp.Explain.Satisfiable ->
     (* should not happen when the caller just proved UNSAT; trust the
        syntactic heuristics instead of reporting nothing *)
@@ -231,8 +231,3 @@ let explain_core_origins ?params ?budget ~cond_origins ~fallback ~ground () =
           (if n = 1 then "" else "s")
     in
     header :: List.map render !groups
-
-let explain_core ?params ?budget ~env ~repo ~(facts : Facts.t) ~ground roots =
-  explain_core_origins ?params ?budget ~cond_origins:facts.Facts.cond_origins
-    ~fallback:(fun () -> explain ~env ~repo roots)
-    ~ground ()

@@ -14,39 +14,22 @@ val explain :
     (repeated nodes across roots and [^deps]) are removed, keeping first
     occurrences. *)
 
-val explain_core_origins :
-  ?params:Asp.Sat.params ->
-  ?budget:Asp.Budget.t ->
+val explain_core :
+  params:Asp.Sat.params ->
+  budget:Asp.Budget.t ->
   cond_origins:(int * string) list ->
   fallback:(unit -> string list) ->
-  ground:Asp.Ground.t ->
-  unit ->
-  string list
-(** Frontend-neutral unsat-core explanation: extract a minimal core
-    ({!Asp.Explain}), group its ground instances by source constraint, and
-    map every condition id found in the core's atoms back through
-    [cond_origins] ("because pkg foo conflicts with bar < 2").  Works for
-    any frontend that targets the generalized-condition fragment
-    ({!Logic_program.conditions_fragment}): Spack's {!Facts} and the CUDF
-    encoder both qualify.  [fallback] supplies the frontend's syntactic
-    heuristics, used when core extraction exhausts its budget (prefixed
-    with a note) or, defensively, when the re-solve is satisfiable. *)
-
-val explain_core :
-  ?params:Asp.Sat.params ->
-  ?budget:Asp.Budget.t ->
-  env:Facts.env ->
-  repo:Pkg.Repo.t ->
-  facts:Facts.t ->
-  ground:Asp.Ground.t ->
-  Specs.Spec.abstract list ->
+  Asp.Ground.t ->
   string list
 (** Exact explanation via a minimal unsat core ({!Asp.Explain}): the ground
     program is re-solved with selector-guarded constraints, the final
     conflict is shrunk by deletion, and each surviving constraint instance
-    is mapped back through its {!Asp.Ground.origin} and the condition
-    provenance recorded by {!Facts} ([cond_origins]) — naming the package
-    recipes and request constraints in conflict.  Ground instances of the
-    same source constraint are grouped.  Falls back to the syntactic
-    {!explain} heuristics only when core extraction runs out of [budget]
-    (or, defensively, when the re-solve finds the program satisfiable). *)
+    is mapped back through its {!Asp.Ground.origin}; ground instances of
+    the same source constraint are grouped.  Every condition id found in
+    the core's atoms is mapped back through [cond_origins] ("because pkg
+    foo conflicts with bar < 2").  Works for any frontend that targets the
+    generalized-condition fragment ({!Logic_program.conditions_fragment}):
+    Spack's {!Facts} and the CUDF encoder both qualify.  [fallback]
+    supplies the frontend's syntactic heuristics ({!explain} for Spack),
+    used when core extraction exhausts its budget (prefixed with a note)
+    or, defensively, when the re-solve is satisfiable. *)

@@ -8,12 +8,7 @@ type info = {
   built : string list;  (** packages that must be built from source *)
 }
 
-val of_index : Asp.Answer.t -> info
-(** Extract from a pre-built answer index (the concretizer builds the index
-    once and shares it).
+val extract : Asp.Gatom.t list -> info
+(** Read the answer through an id-keyed index ({!Asp.Answer}).
     @raise Error when the answer set is not a well-formed concretization
     (missing attributes — indicates a logic-program bug). *)
-
-val extract : Asp.Gatom.t list -> info
-(** [of_index] over a freshly built index.
-    @raise Error as {!of_index}. *)

@@ -14,7 +14,7 @@
     ({!Logic_program.conditions_fragment}): fresh [condition/1] ids,
     [condition_requirement] / [imposed_constraint] facts keyed by them, and
     the id → human-readable origin map that
-    {!Diagnose.explain_core_origins} prints for unsat cores.  The Spack
+    {!Diagnose.explain_core} prints for unsat cores.  The Spack
     generator below and the CUDF encoder ([Cudf.Encode]) both drive it, so
     every frontend gets identical condition semantics and provenance. *)
 module Gen : sig

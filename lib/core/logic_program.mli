@@ -19,7 +19,7 @@ val conditions_fragment : string
     [imposed_constraint/3..5].  Ecosystem-neutral — [text] splices it in
     unchanged, and the CUDF frontend ([Cudf.Logic]) shares it so both
     workloads run the identical trigger/effect semantics and unsat-core
-    provenance ({!Diagnose.explain_core_origins}). *)
+    provenance ({!Diagnose.explain_core}). *)
 
 val program : unit -> Asp.Ast.program
 (** Parsed form (parsed once, memoized). *)

@@ -7,11 +7,11 @@ type t = {
   total_time : float;
 }
 
-let solve_stack ?config ?env ?prefs ?installed ?pool ?racers ~repo roots =
+let solve_stack ?config ?pool ?racers (req : Concretizer.request) =
   let t0 = Unix.gettimeofday () in
   let db = Pkg.Database.create () in
   let seeded = Hashtbl.create 64 in
-  (match installed with
+  (match req.Concretizer.installed with
   | Some seed ->
     List.iter
       (fun (r : Pkg.Database.record) ->
@@ -23,14 +23,14 @@ let solve_stack ?config ?env ?prefs ?installed ?pool ?racers ~repo roots =
     List.map
       (fun (a : Specs.Spec.abstract) ->
         let result =
-          Concretizer.solve ?config ?env ?prefs ~installed:db ?pool ?racers
-            ~repo [ a ]
+          Concretizer.solve ?config ?pool ?racers
+            { req with Concretizer.roots = [ a ]; installed = Some db }
         in
         (match result with
         | Concretizer.Concrete s -> Pkg.Database.add_concrete db s.Concretizer.spec
         | Concretizer.Unsatisfiable _ | Concretizer.Interrupted _ -> ());
         { shot_root = a.Specs.Spec.aroot.Specs.Spec.cname; shot_result = result })
-      roots
+      req.Concretizer.roots
   in
   (* count packages with several distinct configurations across the shots *)
   let configs = Hashtbl.create 64 in

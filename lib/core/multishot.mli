@@ -26,17 +26,10 @@ type t = {
 }
 
 val solve_stack :
-  ?config:Asp.Config.t ->
-  ?env:Facts.env ->
-  ?prefs:Preferences.t ->
-  ?installed:Pkg.Database.t ->
-  ?pool:Asp.Pool.t ->
-  ?racers:int ->
-  repo:Pkg.Repo.t ->
-  Specs.Spec.abstract list ->
-  t
-(** Concretize the roots in order, each shot reusing all previous results.
-    [installed] seeds the scratch database.  Shots are inherently
+  ?config:Asp.Config.t -> ?pool:Asp.Pool.t -> ?racers:int -> Concretizer.request -> t
+(** Concretize the request's roots in order, each shot reusing all
+    previous results.  Its [installed] database seeds the scratch
+    database.  Shots are inherently
     sequential (each reuses its predecessors), but [pool]/[racers] turn
     every shot's solve phase into a portfolio race
     ({!Concretizer.solve}). *)

@@ -80,16 +80,6 @@ let text stack =
   base ^ Concretize.Logic_program.conditions_fragment ^ model
   ^ Criteria.minimize_text stack
 
-let program =
-  let memo = Hashtbl.create 2 in
-  fun stack ->
-    match Hashtbl.find_opt memo stack with
-    | Some p -> p
-    | None ->
-      let p = Asp.Parser.parse (text stack) in
-      Hashtbl.add memo stack p;
-      p
-
 let line_count stack =
   String.split_on_char '\n' (text stack)
   |> List.filter (fun l -> String.trim l <> "")

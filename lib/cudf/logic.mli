@@ -14,8 +14,5 @@ val text : Criteria.stack -> string
 (** ASP source for one criterion stack (rules are shared; only the
     [#minimize] statements differ). *)
 
-val program : Criteria.stack -> Asp.Ast.program
-(** Parsed form, memoized per stack. *)
-
 val line_count : Criteria.stack -> int
 (** Non-blank source lines (reported in benchmarks). *)

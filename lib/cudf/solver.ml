@@ -3,17 +3,10 @@ type solution = {
   removed : string list;
   installed_new : string list;
   changed : string list;
-  costs : (int * int) list;
-  quality : Asp.Optimize.quality;
-  verified : bool;
-  phases : Asp.Phases.t;
   n_facts : int;
   n_packages : int;
   n_sets : int;
-  ground_stats : Asp.Grounder.stats;
-  sat_stats : Asp.Sat.stats;
-  solve_steps : Asp.Phases.steps;
-  descent_searches : int;
+  stats : Asp.Solve.stats;
 }
 
 type result =
@@ -21,8 +14,11 @@ type result =
   | Unsatisfiable of { reasons : string list; phases : Asp.Phases.t; n_facts : int }
   | Interrupted of { info : Asp.Budget.info; phases : Asp.Phases.t; n_facts : int }
 
-(* Cheap syntactic diagnosis — the fallback when unsat-core extraction is
-   off or out of budget (mirrors Diagnose.explain for Spack). *)
+(* Cheap syntactic diagnosis of an unsatisfiable document — unknown request
+   targets, unsatisfiable request constraints, removes that contradict keep
+   flags, [false!] dependencies of requested stanzas — the fallback when
+   unsat-core extraction is off or out of budget (mirrors Diagnose.explain
+   for Spack). *)
 let heuristic_reasons (doc : Doc.t) =
   let reasons = ref [] in
   let say fmt = Printf.ksprintf (fun s -> reasons := s :: !reasons) fmt in
@@ -122,83 +118,41 @@ let diff_state (doc : Doc.t) state =
   in
   (removed, installed_new, changed)
 
-let solve_with ?params ?(config = Asp.Config.default) ?budget ?pool ?racers
-    ?(explain = false) ?(stack = Criteria.Paranoid) ?installed_mode (doc : Doc.t) =
-  let budget =
-    match budget with
-    | Some b -> b
-    | None -> Asp.Budget.start config.Asp.Config.limits
+let solve ?config ?attempts ?cancel ?fault ?pool ?racers ?(explain = false)
+    ?(stack = Criteria.Paranoid) ?installed_mode (doc : Doc.t) =
+  let setup () =
+    let enc = Encode.generate ?installed_mode doc in
+    (enc, enc.Encode.statements, enc.Encode.installed_stream)
   in
-  let enc, setup_time =
-    Asp.Phases.time (fun () -> Encode.generate ?installed_mode doc)
-  in
-  let n_facts = enc.Encode.n_facts in
   (* load: parse the logic program (timed, like the Spack pipeline) *)
-  let lp, load_time = Asp.Phases.time (fun () -> Asp.Parser.parse (Logic.text stack)) in
-  let grounded, ground_time =
-    Asp.Phases.time (fun () ->
-        match
-          Asp.Grounder.ground ~budget ?facts_stream:enc.Encode.installed_stream
-            (lp @ enc.Encode.statements)
-        with
-        | exception Asp.Budget.Exhausted info -> Error info
-        | g -> Ok g)
+  let load () = Asp.Parser.parse (Logic.text stack) in
+  let explain (enc : Encode.t) ~params ~budget ground =
+    if explain then
+      Concretize.Diagnose.explain_core ~params ~budget
+        ~cond_origins:enc.Encode.cond_origins
+        ~fallback:(fun () -> heuristic_reasons doc)
+        ground
+    else heuristic_reasons doc
   in
-  let phases = { Asp.Phases.zero with setup_time; load_time; ground_time } in
-  match grounded with
-  | Error info -> Interrupted { info; phases; n_facts }
-  | Ok (ground, ground_stats) -> (
-    let params =
-      match params with
-      | Some p -> p
-      | None -> Asp.Config.params config.Asp.Config.preset
-    in
-    let verdict, solve_time =
-      Asp.Phases.time (fun () ->
-          Asp.Solve.solve_ground ~config ~params ?pool ?racers ~budget ground)
-    in
-    let phases = { phases with solve_time } in
-    match verdict with
-    | Asp.Solve.Gave_up info -> Interrupted { info; phases; n_facts }
-    | Asp.Solve.Proved_unsat ->
-      let reasons =
-        if explain then
-          Concretize.Diagnose.explain_core_origins ~params ~budget
-            ~cond_origins:enc.Encode.cond_origins
-            ~fallback:(fun () -> heuristic_reasons doc)
-            ~ground ()
-        else heuristic_reasons doc
-      in
-      Unsatisfiable { reasons; phases; n_facts }
-    | Asp.Solve.Model
-        { answer; costs; quality; sat_stats; descent_searches; verified; steps; _ } ->
-      let state = decode_state answer in
-      let removed, installed_new, changed = diff_state doc state in
-      Solution
-        {
-          state;
-          removed;
-          installed_new;
-          changed;
-          costs;
-          quality;
-          verified;
-          phases;
-          n_facts;
-          n_packages = enc.Encode.n_packages;
-          n_sets = enc.Encode.n_sets;
-          ground_stats;
-          sat_stats;
-          solve_steps = steps;
-          descent_searches;
-        })
-
-let solve = solve_with ?params:None
-
-(* Escalating retries, the Concretizer idiom ({!Asp.Solve.escalate}):
-   double every finite limit and reseed; never retry a cancellation. *)
-let solve_escalating ?attempts ?config ?cancel ?pool ?racers ?explain ?stack doc =
-  Asp.Solve.escalate ?attempts ?config ?cancel
-    ~interrupted:(function Interrupted { info; _ } -> Some info | _ -> None)
-    (fun ~params ~budget ->
-      solve_with ~params ?config ~budget ?pool ?racers ?explain ?stack doc)
+  match
+    Asp.Solve.escalate ?config ?attempts ?cancel ?fault ?pool ?racers
+      { Asp.Solve.setup; load; explain }
+  with
+  | Asp.Solve.Stopped { facts; phases; info } ->
+    Interrupted { info; phases; n_facts = facts.Encode.n_facts }
+  | Asp.Solve.Refuted { facts; phases; reasons } ->
+    Unsatisfiable { reasons; phases; n_facts = facts.Encode.n_facts }
+  | Asp.Solve.Solved { facts; answer; stats; _ } ->
+    let state = decode_state answer in
+    let removed, installed_new, changed = diff_state doc state in
+    Solution
+      {
+        state;
+        removed;
+        installed_new;
+        changed;
+        n_facts = facts.Encode.n_facts;
+        n_packages = facts.Encode.n_packages;
+        n_sets = facts.Encode.n_sets;
+        stats;
+      }

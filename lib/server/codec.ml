@@ -58,35 +58,37 @@ let budget_info_to_json (info : Asp.Budget.info) =
 
 let result_to_json = function
   | C.Concrete s ->
+    let st = s.C.stats in
+    let g = st.Asp.Solve.ground_stats and ss = st.Asp.Solve.sat_stats in
     Json.Obj
       [
         ("outcome", Json.Str "concrete");
         ("spec", concrete_to_json s.C.spec);
         ("reused", pairs_to_json s.C.reused);
         ("built", Json.List (List.map (fun b -> Json.Str b) s.C.built));
-        ("costs", int_pairs_to_json s.C.costs);
-        ("quality", quality_to_json s.C.quality);
-        ("phases", phases_to_json s.C.phases);
+        ("costs", int_pairs_to_json st.Asp.Solve.costs);
+        ("quality", quality_to_json st.Asp.Solve.quality);
+        ("phases", phases_to_json st.Asp.Solve.phases);
         ("n_facts", Json.Int s.C.n_facts);
         ("n_possible", Json.Int s.C.n_possible);
         ( "ground_stats",
           Json.List
             [
-              Json.Int s.C.ground_stats.Asp.Grounder.possible_atoms;
-              Json.Int s.C.ground_stats.Asp.Grounder.ground_rules;
-              Json.Int s.C.ground_stats.Asp.Grounder.fixpoint_rounds;
+              Json.Int g.Asp.Grounder.possible_atoms;
+              Json.Int g.Asp.Grounder.ground_rules;
+              Json.Int g.Asp.Grounder.fixpoint_rounds;
             ] );
         ( "sat_stats",
           Json.List
             [
-              Json.Int s.C.sat_stats.Asp.Sat.conflicts;
-              Json.Int s.C.sat_stats.Asp.Sat.decisions;
-              Json.Int s.C.sat_stats.Asp.Sat.propagations;
-              Json.Int s.C.sat_stats.Asp.Sat.restarts;
-              Json.Int s.C.sat_stats.Asp.Sat.learnt_literals;
-              Json.Int s.C.sat_stats.Asp.Sat.pb_propagations;
+              Json.Int ss.Asp.Sat.conflicts;
+              Json.Int ss.Asp.Sat.decisions;
+              Json.Int ss.Asp.Sat.propagations;
+              Json.Int ss.Asp.Sat.restarts;
+              Json.Int ss.Asp.Sat.learnt_literals;
+              Json.Int ss.Asp.Sat.pb_propagations;
             ] );
-        ("verified", Json.Bool s.C.verified);
+        ("verified", Json.Bool st.Asp.Solve.verified);
       ]
   | C.Unsatisfiable { phases; n_facts; n_possible; reasons } ->
     Json.Obj
@@ -288,17 +290,21 @@ let success_of_json j =
       C.spec;
       reused;
       built;
-      costs;
-      quality;
-      phases;
       n_facts;
       n_possible;
-      ground_stats;
-      sat_stats;
-      (* like the ground-step times, the solve-step times are not carried *)
-      solve_steps = Asp.Phases.no_steps;
-      descent_searches = 0;
-      verified;
+      stats =
+        {
+          Asp.Solve.phases;
+          ground_stats;
+          sat_stats;
+          (* like the ground-step times, the solve-step times are not
+             carried *)
+          solve_steps = Asp.Phases.no_steps;
+          descent_searches = 0;
+          costs;
+          quality;
+          verified;
+        };
     }
 
 let result_of_json j =

@@ -141,8 +141,8 @@ let recover ?db_path ?journal_path () =
 (* Solve jobs                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let request_key t root =
-  C.request_key ~config:t.cfg.solver ~installed:(db t) ~repo:t.cfg.repo [ root ]
+let request t root = C.request ~installed:(db t) ~repo:t.cfg.repo [ root ]
+let request_key t req = C.request_key ~config:t.cfg.solver req
 
 let expired_result =
   C.Interrupted
@@ -162,25 +162,21 @@ let expired_result =
    the front of the queue after its deadline passed is shed (a typed
    deadline result, no solver work) instead of being solved with a
    token-sized leftover budget. *)
-let make_job t ~deadline root =
-  let installed = db t in
-  fun ~cancel ->
-    let expired =
-      match deadline with
-      | Some d -> Unix.gettimeofday () >= d
-      | None -> false
-    in
-    if expired then begin
-      Atomic.incr t.n_expired;
-      expired_result
-    end
-    else begin
-      let wall = Option.map (fun d -> d -. Unix.gettimeofday ()) deadline in
-      let budget =
-        Asp.Budget.start ~cancel { Asp.Budget.no_limits with Asp.Budget.wall }
-      in
-      C.solve ~config:t.cfg.solver ~installed ~budget ~repo:t.cfg.repo [ root ]
-    end
+let make_job t ~deadline req ~cancel =
+  let expired =
+    match deadline with
+    | Some d -> Unix.gettimeofday () >= d
+    | None -> false
+  in
+  if expired then begin
+    Atomic.incr t.n_expired;
+    expired_result
+  end
+  else begin
+    let wall = Option.map (fun d -> d -. Unix.gettimeofday ()) deadline in
+    let limits = { Asp.Budget.no_limits with Asp.Budget.wall } in
+    C.solve ~config:{ t.cfg.solver with Asp.Config.limits } ~cancel req
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Installs: write-ahead journal, copy-on-swap database               *)

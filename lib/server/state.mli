@@ -97,21 +97,24 @@ val recover : ?db_path:string -> ?journal_path:string -> unit -> recovery
 
 (** {1 Solve jobs} *)
 
-val request_key : t -> Specs.Spec.abstract -> string
+val request : t -> Specs.Spec.abstract -> C.request
+(** The request for one root against the repository and the database as
+    they stand now.  Key it ({!request_key}) and solve it ({!make_job}) as
+    one value, so the answer cached is the answer to the key. *)
+
+val request_key : t -> C.request -> string
 
 val make_job :
   t ->
   deadline:float option ->
-  Specs.Spec.abstract ->
+  C.request ->
   cancel:Asp.Budget.cancel_token ->
   C.result
-(** A scheduler job for one root.  [deadline] is absolute (fixed at
+(** A scheduler job for one request.  [deadline] is absolute (fixed at
     enqueue): a job starting past it is shed with a typed
     [Interrupted]/[Deadline] result and counted in [n_expired], never
-    solved with a leftover sliver of budget. *)
-
-val expired_result : C.result
-(** The result [make_job] returns for a job already past its deadline. *)
+    solved with a leftover sliver of budget.  Otherwise the time left is
+    the solve's wall limit ([config.limits]), on [cancel]. *)
 
 (** {1 Installs} *)
 

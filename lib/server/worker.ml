@@ -132,14 +132,15 @@ let wake w =
    job wakes this worker's loop, which then polls the ticket. *)
 let admit lp ~deadline root =
   let st = lp.w.st in
-  let key = State.request_key st root in
+  let req = State.request st root in
+  let key = State.request_key st req in
   match Cache.lookup st.State.cfg.State.cache key with
   | Some result -> Ok (Ready (Protocol.Hit, result))
   | None -> (
     match
       Scheduler.submit st.State.sched ~key
         ~notify:(fun () -> wake lp.w)
-        (State.make_job st ~deadline root)
+        (State.make_job st ~deadline req)
     with
     | `Accepted ticket -> Ok (Waiting { key; ticket })
     | `Overloaded -> Error ())
@@ -320,8 +321,6 @@ let exn_response = function
   | exn ->
     Protocol.Error { kind = Protocol.Internal; message = Printexc.to_string exn }
 
-let cacheable = function C.Concrete { quality = `Optimal; _ } -> true | _ -> false
-
 (* Advance one pending request; [true] when it was answered (or its client
    left) and can be dropped. *)
 let advance lp p =
@@ -339,7 +338,7 @@ let advance lp p =
           | `Done (Ok result) ->
             (* several waiters may share the job: first one stores *)
             if
-              cacheable result
+              C.cacheable result
               && not (Cache.mem st.State.cfg.State.cache key)
             then Cache.store st.State.cfg.State.cache key result;
             p.slots.(i) <- Ready (Protocol.Miss, result)))

@@ -293,6 +293,7 @@ echo "$out" | grep -q "verified: independent model check passed"
 for cmd in "bin/cudf_solve.exe -- --synth 1000 --stats" \
            "bin/spack_solve.exe -- --repo 300 --stats app-007"; do
 steps=$(timeout 60 dune exec $cmd)
+case $cmd in bin/cudf_solve.exe*) cudf_steps=$steps ;; esac
 python3 - "$steps" << 'EOF'
 import re, sys
 out = sys.argv[1]
@@ -320,6 +321,19 @@ assert m, "no Instance line:\n" + out
 print("instance: %s variables, %s clauses, %s PB constraints" % m.groups())
 EOF
 done
+# both binaries print their stats block from one function: its lines come
+# in the same order on the CUDF run and on this root (the loop's last
+# command), which also prints its optimization vector after Search:
+python3 - "$cudf_steps" "$steps" << 'EOF'
+import sys
+SHARED = ["Ground:", "Search:", "Phases:", "Ground steps:", "Solve steps:",
+          "Optimize:", "Instance:"]
+def order(out):
+    return [p for l in out.splitlines() for p in SHARED if l.startswith(p + " ")]
+for name, out in (("cudf_solve", sys.argv[1]), ("spack_solve", sys.argv[2])):
+    assert order(out) == SHARED, (name, order(out))
+print("stats block: %s on both binaries" % " ".join(SHARED))
+EOF
 # an atom defined by one rule is its body and gets no variable; when every
 # atom gets its own, this root (the loop's last command) has 11,078 variables
 python3 - "$steps" << 'EOF'

@@ -1,6 +1,6 @@
 (* Tests for the ASP engine: lexer, parser, grounder, solver, optimization. *)
 
-let solve ?config src = Asp.Solve.solve_text ?config src
+let solve ?config src = Asp.Solve.solve_program ?config (Asp.Parser.parse src)
 
 let answer_strings = function
   | Asp.Solve.Unsat _ -> [ "UNSAT" ]
@@ -201,7 +201,7 @@ let test_paper_version_choice () =
   Alcotest.(check bool) "newest version chosen" true
     (Asp.Solve.holds o "version" [ Asp.Term.str "hdf5"; Asp.Term.str "1.13.1" ]);
   Alcotest.(check (list (pair int int))) "cost 0 at priority 3" [ (3, 0) ]
-    o.Asp.Solve.costs
+    o.Asp.Solve.stats.Asp.Solve.costs
 
 let test_optimization_forced_cost () =
   (* constraint forces the worse version: optimal cost is 1 *)
@@ -215,7 +215,7 @@ let test_optimization_forced_cost () =
       #minimize{ W@3,P,V : version_weight(P, V, W)}.|}
   in
   let o = outcome src in
-  Alcotest.(check (list (pair int int))) "forced cost" [ (3, 1) ] o.Asp.Solve.costs
+  Alcotest.(check (list (pair int int))) "forced cost" [ (3, 1) ] o.Asp.Solve.stats.Asp.Solve.costs
 
 let test_multi_level_optimization () =
   (* lexicographic: higher priority dominates *)
@@ -230,7 +230,7 @@ let test_multi_level_optimization () =
   (* avoiding the priority-10 cost means picking b, paying 5 at priority 1 *)
   Alcotest.(check bool) "picked b" true
     (Asp.Solve.holds o "pick" [ Asp.Term.str "b" ]);
-  Alcotest.(check (list (pair int int))) "costs" [ (10, 0); (1, 5) ] o.Asp.Solve.costs
+  Alcotest.(check (list (pair int int))) "costs" [ (10, 0); (1, 5) ] o.Asp.Solve.stats.Asp.Solve.costs
 
 let test_maximize () =
   let src =
@@ -242,7 +242,7 @@ let test_maximize () =
   let o = outcome src in
   Alcotest.(check bool) "takes gold" true
     (Asp.Solve.holds o "take" [ Asp.Term.str "gold" ]);
-  Alcotest.(check (list (pair int int))) "negated cost" [ (1, -10) ] o.Asp.Solve.costs
+  Alcotest.(check (list (pair int int))) "negated cost" [ (1, -10) ] o.Asp.Solve.stats.Asp.Solve.costs
 
 (* Every model of these programs is optimal, so the first one is: the
    minimize levels exist before the first search, which therefore needs no
@@ -271,7 +271,7 @@ let test_first_model_optimal () =
           | Asp.Solve.Sat o ->
             Alcotest.(check int) (msg ^ ": models") 1 o.Asp.Solve.models_enumerated;
             Alcotest.(check (list (pair int int))) (msg ^ ": costs") costs
-              (List.filter (fun (_, v) -> v <> 0) o.Asp.Solve.costs)
+              (List.filter (fun (_, v) -> v <> 0) o.Asp.Solve.stats.Asp.Solve.costs)
           | _ -> Alcotest.fail (msg ^ ": expected SAT"))
         programs)
     [ Asp.Config.Bb; Asp.Config.Usc ]
@@ -291,9 +291,9 @@ let test_zero_optimum_first () =
       match solve ~config:(Asp.Config.make ~strategy ()) src with
       | Asp.Solve.Sat o ->
         Alcotest.(check int) (msg ^ ": models") 1 o.Asp.Solve.models_enumerated;
-        Alcotest.(check int) (msg ^ ": descent searches") 0 o.Asp.Solve.descent_searches;
+        Alcotest.(check int) (msg ^ ": descent searches") 0 o.Asp.Solve.stats.Asp.Solve.descent_searches;
         Alcotest.(check (list (pair int int))) (msg ^ ": costs") [ (2, 0); (1, 0) ]
-          o.Asp.Solve.costs
+          o.Asp.Solve.stats.Asp.Solve.costs
       | _ -> Alcotest.fail (msg ^ ": expected SAT"))
     [ Asp.Config.Bb; Asp.Config.Usc ]
 
@@ -407,7 +407,7 @@ let test_minimize_with_negation_guard () =
   in
   let o = outcome src in
   (* choosing only the preferred element costs nothing *)
-  Alcotest.(check (list (pair int int))) "zero cost" [ (1, 0) ] o.Asp.Solve.costs;
+  Alcotest.(check (list (pair int int))) "zero cost" [ (1, 0) ] o.Asp.Solve.stats.Asp.Solve.costs;
   Alcotest.(check bool) "picked a" true (Asp.Solve.holds o "p" [ Asp.Term.str "a" ])
 
 let test_lexer_strings_and_comments () =
@@ -419,7 +419,7 @@ let test_lexer_strings_and_comments () =
 
 let test_empty_and_weird_programs () =
   (* an empty program has one (empty) stable model *)
-  (match Asp.Solve.solve_text "" with
+  (match solve "" with
   | Asp.Solve.Sat o -> Alcotest.(check int) "empty answer" 0 (List.length o.Asp.Solve.answer)
   | Asp.Solve.Unsat _ -> Alcotest.fail "empty program is satisfiable"
   | Asp.Solve.Interrupted _ -> Alcotest.fail "unbudgeted solve interrupted");
@@ -721,7 +721,7 @@ let prop_optimal_cost_matches_naive =
         | [] -> false
         | (_, best_costs) :: _ ->
           let nonzero = List.filter (fun (_, v) -> v <> 0) in
-          nonzero o.Asp.Solve.costs = nonzero best_costs))
+          nonzero o.Asp.Solve.stats.Asp.Solve.costs = nonzero best_costs))
 
 (* [gen_small_program] with #minimize statements: weights from -2 to 3,
    two priorities, three tuples (so a group often has several bodies) and
@@ -766,7 +766,7 @@ let prop_strategies_match_naive =
           match Asp.Solve.solve_program ~config:(Asp.Config.make ~strategy ()) prog with
           | Asp.Solve.Interrupted _ -> false
           | Asp.Solve.Unsat _ -> expected = None
-          | Asp.Solve.Sat o -> expected = Some (nonzero o.Asp.Solve.costs))
+          | Asp.Solve.Sat o -> expected = Some (nonzero o.Asp.Solve.stats.Asp.Solve.costs))
         [ Asp.Config.Bb; Asp.Config.Usc ])
 
 let prop_enumerate_matches_naive =
@@ -789,7 +789,7 @@ let prop_usc_matches_bb =
         match Asp.Solve.solve_program ~config prog with
         | Asp.Solve.Unsat _ | Asp.Solve.Interrupted _ -> None
         | Asp.Solve.Sat o ->
-          Some (List.filter (fun (_, v) -> v <> 0) o.Asp.Solve.costs)
+          Some (List.filter (fun (_, v) -> v <> 0) o.Asp.Solve.stats.Asp.Solve.costs)
       in
       solve Asp.Config.Bb = solve Asp.Config.Usc)
 
@@ -1531,6 +1531,17 @@ let test_alias_promoted_fact () =
   Alcotest.(check bool) "s does not" false (Asp.Translate.atom_is_true tr s);
   check_models "promoted fact" h
 
+let test_alias_fact_body () =
+  (* p :- a.  p :- f, g.  q :- not p.  p has two rules, so it keeps its
+     variable; the second body holds by facts alone, which fixes p true
+     and q false. *)
+  let h = hand_program () in
+  let p = fresh h "p" and q = fresh h "q" in
+  normal h p ~pos:[| h.a |] ();
+  normal h p ~pos:[| h.f; h.g |] ();
+  normal h q ~neg:[| p |] ();
+  check_models "fact body" h
+
 let test_alias_selectors () =
   (* p :- a.  :- not p.  :- p, b.  :- not b.  The three constraints (rules
      2 to 4) conflict only together, through p's shared literal: the core
@@ -1670,6 +1681,7 @@ let () =
           Alcotest.test_case "positive cycle" `Quick test_alias_positive_cycle;
           Alcotest.test_case "negative pair" `Quick test_alias_negative_pair;
           Alcotest.test_case "promoted fact" `Quick test_alias_promoted_fact;
+          Alcotest.test_case "fact body" `Quick test_alias_fact_body;
           Alcotest.test_case "selectors" `Quick test_alias_selectors;
         ] );
       ("properties", qsuite);

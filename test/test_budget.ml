@@ -45,15 +45,19 @@ let unbudgeted strategy =
   match Asp.Solve.solve_program ~config:(config strategy) prog with
   | Asp.Solve.Sat o ->
     Alcotest.(check bool) "baseline quality optimal" true
-      (o.Asp.Solve.quality = `Optimal);
+      (o.Asp.Solve.stats.Asp.Solve.quality = `Optimal);
     o
   | _ -> Alcotest.fail "baseline solve did not return SAT"
 
 (* count the events an unbudgeted run generates, to size the sweep *)
 let event_counts strategy =
-  let b = B.start B.no_limits in
-  match Asp.Solve.solve_program ~config:(config strategy) ~budget:b prog with
-  | Asp.Solve.Sat _ -> B.progress b
+  let budget = ref B.unlimited in
+  match
+    Asp.Solve.solve_program ~config:(config strategy)
+      ~fault:(fun _ b -> budget := b)
+      prog
+  with
+  | Asp.Solve.Sat _ -> B.progress !budget
   | _ -> Alcotest.fail "counting solve did not return SAT"
 
 let check_run ~baseline ~what = function
@@ -69,17 +73,17 @@ let check_run ~baseline ~what = function
     Alcotest.(check bool) (what ^ ": answer is a stable model") true
       (is_stable_model o.Asp.Solve.answer);
     Alcotest.(check bool) (what ^ ": costs lexicographically >= optimum") true
-      (lex_ge o.Asp.Solve.costs baseline.Asp.Solve.costs);
-    match o.Asp.Solve.quality with
+      (lex_ge o.Asp.Solve.stats.Asp.Solve.costs baseline.Asp.Solve.stats.Asp.Solve.costs);
+    match o.Asp.Solve.stats.Asp.Solve.quality with
     | `Optimal ->
       Alcotest.(check (list (pair int int)))
         (what ^ ": complete run matches the unbudgeted optimum")
-        baseline.Asp.Solve.costs o.Asp.Solve.costs
+        baseline.Asp.Solve.stats.Asp.Solve.costs o.Asp.Solve.stats.Asp.Solve.costs
     | `Degraded bounds ->
       (* each proved lower bound must not exceed the reported model value *)
       List.iter
         (fun (prio, bound) ->
-          match List.assoc_opt prio o.Asp.Solve.costs with
+          match List.assoc_opt prio o.Asp.Solve.stats.Asp.Solve.costs with
           | None -> Alcotest.failf "%s: bound for unknown priority %d" what prio
           | Some v ->
             Alcotest.(check bool)
@@ -90,8 +94,7 @@ let check_run ~baseline ~what = function
 let sweep strategy point count =
   let baseline = unbudgeted strategy in
   for n = 1 to count do
-    let b = B.start B.no_limits in
-    Asp.Fault.arm b point n;
+    let fault _ b = Asp.Fault.arm b point n in
     let what =
       Printf.sprintf "%s after %d %s"
         (match strategy with Asp.Config.Bb -> "bb" | Asp.Config.Usc -> "usc")
@@ -103,7 +106,7 @@ let sweep strategy point count =
         | Asp.Fault.Verify_steps -> "verify steps")
     in
     check_run ~baseline ~what
-      (Asp.Solve.solve_program ~config:(config strategy) ~budget:b prog)
+      (Asp.Solve.solve_program ~config:(config strategy) ~fault prog)
   done
 
 let test_sweep_conflicts strategy () =
@@ -122,11 +125,10 @@ let test_sweep_instances strategy () =
   List.iter
     (fun n ->
       if n <= c then begin
-        let b = B.start B.no_limits in
-        Asp.Fault.arm b Asp.Fault.Instances n;
+        let fault _ b = Asp.Fault.arm b Asp.Fault.Instances n in
         check_run ~baseline
           ~what:(Printf.sprintf "after %d instances" n)
-          (Asp.Solve.solve_program ~config:(config strategy) ~budget:b prog)
+          (Asp.Solve.solve_program ~config:(config strategy) ~fault prog)
       end)
     [ 1; 2; 3; 5; 10; 20; 50; 100; c / 2; c - 1; c ]
 
@@ -137,22 +139,24 @@ let test_sweep_opt_steps strategy () =
 
 (* an injected fault during grounding interrupts in the Ground phase *)
 let test_ground_phase_attribution () =
-  let b = B.start B.no_limits in
-  Asp.Fault.arm b Asp.Fault.Instances 1;
-  match Asp.Solve.solve_program ~budget:b prog with
+  let fault _ b = Asp.Fault.arm b Asp.Fault.Instances 1 in
+  match Asp.Solve.solve_program ~fault prog with
   | Asp.Solve.Interrupted { info; _ } ->
     Alcotest.(check bool) "phase is grounding" true (info.B.phase = B.Ground)
   | _ -> Alcotest.fail "fault at the first instance did not interrupt"
 
 (* once tripped, the same budget keeps re-raising the original info *)
 let test_budget_stays_tripped () =
-  let b = B.start B.no_limits in
-  Asp.Fault.arm b Asp.Fault.Instances 1;
-  (match Asp.Solve.solve_program ~budget:b prog with
+  let budget = ref B.unlimited in
+  let fault _ b =
+    Asp.Fault.arm b Asp.Fault.Instances 1;
+    budget := b
+  in
+  (match Asp.Solve.solve_program ~fault prog with
   | Asp.Solve.Interrupted _ -> ()
   | _ -> Alcotest.fail "expected interruption");
-  match Asp.Solve.solve_program ~budget:b prog with
-  | Asp.Solve.Interrupted { info; _ } ->
+  match Asp.Grounder.ground ~budget:!budget prog with
+  | exception B.Exhausted info ->
     Alcotest.(check bool) "same reason on reuse" true (info.B.reason = B.Injected)
   | _ -> Alcotest.fail "tripped budget allowed another solve"
 
@@ -163,10 +167,9 @@ let test_budget_stays_tripped () =
 let repo = Pkg.Repo_core.repo
 
 let concretizer_fault point n =
-  let b = B.start B.no_limits in
-  Asp.Fault.arm b point n;
-  Concretize.Concretizer.solve ~budget:b ~repo
-    [ Specs.Spec_parser.parse "hdf5" ]
+  Concretize.Concretizer.solve
+    ~fault:(fun _ b -> Asp.Fault.arm b point n)
+    (Concretize.Concretizer.request ~repo [ Specs.Spec_parser.parse "hdf5" ])
 
 let test_concretizer_sweep () =
   List.iter
@@ -207,7 +210,8 @@ let test_wall_deadline_large_solve () =
   let limits = { B.no_limits with B.wall = Some 0.05 } in
   let t0 = Unix.gettimeofday () in
   let result =
-    Concretize.Concretizer.solve ~budget:(B.start limits) ~repo:sr roots
+    Concretize.Concretizer.solve ~config:(Asp.Config.make ~limits ())
+      (Concretize.Concretizer.request ~repo:sr roots)
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   (* generous overshoot allowance: the deadline is only probed at ticks *)
@@ -234,8 +238,8 @@ let test_escalation_recovers () =
     if k < 2 then Asp.Fault.arm b Asp.Fault.Instances 1
   in
   match
-    Concretize.Concretizer.solve_escalating ~attempts:3 ~fault ~repo
-      [ Specs.Spec_parser.parse "zlib" ]
+    Concretize.Concretizer.solve ~attempts:3 ~fault
+      (Concretize.Concretizer.request ~repo [ Specs.Spec_parser.parse "zlib" ])
   with
   | Concretize.Concretizer.Concrete _ ->
     Alcotest.(check (list int)) "three attempts, in order" [ 0; 1; 2 ]
@@ -252,8 +256,8 @@ let test_escalation_gives_up () =
   let seen = ref 0 in
   let fault _ _ = incr seen in
   match
-    Concretize.Concretizer.solve_escalating ~attempts:2 ~config ~fault ~repo
-      [ Specs.Spec_parser.parse "zlib" ]
+    Concretize.Concretizer.solve ~attempts:2 ~config ~fault
+      (Concretize.Concretizer.request ~repo [ Specs.Spec_parser.parse "zlib" ])
   with
   | Concretize.Concretizer.Interrupted { info; _ } ->
     Alcotest.(check int) "both attempts consumed" 2 !seen;
@@ -267,8 +271,8 @@ let test_escalation_honours_cancel () =
   let seen = ref 0 in
   let fault _ _ = incr seen in
   match
-    Concretize.Concretizer.solve_escalating ~attempts:3 ~cancel ~fault ~repo
-      [ Specs.Spec_parser.parse "zlib" ]
+    Concretize.Concretizer.solve ~attempts:3 ~cancel ~fault
+      (Concretize.Concretizer.request ~repo [ Specs.Spec_parser.parse "zlib" ])
   with
   | Concretize.Concretizer.Interrupted { info; _ } ->
     Alcotest.(check int) "cancellation is never retried" 1 !seen;
@@ -359,13 +363,12 @@ let test_shrink_fault_sweep () =
 let test_degraded_models_still_verified () =
   let c = (event_counts Asp.Config.Bb).B.opt_steps in
   for n = 1 to c do
-    let b = B.start B.no_limits in
-    Asp.Fault.arm b Asp.Fault.Opt_steps n;
-    match Asp.Solve.solve_program ~config:(config Asp.Config.Bb) ~budget:b prog with
+    let fault _ b = Asp.Fault.arm b Asp.Fault.Opt_steps n in
+    match Asp.Solve.solve_program ~config:(config Asp.Config.Bb) ~fault prog with
     | Asp.Solve.Sat o ->
       Alcotest.(check bool)
         (Printf.sprintf "opt fault %d: degraded model verified" n)
-        true o.Asp.Solve.verified
+        true o.Asp.Solve.stats.Asp.Solve.verified
     | Asp.Solve.Interrupted _ -> ()
     | Asp.Solve.Unsat _ ->
       Alcotest.failf "opt fault %d: SAT program reported UNSAT" n

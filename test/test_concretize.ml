@@ -6,7 +6,8 @@ open Concretize
 let repo = Pkg.Repo_core.repo
 
 let solve ?installed ?env spec =
-  Concretizer.solve_spec ?installed ?env ~repo spec
+  Concretizer.solve
+    (Concretizer.request ?installed ?env ~repo [ Specs.Spec_parser.parse spec ])
 
 let concrete ?installed ?env spec =
   match solve ?installed ?env spec with
@@ -238,7 +239,10 @@ let test_backtracking_version_choice () =
   (match Greedy.concretize_spec ~repo:mini "app" with
   | Greedy.Error _ -> ()
   | Greedy.Ok _ -> Alcotest.fail "greedy should hit the 1.0.8 dead end");
-  match Concretizer.solve_spec ~repo:mini "app" with
+  match
+    Concretizer.solve
+      (Concretizer.request ~repo:mini [ Specs.Spec_parser.parse "app" ])
+  with
   | Concretizer.Concrete s ->
     Alcotest.(check string) "solver backtracks to 1.0.7" "1.0.7" (version_of s "dep")
   | Concretizer.Interrupted _ -> Alcotest.fail "unexpectedly interrupted"
@@ -255,8 +259,10 @@ let test_provider_specialization () =
   Alcotest.(check string) "openblas default" "false" (variant_of s "openblas" "openmp")
 
 let test_multi_root_unification () =
-  match Concretizer.solve ~repo
-          [ Specs.Spec_parser.parse "h5utils"; Specs.Spec_parser.parse "netcdf-c" ]
+  match
+    Concretizer.solve
+      (Concretizer.request ~repo
+         [ Specs.Spec_parser.parse "h5utils"; Specs.Spec_parser.parse "netcdf-c" ])
   with
   | Concretizer.Concrete s ->
     (* both roots resolve against a single hdf5 node *)
@@ -399,17 +405,37 @@ let test_fact_generation_with_reuse () =
   Alcotest.(check int) "n_facts identical across modes" facts.Facts.n_facts
     streamed.Facts.n_facts
 
+(* one pipeline times every frontend: a Spack request, a CUDF universe and
+   a plain ASP program *)
 let test_phases_measured () =
   let s = concrete "hdf5" in
-  let p = s.Concretizer.phases in
-  Alcotest.(check bool) "ground > 0" true (p.Asp.Phases.ground_time > 0.0);
-  Alcotest.(check bool) "solve > 0" true (p.Asp.Phases.solve_time > 0.0);
-  Alcotest.(check bool) "total is the sum" true
-    (abs_float
-       (Asp.Phases.total p
-       -. (p.Asp.Phases.setup_time +. p.Asp.Phases.load_time
-          +. p.Asp.Phases.ground_time +. p.Asp.Phases.solve_time))
-    < 1e-9)
+  let cudf =
+    match Cudf.Solver.solve (Cudf.Synth.universe ~seed:1 ~n:200 ()) with
+    | Cudf.Solver.Solution c -> c.Cudf.Solver.stats
+    | _ -> Alcotest.fail "expected a CUDF solution"
+  in
+  let asp =
+    match
+      Asp.Solve.solve_program
+        (Asp.Parser.parse
+           "n(1..20). { p(X) : n(X) }. :- p(X), p(X+1).\n\
+            #minimize { 1,X : n(X), not p(X) }.")
+    with
+    | Asp.Solve.Sat o -> o.Asp.Solve.stats
+    | _ -> Alcotest.fail "expected a stable model"
+  in
+  List.iter
+    (fun (st : Asp.Solve.stats) ->
+      let p = st.Asp.Solve.phases in
+      Alcotest.(check bool) "ground > 0" true (p.Asp.Phases.ground_time > 0.0);
+      Alcotest.(check bool) "solve > 0" true (p.Asp.Phases.solve_time > 0.0);
+      Alcotest.(check bool) "total is the sum" true
+        (abs_float
+           (Asp.Phases.total p
+           -. (p.Asp.Phases.setup_time +. p.Asp.Phases.load_time
+              +. p.Asp.Phases.ground_time +. p.Asp.Phases.solve_time))
+        < 1e-9))
+    [ s.Concretizer.stats; cudf; asp ]
 
 let reasons_of spec =
   match solve spec with
@@ -461,8 +487,11 @@ let test_strategies_agree_on_concretization () =
     (fun spec ->
       let render strategy =
         let config = Asp.Config.make ~strategy () in
-        match Concretizer.solve_spec ~config ~repo spec with
-        | Concretizer.Concrete s -> List.filter (fun (_, v) -> v <> 0) s.Concretizer.costs
+        match
+          Concretizer.solve ~config
+            (Concretizer.request ~repo [ Specs.Spec_parser.parse spec ])
+        with
+        | Concretizer.Concrete s -> List.filter (fun (_, v) -> v <> 0) s.Concretizer.stats.Asp.Solve.costs
         | Concretizer.Interrupted _ -> Alcotest.fail "unexpectedly interrupted"
         | Concretizer.Unsatisfiable _ -> Alcotest.failf "UNSAT: %s" spec
       in
@@ -490,7 +519,10 @@ let test_prefs_version () =
     }
   in
   let s =
-    match Concretizer.solve_spec ~prefs ~repo "zlib" with
+    match
+      Concretizer.solve
+        (Concretizer.request ~prefs ~repo [ Specs.Spec_parser.parse "zlib" ])
+    with
     | Concretizer.Concrete s -> s
     | Concretizer.Interrupted _ -> Alcotest.fail "unexpectedly interrupted"
     | Concretizer.Unsatisfiable _ -> Alcotest.fail "UNSAT"
@@ -499,7 +531,10 @@ let test_prefs_version () =
     (version_of s "zlib");
   (* a hard requirement still overrides the preference *)
   let s =
-    match Concretizer.solve_spec ~prefs ~repo "zlib@1.2.12" with
+    match
+      Concretizer.solve
+        (Concretizer.request ~prefs ~repo [ Specs.Spec_parser.parse "zlib@1.2.12" ])
+    with
     | Concretizer.Concrete s -> s
     | Concretizer.Interrupted _ -> Alcotest.fail "unexpectedly interrupted"
     | Concretizer.Unsatisfiable _ -> Alcotest.fail "UNSAT"
@@ -518,7 +553,10 @@ let test_prefs_variant () =
     }
   in
   let s =
-    match Concretizer.solve_spec ~prefs ~repo "hdf5" with
+    match
+      Concretizer.solve
+        (Concretizer.request ~prefs ~repo [ Specs.Spec_parser.parse "hdf5" ])
+    with
     | Concretizer.Concrete s -> s
     | Concretizer.Interrupted _ -> Alcotest.fail "unexpectedly interrupted"
     | Concretizer.Unsatisfiable _ -> Alcotest.fail "UNSAT"
@@ -556,7 +594,10 @@ let test_prefs_provider () =
     { Preferences.empty with Preferences.providers = [ ("mpi", [ "openmpi" ]) ] }
   in
   let s =
-    match Concretizer.solve_spec ~prefs ~repo "hdf5" with
+    match
+      Concretizer.solve
+        (Concretizer.request ~prefs ~repo [ Specs.Spec_parser.parse "hdf5" ])
+    with
     | Concretizer.Concrete s -> s
     | Concretizer.Interrupted _ -> Alcotest.fail "unexpectedly interrupted"
     | Concretizer.Unsatisfiable _ -> Alcotest.fail "UNSAT"
@@ -619,7 +660,10 @@ let prop_synth_solutions_validate =
           (Pkg.Repo.package_names sr)
       in
       let root = List.nth apps (seed mod List.length apps) in
-      match Concretizer.solve_spec ~repo:sr root with
+      match
+        Concretizer.solve
+          (Concretizer.request ~repo:sr [ Specs.Spec_parser.parse root ])
+      with
       | Concretizer.Interrupted _ -> Alcotest.fail "unexpectedly interrupted"
       | Concretizer.Unsatisfiable _ -> true (* conflicts can make roots unsolvable *)
       | Concretizer.Concrete s -> Validate.is_valid ~repo:sr s.Concretizer.spec)
@@ -628,17 +672,20 @@ let prop_synth_solutions_validate =
    level's optimum (all 0 here), so the descent runs no search. *)
 let test_root_no_descent () =
   let repo = Pkg.Repo_synth.repo (Pkg.Repo_synth.scaled 300) in
-  match Concretizer.solve_spec ~repo "app-007" with
+  match
+    Concretizer.solve
+      (Concretizer.request ~repo [ Specs.Spec_parser.parse "app-007" ])
+  with
   | Concretizer.Concrete s ->
-    Alcotest.(check bool) "optimal" true (s.Concretizer.quality = `Optimal);
-    Alcotest.(check int) "descent searches" 0 s.Concretizer.descent_searches
+    Alcotest.(check bool) "optimal" true (s.Concretizer.stats.Asp.Solve.quality = `Optimal);
+    Alcotest.(check int) "descent searches" 0 s.Concretizer.stats.Asp.Solve.descent_searches
   | _ -> Alcotest.fail "app-007 did not concretize"
 
 let test_multishot () =
   let roots =
     List.map Specs.Spec_parser.parse [ "hdf5"; "h5utils"; "openblas"; "berkeleygw+openmp" ]
   in
-  let ms = Multishot.solve_stack ~repo roots in
+  let ms = Multishot.solve_stack (Concretizer.request ~repo roots) in
   List.iter
     (fun (sh : Multishot.shot) ->
       match sh.Multishot.shot_result with
@@ -666,10 +713,12 @@ let test_multishot () =
 (* ------------------------------------------------------------------ *)
 
 let costs_of = function
-  | Concretizer.Concrete s -> s.Concretizer.costs
+  | Concretizer.Concrete s -> s.Concretizer.stats.Asp.Solve.costs
   | _ -> Alcotest.fail "expected a concrete result"
 
-let solve' ~cache spec = Concretizer.solve_spec ~cache ~repo spec
+let solve' ~cache spec =
+  Concretizer.solve ~cache
+    (Concretizer.request ~repo [ Specs.Spec_parser.parse spec ])
 
 let test_solve_many_dedupes () =
   (* a duplicate-heavy batch: 6 jobs, 2 unique requests (note the second
@@ -678,10 +727,12 @@ let test_solve_many_dedupes () =
     [ "zlib@1:+shared"; "libiconv"; "zlib+shared@1:"; "zlib@1:+shared";
       "libiconv"; "zlib@1:+shared" ]
   in
-  let roots = List.map (fun s -> [ Specs.Spec_parser.parse s ]) batch in
+  let requests =
+    List.map (fun s -> Concretizer.request ~repo [ Specs.Spec_parser.parse s ]) batch
+  in
   let dispatches = Atomic.make 0 in
   let fault _round _budget = Atomic.incr dispatches in
-  let results = Concretizer.solve_many ~fault ~repo roots in
+  let results = Concretizer.solve_many ~fault requests in
   Alcotest.(check int) "one result per job" (List.length batch)
     (List.length results);
   Alcotest.(check int) "solved once per unique request" 2
@@ -718,22 +769,22 @@ let test_solve_cache_hook () =
   (match (first, second) with
   | Concretizer.Concrete a, Concretizer.Concrete b ->
     Alcotest.(check (list (pair int int))) "identical cost vector"
-      a.Concretizer.costs b.Concretizer.costs;
-    Alcotest.(check bool) "verified flag intact" a.Concretizer.verified
-      b.Concretizer.verified;
+      a.Concretizer.stats.Asp.Solve.costs b.Concretizer.stats.Asp.Solve.costs;
+    Alcotest.(check bool) "verified flag intact" a.Concretizer.stats.Asp.Solve.verified
+      b.Concretizer.stats.Asp.Solve.verified;
     Alcotest.(check (pair (float 0.0) (float 0.0))) "original timings returned"
-      ( a.Concretizer.phases.Asp.Phases.solve_time,
-        a.Concretizer.phases.Asp.Phases.ground_time )
-      ( b.Concretizer.phases.Asp.Phases.solve_time,
-        b.Concretizer.phases.Asp.Phases.ground_time )
+      ( a.Concretizer.stats.Asp.Solve.phases.Asp.Phases.solve_time,
+        a.Concretizer.stats.Asp.Solve.phases.Asp.Phases.ground_time )
+      ( b.Concretizer.stats.Asp.Solve.phases.Asp.Phases.solve_time,
+        b.Concretizer.stats.Asp.Solve.phases.Asp.Phases.ground_time )
   | _ -> Alcotest.fail "expected concrete results");
   (* interrupted results never enter the cache: a budget-starved solve
      under the same key must not poison later solves *)
   let tok = Asp.Budget.token () in
   Asp.Budget.cancel tok;
-  let budget = Asp.Budget.start ~cancel:tok Asp.Budget.no_limits in
   (match
-     Concretizer.solve ~budget ~cache ~repo [ Specs.Spec_parser.parse "cmake" ]
+     Concretizer.solve ~cancel:tok ~cache
+       (Concretizer.request ~repo [ Specs.Spec_parser.parse "cmake" ])
    with
   | Concretizer.Interrupted _ -> ()
   | _ -> Alcotest.fail "expected an interrupted solve");
@@ -741,7 +792,8 @@ let test_solve_cache_hook () =
 
 let test_request_key () =
   let key ?installed s =
-    Concretizer.request_key ?installed ~repo [ Specs.Spec_parser.parse s ]
+    Concretizer.request_key
+      (Concretizer.request ?installed ~repo [ Specs.Spec_parser.parse s ])
   in
   Alcotest.(check string) "spelling-invariant" (key "zlib@1:+shared")
     (key "zlib+shared@1:");
@@ -749,7 +801,8 @@ let test_request_key () =
   let config = Asp.Config.make ~preset:Asp.Config.Trendy () in
   Alcotest.(check bool) "config-sensitive" true
     (key "zlib"
-    <> Concretizer.request_key ~config ~repo [ Specs.Spec_parser.parse "zlib" ]);
+    <> Concretizer.request_key ~config
+         (Concretizer.request ~repo [ Specs.Spec_parser.parse "zlib" ]));
   (* budgets are excluded: only proven-optimal results are cached, and those
      do not depend on the limits that produced them *)
   let limits =
@@ -757,7 +810,8 @@ let test_request_key () =
   in
   let config = Asp.Config.make ~limits () in
   Alcotest.(check string) "budget-insensitive" (key "zlib")
-    (Concretizer.request_key ~config ~repo [ Specs.Spec_parser.parse "zlib" ]);
+    (Concretizer.request_key ~config
+       (Concretizer.request ~repo [ Specs.Spec_parser.parse "zlib" ]));
   (* installing anything moves every key *)
   let db = Pkg.Database.create () in
   let k0 = key ~installed:db "zlib" in

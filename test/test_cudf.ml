@@ -127,9 +127,9 @@ let check_against_reference ?(explain = false) label d stack =
     Alcotest.(check string)
       (label ^ ": optimal cost vector")
       (costs_str ref_costs)
-      (costs_str (normalize ~against:ref_costs s.Solver.costs));
-    Alcotest.(check bool) (label ^ ": verified") true s.Solver.verified;
-    Alcotest.(check bool) (label ^ ": optimal") true (s.Solver.quality = `Optimal)
+      (costs_str (normalize ~against:ref_costs s.Solver.stats.Asp.Solve.costs));
+    Alcotest.(check bool) (label ^ ": verified") true s.Solver.stats.Asp.Solve.verified;
+    Alcotest.(check bool) (label ^ ": optimal") true (s.Solver.stats.Asp.Solve.quality = `Optimal)
   | Solver.Solution s, None ->
     Alcotest.failf "%s: engine found %s but reference says UNSAT" label
       (state_str s.Solver.state)
@@ -188,8 +188,8 @@ let test_differential_naive () =
             Alcotest.(check string)
               (Printf.sprintf "%s/%s: naive cost vector" label
                  (Criteria.name stack))
-              (costs_str (normalize ~against:s.Solver.costs ncosts))
-              (costs_str s.Solver.costs)
+              (costs_str (normalize ~against:s.Solver.stats.Asp.Solve.costs ncosts))
+              (costs_str s.Solver.stats.Asp.Solve.costs)
           | [], Solver.Solution s ->
             Alcotest.failf "%s: naive UNSAT, engine %s" label
               (state_str s.Solver.state)
@@ -285,10 +285,10 @@ let test_stacks_diverge () =
   Alcotest.(check string)
     "trendy upgrades and pays a new package" "editor=2 libnew=1"
     (state_str t.Solver.state);
-  Alcotest.(check string) "paranoid optimum" "0@20,0@19" (costs_str p.Solver.costs);
+  Alcotest.(check string) "paranoid optimum" "0@20,0@19" (costs_str p.Solver.stats.Asp.Solve.costs);
   Alcotest.(check string)
     "trendy optimum" "0@20,1@19"
-    (costs_str (normalize ~against:[ (20, 0); (19, 0) ] t.Solver.costs))
+    (costs_str (normalize ~against:[ (20, 0); (19, 0) ] t.Solver.stats.Asp.Solve.costs))
 
 let test_upgrade_semantics () =
   (* upgrade: exactly one version, no downgrade below the installed one *)
@@ -329,7 +329,7 @@ let test_keep_semantics () =
   Alcotest.(check string) "pinned at 1" "a=1" (state_str s.Solver.state);
   Alcotest.(check string)
     "and it counts as outdated" "1@20"
-    (costs_str (List.filter (fun (p, _) -> p = 20) s.Solver.costs))
+    (costs_str (List.filter (fun (p, _) -> p = 20) s.Solver.stats.Asp.Solve.costs))
 
 (* ---------- encoder modes and determinism ---------- *)
 
@@ -345,7 +345,7 @@ let test_stream_equals_materialize () =
       in
       Alcotest.(check string)
         (Criteria.name stack ^ ": same optimum either way")
-        (costs_str a.Solver.costs) (costs_str b.Solver.costs);
+        (costs_str a.Solver.stats.Asp.Solve.costs) (costs_str b.Solver.stats.Asp.Solve.costs);
       Alcotest.(check int)
         (Criteria.name stack ^ ": same fact count")
         a.Solver.n_facts b.Solver.n_facts)
@@ -369,7 +369,7 @@ let test_synth_sat_by_construction () =
             solved_state (Printf.sprintf "synth %d/%d" seed n) d stack
           in
           Alcotest.(check bool) "verified optimal" true
-            (s.Solver.verified && s.Solver.quality = `Optimal))
+            (s.Solver.stats.Asp.Solve.verified && s.Solver.stats.Asp.Solve.quality = `Optimal))
         Criteria.all)
     [ (11, 150); (12, 350) ]
 
@@ -385,10 +385,10 @@ let test_portfolio_costs () =
           | Solver.Solution s ->
             Alcotest.(check string)
               (Criteria.name stack ^ ": race gives the sequential costs")
-              (costs_str seq.Solver.costs) (costs_str s.Solver.costs);
+              (costs_str seq.Solver.stats.Asp.Solve.costs) (costs_str s.Solver.stats.Asp.Solve.costs);
             Alcotest.(check bool)
               (Criteria.name stack ^ ": race is optimal and verified") true
-              (s.Solver.quality = `Optimal && s.Solver.verified)
+              (s.Solver.stats.Asp.Solve.quality = `Optimal && s.Solver.stats.Asp.Solve.verified)
           | _ -> Alcotest.failf "%s: race did not solve" (Criteria.name stack))
         Criteria.all)
 
@@ -401,7 +401,7 @@ let test_escalation_gives_up () =
       ~limits:{ Asp.Budget.no_limits with Asp.Budget.instances = Some 50 }
       ()
   in
-  match Solver.solve_escalating ~attempts:3 ~config d with
+  match Solver.solve ~attempts:3 ~config d with
   | Solver.Interrupted { info; _ } ->
     Alcotest.(check bool) "instance limit" true
       (info.Asp.Budget.reason = Asp.Budget.Instance_limit);
@@ -413,22 +413,11 @@ let test_escalation_honours_cancel () =
   let d = Synth.universe ~seed:22 ~n:200 () in
   let cancel = Asp.Budget.token () in
   Asp.Budget.cancel cancel;
-  (match Solver.solve_escalating ~attempts:3 ~cancel d with
+  let rounds = ref 0 in
+  match Solver.solve ~attempts:3 ~cancel ~fault:(fun _ _ -> incr rounds) d with
   | Solver.Interrupted { info; _ } ->
     Alcotest.(check bool) "reason is cancellation" true
-      (info.Asp.Budget.reason = Asp.Budget.Cancelled)
-  | _ -> Alcotest.fail "cancelled escalation did not report Interrupted");
-  (* the rounds themselves are only visible through the loop's fault hook:
-     drive the same loop over a CUDF solve and count them *)
-  let rounds = ref 0 in
-  match
-    Asp.Solve.escalate ~attempts:3 ~cancel
-      ~fault:(fun _ _ -> incr rounds)
-      ~interrupted:(function
-        | Solver.Interrupted { info; _ } -> Some info | _ -> None)
-      (fun ~params:_ ~budget -> Solver.solve ~budget d)
-  with
-  | Solver.Interrupted _ ->
+      (info.Asp.Budget.reason = Asp.Budget.Cancelled);
     Alcotest.(check int) "cancellation is never retried" 1 !rounds
   | _ -> Alcotest.fail "cancelled escalation did not report Interrupted"
 

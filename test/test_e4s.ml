@@ -100,8 +100,8 @@ let test_view_digests () =
         (F.reuse_digest ~installed:compacted ~repo roots);
       Alcotest.(check string)
         (name ^ ": request key")
-        (C.request_key ~installed:view ~repo roots)
-        (C.request_key ~installed:compacted ~repo roots))
+        (C.request_key (C.request ~installed:view ~repo roots))
+        (C.request_key (C.request ~installed:compacted ~repo roots)))
     (slices_of db)
 
 (* ------------------------------------------------------------------ *)
@@ -119,17 +119,17 @@ let signature = function
     Printf.sprintf "nodes=%s costs=%s reused=%s built=%s verified=%b"
       (String.concat "," nodes)
       (String.concat ","
-         (List.map (fun (p, v) -> Printf.sprintf "%d:%d" p v) s.C.costs))
+         (List.map (fun (p, v) -> Printf.sprintf "%d:%d" p v) s.C.stats.Asp.Solve.costs))
       (String.concat ","
          (List.sort compare (List.map (fun (p, h) -> p ^ "=" ^ h) s.C.reused)))
       (String.concat "," (List.sort compare s.C.built))
-      s.C.verified
+      s.C.stats.Asp.Solve.verified
   | C.Unsatisfiable _ -> "unsat"
   | C.Interrupted _ -> "interrupted"
 
 let solve_both ~repo ~installed roots =
-  let m = C.solve ~installed ~reuse_mode:`Materialize ~repo roots in
-  let s = C.solve ~installed ~reuse_mode:`Stream ~repo roots in
+  let m = C.solve (C.request ~installed ~reuse_mode:`Materialize ~repo roots) in
+  let s = C.solve (C.request ~installed ~reuse_mode:`Stream ~repo roots) in
   (signature m, signature s, m)
 
 let test_solve_differential () =
@@ -206,7 +206,7 @@ let test_daemon_journal_differential () =
     ~finally:(fun () -> Asp.Pool.shutdown st.Server.State.pool)
     (fun () ->
       let solve_spec spec =
-        match C.solve_spec ~repo spec with
+        match C.solve (C.request ~repo [ Specs.Spec_parser.parse spec ]) with
         | C.Concrete s -> s
         | _ -> Alcotest.failf "expected concrete for %s" spec
       in
@@ -214,10 +214,13 @@ let test_daemon_journal_differential () =
         let roots = [ Specs.Spec_parser.parse root ] in
         let db = Server.State.db st in
         let daemon =
-          Server.State.make_job st ~deadline:None (List.hd roots)
+          Server.State.make_job st ~deadline:None
+            (Server.State.request st (List.hd roots))
             ~cancel:(Asp.Budget.token ())
         in
-        let scratch = C.solve ~installed:db ~reuse_mode:`Materialize ~repo roots in
+        let scratch =
+          C.solve (C.request ~installed:db ~reuse_mode:`Materialize ~repo roots)
+        in
         Alcotest.(check string)
           ("daemon stream vs scratch materialized: " ^ root)
           (signature scratch) (signature daemon)
@@ -244,8 +247,8 @@ let test_daemon_journal_differential () =
         (Pkg.Database.fingerprint r.Server.State.db0);
       let roots = [ Specs.Spec_parser.parse "hdf5" ] in
       Alcotest.(check string) "recovered db addresses the same request key"
-        (C.request_key ~installed:live ~repo roots)
-        (C.request_key ~installed:r.Server.State.db0 ~repo roots))
+        (C.request_key (C.request ~installed:live ~repo roots))
+        (C.request_key (C.request ~installed:r.Server.State.db0 ~repo roots)))
 
 let () =
   Alcotest.run "e4s"

@@ -84,7 +84,10 @@ let test_satisfiable_program () =
 (* --- concretizer-level explanations ------------------------------------- *)
 
 let reasons_of ~repo spec =
-  match Concretize.Concretizer.solve_spec ~explain:true ~repo spec with
+  match
+    Concretize.Concretizer.solve ~explain:true
+      (Concretize.Concretizer.request ~repo [ Specs.Spec_parser.parse spec ])
+  with
   | Concretize.Concretizer.Unsatisfiable { reasons; _ } ->
     String.concat "\n" reasons
   | Concretize.Concretizer.Concrete _ -> Alcotest.fail "expected UNSAT, got a spec"

@@ -60,8 +60,8 @@ let sequential_costs config =
   match Asp.Solve.solve_program ~config cover with
   | Asp.Solve.Sat o ->
     Alcotest.(check bool) "sequential baseline optimal" true
-      (o.Asp.Solve.quality = `Optimal);
-    o.Asp.Solve.costs
+      (o.Asp.Solve.stats.Asp.Solve.quality = `Optimal);
+    o.Asp.Solve.stats.Asp.Solve.costs
   | _ -> Alcotest.fail "sequential baseline did not return SAT"
 
 (* ------------------------------------------------------------------ *)
@@ -156,17 +156,17 @@ let test_portfolio_matches_sequential () =
               let prog = Asp.Parser.parse src in
               let baseline =
                 match Asp.Solve.solve_program ~config prog with
-                | Asp.Solve.Sat o -> o.Asp.Solve.costs
+                | Asp.Solve.Sat o -> o.Asp.Solve.stats.Asp.Solve.costs
                 | _ -> Alcotest.failf "%s: sequential solve not SAT" name
               in
               match Asp.Solve.solve_program ~pool ~config ~jobs:3 prog with
               | Asp.Solve.Sat o ->
                 Alcotest.(check (list (pair int int)))
                   (name ^ ": portfolio cost vector equals sequential") baseline
-                  o.Asp.Solve.costs;
+                  o.Asp.Solve.stats.Asp.Solve.costs;
                 Alcotest.(check bool) (name ^ ": portfolio quality optimal")
                   true
-                  (o.Asp.Solve.quality = `Optimal);
+                  (o.Asp.Solve.stats.Asp.Solve.quality = `Optimal);
                 if name = "cover" then
                   Alcotest.(check bool)
                     (name ^ ": portfolio answer is a stable model") true
@@ -251,7 +251,7 @@ let test_race_cancelled_promptly () =
 (* ------------------------------------------------------------------ *)
 
 let costs_of what = function
-  | Concretize.Concretizer.Concrete s -> s.Concretize.Concretizer.costs
+  | Concretize.Concretizer.Concrete s -> s.Concretize.Concretizer.stats.Asp.Solve.costs
   | Concretize.Concretizer.Unsatisfiable _ -> Alcotest.failf "%s: UNSAT" what
   | Concretize.Concretizer.Interrupted _ -> Alcotest.failf "%s: interrupted" what
 
@@ -268,11 +268,12 @@ let test_concretizer_portfolio_determinism () =
           let root = [ Specs.Spec_parser.parse name ] in
           let seq =
             costs_of (name ^ " sequential")
-              (Concretize.Concretizer.solve ~repo root)
+              (Concretize.Concretizer.solve (Concretize.Concretizer.request ~repo root))
           in
           let par =
             costs_of (name ^ " portfolio")
-              (Concretize.Concretizer.solve ~pool ~racers:2 ~repo root)
+              (Concretize.Concretizer.solve ~pool ~racers:2
+                 (Concretize.Concretizer.request ~repo root))
           in
           Alcotest.(check (list (pair int int)))
             (name ^ ": portfolio concretization costs equal sequential") seq par)
@@ -283,14 +284,18 @@ let test_solve_many () =
   let names =
     List.filteri (fun i _ -> i < 6) (Pkg.Repo.package_names repo)
   in
-  let jobs = List.map (fun n -> [ Specs.Spec_parser.parse n ]) names in
+  let jobs =
+    List.map
+      (fun n -> Concretize.Concretizer.request ~repo [ Specs.Spec_parser.parse n ])
+      names
+  in
   let sequential =
     List.map2
-      (fun n job -> costs_of (n ^ " sequential") (Concretize.Concretizer.solve ~repo job))
+      (fun n job -> costs_of (n ^ " sequential") (Concretize.Concretizer.solve job))
       names jobs
   in
   Asp.Pool.with_pool ~domains:3 (fun pool ->
-      let batch = Concretize.Concretizer.solve_many ~pool ~repo jobs in
+      let batch = Concretize.Concretizer.solve_many ~pool jobs in
       Alcotest.(check int) "one result per job" (List.length jobs)
         (List.length batch);
       List.iteri

@@ -13,8 +13,8 @@ let render = function
       (String.concat ","
          (List.map
             (fun (p, v) -> Printf.sprintf "%d@%d" v p)
-            s.Concretizer.costs))
-      s.Concretizer.verified
+            s.Concretizer.stats.Asp.Solve.costs))
+      s.Concretizer.stats.Asp.Solve.verified
   | Concretizer.Unsatisfiable _ -> "unsat"
   | Concretizer.Interrupted _ -> "interrupted"
 
@@ -36,9 +36,9 @@ let test_request_key_narrowing () =
     | Some s -> s
     | None -> Alcotest.fail "no zlib-free root in the fixture repo"
   in
-  let key s = Concretizer.request_key ~installed:db ~repo (roots s) in
+  let key s = Concretizer.request_key (Concretizer.request ~installed:db ~repo (roots s)) in
   let unrelated_before = key unrelated and zlib_before = key "zlib" in
-  (match Concretizer.solve ~installed:db ~repo (roots "zlib") with
+  (match Concretizer.solve (Concretizer.request ~installed:db ~repo (roots "zlib")) with
   | Concretizer.Concrete s -> Pkg.Database.add_concrete db s.Concretizer.spec
   | _ -> Alcotest.fail "zlib solve failed");
   Alcotest.(check string) "unrelated key survives the install"
@@ -89,13 +89,13 @@ let cudf_answer ~n ~seed stack =
   | Cudf.Solver.Solution s ->
     Printf.sprintf "state %s | costs %s | %s"
       (String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) s.Cudf.Solver.state))
-      (String.concat "," (List.map (fun (p, v) -> Printf.sprintf "%d@%d" v p) s.Cudf.Solver.costs))
-      (search_line s.Cudf.Solver.sat_stats)
+      (String.concat "," (List.map (fun (p, v) -> Printf.sprintf "%d@%d" v p) s.Cudf.Solver.stats.Asp.Solve.costs))
+      (search_line s.Cudf.Solver.stats.Asp.Solve.sat_stats)
   | _ -> "no solution"
 
 let spack_answer spec =
-  match Concretizer.solve ~repo [ Specs.Spec_parser.parse spec ] with
-  | Concretizer.Concrete s as r -> render r ^ " | " ^ search_line s.Concretizer.sat_stats
+  match Concretizer.solve (Concretizer.request ~repo [ Specs.Spec_parser.parse spec ]) with
+  | Concretizer.Concrete s as r -> render r ^ " | " ^ search_line s.Concretizer.stats.Asp.Solve.sat_stats
   | r -> render r
 
 let history_requests () =

@@ -21,7 +21,7 @@ let temp_dir () =
   Unix.mkdir d 0o755;
   d
 
-let solve spec = C.solve_spec ~repo spec
+let solve spec = C.solve (C.request ~repo [ Specs.Spec_parser.parse spec ])
 
 let concrete spec =
   match solve spec with
@@ -78,8 +78,8 @@ let test_codec_concrete () =
   codec_roundtrip r;
   match (r, Server.Codec.result_of_json (Server.Codec.result_to_json r)) with
   | C.Concrete s, Ok (C.Concrete s') ->
-    Alcotest.(check (list (pair int int))) "cost vector survives" s.C.costs s'.C.costs;
-    Alcotest.(check bool) "verified survives" s.C.verified s'.C.verified;
+    Alcotest.(check (list (pair int int))) "cost vector survives" s.C.stats.Asp.Solve.costs s'.C.stats.Asp.Solve.costs;
+    Alcotest.(check bool) "verified survives" s.C.stats.Asp.Solve.verified s'.C.stats.Asp.Solve.verified;
     Alcotest.(check string) "same DAG hash"
       (Specs.Spec.node_hash s.C.spec s.C.spec.Specs.Spec.root)
       (Specs.Spec.node_hash s'.C.spec s'.C.spec.Specs.Spec.root)
@@ -563,10 +563,10 @@ let test_daemon_cold_warm () =
       in
       (match (cold, warm) with
       | C.Concrete a, C.Concrete b ->
-        Alcotest.(check (list (pair int int))) "identical cost vector" a.C.costs
-          b.C.costs;
-        Alcotest.(check bool) "cold verified" true a.C.verified;
-        Alcotest.(check bool) "warm verified intact" true b.C.verified;
+        Alcotest.(check (list (pair int int))) "identical cost vector" a.C.stats.Asp.Solve.costs
+          b.C.stats.Asp.Solve.costs;
+        Alcotest.(check bool) "cold verified" true a.C.stats.Asp.Solve.verified;
+        Alcotest.(check bool) "warm verified intact" true b.C.stats.Asp.Solve.verified;
         Alcotest.(check string) "same DAG"
           (Specs.Spec.node_hash a.C.spec a.C.spec.Specs.Spec.root)
           (Specs.Spec.node_hash b.C.spec b.C.spec.Specs.Spec.root)
@@ -584,7 +584,7 @@ let test_daemon_solve_many_single_flight () =
       | Server.Protocol.Results entries ->
         Alcotest.(check int) "one result per input" 3 (List.length entries);
         let costs = function
-          | _, C.Concrete s -> s.C.costs
+          | _, C.Concrete s -> s.C.stats.Asp.Solve.costs
           | _ -> Alcotest.fail "expected concrete"
         in
         List.iter
@@ -703,7 +703,7 @@ let test_cache_legacy_phases () =
   in
   (match r with
   | C.Concrete s ->
-    let p = s.C.phases in
+    let p = s.C.stats.Asp.Solve.phases in
     Alcotest.(check (list (float 0.))) "phases kept"
       [ 0.0004119873046875; 0.0; 0.00545501708984375; 0.00051403045654296875 ]
       [ p.Asp.Phases.setup_time; p.Asp.Phases.load_time; p.Asp.Phases.ground_time;
@@ -722,8 +722,9 @@ let test_cache_legacy_phases () =
   (* the same body under the key today's daemon derives for the request *)
   let dir = temp_dir () in
   let key =
-    C.request_key ~config:Asp.Config.default ~installed:(Pkg.Database.create ()) ~repo
-      [ Specs.Spec_parser.parse "zlib" ]
+    C.request_key ~config:Asp.Config.default
+      (C.request ~installed:(Pkg.Database.create ()) ~repo
+         [ Specs.Spec_parser.parse "zlib" ])
   in
   let header = List.hd legacy_entry in
   write_entry dir key

@@ -28,7 +28,7 @@ let temp_dir () =
   d
 
 let concrete spec =
-  match C.solve_spec ~repo spec with
+  match C.solve (C.request ~repo [ Specs.Spec_parser.parse spec ]) with
   | C.Concrete s -> s
   | _ -> Alcotest.failf "expected a concrete result for %s" spec
 

@@ -110,13 +110,13 @@ let test_solve_agrees_and_verifies () =
     let src = gen_program st in
     let g = ground_of src in
     let _, models = N.stable_models_ground g in
-    (match Asp.Solve.solve_text src with
+    (match Asp.Solve.solve_program (Asp.Parser.parse src) with
     | Asp.Solve.Sat o ->
       if models = [] then
         Alcotest.failf "iteration %d: solver SAT, naive UNSAT:\n%s" i src;
       Alcotest.(check bool)
         (Printf.sprintf "iteration %d: model is verified" i)
-        true o.Asp.Solve.verified
+        true o.Asp.Solve.stats.Asp.Solve.verified
     | Asp.Solve.Unsat _ ->
       if models <> [] then
         Alcotest.failf "iteration %d: solver UNSAT, naive SAT:\n%s" i src
@@ -175,11 +175,11 @@ let test_verifies_optimum_costs () =
   let src =
     "{ a0 }.\n{ a1 }.\n:- not a0, not a1.\n#minimize{ 2@1,x : a0 }.\n#minimize{ 1@1,y : a1 }.\n"
   in
-  match Asp.Solve.solve_text src with
+  match Asp.Solve.solve_program (Asp.Parser.parse src) with
   | Asp.Solve.Sat o ->
-    Alcotest.(check bool) "verified" true o.Asp.Solve.verified;
+    Alcotest.(check bool) "verified" true o.Asp.Solve.stats.Asp.Solve.verified;
     Alcotest.(check (list (pair int int))) "optimal costs" [ (1, 1) ]
-      o.Asp.Solve.costs
+      o.Asp.Solve.stats.Asp.Solve.costs
   | _ -> Alcotest.fail "expected SAT"
 
 (* --- the one-pass founded set ------------------------------------------- *)
