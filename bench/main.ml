@@ -218,20 +218,19 @@ type row = {
   decisions : int option;  (* the same for decisions; unknown when interrupted *)
 }
 
-(* The row of one solve: [Ok stats] when it produced a model, [Error info]
-   when the budget interrupted it first. *)
-let make_row ~pkg ~possible ~wall ~jobs ~cache (phases : Asp.Phases.t) solved =
-  let outcome, verified, conflicts, decisions =
+(* The row of one solve: [Ok stats] when it produced a model,
+   [Error (phases, info)] when the budget interrupted it first. *)
+let make_row ~pkg ~possible ~wall ~jobs ~cache solved =
+  let phases, outcome, verified, conflicts, decisions =
     match solved with
     | Ok (st : Asp.Solve.stats) ->
-      ( (match st.Asp.Solve.quality with
-        | `Optimal -> "optimal"
-        | `Degraded _ -> "degraded"),
-        st.Asp.Solve.verified,
-        st.Asp.Solve.sat_stats.Asp.Sat.conflicts,
-        Some st.Asp.Solve.sat_stats.Asp.Sat.decisions )
-    | Error (info : Asp.Budget.info) ->
-      ("interrupted", false, info.Asp.Budget.progress.Asp.Budget.conflicts, None)
+      let quality =
+        match st.quality with `Optimal -> "optimal" | `Degraded _ -> "degraded"
+      in
+      (st.phases, quality, st.verified, st.sat_stats.conflicts,
+       Some st.sat_stats.decisions)
+    | Error (phases, (info : Asp.Budget.info)) ->
+      (phases, "interrupted", false, info.progress.conflicts, None)
   in
   {
     pkg;
@@ -274,12 +273,13 @@ let solve_rows ?config ?installed ?cache ?(repo = repo) names =
     let row = make_row ~pkg ~wall ~jobs:!jobs ~cache:status in
     match result with
     | Concretize.Concretizer.Concrete s ->
-      let st = s.Concretize.Concretizer.stats in
-      Some (row ~possible:s.Concretize.Concretizer.n_possible st.Asp.Solve.phases (Ok st))
+      Some
+        (row ~possible:s.Concretize.Concretizer.n_possible
+           (Ok s.Concretize.Concretizer.stats))
     | Concretize.Concretizer.Interrupted { phases; n_possible; info; _ } ->
       (* only reachable when a budget is configured; keep the row so
          --json accounts for every attempted solve *)
-      Some (row ~possible:n_possible phases (Error info))
+      Some (row ~possible:n_possible (Error (phases, info)))
     | Concretize.Concretizer.Unsatisfiable _ -> None
   in
   let rows =
@@ -958,7 +958,7 @@ let cudf_bench () =
                     make_row
                       ~pkg:(Printf.sprintf "synth-%d-%d" n seed)
                       ~possible:g.Asp.Grounder.possible_atoms ~wall ~jobs:1
-                      ~cache:"off" p (Ok st) )
+                      ~cache:"off" (Ok st) )
                   :: !recorded_rows
             | Cudf.Solver.Unsatisfiable _ ->
               failwith (tag ^ ": synthetic universe unexpectedly unsatisfiable")

@@ -45,13 +45,12 @@ let run files preset show_stats nmodels timeout jobs explain no_verify =
     Format.printf "INTERRUPTED: %a@." Asp.Budget.pp_info info;
     if show_stats then print_time phases;
     exit 3
-  | Asp.Solve.Unsat { phases } ->
+  | Asp.Solve.Unsat { phases; core } ->
     print_endline "UNSATISFIABLE";
     if explain then begin
-      (* re-ground and extract a minimal core of constraint instances, each
-         tagged with its source line *)
-      let ground, _ = Asp.Grounder.ground (Asp.Parser.parse src) in
-      match Asp.Explain.explain ~budget:(Asp.Budget.start ~cancel:tok Asp.Budget.no_limits) ground with
+      (* a minimal core of constraint instances, each tagged with its
+         source line *)
+      match Lazy.force core with
       | Asp.Explain.Unsat_core { causes; minimal } ->
         Printf.printf "%s unsat core (%d constraint instance%s):\n"
           (if minimal then "minimal" else "non-minimal")

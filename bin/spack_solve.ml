@@ -103,19 +103,21 @@ let solve_one repo config installed cancel attempts show_stats greedy validate
                ~explain
                (Concretize.Concretizer.request ?installed ~repo [ root ])))
 
+(* A spec of the command line; an invalid one prints and exits 2. *)
+let parse_root s =
+  match Specs.Spec_parser.parse s with
+  | root -> root
+  | exception Specs.Spec_parser.Error e ->
+    Printf.eprintf "Error: invalid spec: %s\n" (Specs.Spec_parser.error_to_string e);
+    exit 2
+
 (* --jobs N with several specs: concretize the batch across the pool, then
    print in input order. *)
 let solve_batch repo config installed cancel attempts show_stats validate
     explain pool specs =
   let requests =
     List.map
-      (fun s ->
-        match Specs.Spec_parser.parse s with
-        | root -> Concretize.Concretizer.request ?installed ~repo [ root ]
-        | exception Specs.Spec_parser.Error e ->
-          Printf.eprintf "Error: invalid spec: %s\n"
-            (Specs.Spec_parser.error_to_string e);
-          exit 2)
+      (fun s -> Concretize.Concretizer.request ?installed ~repo [ parse_root s ])
       specs
   in
   guarded (fun () ->
@@ -127,20 +129,9 @@ let solve_batch repo config installed cancel attempts show_stats validate
            ~explain requests))
 
 let run_multishot repo config installed ?pool ?racers specs =
-  let roots =
-    List.map
-      (fun s ->
-        match Specs.Spec_parser.parse s with
-        | root -> root
-        | exception Specs.Spec_parser.Error e ->
-          Printf.eprintf "Error: invalid spec: %s\n"
-            (Specs.Spec_parser.error_to_string e);
-          exit 2)
-      specs
-  in
   let ms =
     Concretize.Multishot.solve_stack ~config ?pool ?racers
-      (Concretize.Concretizer.request ?installed ~repo roots)
+      (Concretize.Concretizer.request ?installed ~repo (List.map parse_root specs))
   in
   List.iter
     (fun (sh : Concretize.Multishot.shot) ->

@@ -37,7 +37,7 @@ type outcome = {
 
 type result =
   | Sat of outcome
-  | Unsat of { phases : Phases.t }
+  | Unsat of { phases : Phases.t; core : Explain.result Lazy.t }
   | Interrupted of { info : Budget.info; phases : Phases.t }
 
 (* Apply #show statements: when any are present, only atoms whose
@@ -173,15 +173,16 @@ let escalate ?(config = Config.default) ?(attempts = 1) ?cancel ?fault ?pool
   in
   go 0 config.Config.limits
 
-let solve_program ?config ?attempts ?cancel ?fault ?pool ?(jobs = 1) prog =
+let solve_program ?config ?cancel ?fault ?pool ?(jobs = 1) prog =
   let fe =
     {
       setup = (fun () -> ((), [], None));
       load = (fun () -> prog);
-      explain = (fun () ~params:_ ~budget:_ _ -> ());
+      explain =
+        (fun () ~params ~budget g -> lazy (Explain.explain ~params ~budget g));
     }
   in
-  let run pool = escalate ?config ?attempts ?cancel ?fault ?pool ~racers:jobs fe in
+  let run pool = escalate ?config ?cancel ?fault ?pool ~racers:jobs fe in
   match
     match pool with
     | None when jobs > 1 ->
@@ -190,7 +191,7 @@ let solve_program ?config ?attempts ?cancel ?fault ?pool ?(jobs = 1) prog =
     | pool -> run pool
   with
   | Stopped { info; phases; _ } -> Interrupted { info; phases }
-  | Refuted { phases; _ } -> Unsat { phases }
+  | Refuted { phases; reasons; _ } -> Unsat { phases; core = reasons }
   | Solved { answer; models_enumerated; stats; _ } ->
     let answer = apply_show prog answer in
     Sat { answer; index = lazy (Answer.of_list answer); models_enumerated; stats }

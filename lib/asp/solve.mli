@@ -58,7 +58,13 @@ type outcome = {
 
 type result =
   | Sat of outcome
-  | Unsat of { phases : Phases.t }
+  | Unsat of {
+      phases : Phases.t;
+      core : Explain.result Lazy.t;
+      (** a minimal core of constraint instances ({!Explain.explain}),
+          computed on first use from the round's ground program, search
+          parameters and budget *)
+    }
   | Interrupted of {
       info : Budget.info;  (** phase, reason and partial stats at expiry *)
       phases : Phases.t;
@@ -124,18 +130,17 @@ val escalate :
 
 val solve_program :
   ?config:Config.t ->
-  ?attempts:int ->
   ?cancel:Budget.cancel_token ->
   ?fault:(int -> Budget.t -> unit) ->
   ?pool:Pool.t ->
   ?jobs:int ->
   Ast.program ->
   result
-(** {!escalate} with no facts: the program is the logic program.
-    [jobs > 1] races that many configurations over [pool], or over an
-    ephemeral pool of [min jobs (Pool.default_size ())] domains when no
-    pool is given.  The answer is filtered through the program's [#show]
-    statements.
+(** One round of {!escalate} with no facts: the program is the logic
+    program, and its UNSAT explainer is {!Explain.explain}.  [jobs > 1]
+    races that many configurations over [pool], or over an ephemeral pool
+    of [min jobs (Pool.default_size ())] domains when no pool is given.
+    The answer is filtered through the program's [#show] statements.
     @raise Solver_error.Error as {!escalate}. *)
 
 val index : outcome -> Answer.t

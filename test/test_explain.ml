@@ -21,8 +21,15 @@ let explain_src src =
   let g, _ = Asp.Grounder.ground (Asp.Parser.parse src) in
   Asp.Explain.explain g
 
-let core_lines src =
-  match explain_src src with
+(* the core that [solve_program]'s UNSAT carries, made from the solve's own
+   ground program *)
+let solve_program_core src =
+  match Asp.Solve.solve_program (Asp.Parser.parse src) with
+  | Asp.Solve.Unsat { core; _ } -> Lazy.force core
+  | _ -> Alcotest.fail "expected UNSAT"
+
+let core_lines ?(explain = explain_src) src =
+  match explain src with
   | Asp.Explain.Unsat_core { causes; minimal } ->
     ( List.sort_uniq compare
         (List.map
@@ -33,10 +40,13 @@ let core_lines src =
   | Asp.Explain.Exhausted _ -> Alcotest.fail "unlimited explain exhausted"
 
 let test_core_isolates_culprits () =
-  let lines, minimal = core_lines curated_src in
-  Alcotest.(check bool) "shrinking completed" true minimal;
-  Alcotest.(check (list int)) "exactly the three culprit constraints"
-    [ 4; 5; 6 ] lines
+  List.iter
+    (fun explain ->
+      let lines, minimal = core_lines ~explain curated_src in
+      Alcotest.(check bool) "shrinking completed" true minimal;
+      Alcotest.(check (list int)) "exactly the three culprit constraints"
+        [ 4; 5; 6 ] lines)
+    [ explain_src; solve_program_core ]
 
 (* dropping any single core member makes the program satisfiable: the core
    is a true MUS, not just jointly unsatisfiable *)
