@@ -21,7 +21,7 @@ let json_file : string option ref = ref None
    experiment grows its buildcache to (the paper's E4S cache holds 63,099) *)
 let e4s_target = ref 63099
 
-(* Scalar results (factgen p50s, cache sizes, RSS highs) surfaced to the
+(* Scalar results (factgen p50, cache sizes, RSS highs) surfaced to the
    JSON dump so CI can assert on them without scraping stdout. *)
 let metrics : (string * float) list ref = ref []
 let metric k v = metrics := (k, v) :: !metrics
@@ -529,14 +529,14 @@ let fig7efg () =
 (* The paper's §VII-C stress test: reuse solves against the real E4S
    buildcache (63,099 specs).  A synthetic repository stands in for E4S;
    [Buildcache_gen.scale_to] grows variation combinations until the cache
-   holds [--e4s-target] distinct DAG hashes.  Reuse facts flow through the
-   streaming pipeline (no materialized per-spec atom lists), and the four
+   holds [--e4s-target] distinct DAG hashes.  Reuse facts are built on
+   demand from the database slots (no per-spec atom lists), and the four
    paper slices are arena-sharing views of one packed database. *)
 let fig7efg_full () =
   let target = if !quick then min 5000 !e4s_target else !e4s_target in
   section
     (Printf.sprintf
-       "Fig. 7e-g at full E4S scale: %d-spec buildcache, streamed reuse facts"
+       "Fig. 7e-g at full E4S scale: %d-spec buildcache, reuse facts from the slots"
        target);
   let sr = Pkg.Repo_synth.repo (Pkg.Repo_synth.scaled 600) in
   let apps =
@@ -558,9 +558,10 @@ let fig7efg_full () =
   metric "e4s_specs" (float_of_int (Pkg.Database.size db));
   metric "e4s_gen_s" gen_s;
   metric "e4s_gen_peak_rss_mb" (Rss.peak_mb ());
-  (* fact generation, streamed vs materialized, over the full cache: the
-     streamed path never builds per-spec statement lists — atoms go
-     straight into a ground-atom store sink *)
+  (* fact generation over the full cache, every atom delivered into a
+     ground-atom store sized from the fact count, as the grounder does;
+     the reuse facts are built on demand from the database slots, with no
+     per-spec atom list *)
   let froots = [ Specs.Spec_parser.parse (List.nth apps 0) ] in
   let reps = if !quick then 3 else 5 in
   let time_of f =
@@ -568,58 +569,21 @@ let fig7efg_full () =
     f ();
     Unix.gettimeofday () -. t0
   in
-  let p50_of f =
-    let a = Array.init reps (fun _ -> time_of f) in
+  let factgen_p50 =
+    let a =
+      Array.init reps (fun _ ->
+          time_of (fun () ->
+              let f = Concretize.Facts.generate ~installed:db ~repo:sr froots in
+              let { Asp.Grounder.count; replay } = f.Concretize.Facts.atoms in
+              let store = Asp.Gatom.Store.create ~size:(2 * count) () in
+              replay (fun ga -> ignore (Asp.Gatom.Store.intern store ga))))
+    in
     Array.sort Float.compare a;
     percentile a 0.50
   in
-  (* both legs deliver every fact into a ground-atom store — that is what
-     the grounder does with them — so the measured difference is exactly
-     the intermediate AST statement list the streamed path never builds *)
-  let intern_statements store (f : Concretize.Facts.t) =
-    List.iter
-      (fun st ->
-        match st with
-        | Asp.Ast.Rule { head = Asp.Ast.Head_atom { pred; args }; body = []; _ } ->
-          let rec csts acc = function
-            | [] -> Some (List.rev acc)
-            | Asp.Ast.Cst t :: rest -> csts (t :: acc) rest
-            | _ -> None
-          in
-          (match csts [] args with
-          | Some ts ->
-            ignore (Asp.Gatom.Store.intern store (Asp.Gatom.make pred ts))
-          | None -> ())
-        | _ -> ())
-      f.Concretize.Facts.statements
-  in
-  let mat_p50 =
-    p50_of (fun () ->
-        let f =
-          Concretize.Facts.generate ~installed:db ~reuse_mode:`Materialize
-            ~repo:sr froots
-        in
-        intern_statements (Asp.Gatom.Store.create ()) f)
-  in
-  let stream_p50 =
-    p50_of (fun () ->
-        let f =
-          Concretize.Facts.generate ~installed:db ~reuse_mode:`Stream ~repo:sr
-            froots
-        in
-        let store = Asp.Gatom.Store.create () in
-        intern_statements store f;
-        match f.Concretize.Facts.reuse_stream with
-        | Some stream ->
-          stream (fun ga -> ignore (Asp.Gatom.Store.intern store ga))
-        | None -> ())
-  in
-  Printf.printf
-    "factgen over %d specs: materialized p50 %.3fs, streamed p50 %.3fs (%.2fx)\n%!"
-    (Pkg.Database.size db) mat_p50 stream_p50
-    (mat_p50 /. Float.max 1e-9 stream_p50);
-  metric "factgen_materialized_p50_s" mat_p50;
-  metric "factgen_streamed_p50_s" stream_p50;
+  Printf.printf "factgen over %d specs: p50 %.3fs\n%!" (Pkg.Database.size db)
+    factgen_p50;
+  metric "factgen_p50_s" factgen_p50;
   (* the four paper slices, as views sharing the packed arena *)
   let is_family fam (r : Pkg.Database.record) =
     match Specs.Target.find r.Pkg.Database.target with
@@ -863,10 +827,13 @@ let micro () =
   let facts =
     lazy
       (Concretize.Facts.generate ~repo [ Specs.Spec_parser.parse "hdf5" ])
-        .Concretize.Facts.statements
+        .Concretize.Facts.atoms
   in
-  let full_program = lazy (Asp.Parser.parse lp @ Lazy.force facts) in
-  let ground = lazy (fst (Asp.Grounder.ground (Lazy.force full_program))) in
+  let program = lazy (Asp.Parser.parse lp) in
+  let ground_hdf5 () =
+    Asp.Grounder.ground ~facts:(Lazy.force facts) (Lazy.force program)
+  in
+  let ground = lazy (fst (ground_hdf5 ())) in
   let tests =
     [
       Test.make ~name:"spec-parse"
@@ -886,7 +853,7 @@ let micro () =
         (Staged.stage (fun () ->
              ignore (Concretize.Facts.generate ~repo [ Specs.Spec_parser.parse "hdf5" ])));
       Test.make ~name:"ground hdf5 (ground)"
-        (Staged.stage (fun () -> ignore (Asp.Grounder.ground (Lazy.force full_program))));
+        (Staged.stage (fun () -> ignore (ground_hdf5 ())));
       Test.make ~name:"solve hdf5 (solve)"
         (Staged.stage (fun () ->
              let t = Asp.Translate.translate (Lazy.force ground) in

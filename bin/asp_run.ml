@@ -37,7 +37,14 @@ let run files preset show_stats nmodels timeout jobs explain no_verify =
          if Asp.Budget.is_cancelled tok then exit 130;
          Asp.Budget.cancel tok));
   let src = String.concat "\n" (List.map read_file files) in
-  match Asp.Solve.solve_program ~config ~cancel:tok ~jobs (Asp.Parser.parse src) with
+  (* with -n N (N <> 1) the round enumerates its models itself, under its
+     own budget and ^C *)
+  let enumerate =
+    match nmodels with 1 -> None | 0 -> Some max_int | n -> Some n
+  in
+  match
+    Asp.Solve.solve_program ~config ~cancel:tok ~jobs ?enumerate (Asp.Parser.parse src)
+  with
   | exception Asp.Solver_error.Error e ->
     Format.eprintf "error: %a@." Asp.Solver_error.pp e;
     exit 2
@@ -66,14 +73,12 @@ let run files preset show_stats nmodels timeout jobs explain no_verify =
     exit 1
   | Asp.Solve.Sat o ->
     (if nmodels <> 1 then begin
-       let limit = if nmodels = 0 then max_int else nmodels in
-       let models = Asp.Solve.enumerate ~config ~limit (Asp.Parser.parse src) in
        List.iteri
          (fun i m ->
            Printf.printf "Answer: %d\n" (i + 1);
            List.iter (fun a -> Format.printf "%a " Asp.Gatom.pp a) m;
            Format.printf "@.")
-         models
+         o.Asp.Solve.models
      end
      else begin
        print_endline "Answer: 1";

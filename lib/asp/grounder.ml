@@ -7,6 +7,10 @@ type stats = {
   emit_time : float;
 }
 
+type facts = { count : int; replay : (Gatom.t -> unit) -> unit }
+
+let no_facts = { count = 0; replay = ignore }
+
 let steps_line s =
   Printf.sprintf "Ground steps: seed %.3fs, close %.3fs, emit %.3fs" s.seed_time s.close_time
     s.emit_time
@@ -1140,11 +1144,12 @@ let seed_fact store (a : Ast.atom) =
     (fun args -> Gatom.Store.intern_fact store (Gatom.make a.Ast.pred args))
     (expand a.Ast.args)
 
-let ground ?(budget = Budget.unlimited) ?facts_stream (prog : Ast.program) =
+let ground ?(budget = Budget.unlimited) ?(facts = no_facts) (prog : Ast.program) =
   Budget.enter budget Budget.Ground;
-  (* about one atom per statement, most of them facts, is derived again *)
+  (* about one atom per statement or fact, most of them facts, is derived
+     again *)
   let t_seed = Unix.gettimeofday () in
-  let store = Gatom.Store.create ~size:(2 * List.length prog) () in
+  let store = Gatom.Store.create ~size:(2 * (List.length prog + facts.count)) () in
   let idb = Hashtbl.create 64 in
   let rules = ref [] and minimizes = ref [] in
   (* Seed facts; collect rules and classify IDB predicates. *)
@@ -1174,12 +1179,9 @@ let ground ?(budget = Budget.unlimited) ?facts_stream (prog : Ast.program) =
             { c_head; c_body; c_text = text; c_line = r.Ast.line; c_nvars = cx.nvars } :: !rules
         end)
     prog;
-  (* Streamed facts (the fast path of reuse-fact generation at E4S scale:
-     atoms go straight to the store, with no Ast statement or per-spec atom
-     list in between) are seeded after the statement facts, which is where
-     a materialized producer appends them — atom interning order (and so
-     every downstream id) is identical on both paths. *)
-  Option.iter (fun stream -> stream (Gatom.Store.intern_fact store)) facts_stream;
+  (* The frontend's facts come after the program's own: the store keeps
+     each record it is given, with no Ast statement in between. *)
+  facts.replay (Gatom.Store.intern_fact store);
   let rules = List.rev !rules in
   let mins = List.rev !minimizes in
   let max_nvars = List.fold_left (fun m r -> max m r.c_nvars) 0 rules in

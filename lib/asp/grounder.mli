@@ -56,21 +56,30 @@ val steps_line : stats -> string
 (** ["Ground steps: seed 0.012s, close 0.010s, emit 0.031s"], the line
     [--stats] prints under the phase timings. *)
 
+type facts = {
+  count : int;  (** how many atoms [replay] pushes *)
+  replay : (Gatom.t -> unit) -> unit;
+      (** pushes the atoms into a sink, in the same order on every call *)
+}
+(** A frontend's input facts as ground atoms: what its fact generator
+    built, handed to the atom store as they are. *)
+
+val no_facts : facts
+(** No atoms. *)
+
 val ground :
   ?budget:Budget.t ->
-  ?facts_stream:((Gatom.t -> unit) -> unit) ->
+  ?facts:facts ->
   Ast.program ->
   Ground.t * stats
 (** The budget is ticked once per rule instance the closure derives and
     once per instance emitted.
 
-    [facts_stream], when given, is invoked once with a sink; every ground
-    atom pushed into the sink is seeded as an input fact, exactly as if it
-    had appeared as a fact statement {e after} the program's statements —
-    but with no [Ast] statement or per-atom list materialized (the
-    streaming fast path for E4S-scale reuse facts, §VII-C).  Atom
-    interning order, and therefore the emitted ground program, is
-    identical to the materialized equivalent.
+    [facts] (default {!no_facts}) is replayed once into the atom store
+    after the program's own fact statements: every atom is seeded as an
+    input fact, exactly as if it had been a fact statement at the end of
+    the program, and the store keeps the record it is given.  The store
+    starts with about two slots per statement and fact.
     @raise Solver_error.Error ([Ground _]) on unsafe rules, non-EDB
     conditions, or arithmetic on non-integer terms.
     @raise Budget.Exhausted when the instance budget, deadline or cancel

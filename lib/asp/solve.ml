@@ -33,6 +33,7 @@ type outcome = {
   index : Answer.t Lazy.t;
   models_enumerated : int;
   stats : stats;
+  models : Gatom.t list list;
 }
 
 type result =
@@ -95,8 +96,57 @@ let solve_ground ~config ~params ?pool ?(racers = 1) ~budget g =
   | exception Budget.Exhausted info -> Portfolio.Gave_up info
   | attempt -> attempt
 
+(* Up to [limit] optimal models of [g], blocking each found model and
+   searching on, under [budget]: a fresh translation, so the round's solve
+   state is left as it was. *)
+let enumerate_ground ~config ~params ~budget ~limit g =
+  let t = Translate.translate ~params g in
+  let on_model = Stable.hook t in
+  match Optimize.run ~strategy:config.Config.strategy ~budget t ~on_model with
+  | exception Budget.Exhausted _ -> []
+  | None -> []
+  | Some _ ->
+    (* block each found model on the variables of its atoms' literals and
+       continue (an atom may share its literal with its body or another
+       atom) *)
+    let atom_vars =
+      Array.fold_left
+        (fun acc l -> if l >= 0 then Sat.Lit.var l :: acc else acc)
+        [] t.Translate.lit_of_atom
+      |> List.sort_uniq Int.compare
+    in
+    let results = ref [] in
+    let found = ref 0 in
+    (* stability/support re-check per enumerated model (no cost check:
+       enumeration reports every optimal model, not a claimed vector) *)
+    let model_checks_out () =
+      (not config.Config.verify)
+      || match Verify.check_translation t with Ok () -> true | Error _ -> false
+    in
+    (try
+       let continue_ = ref true in
+       while !continue_ && !found < limit do
+         if model_checks_out () then begin
+           incr found;
+           results := Translate.answer t :: !results
+         end;
+         let blocking =
+           List.map
+             (fun v ->
+               let l = Sat.Lit.pos v in
+               if Sat.value t.Translate.sat l then Sat.Lit.negate l else l)
+             atom_vars
+         in
+         Sat.add_clause t.Translate.sat blocking;
+         match Sat.solve ~on_model ~budget t.Translate.sat with
+         | Sat.Sat -> ()
+         | Sat.Unsat -> continue_ := false
+       done
+     with Budget.Exhausted _ -> ());
+    List.rev !results
+
 type ('f, 'e) frontend = {
-  setup : unit -> 'f * Ast.program * ((Gatom.t -> unit) -> unit) option;
+  setup : unit -> 'f * Grounder.facts;
   load : unit -> Ast.program;
   explain : 'f -> params:Sat.params -> budget:Budget.t -> Ground.t -> 'e;
 }
@@ -107,19 +157,21 @@ type ('f, 'e) staged =
       answer : Gatom.t list;
       models_enumerated : int;
       stats : stats;
+      models : Gatom.t list list;
     }
   | Refuted of { facts : 'f; phases : Phases.t; reasons : 'e }
   | Stopped of { facts : 'f; phases : Phases.t; info : Budget.info }
 
-(* One round: setup, load, a budgeted ground with the frontend's facts
-   stream, then the solve stage, each timed.  The explanation runs after
-   the solve phase's clock stopped. *)
-let stage ~config ?pool ?racers ~params ~budget fe =
-  let (facts, statements, facts_stream), setup_time = Phases.time fe.setup in
+(* One round: setup, load, a budgeted ground of the logic program and the
+   frontend's fact atoms, then the solve stage, each timed.  The
+   explanation and the enumeration run after the solve phase's clock
+   stopped. *)
+let stage ~config ?pool ?racers ?enumerate ~params ~budget fe =
+  let (facts, atoms), setup_time = Phases.time fe.setup in
   let lp, load_time = Phases.time fe.load in
   let grounded, ground_time =
     Phases.time (fun () ->
-        match Grounder.ground ~budget ?facts_stream (lp @ statements) with
+        match Grounder.ground ~budget ~facts:atoms lp with
         | exception Budget.Exhausted info -> Error info
         | g -> Ok g)
   in
@@ -156,16 +208,20 @@ let stage ~config ?pool ?racers ~params ~budget fe =
               quality = m.quality;
               verified = m.verified;
             };
+          models =
+            (match enumerate with
+            | Some limit -> enumerate_ground ~config ~params ~budget ~limit ground
+            | None -> []);
         })
 
 let escalate ?(config = Config.default) ?(attempts = 1) ?cancel ?fault ?pool
-    ?racers fe =
+    ?racers ?enumerate fe =
   let base = Config.params config.Config.preset in
   let rec go k limits =
     let budget = Budget.start ?cancel limits in
     Option.iter (fun f -> f k budget) fault;
     let params = { base with Sat.seed = base.Sat.seed + (k * 7919) } in
-    match stage ~config ?pool ?racers ~params ~budget fe with
+    match stage ~config ?pool ?racers ?enumerate ~params ~budget fe with
     | Stopped { info = { Budget.reason; _ }; _ }
       when reason <> Budget.Cancelled && k + 1 < attempts ->
       go (k + 1) (Budget.double limits)
@@ -173,16 +229,16 @@ let escalate ?(config = Config.default) ?(attempts = 1) ?cancel ?fault ?pool
   in
   go 0 config.Config.limits
 
-let solve_program ?config ?cancel ?fault ?pool ?(jobs = 1) prog =
+let solve_program ?config ?cancel ?fault ?pool ?(jobs = 1) ?enumerate prog =
   let fe =
     {
-      setup = (fun () -> ((), [], None));
+      setup = (fun () -> ((), Grounder.no_facts));
       load = (fun () -> prog);
       explain =
         (fun () ~params ~budget g -> lazy (Explain.explain ~params ~budget g));
     }
   in
-  let run pool = escalate ?config ?cancel ?fault ?pool ~racers:jobs fe in
+  let run pool = escalate ?config ?cancel ?fault ?pool ~racers:jobs ?enumerate fe in
   match
     match pool with
     | None when jobs > 1 ->
@@ -192,9 +248,11 @@ let solve_program ?config ?cancel ?fault ?pool ?(jobs = 1) prog =
   with
   | Stopped { info; phases; _ } -> Interrupted { info; phases }
   | Refuted { phases; reasons; _ } -> Unsat { phases; core = reasons }
-  | Solved { answer; models_enumerated; stats; _ } ->
+  | Solved { answer; models_enumerated; stats; models; _ } ->
     let answer = apply_show prog answer in
-    Sat { answer; index = lazy (Answer.of_list answer); models_enumerated; stats }
+    let models = List.map (apply_show prog) models in
+    Sat
+      { answer; index = lazy (Answer.of_list answer); models_enumerated; stats; models }
 
 let index o = Lazy.force o.index
 let holds o p args = Answer.holds (index o) p args
@@ -206,49 +264,6 @@ let enumerate ?(config = Config.default) ?budget ?(limit = max_int) prog =
   in
   match Grounder.ground ~budget prog with
   | exception Budget.Exhausted _ -> []
-  | g, _ -> (
+  | g, _ ->
     let params = Config.params config.Config.preset in
-    let t = Translate.translate ~params g in
-    let on_model = Stable.hook t in
-    match Optimize.run ~strategy:config.Config.strategy ~budget t ~on_model with
-    | exception Budget.Exhausted _ -> []
-    | None -> []
-    | Some _ ->
-      (* block each found model on the variables of its atoms' literals and
-         continue (an atom may share its literal with its body or another
-         atom) *)
-      let atom_vars =
-        Array.fold_left
-          (fun acc l -> if l >= 0 then Sat.Lit.var l :: acc else acc)
-          [] t.Translate.lit_of_atom
-        |> List.sort_uniq Int.compare
-      in
-      let results = ref [] in
-      let found = ref 0 in
-      (* stability/support re-check per enumerated model (no cost check:
-         enumeration reports every optimal model, not a claimed vector) *)
-      let model_checks_out () =
-        (not config.Config.verify)
-        || match Verify.check_translation t with Ok () -> true | Error _ -> false
-      in
-      (try
-         let continue_ = ref true in
-         while !continue_ && !found < limit do
-           if model_checks_out () then begin
-             incr found;
-             results := apply_show prog (Translate.answer t) :: !results
-           end;
-           let blocking =
-             List.map
-               (fun v ->
-                 let l = Sat.Lit.pos v in
-                 if Sat.value t.Translate.sat l then Sat.Lit.negate l else l)
-               atom_vars
-           in
-           Sat.add_clause t.Translate.sat blocking;
-           match Sat.solve ~on_model ~budget t.Translate.sat with
-           | Sat.Sat -> ()
-           | Sat.Unsat -> continue_ := false
-         done
-       with Budget.Exhausted _ -> ());
-      List.rev !results)
+    List.map (apply_show prog) (enumerate_ground ~config ~params ~budget ~limit g)

@@ -54,6 +54,9 @@ type outcome = {
       {!atoms_of} query it instead of scanning the list *)
   models_enumerated : int;
   stats : stats;
+  models : Gatom.t list list;
+  (** with [~enumerate], the round's enumerated models, filtered like
+      [answer]; [[]] otherwise *)
 }
 
 type result =
@@ -76,14 +79,18 @@ type result =
     (the frontend's facts), {e load} (its logic program), {e ground} and
     {e solve} (translation, optimization with [config.strategy] and
     independent verification of the model, {!Verify}).  A frontend
-    supplies only what differs: its facts producer, its logic program and
-    its UNSAT explainer; it decodes the model of a {!Solved} result
-    itself. *)
+    supplies only what differs: its facts, its logic program and its
+    UNSAT explainer; it decodes the model of a {!Solved} result itself.
+
+    A frontend's facts reach the grounder as ground atoms, never as
+    [Ast] statements: its generator builds each fact as the {!Gatom.t}
+    the atom store keeps, and {!Grounder.ground} interns them after the
+    logic program's own facts. *)
 
 type ('f, 'e) frontend = {
-  setup : unit -> 'f * Ast.program * ((Gatom.t -> unit) -> unit) option;
-      (** the facts value the frontend keeps (['f]), its fact statements
-          and an optional facts stream for {!Grounder.ground} *)
+  setup : unit -> 'f * Grounder.facts;
+      (** the facts value the frontend keeps (['f]) and the replayable
+          producer of its fact atoms, with their count *)
   load : unit -> Ast.program;  (** the logic program, grounded before the facts *)
   explain : 'f -> params:Sat.params -> budget:Budget.t -> Ground.t -> 'e;
       (** the reasons of a proved UNSAT, given the round's search
@@ -96,6 +103,10 @@ type ('f, 'e) staged =
       answer : Gatom.t list;  (** the model, facts included *)
       models_enumerated : int;
       stats : stats;
+      models : Gatom.t list list;
+          (** with [~enumerate:n], up to [n] optimal models of the round's
+              ground program, found as {!enumerate} finds them but under
+              the round's budget and search parameters; [[]] otherwise *)
     }
   | Refuted of { facts : 'f; phases : Phases.t; reasons : 'e }
   | Stopped of { facts : 'f; phases : Phases.t; info : Budget.info }
@@ -108,6 +119,7 @@ val escalate :
   ?fault:(int -> Budget.t -> unit) ->
   ?pool:Pool.t ->
   ?racers:int ->
+  ?enumerate:int ->
   ('f, 'e) frontend ->
   ('f, 'e) staged
 (** Run the pipeline in rounds; the only place a frontend's budget is
@@ -123,7 +135,9 @@ val escalate :
     search.  [pool] with [racers > 1] races that many diverse
     configurations ({!Portfolio.race}) in the solve phase; when every
     racer's model failed verification, a sequential reseeded solve rescues
-    the round.
+    the round.  [enumerate n] makes a solved round also enumerate up to
+    [n] optimal models of its ground program (clingo's [--models n]),
+    after the solve phase's clock stopped.
     @raise Solver_error.Error ([Ground _]) on unsafe or unsupported
     programs; ([Verification_failed _]) when a model and its reseeded
     retry both fail verification. *)
@@ -134,6 +148,7 @@ val solve_program :
   ?fault:(int -> Budget.t -> unit) ->
   ?pool:Pool.t ->
   ?jobs:int ->
+  ?enumerate:int ->
   Ast.program ->
   result
 (** One round of {!escalate} with no facts: the program is the logic

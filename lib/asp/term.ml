@@ -69,7 +69,28 @@ let hashcons node =
     Mutex.unlock lock;
     t
 
-let int i = hashcons (Int i)
+(* Non-negative ints below [small_ints] are answered from an array: the
+   fact generators build one per condition id, version and weight, and each
+   would otherwise take a shard lock, a hash and a table probe.  A slot is
+   filled from [hashcons] on first use, so the cached term is the interned
+   one (same id, physically equal on every domain); a racing domain at
+   worst writes the same term again. *)
+let small_ints = 16384
+let unset = { node = Int (-1); id = -1; hkey = 0 }
+let small = Array.make small_ints unset
+
+let int i =
+  if i >= 0 && i < small_ints then begin
+    let t = Array.unsafe_get small i in
+    if t != unset then t
+    else begin
+      let t = hashcons (Int i) in
+      Array.unsafe_set small i t;
+      t
+    end
+  end
+  else hashcons (Int i)
+
 let str s = hashcons (Str s)
 let fun_ f args = hashcons (Fun (f, args))
 let interned () = Atomic.get next_id

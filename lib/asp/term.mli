@@ -44,6 +44,11 @@ val hash : t -> int
 (** Precomputed hash, O(1). *)
 
 val int : int -> t
+(** Non-negative ints below 16,384 come from a lazily filled array of the
+    interned terms, without taking the table's lock. *)
+
+val small_ints : int
+(** That bound. *)
 
 val str : string -> t
 

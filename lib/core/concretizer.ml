@@ -28,12 +28,11 @@ type request = {
   env : Facts.env;
   prefs : Preferences.t;
   installed : Pkg.Database.t option;
-  reuse_mode : Facts.reuse_mode;
 }
 
-let request ?(env = Facts.default_env) ?(prefs = Preferences.empty) ?installed
-    ?(reuse_mode = `Stream) ~repo roots =
-  { repo; roots; env; prefs; installed; reuse_mode }
+let request ?(env = Facts.default_env) ?(prefs = Preferences.empty) ?installed ~repo
+    roots =
+  { repo; roots; env; prefs; installed }
 
 (* ------------------------------------------------------------------ *)
 (* Content-addressed solve caching.
@@ -45,7 +44,6 @@ let request ?(env = Facts.default_env) ?(prefs = Preferences.empty) ?installed
    change the answer (preset, strategy, verify — budgets are excluded
    because only [`Optimal] results are stored, and those are
    limit-independent), the environment roster and the preferences.  The
-   reuse mode is not keyed: both modes hand the grounder the same facts.  The
    cache itself lives outside this library ([Server.Cache] provides an LRU +
    on-disk implementation); here it is just a pair of closures. *)
 (* ------------------------------------------------------------------ *)
@@ -56,7 +54,7 @@ type cache = {
 }
 
 let request_key ?(config = Asp.Config.default)
-    { repo; roots; env; prefs; installed; reuse_mode = _ } =
+    { repo; roots; env; prefs; installed } =
   let b = Buffer.create 512 in
   let add s =
     Buffer.add_string b s;
@@ -106,10 +104,10 @@ let cacheable = function
   | Unsatisfiable _ | Interrupted _ -> false
 
 let solve ?(config = Asp.Config.default) ?attempts ?cancel ?fault ?pool ?racers
-    ?(explain = false) ?cache ({ repo; roots; env; prefs; installed; reuse_mode } as req) =
+    ?(explain = false) ?cache ({ repo; roots; env; prefs; installed } as req) =
   let setup () =
-    let facts = Facts.generate ~env ~prefs ?installed ~reuse_mode ~repo roots in
-    (facts, facts.Facts.statements, facts.Facts.reuse_stream)
+    let facts = Facts.generate ~env ~prefs ?installed ~repo roots in
+    (facts, facts.Facts.atoms)
   in
   (* load: parse the logic program (not memoized: the paper times this) *)
   let load () = Asp.Parser.parse Logic_program.text in
@@ -122,7 +120,9 @@ let solve ?(config = Asp.Config.default) ?attempts ?cancel ?fault ?pool ?racers
         ground
     else Diagnose.explain ~env ~repo roots
   in
-  let counts (f : Facts.t) = (f.Facts.n_facts, List.length f.Facts.possible) in
+  let counts (f : Facts.t) =
+    (f.Facts.atoms.Asp.Grounder.count, List.length f.Facts.possible)
+  in
   let run () =
     match
       Asp.Solve.escalate ~config ?attempts ?cancel ?fault ?pool ?racers

@@ -52,9 +52,6 @@ type request = {
   env : Facts.env;
   prefs : Preferences.t;
   installed : Pkg.Database.t option;  (** reuse candidates *)
-  reuse_mode : Facts.reuse_mode;
-      (** [`Materialize] is the reference the tests compare the streamed
-          path against; it does not change the answer *)
 }
 (** Everything a solve's answer depends on apart from the solver
     configuration. *)
@@ -63,12 +60,11 @@ val request :
   ?env:Facts.env ->
   ?prefs:Preferences.t ->
   ?installed:Pkg.Database.t ->
-  ?reuse_mode:Facts.reuse_mode ->
   repo:Pkg.Repo.t ->
   Specs.Spec.abstract list ->
   request
 (** Defaults: {!Facts.default_env}, {!Preferences.empty}, no installed
-    database, [`Stream]. *)
+    database. *)
 
 (** {1 Solve caching}
 

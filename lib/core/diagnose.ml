@@ -212,7 +212,7 @@ let explain_core ~params ~budget ~cond_origins ~fallback ground =
       List.iter
         (fun id ->
           match List.assoc_opt id cond_origins with
-          | Some d -> Buffer.add_string b (Printf.sprintf "\n    because %s" d)
+          | Some d -> Buffer.add_string b (Printf.sprintf "\n    because %s" (d ()))
           | None -> ())
         !conds;
       Buffer.contents b

@@ -17,7 +17,7 @@ val explain :
 val explain_core :
   params:Asp.Sat.params ->
   budget:Asp.Budget.t ->
-  cond_origins:(int * string) list ->
+  cond_origins:(int * (unit -> string)) list ->
   fallback:(unit -> string list) ->
   Asp.Ground.t ->
   string list
@@ -26,8 +26,9 @@ val explain_core :
     conflict is shrunk by deletion, and each surviving constraint instance
     is mapped back through its {!Asp.Ground.origin}; ground instances of
     the same source constraint are grouped.  Every condition id found in
-    the core's atoms is mapped back through [cond_origins] ("because pkg
-    foo conflicts with bar < 2").  Works for any frontend that targets the
+    the core's atoms is mapped back through [cond_origins], whose
+    descriptions are formatted here ("because pkg foo conflicts with
+    bar < 2").  Works for any frontend that targets the
     generalized-condition fragment ({!Logic_program.conditions_fragment}):
     Spack's {!Facts} and the CUDF encoder both qualify.  [fallback]
     supplies the frontend's syntactic heuristics ({!explain} for Spack),

@@ -7,15 +7,11 @@ type env = {
 let default_env =
   { compilers = Specs.Compiler.default_roster; oses = Specs.Os.known; target_family = "x86_64" }
 
-type reuse_mode = [ `Stream | `Materialize ]
-
 type t = {
-  statements : Asp.Ast.statement list;
-  n_facts : int;
+  atoms : Asp.Grounder.facts;
   possible : string list;
   conflict_msgs : (int * string) list;
-  cond_origins : (int * string) list;
-  reuse_stream : ((Asp.Gatom.t -> unit) -> unit) option;
+  cond_origins : (int * (unit -> string)) list;
 }
 
 exception Unknown_package of string
@@ -23,28 +19,27 @@ exception Unknown_package of string
 let str s = Asp.Term.str s
 let int i = Asp.Term.int i
 
-(* Shared fact-generation core: statement accumulation plus the
-   condition-id/provenance bookkeeping every frontend needs to target the
-   generalized-condition fragment (Logic_program.conditions_fragment).
-   The Spack generator below drives it through thin wrappers; the CUDF
-   frontend (Cudf.Encode) drives it directly. *)
+(* Shared fact-generation core: fact atoms plus the condition-id/provenance
+   bookkeeping every frontend needs to target the generalized-condition
+   fragment (Logic_program.conditions_fragment).  Each fact is built once,
+   as the record the grounder's atom store keeps.  The Spack generator
+   below drives it through thin wrappers; the CUDF frontend (Cudf.Encode)
+   drives it directly. *)
 module Gen = struct
   type t = {
-    mutable stmts : Asp.Ast.statement list;  (* newest first *)
-    mutable count : int;
+    atoms : Asp.Gatom.t Asp.Vec.t;  (* generation order *)
     mutable next_id : int;
-    mutable origins : (int * string) list;  (* newest first *)
+    mutable origins : (int * (unit -> string)) list;  (* newest first *)
   }
 
   let create ?(first_id = 1) () =
-    { stmts = []; count = 0; next_id = first_id; origins = [] }
+    {
+      atoms = Asp.Vec.create ~capacity:1024 ~dummy:(Asp.Gatom.make "" []) ();
+      next_id = first_id;
+      origins = [];
+    }
 
-  let fact t p args =
-    t.stmts <- Asp.Ast.fact p args :: t.stmts;
-    t.count <- t.count + 1
-
-  (* streamed facts bypass [stmts] but still count toward [n_facts] *)
-  let bump t n = t.count <- t.count + n
+  let fact t p args = Asp.Vec.push t.atoms (Asp.Gatom.make p args)
 
   let new_condition t =
     let id = t.next_id in
@@ -60,8 +55,16 @@ module Gen = struct
   let impose t id n args =
     fact t "imposed_constraint" (Asp.Term.int id :: Asp.Term.str n :: args)
 
-  let statements t = List.rev t.stmts
-  let n_facts t = t.count
+  let facts ?(tail = Asp.Grounder.no_facts) t =
+    let atoms = t.atoms in
+    {
+      Asp.Grounder.count = Asp.Vec.length atoms + tail.Asp.Grounder.count;
+      replay =
+        (fun sink ->
+          Asp.Vec.iter sink atoms;
+          tail.Asp.Grounder.replay sink);
+    }
+
   let origins t = t.origins
 end
 
@@ -238,10 +241,10 @@ let emit_package g (p : Pkg.Package.t) =
       | None -> ());
       let dname = d.Pkg.Package.dep_spec.Specs.Spec.cname in
       fact g "dependency_condition" [ int id; str name; str dname ];
-      describe_condition g id
-        (Printf.sprintf "%s depends on %s%s" name
-           (Specs.Spec.node_to_string d.Pkg.Package.dep_spec)
-           (when_suffix d.Pkg.Package.dep_when));
+      describe_condition g id (fun () ->
+          Printf.sprintf "%s depends on %s%s" name
+            (Specs.Spec.node_to_string d.Pkg.Package.dep_spec)
+            (when_suffix d.Pkg.Package.dep_when));
       emit_imposed g id dname d.Pkg.Package.dep_spec)
     p.Pkg.Package.dependencies;
   (* conflicts: conditions that must not hold *)
@@ -254,12 +257,12 @@ let emit_package g (p : Pkg.Package.t) =
       | Some w -> emit_when_requirements g id name w
       | None -> ());
       fact g "conflict" [ int id; str name ];
-      describe_condition g id
-        (Printf.sprintf "%s conflicts with %s%s%s" name
-           (Specs.Spec.node_to_string c.Pkg.Package.conflict_spec)
-           (when_suffix c.Pkg.Package.conflict_when)
-           (if c.Pkg.Package.conflict_msg = "" then ""
-            else ": " ^ c.Pkg.Package.conflict_msg));
+      describe_condition g id (fun () ->
+          Printf.sprintf "%s conflicts with %s%s%s" name
+            (Specs.Spec.node_to_string c.Pkg.Package.conflict_spec)
+            (when_suffix c.Pkg.Package.conflict_when)
+            (if c.Pkg.Package.conflict_msg = "" then ""
+             else ": " ^ c.Pkg.Package.conflict_msg));
       g.msgs <- (id, c.Pkg.Package.conflict_msg) :: g.msgs)
     p.Pkg.Package.conflicts;
   (* provides *)
@@ -271,9 +274,9 @@ let emit_package g (p : Pkg.Package.t) =
       | Some w -> emit_when_requirements g id name w
       | None -> ());
       fact g "provider_condition" [ int id; str name; str pr.Pkg.Package.prov_virtual ];
-      describe_condition g id
-        (Printf.sprintf "%s provides %s%s" name pr.Pkg.Package.prov_virtual
-           (when_suffix pr.Pkg.Package.prov_when)))
+      describe_condition g id (fun () ->
+          Printf.sprintf "%s provides %s%s" name pr.Pkg.Package.prov_virtual
+            (when_suffix pr.Pkg.Package.prov_when)))
     p.Pkg.Package.provides;
   (* variants (preferences may override the recipe's defaults) *)
   List.iter
@@ -421,9 +424,8 @@ module D = Pkg.Database
 
 (* Slots eligible for reuse: package in the closure and the whole
    dependency sub-DAG eligible too.  Works entirely on packed ids — no
-   record is materialized — and returns slots in insertion order, so
-   both the streamed and the materialized path emit facts in the same
-   canonical order. *)
+   record is materialized — and returns slots in insertion order, the
+   canonical order of the reuse facts. *)
 let eligible_slots db closure =
   let slot_of_hash_id = Hashtbl.create 256 in
   D.iter_slots db (fun s -> Hashtbl.replace slot_of_hash_id (D.p_hash db s) s);
@@ -489,9 +491,7 @@ let term_memo db =
 
 (* One installed record's reuse facts, handed to [emit] as ground atoms:
    [installed_hash(name, hash)] plus the hash-keyed constraints and
-   [hash_dep] edges (Section VI).  Shared verbatim by the materialized
-   path (emit = append a fact statement) and the streaming path (emit =
-   seed straight into the grounder's store). *)
+   [hash_dep] edges (Section VI). *)
 let emit_installed_atoms ts db slot emit =
   let name = ts (D.p_name db slot) and h = ts (D.p_hash db slot) in
   emit (Asp.Gatom.make "installed_hash" [ name; h ]);
@@ -561,8 +561,8 @@ let reuse_digest ?installed ~repo roots =
 
 (* --- entry point ---------------------------------------------------------- *)
 
-let generate ?(env = default_env) ?(prefs = Preferences.empty) ?installed
-    ?(reuse_mode = `Stream) ~repo (roots : Specs.Spec.abstract list) =
+let generate ?(env = default_env) ?(prefs = Preferences.empty) ?installed ~repo
+    (roots : Specs.Spec.abstract list) =
   let env =
     match prefs.Preferences.compilers with
     | Some roster -> { env with compilers = roster }
@@ -606,8 +606,8 @@ let generate ?(env = default_env) ?(prefs = Preferences.empty) ?installed
     (fun (a : Specs.Spec.abstract) ->
       let rname = a.Specs.Spec.aroot.Specs.Spec.cname in
       let id = new_condition g in
-      describe_condition g id
-        (Printf.sprintf "the request asks for %s" (Specs.Spec.abstract_to_string a));
+      describe_condition g id (fun () ->
+          Printf.sprintf "the request asks for %s" (Specs.Spec.abstract_to_string a));
       if is_virtual g rname then begin
         (* a virtual root: require its resolution, constrain the provider *)
         imp3 g id "virtual_node" rname;
@@ -685,35 +685,25 @@ let generate ?(env = default_env) ?(prefs = Preferences.empty) ?installed
           (version_pool g p))
     g.version_sites;
   emit_environment g;
-  (* Installed reuse facts come last — statement order and streamed
-     seeding order coincide, so both modes intern atoms identically. *)
-  let reuse_stream =
-    match (eligible, reuse_mode) with
-    | None, _ -> None
-    | Some (db, slots), `Materialize ->
-      let ts = term_memo db in
-      List.iter
-        (fun slot ->
-          emit_installed_atoms ts db slot (fun (ga : Asp.Gatom.t) ->
-              fact g ga.Asp.Gatom.pred ga.Asp.Gatom.args))
-        slots;
-      None
-    | Some (db, slots), `Stream ->
-      (* no per-spec atom lists: atoms are built on demand, straight into
-         whatever sink the grounder hands us.  The stream is replayable
-         (the arena is append-only, so the slots stay valid) and counts
-         toward [n_facts] arithmetically. *)
-      List.iter
-        (fun slot -> Gen.bump g.core (n_installed_atoms db slot))
-        slots;
-      let ts = term_memo db in
-      Some (fun sink -> List.iter (fun s -> emit_installed_atoms ts db s sink) slots)
+  (* Installed reuse facts come last, built on demand from the database
+     slots straight into whatever sink the grounder hands over: no atom
+     list per installed spec.  The replay stays valid (the arena is
+     append-only), and the count is arithmetic. *)
+  let tail =
+    Option.map
+      (fun (db, slots) ->
+        let ts = term_memo db in
+        {
+          Asp.Grounder.count =
+            List.fold_left (fun n s -> n + n_installed_atoms db s) 0 slots;
+          replay =
+            (fun sink -> List.iter (fun s -> emit_installed_atoms ts db s sink) slots);
+        })
+      eligible
   in
   {
-    statements = Gen.statements g.core;
-    n_facts = Gen.n_facts g.core;
+    atoms = Gen.facts ?tail g.core;
     possible = closure_packages;
     conflict_msgs = g.msgs;
     cond_origins = Gen.origins g.core;
-    reuse_stream;
   }

@@ -9,14 +9,17 @@
 
 (** Shared fact-generation core, exposed for other workload frontends.
 
-    Accumulates fact statements and the condition-id / provenance
-    bookkeeping needed to target the generalized-condition fragment
+    Accumulates fact atoms and the condition-id / provenance bookkeeping
+    needed to target the generalized-condition fragment
     ({!Logic_program.conditions_fragment}): fresh [condition/1] ids,
     [condition_requirement] / [imposed_constraint] facts keyed by them, and
     the id → human-readable origin map that
     {!Diagnose.explain_core} prints for unsat cores.  The Spack
     generator below and the CUDF encoder ([Cudf.Encode]) both drive it, so
-    every frontend gets identical condition semantics and provenance. *)
+    every frontend gets identical condition semantics and provenance.
+
+    Each fact is built once, as the {!Asp.Gatom.t} the grounder's atom
+    store keeps, and held in one vector in generation order. *)
 module Gen : sig
   type t
 
@@ -25,14 +28,12 @@ module Gen : sig
 
   val fact : t -> string -> Asp.Term.t list -> unit
 
-  val bump : t -> int -> unit
-  (** Count [n] facts delivered outside [statements] (streamed atoms). *)
-
   val new_condition : t -> int
   (** Allocate a condition id and emit its [condition/1] fact. *)
 
-  val describe : t -> int -> string -> unit
-  (** Record a condition's human-readable provenance. *)
+  val describe : t -> int -> (unit -> string) -> unit
+  (** Record a condition's human-readable provenance, formatted only when
+      an unsat core names the condition. *)
 
   val require : t -> int -> string -> Asp.Term.t list -> unit
   (** [require t id attr args]: a [condition_requirement] of [id]. *)
@@ -40,12 +41,11 @@ module Gen : sig
   val impose : t -> int -> string -> Asp.Term.t list -> unit
   (** [impose t id attr args]: an [imposed_constraint] of [id]. *)
 
-  val statements : t -> Asp.Ast.statement list
-  (** Emission order. *)
+  val facts : ?tail:Asp.Grounder.facts -> t -> Asp.Grounder.facts
+  (** The atoms so far, in generation order, then [tail]'s, which it
+      builds on demand on every replay. *)
 
-  val n_facts : t -> int
-
-  val origins : t -> (int * string) list
+  val origins : t -> (int * (unit -> string)) list
   (** Condition provenance, newest first. *)
 end
 
@@ -57,29 +57,18 @@ type env = {
 
 val default_env : env
 
-type reuse_mode = [ `Stream | `Materialize ]
-(** How installed-database reuse facts are delivered.  [`Stream] (the
-    default) puts them in {!t.reuse_stream} — a replayable callback the
-    grounder seeds directly into its interned atom store, with no
-    intermediate statement or per-spec atom list; at E4S scale (60k+
-    installed specs, §VII-C) this is the difference between a bounded and
-    an exploding setup phase.  [`Materialize] appends them to
-    {!t.statements} as ordinary fact statements; both modes produce the
-    identical ground program (atoms are seeded in the same order). *)
-
 type t = {
-  statements : Asp.Ast.statement list;
-  n_facts : int;
-  (** total fact count, including streamed reuse facts *)
+  atoms : Asp.Grounder.facts;
+  (** every fact, in generation order, then the installed database's
+      reuse facts, built on demand from its slots on each replay; at E4S
+      scale (60k+ installed specs, §VII-C) no per-spec atom list is ever
+      held *)
   possible : string list;  (** package closure considered by this solve *)
   conflict_msgs : (int * string) list;  (** condition id -> message *)
-  cond_origins : (int * string) list;
+  cond_origins : (int * (unit -> string)) list;
   (** condition id -> human-readable provenance ("hdf5 depends on mpi@3:",
       "the request asks for ...") — what {!Diagnose.explain_core} prints
       when the id turns up in an unsat core *)
-  reuse_stream : ((Asp.Gatom.t -> unit) -> unit) option;
-  (** with [`Stream] and a non-empty eligible slice: replays the reuse
-      facts into a sink (pass as [?facts_stream] to {!Asp.Grounder}) *)
 }
 
 exception Unknown_package of string
@@ -88,7 +77,6 @@ val generate :
   ?env:env ->
   ?prefs:Preferences.t ->
   ?installed:Pkg.Database.t ->
-  ?reuse_mode:reuse_mode ->
   repo:Pkg.Repo.t ->
   Specs.Spec.abstract list ->
   t

@@ -1,18 +1,16 @@
 module Gen = Concretize.Facts.Gen
 
-type mode = [ `Stream | `Materialize ]
-
 type t = {
-  statements : Asp.Ast.statement list;
-  n_facts : int;
+  atoms : Asp.Grounder.facts;
   n_packages : int;
   n_sets : int;
-  cond_origins : (int * string) list;
-  installed_stream : ((Asp.Gatom.t -> unit) -> unit) option;
+  cond_origins : (int * (unit -> string)) list;
 }
 
 let str = Asp.Term.str
 let int = Asp.Term.int
+
+let pv (p : Doc.package) = Printf.sprintf "%s=%d" p.Doc.name p.Doc.version
 
 (* Satisfier-set keys.  [Vp] is the general constraint (provides included);
    [Exact]/[Name] are the narrower sets keep flags need — keep is about the
@@ -23,7 +21,7 @@ type skey =
   | Exact of string * int
   | Name of string
 
-let generate ?(installed_mode = `Stream) (doc : Doc.t) : t =
+let generate (doc : Doc.t) : t =
   let g = Gen.create () in
   (* name / feature indexes *)
   let by_name : (string, Doc.package list ref) Hashtbl.t = Hashtbl.create 256 in
@@ -110,21 +108,20 @@ let generate ?(installed_mode = `Stream) (doc : Doc.t) : t =
   in
   List.iter
     (fun (p : Doc.package) ->
-      let pv = Printf.sprintf "%s=%d" p.Doc.name p.Doc.version in
       List.iter
         (fun cl ->
           let id =
-            stanza_condition p
-              (Printf.sprintf "%s depends on %s" pv (Doc.clause_to_string cl))
+            stanza_condition p (fun () ->
+                Printf.sprintf "%s depends on %s" (pv p) (Doc.clause_to_string cl))
           in
           Gen.fact g "depends_clause" [ int id; int (emit_clause cl) ])
         p.Doc.depends;
       List.iter
         (fun vp ->
           let id =
-            stanza_condition p
-              (Printf.sprintf "package %s conflicts with %s" pv
-                 (Doc.vpkg_to_string vp))
+            stanza_condition p (fun () ->
+                Printf.sprintf "package %s conflicts with %s" (pv p)
+                  (Doc.vpkg_to_string vp))
           in
           Gen.fact g "conflict_owner" [ int id; str p.Doc.name; int p.Doc.version ];
           Gen.fact g "conflict_set" [ int id; int (intern_vp vp) ])
@@ -139,22 +136,24 @@ let generate ?(installed_mode = `Stream) (doc : Doc.t) : t =
         | Doc.Knone -> ()
         | Doc.Kversion ->
           let id =
-            free_condition (Printf.sprintf "%s is installed with keep: version" pv)
+            free_condition (fun () ->
+                Printf.sprintf "%s is installed with keep: version" (pv p))
           in
           Gen.fact g "require_set"
             [ int id; int (intern (Exact (p.Doc.name, p.Doc.version))) ]
         | Doc.Kpackage ->
           let id =
-            free_condition (Printf.sprintf "%s is installed with keep: package" pv)
+            free_condition (fun () ->
+                Printf.sprintf "%s is installed with keep: package" (pv p))
           in
           Gen.fact g "require_set" [ int id; int (intern (Name p.Doc.name)) ]
         | Doc.Kfeature ->
           List.iter
             (fun (f, _) ->
               let id =
-                free_condition
-                  (Printf.sprintf "%s is installed with keep: feature (provides %s)"
-                     pv f)
+                free_condition (fun () ->
+                    Printf.sprintf "%s is installed with keep: feature (provides %s)"
+                      (pv p) f)
               in
               Gen.fact g "require_set" [ int id; int (intern (Vp (f, None))) ])
             p.Doc.provides
@@ -165,16 +164,16 @@ let generate ?(installed_mode = `Stream) (doc : Doc.t) : t =
   List.iter
     (fun vp ->
       let id =
-        free_condition
-          (Printf.sprintf "the request asks to install %s" (Doc.vpkg_to_string vp))
+        free_condition (fun () ->
+            Printf.sprintf "the request asks to install %s" (Doc.vpkg_to_string vp))
       in
       Gen.fact g "require_set" [ int id; int (intern_vp vp) ])
     r.Doc.install;
   List.iter
     (fun vp ->
       let id =
-        free_condition
-          (Printf.sprintf "the request asks to upgrade %s" (Doc.vpkg_to_string vp))
+        free_condition (fun () ->
+            Printf.sprintf "the request asks to upgrade %s" (Doc.vpkg_to_string vp))
       in
       Gen.fact g "require_set" [ int id; int (intern_vp vp) ];
       Gen.fact g "upgrade_name" [ str vp.Doc.vname ];
@@ -194,14 +193,12 @@ let generate ?(installed_mode = `Stream) (doc : Doc.t) : t =
   List.iter
     (fun vp ->
       let id =
-        free_condition
-          (Printf.sprintf "the request asks to remove %s" (Doc.vpkg_to_string vp))
+        free_condition (fun () ->
+            Printf.sprintf "the request asks to remove %s" (Doc.vpkg_to_string vp))
       in
       Gen.fact g "forbid_set" [ int id; int (intern_vp vp) ])
     r.Doc.remove;
-  (* Installed-state facts come last: statement order and streamed seeding
-     order coincide, so both modes intern atoms identically (the E4S
-     pattern, Facts.reuse_mode). *)
+  (* Installed-state facts come last, built on demand on each replay. *)
   let installed = Doc.installed_pairs doc in
   let names =
     let seen = Hashtbl.create 64 in
@@ -214,32 +211,20 @@ let generate ?(installed_mode = `Stream) (doc : Doc.t) : t =
         end)
       installed
   in
-  let installed_stream =
-    match installed_mode with
-    | `Materialize ->
-      List.iter (fun (n, v) -> Gen.fact g "was_installed" [ str n; int v ]) installed;
-      List.iter (fun n -> Gen.fact g "was_installed_name" [ str n ]) names;
-      None
-    | `Stream ->
-      if installed = [] then None
-      else begin
-        Gen.bump g (List.length installed + List.length names);
-        Some
-          (fun sink ->
-            List.iter
-              (fun (n, v) ->
-                sink (Asp.Gatom.make "was_installed" [ str n; int v ]))
-              installed;
-            List.iter
-              (fun n -> sink (Asp.Gatom.make "was_installed_name" [ str n ]))
-              names)
-      end
+  let tail =
+    {
+      Asp.Grounder.count = List.length installed + List.length names;
+      replay =
+        (fun sink ->
+          List.iter
+            (fun (n, v) -> sink (Asp.Gatom.make "was_installed" [ str n; int v ]))
+            installed;
+          List.iter (fun n -> sink (Asp.Gatom.make "was_installed_name" [ str n ])) names);
+    }
   in
   {
-    statements = Gen.statements g;
-    n_facts = Gen.n_facts g;
+    atoms = Gen.facts ~tail g;
     n_packages = List.length doc.Doc.packages;
     n_sets = !n_sets;
     cond_origins = Gen.origins g;
-    installed_stream;
   }

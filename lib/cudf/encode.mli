@@ -9,26 +9,21 @@
     the request all become [condition/1]-keyed facts (driven through
     {!Concretize.Facts.Gen}), giving them the same trigger semantics and
     unsat-core provenance as Spack's conditions.  Installed state becomes
-    [was_installed/2] reuse facts, streamed into the grounder's atom store
-    by default (the streaming fact path Spack's reuse facts take). *)
-
-type mode = [ `Stream | `Materialize ]
-(** How the installed-state facts are delivered; both modes produce the
-    identical ground program (atoms are seeded in the same order). *)
+    [was_installed/2] reuse facts, built on demand after the encoder's
+    other facts each time the atoms are replayed (as Spack's reuse facts
+    are). *)
 
 type t = {
-  statements : Asp.Ast.statement list;
-  n_facts : int;  (** total, streamed facts included *)
+  atoms : Asp.Grounder.facts;
+      (** every fact as a ground atom, in generation order, the installed
+          state last (pass as [?facts] to {!Asp.Grounder.ground}) *)
   n_packages : int;
   n_sets : int;  (** interned satisfier sets *)
-  cond_origins : (int * string) list;
+  cond_origins : (int * (unit -> string)) list;
       (** condition id → provenance ("pkg=3 depends on bar >= 2 | baz",
           "package pkg=3 conflicts with quux < 4", "the request asks to
-          install foo"), printed by {!Concretize.Diagnose} on unsat *)
-  installed_stream : ((Asp.Gatom.t -> unit) -> unit) option;
-      (** with [`Stream] and a non-empty installed state: replays the
-          [was_installed] facts (pass as [?facts_stream] to
-          {!Asp.Grounder.ground}) *)
+          install foo"), formatted and printed by {!Concretize.Diagnose}
+          on unsat *)
 }
 
-val generate : ?installed_mode:mode -> Doc.t -> t
+val generate : Doc.t -> t

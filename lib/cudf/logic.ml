@@ -3,7 +3,7 @@
      depends_clause/2, conflict_set/2, conflict_owner/3,
      rec_owner/3, require_set/2, forbid_set/2,
      upgrade_name/1, upgrade_forbidden/2,
-     was_installed/2, was_installed_name/1 (possibly streamed),
+     was_installed/2, was_installed_name/1 (last),
    plus the generalized-condition vocabulary shared with the Spack model:
      condition/1, condition_requirement/3..5, imposed_constraint/3..5. *)
 

@@ -119,10 +119,10 @@ let diff_state (doc : Doc.t) state =
   (removed, installed_new, changed)
 
 let solve ?config ?attempts ?cancel ?fault ?pool ?racers ?(explain = false)
-    ?(stack = Criteria.Paranoid) ?installed_mode (doc : Doc.t) =
+    ?(stack = Criteria.Paranoid) (doc : Doc.t) =
   let setup () =
-    let enc = Encode.generate ?installed_mode doc in
-    (enc, enc.Encode.statements, enc.Encode.installed_stream)
+    let enc = Encode.generate doc in
+    (enc, enc.Encode.atoms)
   in
   (* load: parse the logic program (timed, like the Spack pipeline) *)
   let load () = Asp.Parser.parse (Logic.text stack) in
@@ -139,9 +139,9 @@ let solve ?config ?attempts ?cancel ?fault ?pool ?racers ?(explain = false)
       { Asp.Solve.setup; load; explain }
   with
   | Asp.Solve.Stopped { facts; phases; info } ->
-    Interrupted { info; phases; n_facts = facts.Encode.n_facts }
+    Interrupted { info; phases; n_facts = facts.Encode.atoms.Asp.Grounder.count }
   | Asp.Solve.Refuted { facts; phases; reasons } ->
-    Unsatisfiable { reasons; phases; n_facts = facts.Encode.n_facts }
+    Unsatisfiable { reasons; phases; n_facts = facts.Encode.atoms.Asp.Grounder.count }
   | Asp.Solve.Solved { facts; answer; stats; _ } ->
     let state = decode_state answer in
     let removed, installed_new, changed = diff_state doc state in
@@ -151,7 +151,7 @@ let solve ?config ?attempts ?cancel ?fault ?pool ?racers ?(explain = false)
         removed;
         installed_new;
         changed;
-        n_facts = facts.Encode.n_facts;
+        n_facts = facts.Encode.atoms.Asp.Grounder.count;
         n_packages = facts.Encode.n_packages;
         n_sets = facts.Encode.n_sets;
         stats;

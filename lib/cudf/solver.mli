@@ -1,9 +1,9 @@
 (** End-to-end CUDF solving on the shared ASP engine.
 
     Runs the pipeline the Spack concretizer runs ({!Asp.Solve.escalate}):
-    encode the document to facts, parse the (stack-specific) logic
-    program, ground under a budget with installed stanzas streamed as reuse
-    facts, solve with branch-and-bound or unsat-core optimization,
+    encode the document to fact atoms (installed stanzas last, as reuse
+    facts), parse the (stack-specific) logic program, ground under a
+    budget, solve with branch-and-bound or unsat-core optimization,
     optionally race a portfolio, verify the model.  This module supplies
     the encoder, the logic program and the UNSAT explainer, and decodes
     the chosen state; the per-criterion cost vector is in [stats].
@@ -44,15 +44,12 @@ val solve :
   ?racers:int ->
   ?explain:bool ->
   ?stack:Criteria.stack ->
-  ?installed_mode:Encode.mode ->
   Doc.t ->
   result
 (** Solve through {!Asp.Solve.escalate}: up to [attempts] (default 1)
     rounds with doubled limits and a reseeded solver, on [cancel]
     (cancellations are never retried); [fault] observes each round's armed
-    budget.  [installed_mode] (default [`Stream]) picks how installed
-    stanzas reach the grounder; [`Materialize] is the reference the tests
-    compare the streamed path against.  [~explain:true] runs unsat-core
+    budget.  [~explain:true] runs unsat-core
     extraction over the encoder's condition provenance on UNSAT, naming the
     offending [depends:]/[conflicts:]/request stanza; otherwise UNSAT falls
     back to cheap syntactic checks (unknown request targets, unsatisfiable

@@ -282,7 +282,7 @@ let iter_deps t slot f =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Materialized views                                                  *)
+(* Record views                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let record_of_slot t slot =

@@ -235,7 +235,7 @@ echo "== portfolio smoke (fig7d --quick --jobs 4)"
 timeout 600 dune exec bench/main.exe -- fig7d --quick --jobs 4 --json BENCH_ci_jobs4.json
 grep -q '"jobs": 4' BENCH_ci_jobs4.json
 
-echo "== E4S-scale reuse smoke (5k-spec buildcache, streamed reuse facts)"
+echo "== E4S-scale reuse smoke (5k-spec buildcache, reuse facts from the slots)"
 # medium-scale rehearsal of the paper's §VII-C stress test: grows a ~5,000
 # spec buildcache and runs all four slices through the streaming fact
 # pipeline; independent of --quick so the solve sizes match a real run
@@ -246,16 +246,16 @@ import json
 d = json.load(open("BENCH_e4s_ci.json"))
 m = d["metrics"]
 assert m["e4s_specs"] >= 5000, m
-# the streamed fact path must beat the materialized one at CI scale
-assert m["factgen_streamed_p50_s"] < m["factgen_materialized_p50_s"], m
+# fact generation over the 5k cache, every atom interned, takes about
+# 0.01 s; a per-spec blow-up of that path shows up as whole seconds
+assert 0 < m["factgen_p50_s"] < 1.0, m
 # the full 63k run is bounded at 2 GiB; the 5k smoke must stay far below
 assert d["peak_rss_mb"] < 1024, d["peak_rss_mb"]
 sums = [s for s in d["summaries"] if s["experiment"].startswith("fig7efg-full")]
 assert len(sums) == 4, [s["experiment"] for s in sums]
 assert all(s["n"] > 0 and s["p50_total_s"] > 0 for s in sums), sums
-print("e4s smoke: %d specs, factgen %.3fs -> %.3fs, peak rss %.0f MB" % (
-    m["e4s_specs"], m["factgen_materialized_p50_s"],
-    m["factgen_streamed_p50_s"], d["peak_rss_mb"]))
+print("e4s smoke: %d specs, factgen %.3fs, peak rss %.0f MB" % (
+    m["e4s_specs"], m["factgen_p50_s"], d["peak_rss_mb"]))
 EOF
 
 echo "== CUDF frontend smoke (1k-package universe, both criterion stacks)"
@@ -353,6 +353,25 @@ test -n "$(echo "$out" | grep '^  @')"
 test "$(echo "$out" | grep '^  @')" = "$(echo "$raced" | grep '^  @')"
 out=$(timeout 60 dune exec bin/cudf_solve.exe -- --explain "$(dirname "$0")/ci_broken.cudf" || true)
 echo "$out" | grep -q "conflicts with"
+
+echo "== allocation budget (cudf_solve --synth 1000, spack_solve --repo 300 app-007)"
+# the words each run allocates in all, as OCAMLRUNPARAM=v=0x400 prints them
+# at exit, may exceed the recorded figure by 10%.  Recorded when the facts
+# began to reach the store as atoms; the per-fact Ast statement layer
+# before that allocated 9,893,700 words on the CUDF run (17% more, so a
+# 20% margin would let it back in) and 3,148,004 on the Spack one.  The
+# counts are deterministic.  The built binaries run directly: dune itself
+# would print its own figures under v=0x400.
+for run in "8447841 ./_build/default/bin/cudf_solve.exe --synth 1000" \
+           "3064879 ./_build/default/bin/spack_solve.exe --repo 300 app-007"; do
+  set -- $run
+  recorded=$1
+  shift
+  words=$(OCAMLRUNPARAM=v=0x400 timeout 60 "$@" 2>&1 > /dev/null \
+    | sed -n 's/^allocated_words: //p')
+  echo "$*: $words words allocated (recorded $recorded)"
+  [ -n "$words" ] && [ "$words" -le $((recorded + recorded / 10)) ]
+done
 
 echo "== perfbench smoke (both workloads, per-layer trace, ~8s each)"
 # perfbench reads the layer times from cudf_solve's --stats lines and the

@@ -1162,14 +1162,14 @@ let test_tight_pipelines () =
   let spack spec =
     let facts = Concretize.Facts.generate ~repo:Pkg.Repo_core.repo [ Specs.Spec_parser.parse spec ] in
     fst
-      (Asp.Grounder.ground ?facts_stream:facts.Concretize.Facts.reuse_stream
-         (Asp.Parser.parse Concretize.Logic_program.text @ facts.Concretize.Facts.statements))
+      (Asp.Grounder.ground ~facts:facts.Concretize.Facts.atoms
+         (Asp.Parser.parse Concretize.Logic_program.text))
   in
   let cudf stack =
     let enc = Cudf.Encode.generate (Cudf.Synth.universe ~seed:1 ~n:1000 ()) in
     fst
-      (Asp.Grounder.ground ?facts_stream:enc.Cudf.Encode.installed_stream
-         (Asp.Parser.parse (Cudf.Logic.text stack) @ enc.Cudf.Encode.statements))
+      (Asp.Grounder.ground ~facts:enc.Cudf.Encode.atoms
+         (Asp.Parser.parse (Cudf.Logic.text stack)))
   in
   check_tight "spack zlib" (spack "zlib");
   check_tight "spack hdf5" (spack "hdf5");

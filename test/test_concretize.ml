@@ -348,7 +348,8 @@ let test_greedy_hash_reuse () =
 
 let test_fact_generation () =
   let facts = Facts.generate ~repo [ Specs.Spec_parser.parse "example" ] in
-  Alcotest.(check bool) "plenty of facts" true (facts.Facts.n_facts > 300);
+  Alcotest.(check bool) "plenty of facts" true
+    (facts.Facts.atoms.Asp.Grounder.count > 300);
   Alcotest.(check bool) "closure includes deps" true
     (List.mem "zlib" facts.Facts.possible && List.mem "mpich" facts.Facts.possible);
   Alcotest.(check bool) "closure excludes unrelated" false
@@ -358,7 +359,7 @@ let test_fact_generation () =
       (function
         | Asp.Ast.Rule { head = Asp.Ast.Head_atom { pred; _ }; body = []; _ } -> pred = name
         | _ -> false)
-      facts.Facts.statements
+      (Fact_ref.statements facts.Facts.atoms)
   in
   Alcotest.(check bool) "no optimize_for_reuse" false (has_pred "optimize_for_reuse");
   Alcotest.(check bool) "no installed_hash" false (has_pred "installed_hash");
@@ -367,9 +368,8 @@ let test_fact_generation () =
 let test_fact_generation_with_reuse () =
   let db = build_cache ~variations:1 [ "zlib" ] in
   let roots = [ Specs.Spec_parser.parse "zlib" ] in
-  let facts =
-    Facts.generate ~installed:db ~reuse_mode:`Materialize ~repo roots
-  in
+  let facts = Facts.generate ~installed:db ~repo roots in
+  let statements = Fact_ref.statements facts.Facts.atoms in
   let count name =
     List.length
       (List.filter
@@ -377,21 +377,15 @@ let test_fact_generation_with_reuse () =
            | Asp.Ast.Rule { head = Asp.Ast.Head_atom { pred; _ }; body = []; _ } ->
              pred = name
            | _ -> false)
-         facts.Facts.statements)
+         statements)
   in
   Alcotest.(check bool) "optimize_for_reuse emitted" true (count "optimize_for_reuse" = 1);
   Alcotest.(check bool) "installed hashes" true (count "installed_hash" > 0);
   Alcotest.(check bool) "hash constraints" true (count "hash_constraint" > 0);
-  (* the streaming default delivers the same facts via [reuse_stream]
-     instead of statements, with an identical total count *)
-  let streamed = Facts.generate ~installed:db ~repo roots in
-  let stream =
-    match streamed.Facts.reuse_stream with
-    | Some s -> s
-    | None -> Alcotest.fail "streaming mode produced no reuse stream"
-  in
+  (* the reuse facts are built again on every replay, and the count covers
+     them *)
   let by_pred = Hashtbl.create 8 in
-  stream (fun (ga : Asp.Gatom.t) ->
+  facts.Facts.atoms.Asp.Grounder.replay (fun (ga : Asp.Gatom.t) ->
       let n =
         Option.value ~default:0 (Hashtbl.find_opt by_pred ga.Asp.Gatom.pred)
       in
@@ -402,8 +396,21 @@ let test_fact_generation_with_reuse () =
   Alcotest.(check int) "streamed hash_constraint" (count "hash_constraint")
     (scount "hash_constraint");
   Alcotest.(check int) "streamed hash_dep" (count "hash_dep") (scount "hash_dep");
-  Alcotest.(check int) "n_facts identical across modes" facts.Facts.n_facts
-    streamed.Facts.n_facts
+  Alcotest.(check int) "n_facts identical across modes" (List.length statements)
+    facts.Facts.atoms.Asp.Grounder.count;
+  (* the solve over the statement reference gives the same answer *)
+  let req = Concretizer.request ~installed:db ~repo roots in
+  match (Concretizer.solve req, Fact_ref.spack_solve req) with
+  | Concretizer.Concrete a, Concretizer.Concrete b ->
+    let spec (s : Concretizer.success) =
+      Format.asprintf "%a" Specs.Spec.pp_concrete s.Concretizer.spec
+    in
+    Alcotest.(check string) "same spec on both paths" (spec b) (spec a);
+    Alcotest.(check (list (pair int int))) "same costs on both paths"
+      b.Concretizer.stats.Asp.Solve.costs a.Concretizer.stats.Asp.Solve.costs;
+    Alcotest.(check (list (pair string string))) "same reuse on both paths"
+      (List.sort compare b.Concretizer.reused) (List.sort compare a.Concretizer.reused)
+  | _ -> Alcotest.fail "expected a concrete answer on both paths"
 
 (* one pipeline times every frontend: a Spack request, a CUDF universe and
    a plain ASP program *)

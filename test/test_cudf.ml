@@ -176,9 +176,9 @@ let test_differential_naive () =
     (fun (label, d) ->
       List.iter
         (fun stack ->
-          let enc = Encode.generate ~installed_mode:`Materialize d in
+          let enc = Encode.generate d in
           let program =
-            Asp.Parser.parse (Logic.text stack) @ enc.Encode.statements
+            Asp.Parser.parse (Logic.text stack) @ Fact_ref.statements enc.Encode.atoms
           in
           let naive = Asp.Naive.optimal_models program in
           let eng = Solver.solve ~stack d in
@@ -331,24 +331,24 @@ let test_keep_semantics () =
     "and it counts as outdated" "1@20"
     (costs_str (List.filter (fun (p, _) -> p = 20) s.Solver.stats.Asp.Solve.costs))
 
-(* ---------- encoder modes and determinism ---------- *)
+(* ---------- statement reference and determinism ---------- *)
 
 let test_stream_equals_materialize () =
   let d = Synth.universe ~seed:5 ~n:400 () in
   List.iter
     (fun stack ->
-      let a = solved_state "stream" d stack in
-      let b =
-        match Solver.solve ~stack ~installed_mode:`Materialize d with
-        | Solver.Solution s -> s
-        | _ -> Alcotest.fail "materialize failed"
+      let a = solved_state "atoms" d stack in
+      let b_costs, b_facts =
+        match Fact_ref.cudf_solve ~stack d with
+        | Some r -> r
+        | None -> Alcotest.fail "statement reference failed"
       in
       Alcotest.(check string)
         (Criteria.name stack ^ ": same optimum either way")
-        (costs_str a.Solver.stats.Asp.Solve.costs) (costs_str b.Solver.stats.Asp.Solve.costs);
+        (costs_str a.Solver.stats.Asp.Solve.costs) (costs_str b_costs);
       Alcotest.(check int)
         (Criteria.name stack ^ ": same fact count")
-        a.Solver.n_facts b.Solver.n_facts)
+        a.Solver.n_facts b_facts)
     Criteria.all
 
 let test_synth_deterministic () =

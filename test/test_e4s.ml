@@ -1,5 +1,6 @@
-(* Differential proof that the streaming/compact reuse-fact pipeline is
-   observationally identical to the materialized one it replaced: same
+(* Differential proof that the fact-atom pipeline, with reuse facts built
+   on demand from the packed database, is observationally identical to
+   the statement reference (Fact_ref): same
    ground program (byte-for-byte), same fact counts, same digests and
    request keys, same solve answers (nodes, cost vectors, reuse sets,
    verification) — across randomized synthetic universes, buildcache
@@ -38,26 +39,24 @@ let ground_pp g = Format.asprintf "%a" Asp.Ground.pp g
 (* Ground-program equivalence                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The streamed grounder run must produce the very same interned store and
-   ground program as the materialized one: atom ids, rule multiset,
-   minimize statements — checked by byte-comparing the printed ground
-   program, which includes all of those. *)
+(* Grounding the fact atoms must produce the very same interned store and
+   ground program as the statement reference (Fact_ref): atom ids, rule
+   multiset, minimize statements — checked by byte-comparing the printed
+   ground program, which includes all of those. *)
 let check_ground_equal ~repo ~installed roots =
-  let fm = F.generate ~installed ~reuse_mode:`Materialize ~repo roots in
-  let fs = F.generate ~installed ~reuse_mode:`Stream ~repo roots in
-  Alcotest.(check int) "n_facts equal across modes" fm.F.n_facts fs.F.n_facts;
-  let gm, sm = Asp.Grounder.ground (Lazy.force lp @ fm.F.statements) in
-  let gs, ss =
-    Asp.Grounder.ground ?facts_stream:fs.F.reuse_stream
-      (Lazy.force lp @ fs.F.statements)
-  in
+  let f = F.generate ~installed ~repo roots in
+  Alcotest.(check int) "n_facts equal across modes"
+    (List.length (Fact_ref.statements f.F.atoms))
+    f.F.atoms.Asp.Grounder.count;
+  let gm, sm = Fact_ref.ground (Lazy.force lp) f.F.atoms in
+  let gs, ss = Asp.Grounder.ground ~facts:f.F.atoms (Lazy.force lp) in
   Alcotest.(check int) "ground rule count"
     sm.Asp.Grounder.ground_rules ss.Asp.Grounder.ground_rules;
   Alcotest.(check int) "possible atom count"
     sm.Asp.Grounder.possible_atoms ss.Asp.Grounder.possible_atoms;
   let pm = ground_pp gm and ps = ground_pp gs in
   if not (String.equal pm ps) then
-    Alcotest.failf "ground programs differ (materialized %d bytes, streamed %d)"
+    Alcotest.failf "ground programs differ (statements %d bytes, atoms %d)"
       (String.length pm) (String.length ps)
 
 let test_ground_differential () =
@@ -128,8 +127,8 @@ let signature = function
   | C.Interrupted _ -> "interrupted"
 
 let solve_both ~repo ~installed roots =
-  let m = C.solve (C.request ~installed ~reuse_mode:`Materialize ~repo roots) in
-  let s = C.solve (C.request ~installed ~reuse_mode:`Stream ~repo roots) in
+  let m = Fact_ref.spack_solve (C.request ~installed ~repo roots) in
+  let s = C.solve (C.request ~installed ~repo roots) in
   (signature m, signature s, m)
 
 let test_solve_differential () =
@@ -176,8 +175,8 @@ let temp_dir () =
   d
 
 (* Installs flowing through the daemon's journaled path (intent, arena-blit
-   copy, save, commit) must leave the daemon's own solve, which streams the
-   reuse facts, in agreement with a from-scratch materialized solve, and
+   copy, save, commit) must leave the daemon's own solve in agreement with
+   a from-scratch solve over the statement reference (Fact_ref), and
    recovery must reproduce the live database exactly. *)
 let test_daemon_journal_differential () =
   let repo = Pkg.Repo_core.repo in
@@ -218,11 +217,9 @@ let test_daemon_journal_differential () =
             (Server.State.request st (List.hd roots))
             ~cancel:(Asp.Budget.token ())
         in
-        let scratch =
-          C.solve (C.request ~installed:db ~reuse_mode:`Materialize ~repo roots)
-        in
+        let scratch = Fact_ref.spack_solve (C.request ~installed:db ~repo roots) in
         Alcotest.(check string)
-          ("daemon stream vs scratch materialized: " ^ root)
+          ("daemon vs scratch statement reference: " ^ root)
           (signature scratch) (signature daemon)
       in
       check_agreement "hdf5";

@@ -101,8 +101,9 @@ let inline_fixtures =
 
 let program_of_spec spec =
   Asp.Parser.parse Concretize.Logic_program.text
-  @ (Concretize.Facts.generate ~repo [ Specs.Spec_parser.parse spec ])
-      .Concretize.Facts.statements
+  @ Fact_ref.statements
+      (Concretize.Facts.generate ~repo [ Specs.Spec_parser.parse spec ])
+        .Concretize.Facts.atoms
 
 let fixtures () =
   List.map (fun (n, src) -> (n, lazy (Asp.Parser.parse src))) inline_fixtures
@@ -156,47 +157,51 @@ let check_fixture name prog () =
 (* ------------------------------------------------------------------ *)
 
 (* Unlike the canonical goldens above, these hash the id-ordered rendering
-   of [Asp.Ground.pp] exactly as the pipelines produce it (streamed reuse
-   and installed facts), so they pin atom interning
-   order and rule order too.  The CUDF digests were recorded before the
+   of [Asp.Ground.pp] exactly as the pipelines produce it (fact atoms
+   seeded straight into the store), so they pin atom interning
+   order and rule order too; the statement reference (Fact_ref) must give
+   the same bytes.  The CUDF digests were recorded before the
    closure stopped enumerating integrity constraints; the Spack ones were
    re-recorded when emission started to follow the closure's instance
    order (the sorted digests below did not move). *)
 
-let spack_ground ~repo spec =
+(* The two ways to ground a logic program [lp] with a frontend's facts:
+   the fact atoms straight into the store, and the statement reference. *)
+let atom_path lp facts = fst (Asp.Grounder.ground ~facts lp)
+let statement_path lp facts = fst (Fact_ref.ground lp facts)
+
+let spack_ground ~ground ~repo spec =
   let roots = [ Specs.Spec_parser.parse spec ] in
   let facts = Concretize.Facts.generate ~repo roots in
-  Asp.Grounder.ground ?facts_stream:facts.Concretize.Facts.reuse_stream
-    (Asp.Parser.parse Concretize.Logic_program.text @ facts.Concretize.Facts.statements)
-  |> fst
+  ground (Asp.Parser.parse Concretize.Logic_program.text) facts.Concretize.Facts.atoms
 
-let cudf_ground stack =
+let cudf_ground ~ground stack =
   let d = Cudf.Synth.universe ~seed:1 ~n:1000 () in
   let enc = Cudf.Encode.generate d in
-  Asp.Grounder.ground ?facts_stream:enc.Cudf.Encode.installed_stream
-    (Asp.Parser.parse (Cudf.Logic.text stack) @ enc.Cudf.Encode.statements)
-  |> fst
+  ground (Asp.Parser.parse (Cudf.Logic.text stack)) enc.Cudf.Encode.atoms
 
 let synth_repo = lazy (Pkg.Repo_synth.repo (Pkg.Repo_synth.scaled 300))
 
 let digest_fixtures =
   [
-    ("spack hdf5", (fun () -> spack_ground ~repo "hdf5"), "21ff801923862d8a9c1dd302fadf8a5c");
+    ( "spack hdf5",
+      (fun ground -> spack_ground ~ground ~repo "hdf5"),
+      "21ff801923862d8a9c1dd302fadf8a5c" );
     ( "repo300 app-007",
-      (fun () -> spack_ground ~repo:(Lazy.force synth_repo) "app-007"),
+      (fun ground -> spack_ground ~ground ~repo:(Lazy.force synth_repo) "app-007"),
       "5630f21680c70c576589842ae7ad3155" );
     ( "cudf synth 1k paranoid",
-      (fun () -> cudf_ground Cudf.Criteria.Paranoid),
+      (fun ground -> cudf_ground ~ground Cudf.Criteria.Paranoid),
       "4edcdd6267c2d37ae31b4c93da5ef5ee" );
     ( "cudf synth 1k trendy",
-      (fun () -> cudf_ground Cudf.Criteria.Trendy),
+      (fun ground -> cudf_ground ~ground Cudf.Criteria.Trendy),
       "9d1312dc8c06d91e54d739cf7f492b87" );
   ]
 
 let check_digest mk want () =
-  let g = mk () in
-  let got = Digest.to_hex (Digest.string (Format.asprintf "%a" Asp.Ground.pp g)) in
-  Alcotest.(check string) "ground program digest" want got
+  let digest g = Digest.to_hex (Digest.string (Format.asprintf "%a" Asp.Ground.pp g)) in
+  Alcotest.(check string) "ground program digest" want (digest (mk atom_path));
+  Alcotest.(check string) "statement reference digest" want (digest (mk statement_path))
 
 (* Order-insensitive digests of the same fixtures: the MD5 of [canon], the
    sorted, id-independent rendering (atom lists inside a rule sorted by
@@ -213,7 +218,7 @@ let sorted_digests =
   ]
 
 let check_sorted_digest mk want () =
-  let got = Digest.to_hex (Digest.string (canon (mk ()))) in
+  let got = Digest.to_hex (Digest.string (canon (mk atom_path))) in
   Alcotest.(check string) "sorted ground program digest" want got
 
 (* ------------------------------------------------------------------ *)
@@ -221,21 +226,21 @@ let check_sorted_digest mk want () =
 (* ------------------------------------------------------------------ *)
 
 (* Minor words allocated inside [Grounder.ground] on the 1k-stanza CUDF
-   fixture.  The join kernel allocates nothing per join node or instance:
-   what remains is the ground program, the atom store, the seeded facts
-   and the closure's instance records.  The bound is 20% above the
-   1,417,491 words measured when the kernel landed; the grounder
-   before it allocated 6,256,454. *)
-let ground_words_bound = 1_701_000
+   fixture.  The join kernel allocates nothing per join node or instance,
+   and the encoder's fact atoms are interned as they are, with no statement
+   to walk and no atom to rebuild: what remains is the ground program, the
+   atom store and the closure's instance records.  The bound is 20% above
+   the 563,430 words measured once facts reached the store as atoms (with
+   the store presized from their count); seeding from fact statements
+   took 1,328,472, and the grounder before the join kernel 6,256,454. *)
+let ground_words_bound = 676_100
 
 let test_ground_allocation () =
   let d = Cudf.Synth.universe ~seed:1 ~n:1000 () in
   let enc = Cudf.Encode.generate d in
-  let prog =
-    Asp.Parser.parse (Cudf.Logic.text Cudf.Criteria.Paranoid) @ enc.Cudf.Encode.statements
-  in
+  let prog = Asp.Parser.parse (Cudf.Logic.text Cudf.Criteria.Paranoid) in
   let before = Gc.minor_words () in
-  ignore (Asp.Grounder.ground ?facts_stream:enc.Cudf.Encode.installed_stream prog);
+  ignore (Asp.Grounder.ground ~facts:enc.Cudf.Encode.atoms prog);
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words <= %d" words ground_words_bound)
@@ -255,6 +260,33 @@ let test_intern_idempotent () =
   Alcotest.(check bool) "intern t == intern t" true (a == b);
   Alcotest.(check bool) "str idempotent" true (Asp.Term.str "x" == Asp.Term.str "x");
   Alcotest.(check bool) "int idempotent" true (Asp.Term.int 7 == Asp.Term.int 7)
+
+(* [Term.int] answers 0 .. small_ints - 1 from an array it fills from the
+   hash-cons table.  At the edges of that range and on either side of it,
+   the term is the interned one — one id, physically equal — whichever
+   domain builds it first, and two domains racing on fresh slots agree. *)
+let test_small_int_cache () =
+  let b = Asp.Term.small_ints in
+  let edges = [ -1; 0; b - 1; b; max_int ] in
+  let on_domain f = Domain.join (Domain.spawn f) in
+  let remote = on_domain (fun () -> List.map Asp.Term.int edges) in
+  let before = Asp.Term.interned () in
+  let local = List.map Asp.Term.int edges in
+  Alcotest.(check int) "nothing interned twice" before (Asp.Term.interned ());
+  List.iter2
+    (fun i (r, l) ->
+      let what = string_of_int i in
+      Alcotest.(check bool) (what ^ ": physically equal") true (r == l);
+      Alcotest.(check int) (what ^ ": same id") (Asp.Term.id r) (Asp.Term.id l);
+      Alcotest.(check (option int)) (what ^ ": value") (Some i) (Asp.Term.to_int l);
+      Alcotest.(check bool) (what ^ ": stable") true (Asp.Term.int i == l))
+    edges (List.combine remote local);
+  (* two domains filling the same fresh slots at once *)
+  let fresh = List.init 256 (fun k -> b - 512 + k) in
+  let d = Domain.spawn (fun () -> List.map Asp.Term.int fresh) in
+  let mine = List.map Asp.Term.int fresh in
+  let theirs = Domain.join d in
+  Alcotest.(check bool) "racing domains agree" true (List.for_all2 ( == ) mine theirs)
 
 let test_equal_is_physical () =
   let terms =
@@ -311,6 +343,7 @@ let () =
   let intern_tests =
     [
       Alcotest.test_case "intern idempotence" `Quick test_intern_idempotent;
+      Alcotest.test_case "small int cache edges" `Quick test_small_int_cache;
       Alcotest.test_case "equal iff physical" `Quick test_equal_is_physical;
       Alcotest.test_case "hash consistency" `Quick test_hash_consistent;
       Alcotest.test_case "compare order" `Quick test_compare_order;

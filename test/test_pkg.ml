@@ -174,15 +174,15 @@ let record_key (r : Database.record) =
     List.sort compare r.Database.deps )
 
 let facts_of db roots =
-  (* Materialize mode renders the reuse facts as statements so the
-     comparison still covers the installed records *)
+  (* every fact, the reuse facts over the installed records included,
+     rendered as a statement *)
   let f =
-    Concretize.Facts.generate ~repo ~installed:db ~reuse_mode:`Materialize
+    Concretize.Facts.generate ~repo ~installed:db
       (List.map Specs.Spec_parser.parse roots)
   in
   List.map
     (Format.asprintf "%a" Asp.Ast.pp_statement)
-    f.Concretize.Facts.statements
+    (Fact_ref.statements f.Concretize.Facts.atoms)
 
 let test_database_save_load () =
   (* a realistically messy database: generated buildcache over core recipes *)
