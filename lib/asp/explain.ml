@@ -1,7 +1,8 @@
 (* UNSAT explanation via assumption-based unsat cores.
 
    Following the aspcud/Spack pattern: re-translate the ground program with
-   every integrity constraint guarded by a selector literal, solve with all
+   every integrity constraint and choice upper bound guarded by a selector
+   literal, solve with all
    selectors assumed, and on UNSAT extract (then shrink) the final-conflict
    core — a small set of constraint instances that are jointly
    unsatisfiable.  Each core member carries its {!Ground.origin}, so callers

@@ -1,7 +1,8 @@
 (** Minimal unsat cores with rule provenance.
 
     When a program is unsatisfiable, [explain] identifies a minimal set of
-    integrity-constraint instances that are jointly responsible: the
+    integrity-constraint instances and choice upper bounds that are jointly
+    responsible: the
     program is re-translated with assumable selector guards
     ({!Translate.translate_with_selectors}), solved under the full
     assumption set, and the final-conflict core is shrunk by deletion

@@ -143,8 +143,10 @@ let add_constraint_clause t ?guard (b : Ground.body) =
     Sat.add_clause_buf t.sat t.aux.buf
   end
 
-(* Translate rule [i] of the ground program. *)
-let process_rule t i = function
+(* Translate rule [i] of the ground program.  [sel], when given, guards a
+   choice rule's upper bound as a selector guards an integrity constraint:
+   the bound holds only while [sel] does. *)
+let process_rule ?(sel = always) t i = function
   | Ground.Rconstraint b -> add_constraint_clause t b
   | Ground.Rnormal (h, b) ->
     if fact t h then ()
@@ -180,19 +182,29 @@ let process_rule t i = function
         end)
       heads;
     let m = !m and nfacts = Array.length heads - !m in
-    let body_false () =
-      if l = always then Sat.add_clause t.sat [] else Sat.add_clause t.sat [ Sat.Lit.negate l ]
+    (* a bound's guards are the body's indicator and, for the upper bound,
+       [sel]; [always] stands for an absent guard *)
+    let body_false sel =
+      Sat.add_clause t.sat
+        (List.filter_map
+           (fun g -> if g = always then None else Some (Sat.Lit.negate g))
+           [ l; sel ])
     in
     (* [sum lits <= cap] over the head literals, each negated when [negate],
-       conditioned on the body with weight [w]: [w*body + sum <= cap + w] *)
-    let add_bound ~negate ~w cap =
-      let guard = if l = always then 0 else 1 in
-      let ws = Array.make (m + guard) 1 and ls = Array.make (m + guard) 0 in
-      if guard = 1 then begin
+       conditioned on the guards with weight [w] each:
+       [w*guard + ... + sum <= cap + w*guards] *)
+    let add_bound ~sel ~negate ~w cap =
+      let ng = Bool.to_int (l <> always) + Bool.to_int (sel <> always) in
+      let ws = Array.make (m + ng) 1 and ls = Array.make (m + ng) 0 in
+      if l <> always then begin
         ws.(0) <- w;
         ls.(0) <- l
       end;
-      let k = ref guard in
+      if sel <> always then begin
+        ws.(ng - 1) <- w;
+        ls.(ng - 1) <- sel
+      end;
+      let k = ref ng in
       Array.iter
         (fun h ->
           if not (fact t h) then begin
@@ -201,23 +213,23 @@ let process_rule t i = function
             incr k
           end)
         heads;
-      Sat.add_pb_le_arrays t.sat ws ls (if guard = 1 then cap + w else cap)
+      Sat.add_pb_le_arrays t.sat ws ls (cap + (ng * w))
     in
     (match lb with
     | Some lb ->
       let lb = lb - nfacts in
-      if lb > m then body_false ()
+      if lb > m then body_false always
       else if lb > 0 then
         (* body -> at least lb of the heads:  sum(not h) + lb*body <= m *)
-        add_bound ~negate:true ~w:lb (m - lb)
+        add_bound ~sel:always ~negate:true ~w:lb (m - lb)
     | None -> ());
     match ub with
     | Some ub ->
       let ub = ub - nfacts in
-      if ub < 0 then body_false ()
+      if ub < 0 then body_false sel
       else if ub < m then
         (* body -> at most ub of the heads:  sum(h) + (m-ub)*body <= m *)
-        add_bound ~negate:false ~w:(m - ub) ub
+        add_bound ~sel ~negate:false ~w:(m - ub) ub
     | None -> ()
 
 (* Does the positive dependency graph (head -> positive body atoms) have a
@@ -293,9 +305,9 @@ let has_positive_cycle (g : Ground.t) natoms =
    gets a variable of its own, its rule translated as any other.  The
    other atoms are numbered in the order they were met.  The
    bound counts the rest: an auxiliary per body of two or more literals, a
-   selector per guarded constraint, the constant-false literal and a group
-   indicator per two minimize entries (only a group of two or more bodies
-   gets one).
+   selector per guarded constraint or choice upper bound, the constant-false
+   literal and a group indicator per two minimize entries (only a group of
+   two or more bodies gets one).
 
    Then the aliased atoms get their body's literal, in walk order, which is
    all of their translation: atom <-> body holds by construction, so their
@@ -327,13 +339,14 @@ let build ~guard_constraints params (g : Ground.t) =
         touch h;
         defn.(h) <- (if defn.(h) = -1 then i else -2);
         touch_body b
-      | Ground.Rchoice { heads; cbody; _ } ->
+      | Ground.Rchoice { heads; cbody; ub; _ } ->
         Array.iter
           (fun h ->
             touch h;
             defn.(h) <- -2)
           heads;
-        touch_body cbody
+        touch_body cbody;
+        if guard_constraints && ub <> None then incr extra
       | Ground.Rconstraint b ->
         Array.iter touch b.pos;
         Array.iter touch b.neg;
@@ -430,6 +443,10 @@ let build ~guard_constraints params (g : Ground.t) =
            names the responsible constraint instances *)
         let sel = Sat.Lit.pos (Sat.new_var sat) in
         add_constraint_clause t ~guard:(Sat.Lit.negate sel) b;
+        selectors := (sel, i) :: !selectors
+      | Ground.Rchoice { ub = Some _; _ } as r when guard_constraints ->
+        let sel = Sat.Lit.pos (Sat.new_var sat) in
+        process_rule ~sel t i r;
         selectors := (sel, i) :: !selectors
       | r -> process_rule t i r)
     g.Ground.rules;

@@ -70,8 +70,11 @@ val translate_with_selectors :
   ?params:Sat.params -> Ground.t -> t * (Sat.lit * int) list
 (** Like {!translate}, but every integrity constraint is guarded by a fresh
     {e selector} literal: its clause is [not sel \/ not body], again with no
-    auxiliary variable for the body, instead of [not body] alone.  Returns the selectors paired with the index of the
-    guarded rule in [ground.rules].  Solving with all selectors assumed is
+    auxiliary variable for the body, instead of [not body] alone.  The upper
+    bound of every choice rule that has one is guarded the same way: it is
+    conditioned on [sel] as it is on the rule's body, so a core can name a
+    cardinality constraint such as [{ a; b } 1].  Returns the selectors
+    paired with the index of the guarded rule in [ground.rules].  Solving with all selectors assumed is
     equisatisfiable with {!translate}; on UNSAT, {!Sat.last_core} is a set of
     selectors whose constraints suffice for the conflict (the aspcud-style
     unsat-core setup used by {!Explain}). *)

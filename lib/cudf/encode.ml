@@ -20,6 +20,8 @@ type skey =
   | Vp of string * (Doc.relop * int) option
   | Exact of string * int
   | Name of string
+  | Others of string * string * (Doc.relop * int) option
+      (* the members of [Vp] not named after a conflict's owner (first) *)
 
 let generate (doc : Doc.t) : t =
   let g = Gen.create () in
@@ -55,6 +57,31 @@ let generate (doc : Doc.t) : t =
       in
       Gen.fact g "newest" [ str n; int newest ])
     by_name;
+  (* the stanzas satisfying a constraint, each once (a stanza that provides
+     its own name is offered twice) *)
+  let vp_members : (string * (Doc.relop * int) option, Doc.package list) Hashtbl.t =
+    Hashtbl.create 256
+  in
+  let members_of_vp (vp : Doc.vpkg) =
+    let key = (vp.Doc.vname, vp.Doc.vconstr) in
+    match Hashtbl.find_opt vp_members key with
+    | Some m -> m
+    | None ->
+      let seen = Hashtbl.create 8 in
+      let first (q : Doc.package) =
+        let k = (q.Doc.name, q.Doc.version) in
+        if Hashtbl.mem seen k then false
+        else begin
+          Hashtbl.add seen k ();
+          true
+        end
+      in
+      let m =
+        List.filter (fun q -> Doc.satisfies q vp && first q) (offers_of vp.Doc.vname)
+      in
+      Hashtbl.add vp_members key m;
+      m
+  in
   (* interned satisfier sets *)
   let sets : (skey, int) Hashtbl.t = Hashtbl.create 256 in
   let n_sets = ref 0 in
@@ -70,17 +97,15 @@ let generate (doc : Doc.t) : t =
         | Exact (n, v) ->
           List.filter (fun (q : Doc.package) -> q.Doc.version = v) (versions_of n)
         | Name n -> versions_of n
-        | Vp (n, c) ->
-          let vp = { Doc.vname = n; Doc.vconstr = c } in
-          List.filter (fun q -> Doc.satisfies q vp) (offers_of n)
+        | Vp (n, c) -> members_of_vp { Doc.vname = n; Doc.vconstr = c }
+        | Others (owner, n, c) ->
+          List.filter
+            (fun (q : Doc.package) -> q.Doc.name <> owner)
+            (members_of_vp { Doc.vname = n; Doc.vconstr = c })
       in
-      let seen = Hashtbl.create 8 in
       List.iter
         (fun (q : Doc.package) ->
-          if not (Hashtbl.mem seen (q.Doc.name, q.Doc.version)) then begin
-            Hashtbl.add seen (q.Doc.name, q.Doc.version) ();
-            Gen.fact g "sat" [ int s; str q.Doc.name; int q.Doc.version ]
-          end)
+          Gen.fact g "sat" [ int s; str q.Doc.name; int q.Doc.version ])
         members;
       s
   in
@@ -106,6 +131,23 @@ let generate (doc : Doc.t) : t =
     Gen.describe g id desc;
     id
   in
+  (* "one version per name": every version of a name of two or more
+     versions says "conflicts: <its own name>" unconstrained *)
+  let single_names = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun n versions ->
+      match !versions with
+      | _ :: _ :: _ as vs
+        when List.for_all
+               (fun (q : Doc.package) ->
+                 List.exists
+                   (fun (c : Doc.vpkg) -> c.Doc.vname = n && c.Doc.vconstr = None)
+                   q.Doc.conflicts)
+               vs ->
+        Hashtbl.replace single_names n ()
+      | _ -> ())
+    by_name;
+  let single_stated = Hashtbl.create 64 in
   List.iter
     (fun (p : Doc.package) ->
       List.iter
@@ -116,15 +158,45 @@ let generate (doc : Doc.t) : t =
           in
           Gen.fact g "depends_clause" [ int id; int (emit_clause cl) ])
         p.Doc.depends;
+      let single = Hashtbl.mem single_names p.Doc.name in
+      if single && not (Hashtbl.mem single_stated p.Doc.name) then begin
+        Hashtbl.add single_stated p.Doc.name ();
+        let id =
+          free_condition (fun () ->
+              Printf.sprintf
+                "package %s conflicts with %s, as does every other version of %s"
+                (pv p) p.Doc.name p.Doc.name)
+        in
+        Gen.fact g "single_version" [ int id; str p.Doc.name ]
+      end;
       List.iter
         (fun vp ->
-          let id =
-            stanza_condition p (fun () ->
-                Printf.sprintf "package %s conflicts with %s" (pv p)
-                  (Doc.vpkg_to_string vp))
+          (* split the members: other names are one set shared by every
+             version of the owner; the owner's other versions are listed
+             one by one, unless single_version already excludes them *)
+          let own, others =
+            List.partition
+              (fun (q : Doc.package) -> q.Doc.name = p.Doc.name)
+              (members_of_vp vp)
           in
-          Gen.fact g "conflict_owner" [ int id; str p.Doc.name; int p.Doc.version ];
-          Gen.fact g "conflict_set" [ int id; int (intern_vp vp) ])
+          let same =
+            if single then []
+            else List.filter (fun (q : Doc.package) -> q.Doc.version <> p.Doc.version) own
+          in
+          if others <> [] || same <> [] then begin
+            let id =
+              stanza_condition p (fun () ->
+                  Printf.sprintf "package %s conflicts with %s" (pv p)
+                    (Doc.vpkg_to_string vp))
+            in
+            if others <> [] then
+              Gen.fact g "conflict_set"
+                [ int id; int (intern (Others (p.Doc.name, vp.Doc.vname, vp.Doc.vconstr))) ];
+            List.iter
+              (fun (q : Doc.package) ->
+                Gen.fact g "conflict_stanza" [ int id; str q.Doc.name; int q.Doc.version ])
+              same
+          end)
         p.Doc.conflicts;
       List.iter
         (fun cl ->

@@ -11,7 +11,17 @@
     unsat-core provenance as Spack's conditions.  Installed state becomes
     [was_installed/2] reuse facts, built on demand after the encoder's
     other facts each time the atoms are replayed (as Spack's reuse facts
-    are). *)
+    are).
+
+    Conflicts are split here, not in the program.  A [conflicts:] entry's
+    members of other names are one satisfier set, shared by every version
+    of the owner ([conflict_set/2]); its members of the owner's own name,
+    the stanza itself excepted (CUDF's self-exemption), are listed one by
+    one ([conflict_stanza/3]); an entry with neither gets no condition.  A
+    name of two or more versions that all say ["conflicts: <name>"]
+    unconstrained is stated once, as [single_version/2] (a described
+    condition and the name), which the program turns into one cardinality
+    bound; its versions' own-name members are then left out. *)
 
 type t = {
   atoms : Asp.Grounder.facts;

@@ -1,6 +1,6 @@
 (* The CUDF universe model.  Facts supplied per solve (see Encode):
      cudf_package/2, newest/2, sat/3, clause_lit/2,
-     depends_clause/2, conflict_set/2, conflict_owner/3,
+     depends_clause/2, conflict_set/2, conflict_stanza/3, single_version/2,
      rec_owner/3, require_set/2, forbid_set/2,
      upgrade_name/1, upgrade_forbidden/2,
      was_installed/2, was_installed_name/1 (last),
@@ -41,14 +41,14 @@ let model =
 :- depends_clause(ID, C), condition_holds(ID), not clause_hit(C).
 
 %-----------------------------------------------------------------------------
-% Conflicts: an installed stanza excludes every member of its conflict
-% sets — except itself (CUDF's self-exemption: the "conflicts: ownname"
-% idiom forbids other versions, never the stanza itself).
+% Conflicts, split by the encoder: an installed stanza excludes its set of
+% other-name members and each listed version of its own name (never itself).
+% A name whose every version says "conflicts: <name>" has one version at most.
 %-----------------------------------------------------------------------------
-:- conflict_set(ID, S), condition_holds(ID), conflict_owner(ID, P, V),
-   sat(S, Q, W), attr("in", Q, W), Q != P.
-:- conflict_set(ID, S), condition_holds(ID), conflict_owner(ID, P, V),
-   sat(S, P, W), attr("in", P, W), W != V.
+:- conflict_set(ID, S), condition_holds(ID), set_hit(S).
+:- conflict_stanza(ID, P, W), condition_holds(ID), attr("in", P, W).
+{ attr("in", P, V) : cudf_package(P, V) } 1 :-
+  single_version(ID, P), condition_holds(ID).
 
 %-----------------------------------------------------------------------------
 % The request: install/upgrade/keep require their satisfier sets hit,

@@ -1404,6 +1404,29 @@ let test_constraint_selectors () =
   Alcotest.(check bool) "sat with the third alone" true
     (S.solve ~assumptions:[ fst (List.nth sels 2) ] tr.sat = S.Sat)
 
+let test_choice_bound_selector () =
+  (* { a; b }.  { a; b } 1 :- f.  :- not a.  :- not b.  The upper bound
+     conflicts with the two constraints only together: it is guarded by a
+     selector of its own, so the core names rules 1 to 3, and without its
+     selector both atoms hold. *)
+  let h = hand_program () in
+  add_rule h.hg
+    (G.Rchoice { lb = None; ub = Some 1; heads = [| h.a; h.b |]; cbody = { G.pos = [| h.f |]; neg = [||] } });
+  add_rule h.hg (constr ~neg:[| h.a |] ());
+  add_rule h.hg (constr ~neg:[| h.b |] ());
+  let tr, sels = Asp.Translate.translate_with_selectors h.hg in
+  Alcotest.(check (list int)) "a selector per bound and constraint" [ 1; 2; 3 ]
+    (List.map snd sels);
+  check_no_indicator "selectors" tr ~extra:(List.length sels);
+  Alcotest.(check bool) "unsat under all selectors" true
+    (S.solve ~assumptions:(List.map fst sels) tr.sat = S.Unsat);
+  let core, minimal = S.shrink_core tr.sat (S.last_core tr.sat) in
+  Alcotest.(check bool) "minimal" true minimal;
+  let rules = List.sort compare (List.map (fun l -> List.assoc l sels) core) in
+  Alcotest.(check (list int)) "core names the bound" [ 1; 2; 3 ] rules;
+  Alcotest.(check bool) "sat without the bound's selector" true
+    (S.solve ~assumptions:(List.map fst (List.tl sels)) tr.sat = S.Sat)
+
 (* ------------------------------------------------------------------ *)
 (* Atoms that are their body                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1672,6 +1695,7 @@ let () =
             test_constraint_unsupported_atom;
           Alcotest.test_case "all-fact body" `Quick test_constraint_all_facts;
           Alcotest.test_case "selectors name rules" `Quick test_constraint_selectors;
+          Alcotest.test_case "selectors name choice bounds" `Quick test_choice_bound_selector;
         ] );
       ( "aliases",
         [

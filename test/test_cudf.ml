@@ -171,33 +171,121 @@ let naive_docs =
         [ pkg "a" 1; pkg "a" 2 ~conflicts:[ vp "b" ]; pkg "b" 1 ~installed:true ] );
   ]
 
+let check_against_naive label d stack =
+  let enc = Encode.generate d in
+  let program =
+    Asp.Parser.parse (Logic.text stack) @ Fact_ref.statements enc.Encode.atoms
+  in
+  let naive = Asp.Naive.optimal_models program in
+  let eng = Solver.solve ~stack d in
+  match (naive, eng) with
+  | [], Solver.Unsatisfiable _ -> ()
+  | (_, ncosts) :: _, Solver.Solution s ->
+    Alcotest.(check string)
+      (Printf.sprintf "%s/%s: naive cost vector" label (Criteria.name stack))
+      (costs_str (normalize ~against:s.Solver.stats.Asp.Solve.costs ncosts))
+      (costs_str s.Solver.stats.Asp.Solve.costs)
+  | [], Solver.Solution s ->
+    Alcotest.failf "%s: naive UNSAT, engine %s" label (state_str s.Solver.state)
+  | _ :: _, Solver.Unsatisfiable _ -> Alcotest.failf "%s: naive SAT, engine UNSAT" label
+  | _, Solver.Interrupted _ -> Alcotest.failf "%s: interrupted" label
+
 let test_differential_naive () =
   List.iter
-    (fun (label, d) ->
+    (fun (label, d) -> List.iter (check_against_naive label d) Criteria.all)
+    naive_docs
+
+(* ---------- conflict splitting: exact against both oracles ---------- *)
+
+(* The encoder states "conflicts: p" on every version of p once, as one
+   single_version fact, lists the other same-name members of any other
+   conflict as conflict_stanza facts, and puts the other names' members in
+   one satisfier set.  Each universe below is solved against the reference
+   and against Naive, and its encoding is checked for the facts it should
+   and should not use. *)
+let exact_docs =
+  let self = vp "p" in
+  [
+    ( "full idiom, two versions needed",
+      doc ~install:[ vp "q"; vp "p" ~c:(Doc.Eq, 2) ]
+        [ pkg "p" 1 ~conflicts:[ self ]; pkg "p" 2 ~conflicts:[ self ];
+          pkg "q" 1 ~depends:[ [ vp "p" ~c:(Doc.Eq, 1) ] ] ],
+      [ ("single_version", 1); ("conflict_stanza", 0); ("conflict_set", 0) ] );
+    ( "full idiom, one version",
+      doc ~install:[ vp "q" ]
+        [ pkg "p" 1 ~conflicts:[ self ]; pkg "p" 2 ~conflicts:[ self ];
+          pkg "q" 1 ~depends:[ [ vp "p" ] ] ],
+      [ ("single_version", 1); ("conflict_stanza", 0); ("conflict_set", 0) ] );
+    ( "partial idiom",
+      doc ~install:[ vp "p" ~c:(Doc.Eq, 2); vp "p" ~c:(Doc.Eq, 3) ]
+        [ pkg "p" 1 ~conflicts:[ self ]; pkg "p" 2; pkg "p" 3 ],
+      [ ("single_version", 0); ("conflict_stanza", 2); ("conflict_set", 0) ] );
+    ( "partial idiom, excluded pair",
+      doc ~install:[ vp "p" ~c:(Doc.Eq, 1); vp "p" ~c:(Doc.Eq, 3) ]
+        [ pkg "p" 1 ~conflicts:[ self ]; pkg "p" 2; pkg "p" 3 ],
+      [ ("single_version", 0); ("conflict_stanza", 2); ("conflict_set", 0) ] );
+    ( "constrained self-conflict, allowed pair",
+      doc ~install:[ vp "p" ~c:(Doc.Eq, 2); vp "p" ~c:(Doc.Eq, 3) ]
+        [ pkg "p" 1; pkg "p" 2 ~conflicts:[ vp "p" ~c:(Doc.Lt, 3) ]; pkg "p" 3 ],
+      [ ("single_version", 0); ("conflict_stanza", 1); ("conflict_set", 0) ] );
+    ( "constrained self-conflict, excluded pair",
+      doc ~install:[ vp "p" ~c:(Doc.Eq, 1); vp "p" ~c:(Doc.Eq, 2) ]
+        [ pkg "p" 1; pkg "p" 2 ~conflicts:[ vp "p" ~c:(Doc.Lt, 3) ]; pkg "p" 3 ],
+      [ ("single_version", 0); ("conflict_stanza", 1); ("conflict_set", 0) ] );
+    ( "name also a feature, excluded",
+      doc ~install:[ vp "r"; vp "p" ~c:(Doc.Eq, 2) ]
+        [ pkg "p" 1 ~conflicts:[ self ]; pkg "p" 2 ~conflicts:[ self ];
+          pkg "r" 1 ~provides:[ ("p", Some 1) ] ],
+      [ ("single_version", 1); ("conflict_stanza", 0); ("conflict_set", 2) ] );
+    ( "name also a feature, provided",
+      doc ~install:[ vp "r"; vp "p" ~c:(Doc.Eq, 2) ]
+        [ pkg "p" 1 ~conflicts:[ self ]; pkg "p" 2 ~conflicts:[ self ];
+          pkg "r" 1 ~provides:[ ("p", Some 2) ] ],
+      [ ("single_version", 1); ("conflict_stanza", 0); ("conflict_set", 2) ] );
+    ( "stanza provides its own name",
+      doc ~install:[ vp "p" ~c:(Doc.Eq, 1); vp "p" ~c:(Doc.Eq, 2) ]
+        [ pkg "p" 1 ~provides:[ ("p", Some 2) ] ~conflicts:[ vp "p" ~c:(Doc.Lt, 3) ];
+          pkg "p" 2 ],
+      [ ("single_version", 0); ("conflict_stanza", 1); ("conflict_set", 0) ] );
+    ( "stanza provides its own name, idiom",
+      doc ~install:[ vp "p" ~c:(Doc.Eq, 1); vp "p" ~c:(Doc.Eq, 2) ]
+        [ pkg "p" 1 ~provides:[ ("p", None) ] ~conflicts:[ self ];
+          pkg "p" 2 ~conflicts:[ self ] ],
+      [ ("single_version", 1); ("conflict_stanza", 0); ("conflict_set", 0) ] );
+    ( "rival providers",
+      doc ~install:[ vp "p"; vp "q" ]
+        [ pkg "p" 1 ~provides:[ ("m", None) ] ~conflicts:[ vp "m" ];
+          pkg "q" 1 ~provides:[ ("m", None) ] ~conflicts:[ vp "m" ] ],
+      [ ("single_version", 0); ("conflict_stanza", 0); ("conflict_set", 2) ] );
+    ( "rival providers, one needed",
+      doc ~install:[ vp "m" ]
+        [ pkg "p" 1 ~provides:[ ("m", None) ] ~conflicts:[ vp "m" ];
+          pkg "p" 2 ~provides:[ ("m", None) ] ~conflicts:[ vp "p"; vp "m" ];
+          pkg "q" 1 ~provides:[ ("m", None) ] ~conflicts:[ vp "m" ] ],
+      [ ("single_version", 0); ("conflict_stanza", 3); ("conflict_set", 3) ] );
+  ]
+
+let count_facts (enc : Encode.t) pred =
+  let n = ref 0 in
+  enc.Encode.atoms.Asp.Grounder.replay (fun a ->
+      if a.Asp.Gatom.pred = pred then incr n);
+  !n
+
+let test_conflict_split_exact () =
+  List.iter
+    (fun (label, d, shape) ->
+      let enc = Encode.generate d in
+      List.iter
+        (fun (pred, n) ->
+          Alcotest.(check int) (Printf.sprintf "%s: %s facts" label pred) n
+            (count_facts enc pred))
+        shape;
       List.iter
         (fun stack ->
-          let enc = Encode.generate d in
-          let program =
-            Asp.Parser.parse (Logic.text stack) @ Fact_ref.statements enc.Encode.atoms
-          in
-          let naive = Asp.Naive.optimal_models program in
-          let eng = Solver.solve ~stack d in
-          match (naive, eng) with
-          | [], Solver.Unsatisfiable _ -> ()
-          | (_, ncosts) :: _, Solver.Solution s ->
-            Alcotest.(check string)
-              (Printf.sprintf "%s/%s: naive cost vector" label
-                 (Criteria.name stack))
-              (costs_str (normalize ~against:s.Solver.stats.Asp.Solve.costs ncosts))
-              (costs_str s.Solver.stats.Asp.Solve.costs)
-          | [], Solver.Solution s ->
-            Alcotest.failf "%s: naive UNSAT, engine %s" label
-              (state_str s.Solver.state)
-          | _ :: _, Solver.Unsatisfiable _ ->
-            Alcotest.failf "%s: naive SAT, engine UNSAT" label
-          | _, Solver.Interrupted _ -> Alcotest.failf "%s: interrupted" label)
+          check_against_reference label d stack;
+          check_against_naive label d stack)
         Criteria.all)
-    naive_docs
+    exact_docs
 
 (* ---------- curated UNSAT diagnoses ---------- *)
 
@@ -240,6 +328,17 @@ let test_unsat_rival_providers_named () =
   in
   assert_mentions "rival providers" (reasons_of d)
     [ "conflicts with m"; "asks to install p"; "asks to install q" ]
+
+let test_unsat_self_conflict_named () =
+  (* one version per name, stated once by single_version: the core still
+     names the self-conflict *)
+  let d =
+    doc
+      ~install:[ vp "p" ~c:(Doc.Eq, 1); vp "p" ~c:(Doc.Eq, 2) ]
+      [ pkg "p" 1 ~conflicts:[ vp "p" ]; pkg "p" 2 ~conflicts:[ vp "p" ] ]
+  in
+  assert_mentions "self-conflict" (reasons_of d)
+    [ "package p=1 conflicts with p"; "asks to install p = 1"; "asks to install p = 2" ]
 
 let test_unsat_heuristic_fallback () =
   (* without --explain the syntactic diagnosis catches unknown names and
@@ -498,6 +597,8 @@ let () =
           Alcotest.test_case "vs reference with unsat cores" `Slow
             test_differential_small_explain;
           Alcotest.test_case "vs Asp.Naive" `Quick test_differential_naive;
+          Alcotest.test_case "conflict splitting exact" `Quick
+            test_conflict_split_exact;
         ] );
       ( "diagnose",
         [
@@ -505,6 +606,8 @@ let () =
             test_unsat_conflict_named;
           Alcotest.test_case "rival providers named" `Quick
             test_unsat_rival_providers_named;
+          Alcotest.test_case "self-conflict named" `Quick
+            test_unsat_self_conflict_named;
           Alcotest.test_case "heuristic fallback" `Quick
             test_unsat_heuristic_fallback;
         ] );

@@ -160,10 +160,10 @@ let check_fixture name prog () =
    of [Asp.Ground.pp] exactly as the pipelines produce it (fact atoms
    seeded straight into the store), so they pin atom interning
    order and rule order too; the statement reference (Fact_ref) must give
-   the same bytes.  The CUDF digests were recorded before the
-   closure stopped enumerating integrity constraints; the Spack ones were
-   re-recorded when emission started to follow the closure's instance
-   order (the sorted digests below did not move). *)
+   the same bytes.  The CUDF digests were re-recorded when the encoder
+   began to split conflicts (the program and its facts changed); the Spack
+   ones were re-recorded when emission started to follow the closure's
+   instance order (the sorted digests below did not move). *)
 
 (* The two ways to ground a logic program [lp] with a frontend's facts:
    the fact atoms straight into the store, and the statement reference. *)
@@ -192,10 +192,10 @@ let digest_fixtures =
       "5630f21680c70c576589842ae7ad3155" );
     ( "cudf synth 1k paranoid",
       (fun ground -> cudf_ground ~ground Cudf.Criteria.Paranoid),
-      "4edcdd6267c2d37ae31b4c93da5ef5ee" );
+      "debb7c183517eebb562e2dec61286cf3" );
     ( "cudf synth 1k trendy",
       (fun ground -> cudf_ground ~ground Cudf.Criteria.Trendy),
-      "9d1312dc8c06d91e54d739cf7f492b87" );
+      "c19cdcf3bd30ce149ee1233cf2b178eb" );
   ]
 
 let check_digest mk want () =
@@ -207,14 +207,15 @@ let check_digest mk want () =
    sorted, id-independent rendering (atom lists inside a rule sorted by
    name too, since [Ground.pp] orders them by id).  A grounder change that
    only reorders interning or emission keeps these while the byte digests
-   above move; these were recorded before the closure stopped re-deriving
-   instances. *)
+   above move; the Spack ones were recorded before the closure stopped
+   re-deriving instances, the CUDF ones when the encoder began to split
+   conflicts. *)
 let sorted_digests =
   [
     ("spack hdf5", "d4593a5b7ef0b41b2d71e76915096eec");
     ("repo300 app-007", "872728c607c7140a8ce7713e99ebf329");
-    ("cudf synth 1k paranoid", "2984b1d83a09ef8c8367d8b4cbeb4e83");
-    ("cudf synth 1k trendy", "1e4bbf70d036d480d438793b7cf5f65e");
+    ("cudf synth 1k paranoid", "ea4329df67a3466cdd4a99fabd93d4f2");
+    ("cudf synth 1k trendy", "c22e17cec05994b8b1f9f9ac4b866f4c");
   ]
 
 let check_sorted_digest mk want () =
@@ -230,10 +231,11 @@ let check_sorted_digest mk want () =
    and the encoder's fact atoms are interned as they are, with no statement
    to walk and no atom to rebuild: what remains is the ground program, the
    atom store and the closure's instance records.  The bound is 20% above
-   the 563,430 words measured once facts reached the store as atoms (with
-   the store presized from their count); seeding from fact statements
-   took 1,328,472, and the grounder before the join kernel 6,256,454. *)
-let ground_words_bound = 676_100
+   the 370,758 words measured once the encoder split conflicts and stated
+   "one version per name" once; the pairwise conflict joins before that
+   took 563,430, seeding from fact statements 1,328,472, and the grounder
+   before the join kernel 6,256,454. *)
+let ground_words_bound = 444_910
 
 let test_ground_allocation () =
   let d = Cudf.Synth.universe ~seed:1 ~n:1000 () in
