@@ -37,13 +37,11 @@ let run files preset show_stats nmodels timeout jobs explain no_verify =
          if Asp.Budget.is_cancelled tok then exit 130;
          Asp.Budget.cancel tok));
   let src = String.concat "\n" (List.map read_file files) in
-  (* with -n N (N <> 1) the round enumerates its models itself, under its
-     own budget and ^C *)
-  let enumerate =
-    match nmodels with 1 -> None | 0 -> Some max_int | n -> Some n
-  in
+  (* the round lists up to N models itself, its own model first, under its
+     budget and ^C *)
+  let enumerate = if nmodels = 0 then max_int else nmodels in
   match
-    Asp.Solve.solve_program ~config ~cancel:tok ~jobs ?enumerate (Asp.Parser.parse src)
+    Asp.Solve.solve_program ~config ~cancel:tok ~jobs ~enumerate (Asp.Parser.parse src)
   with
   | exception Asp.Solver_error.Error e ->
     Format.eprintf "error: %a@." Asp.Solver_error.pp e;
@@ -72,19 +70,12 @@ let run files preset show_stats nmodels timeout jobs explain no_verify =
     if show_stats then print_time phases;
     exit 1
   | Asp.Solve.Sat o ->
-    (if nmodels <> 1 then begin
-       List.iteri
-         (fun i m ->
-           Printf.printf "Answer: %d\n" (i + 1);
-           List.iter (fun a -> Format.printf "%a " Asp.Gatom.pp a) m;
-           Format.printf "@.")
-         o.Asp.Solve.models
-     end
-     else begin
-       print_endline "Answer: 1";
-       List.iter (fun a -> Format.printf "%a " Asp.Gatom.pp a) o.Asp.Solve.answer;
-       Format.printf "@."
-     end);
+    List.iteri
+      (fun i m ->
+        Printf.printf "Answer: %d\n" (i + 1);
+        List.iter (fun a -> Format.printf "%a " Asp.Gatom.pp a) m;
+        Format.printf "@.")
+      o.Asp.Solve.models;
     let st = o.Asp.Solve.stats in
     if st.Asp.Solve.costs <> [] then begin
       print_string "Optimization:";

@@ -37,6 +37,7 @@ type model = {
   descent_searches : int;
   verified : bool;
   steps : Phases.steps;
+  translation : Translate.t option;
 }
 
 type attempt =
@@ -57,7 +58,10 @@ let cancelled_info =
 
 (* One configuration on the calling domain: translate, optimize, then
    verify on a fresh unlimited budget — [budget] may have
-   expired producing a degraded (but checkable) model. *)
+   expired producing a degraded (but checkable) model.  An optimal model
+   carries the solved translation, on which the round's enumeration
+   continues; a degraded one drops it, so a racer that stops early frees
+   its solver while the race runs on. *)
 let solve_once ~verify ~params ~strategy ~budget ground =
   let t, translate_time = Phases.time (fun () -> Translate.translate ~params ground) in
   match Optimize.run ~strategy ~budget t ~on_model:(Stable.hook t) with
@@ -68,16 +72,20 @@ let solve_once ~verify ~params ~strategy ~budget ground =
           if verify then Some (Verify.check_translation ~costs:o.costs t) else None)
     in
     let model verified =
+      (* a copy of the counters: the round's enumeration searches on this
+         solver *)
+      let st = Sat.stats t.Translate.sat in
       Model
         {
           answer = Translate.answer t;
           costs = o.costs;
           quality = o.quality;
-          sat_stats = Sat.stats t.Translate.sat;
+          sat_stats = { st with Sat.conflicts = st.Sat.conflicts };
           models_enumerated = o.models_enumerated;
           descent_searches = o.descent_searches;
           verified;
           steps = { Phases.translate_time; search_time; optimize_time; verify_time };
+          translation = (match o.quality with `Optimal -> Some t | `Degraded _ -> None);
         }
     in
     match checked with

@@ -12,7 +12,9 @@
     What is shared between racers is immutable during the race: the ground
     program ({!Ground.t} including its atom store) and the global interned
     term table.  Each racer builds its own {!Sat} state via
-    {!Translate.translate}, so no solver state crosses domains.  Each
+    {!Translate.translate}, so no solver state is shared while the race
+    runs; once it is over, an optimal winner's translation goes to the caller
+    with its model, and only the caller touches it.  Each
     racer's first search decides the objective first ({!Optimize.run})
     and then follows its own seed's heuristic.
 
@@ -50,11 +52,18 @@ type model = {
   answer : Gatom.t list;  (** atoms of the model, facts included *)
   costs : (int * int) list;
   quality : Optimize.quality;  (** optimal iff [`Optimal] *)
-  sat_stats : Sat.stats;
+  sat_stats : Sat.stats;  (** the solver's counters when the run returned *)
   models_enumerated : int;
   descent_searches : int;  (** {!Optimize.outcome}'s *)
   verified : bool;  (** passed {!Verify} (always true when verifying) *)
   steps : Phases.steps;  (** how long this run's solve steps took *)
+  translation : Translate.t option;
+      (** with [`Optimal] quality, the one translation the run made, its
+          solver holding [answer] as its last model.  {!Optimize.run} has
+          fixed every level at its optimum, so the solver's further models
+          are exactly the other optimal ones: {!Solve.escalate} enumerates
+          on it.  [None] when degraded: such a run has not fixed its
+          levels, and its solver is freed when the run returns. *)
 }
 
 (** One racer's result. *)
@@ -85,8 +94,8 @@ val solve_once :
     translate with [params], optimize with [strategy], then,
     with [verify], re-check the model with {!Verify} on a fresh unlimited
     budget (so a [budget] that expired mid-descent cannot veto checking
-    the degraded model).  Never [Gave_up]: a model that fails the check is
-    [Quarantined].
+    the degraded model).  An optimal [Model] carries that translation.  Never
+    [Gave_up]: a model that fails the check is [Quarantined].
     @raise Budget.Exhausted before the first model, as {!Optimize.run}. *)
 
 val race :

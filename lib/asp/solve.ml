@@ -96,54 +96,53 @@ let solve_ground ~config ~params ?pool ?(racers = 1) ~budget g =
   | exception Budget.Exhausted info -> Portfolio.Gave_up info
   | attempt -> attempt
 
-(* Up to [limit] optimal models of [g], blocking each found model and
-   searching on, under [budget]: a fresh translation, so the round's solve
-   state is left as it was. *)
-let enumerate_ground ~config ~params ~budget ~limit g =
-  let t = Translate.translate ~params g in
-  let on_model = Stable.hook t in
-  match Optimize.run ~strategy:config.Config.strategy ~budget t ~on_model with
-  | exception Budget.Exhausted _ -> []
-  | None -> []
-  | Some _ ->
-    (* block each found model on the variables of its atoms' literals and
-       continue (an atom may share its literal with its body or another
-       atom) *)
+(* Up to [limit] optimal models of the round, its own model first: the
+   round's solver searches on, each found model blocked, under the round's
+   budget.  An optimal round has fixed every level at its optimum, so the
+   solver's further models are exactly the other optimal ones; a degraded
+   round has not (and carries no translation), so it lists only its own
+   model: a raced round's budget is intact when its racers stopped at
+   their own conflict limits. *)
+let enumerate_models ~verify ~budget ~limit (m : Portfolio.model) =
+  match m.Portfolio.translation with
+  | _ when limit <= 0 -> []
+  | None -> [ m.answer ]
+  | Some _ when limit = 1 -> [ m.answer ]
+  | Some t ->
+    let sat = t.Translate.sat in
+    (* block each found model on the variables of its atoms' literals (an
+       atom may share its literal with its body or another atom) *)
     let atom_vars =
       Array.fold_left
         (fun acc l -> if l >= 0 then Sat.Lit.var l :: acc else acc)
         [] t.Translate.lit_of_atom
       |> List.sort_uniq Int.compare
     in
-    let results = ref [] in
-    let found = ref 0 in
+    let block () =
+      Sat.add_clause sat
+        (List.map
+           (fun v ->
+             let l = Sat.Lit.pos v in
+             if Sat.value sat l then Sat.Lit.negate l else l)
+           atom_vars)
+    in
     (* stability/support re-check per enumerated model (no cost check:
        enumeration reports every optimal model, not a claimed vector) *)
-    let model_checks_out () =
-      (not config.Config.verify)
-      || match Verify.check_translation t with Ok () -> true | Error _ -> false
+    let checks_out () =
+      (not verify) || Result.is_ok (Verify.check_translation t)
     in
-    (try
-       let continue_ = ref true in
-       while !continue_ && !found < limit do
-         if model_checks_out () then begin
-           incr found;
-           results := Translate.answer t :: !results
-         end;
-         let blocking =
-           List.map
-             (fun v ->
-               let l = Sat.Lit.pos v in
-               if Sat.value t.Translate.sat l then Sat.Lit.negate l else l)
-             atom_vars
-         in
-         Sat.add_clause t.Translate.sat blocking;
-         match Sat.solve ~on_model ~budget t.Translate.sat with
-         | Sat.Sat -> ()
-         | Sat.Unsat -> continue_ := false
-       done
-     with Budget.Exhausted _ -> ());
-    List.rev !results
+    let rec search found acc =
+      if found >= limit then acc
+      else begin
+        block ();
+        match Sat.solve ~on_model:(Stable.hook t) ~budget sat with
+        | exception Budget.Exhausted _ -> acc
+        | Sat.Unsat -> acc
+        | Sat.Sat when checks_out () -> search (found + 1) (Translate.answer t :: acc)
+        | Sat.Sat -> search found acc
+      end
+    in
+    List.rev (search 1 [ m.answer ])
 
 type ('f, 'e) frontend = {
   setup : unit -> 'f * Grounder.facts;
@@ -210,7 +209,7 @@ let stage ~config ?pool ?racers ?enumerate ~params ~budget fe =
             };
           models =
             (match enumerate with
-            | Some limit -> enumerate_ground ~config ~params ~budget ~limit ground
+            | Some limit -> enumerate_models ~verify:config.Config.verify ~budget ~limit m
             | None -> []);
         })
 
@@ -257,13 +256,3 @@ let solve_program ?config ?cancel ?fault ?pool ?(jobs = 1) ?enumerate prog =
 let index o = Lazy.force o.index
 let holds o p args = Answer.holds (index o) p args
 let atoms_of o p = Answer.atoms_of (index o) p
-
-let enumerate ?(config = Config.default) ?budget ?(limit = max_int) prog =
-  let budget =
-    match budget with Some b -> b | None -> Budget.start config.Config.limits
-  in
-  match Grounder.ground ~budget prog with
-  | exception Budget.Exhausted _ -> []
-  | g, _ ->
-    let params = Config.params config.Config.preset in
-    List.map (apply_show prog) (enumerate_ground ~config ~params ~budget ~limit g)

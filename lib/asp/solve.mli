@@ -55,8 +55,8 @@ type outcome = {
   models_enumerated : int;
   stats : stats;
   models : Gatom.t list list;
-  (** with [~enumerate], the round's enumerated models, filtered like
-      [answer]; [[]] otherwise *)
+  (** with [~enumerate], the round's enumerated models ({!escalate}),
+      [answer] first, each filtered like [answer]; [[]] otherwise *)
 }
 
 type result =
@@ -104,9 +104,8 @@ type ('f, 'e) staged =
       models_enumerated : int;
       stats : stats;
       models : Gatom.t list list;
-          (** with [~enumerate:n], up to [n] optimal models of the round's
-              ground program, found as {!enumerate} finds them but under
-              the round's budget and search parameters; [[]] otherwise *)
+          (** with [~enumerate:n], up to [n] models of the round, [answer]
+              first (see {!escalate}); [[]] otherwise *)
     }
   | Refuted of { facts : 'f; phases : Phases.t; reasons : 'e }
   | Stopped of { facts : 'f; phases : Phases.t; info : Budget.info }
@@ -135,9 +134,17 @@ val escalate :
     search.  [pool] with [racers > 1] races that many diverse
     configurations ({!Portfolio.race}) in the solve phase; when every
     racer's model failed verification, a sequential reseeded solve rescues
-    the round.  [enumerate n] makes a solved round also enumerate up to
-    [n] optimal models of its ground program (clingo's [--models n]),
-    after the solve phase's clock stopped.
+    the round.  [enumerate n] makes a solved round also list up to [n]
+    models (clingo's [--models n]), after the solve phase's clock stopped.
+    The list starts with the round's model.  When the round proved it
+    optimal, the solver that found it ({!Portfolio.model}'s translation,
+    a raced round's winner's) searches on under the round's budget, each
+    found model blocked: with every level fixed at its optimum, these are
+    the other optimal models (clingo's [--opt-mode=optN]; without
+    [#minimize], every stable model).  A model that fails {!Verify}'s
+    stability check is skipped.  The listing is anytime: when the budget
+    expires, the models found so far are returned.  A [`Degraded] round
+    has not fixed its levels, so it lists only its own model.
     @raise Solver_error.Error ([Ground _]) on unsafe or unsupported
     programs; ([Verification_failed _]) when a model and its reseeded
     retry both fail verification. *)
@@ -169,17 +176,3 @@ val holds : outcome -> string -> Term.t list -> bool
 
 val atoms_of : outcome -> string -> Term.t list list
 (** Argument vectors of all answer atoms with predicate [p]. *)
-
-val enumerate :
-  ?config:Config.t ->
-  ?budget:Budget.t ->
-  ?limit:int ->
-  Ast.program ->
-  Gatom.t list list
-(** Enumerate stable models (all of them by default, up to [limit]): each
-    answer is blocked and the search continues, like clingo's [--models N].
-    When the program has [#minimize] statements only {e optimal} models are
-    enumerated (clingo's [--opt-mode=optN]).  Enumeration is anytime: a
-    budget armed from [config.limits] (or the explicit [budget]) is ticked
-    through grounding, search and every blocked re-solve, and on expiry the
-    models found so far are returned. *)

@@ -30,6 +30,25 @@ out=$(timeout 60 dune exec bin/spack_solve.exe -- --explain 'hdf5@99.9' || true)
 echo "$out" | grep -q "unsatisfiable core"
 echo "$out" | grep -q "because the request asks for hdf5@99.9"
 
+echo "== asp_run enumeration smoke"
+# a weighted cover with two optimal models: -n 0 lists both, the round's
+# own model first; -n 1 prints only the round's model; a race over two
+# domains lists the same two models, in either order
+ASP_DIR=$(mktemp -d)
+cat > "$ASP_DIR/cover.lp" << 'EOF'
+item(1..8). { pick(X) : item(X) }. :- not pick(1), not pick(2). :- not pick(3), not pick(4). :- not pick(5), not pick(6). w(1,3). w(2,3). w(3,2). w(4,5). w(5,1). w(6,4). w(7,1). w(8,1). #minimize { W@1,X : pick(X), w(X,W) }. #show pick/1.
+EOF
+printf 'Answer: 1\npick(1) pick(3) pick(5) \nAnswer: 2\npick(2) pick(3) pick(5) \nOptimization: 6@1\nSATISFIABLE\n' \
+  > "$ASP_DIR/expected"
+asp_run() { timeout 60 dune exec bin/asp_run.exe -- "$@" "$ASP_DIR/cover.lp"; }
+asp_run -n 0 > "$ASP_DIR/all"
+cmp "$ASP_DIR/expected" "$ASP_DIR/all"
+test "$(asp_run -n 1 | grep -c '^Answer:')" -eq 1
+asp_run -j 2 -n 0 > "$ASP_DIR/raced"
+unnumbered() { sed 's/^Answer: [0-9]*$/Answer:/' "$1" | sort; }
+test "$(unnumbered "$ASP_DIR/expected")" = "$(unnumbered "$ASP_DIR/raced")"
+rm -r "$ASP_DIR"
+
 echo "== budgeted solve returns promptly"
 rc=0
 timeout 60 dune exec bin/spack_solve.exe -- --repo 800 --timeout 0.05 app-000 \

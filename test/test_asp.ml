@@ -22,6 +22,13 @@ let is_unsat src =
   | Asp.Solve.Unsat _ -> true
   | Asp.Solve.Sat _ | Asp.Solve.Interrupted _ -> false
 
+(* Up to [limit] optimal models of [prog], as one solve lists them
+   (clingo's --models); none when it is unsatisfiable. *)
+let enumerate ?config ?(limit = max_int) prog =
+  match Asp.Solve.solve_program ?config ~enumerate:limit prog with
+  | Asp.Solve.Sat o -> o.Asp.Solve.models
+  | Asp.Solve.Unsat _ | Asp.Solve.Interrupted _ -> []
+
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -481,8 +488,8 @@ let test_function_term_mismatch () =
 
 let test_enumerate_limit () =
   let prog = Asp.Parser.parse "{ a; b; c }." in
-  Alcotest.(check int) "eight models" 8 (List.length (Asp.Solve.enumerate prog));
-  Alcotest.(check int) "limit respected" 3 (List.length (Asp.Solve.enumerate ~limit:3 prog))
+  Alcotest.(check int) "eight models" 8 (List.length (enumerate prog));
+  Alcotest.(check int) "limit respected" 3 (List.length (enumerate ~limit:3 prog))
 
 (* ------------------------------------------------------------------ *)
 (* Cross-validation against the naive reference solver                 *)
@@ -775,7 +782,7 @@ let prop_enumerate_matches_naive =
       (* only compare on programs without minimize statements *)
       let naive = Asp.Naive.stable_models prog in
       let enumerated =
-        Asp.Solve.enumerate prog
+        enumerate prog
         |> List.map (List.sort Asp.Gatom.compare)
         |> List.sort (List.compare Asp.Gatom.compare)
       in
@@ -815,7 +822,7 @@ let models_strings ?(only = fun _ -> true) models =
    answers must not change.  Enumeration runs without verification, which
    would drop a wrong model instead of reporting it. *)
 let unverified_models prog =
-  models_strings (Asp.Solve.enumerate ~config:(Asp.Config.make ~verify:false ()) prog)
+  models_strings (enumerate ~config:(Asp.Config.make ~verify:false ()) prog)
 
 let test_choice_body_heads () =
   List.iter
@@ -911,7 +918,7 @@ let test_bound_literals () =
   let fixed = [ "a(1)"; "a(2)"; "c(1)"; "c(2)"; "c(3)"; "c(4)"; "g(1,2)"; "g(3,4)" ] in
   check_models "bound literals"
     ~expected:[ fixed; "h(1)" :: "s(1)" :: fixed; "s(2)" :: fixed; "h(1)" :: "s(1)" :: "s(2)" :: fixed ]
-    (Asp.Solve.enumerate prog) (Asp.Naive.stable_models prog)
+    (enumerate prog) (Asp.Naive.stable_models prog)
 
 (* Arithmetic over a variable that an earlier argument of the same literal
    binds: [r(X, X + 1)] holds no bound variable before it is matched, yet
@@ -926,7 +933,7 @@ let test_same_literal_arithmetic () =
   let prog = Asp.Parser.parse src in
   check_models "same-literal arithmetic"
     ~expected:[ [ "q(1)"; "q(2)"; "v(2)"; "w(1,1)"; "w(1,2)"; "w(2,1)" ] ]
-    (Asp.Solve.enumerate prog) (Asp.Naive.stable_models prog)
+    (enumerate prog) (Asp.Naive.stable_models prog)
 
 (* The closure finds each rule instance once and emission reuses it: over
    an n-node chain the transitive closure has n(n-1)/2 instances, each
@@ -975,7 +982,7 @@ let check_kernel msg src ~show ~domain ~expected =
   let check what models =
     Alcotest.(check (list (list string))) (msg ^ ": " ^ what) expected (models_strings ~only models)
   in
-  check "solver" (Asp.Solve.enumerate prog);
+  check "solver" (enumerate prog);
   check "naive" (Asp.Naive.stable_models prog);
   check "instantiated" (Asp.Naive.stable_models (instantiate domain prog))
 

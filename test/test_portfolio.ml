@@ -311,27 +311,145 @@ let test_solve_many () =
 (* Satellites: budgeted enumeration and the answer index               *)
 (* ------------------------------------------------------------------ *)
 
+(* Up to [limit] optimal models of [prog], as one solve lists them; none
+   when the solve finds no model. *)
+let enumerate ?config ?(limit = max_int) prog =
+  match Asp.Solve.solve_program ?config ~enumerate:limit prog with
+  | Asp.Solve.Sat o -> o.Asp.Solve.models
+  | Asp.Solve.Unsat _ | Asp.Solve.Interrupted _ -> []
+
 let test_enumerate_limit () =
   let prog = Asp.Parser.parse choice_src in
-  Alcotest.(check int) "all models" 8 (List.length (Asp.Solve.enumerate prog));
+  Alcotest.(check int) "all models" 8 (List.length (enumerate prog));
   Alcotest.(check int) "limit honoured" 3
-    (List.length (Asp.Solve.enumerate ~limit:3 prog))
+    (List.length (enumerate ~limit:3 prog))
+
+(* a weighted cover with two optimal models: pick(1) or pick(2), each of
+   weight 3, with pick(3) and pick(5) *)
+let two_optima_src =
+  {|item(1..8). { pick(X) : item(X) }.
+    :- not pick(1), not pick(2). :- not pick(3), not pick(4).
+    :- not pick(5), not pick(6).
+    w(1,3). w(2,3). w(3,2). w(4,5). w(5,1). w(6,4). w(7,1). w(8,1).
+    #minimize { W@1,X : pick(X), w(X,W) }.|}
+
+(* a weighted cover of 48 atoms: its descent takes far more than five
+   conflicts *)
+let hard_cover_src =
+  let st = Random.State.make [| 5 |] in
+  let atom () = 1 + Random.State.int st 48 in
+  let b = Buffer.create 8192 in
+  Buffer.add_string b "v(1..48). { in(X) : v(X) }.\n";
+  for _ = 1 to 160 do
+    Printf.bprintf b ":- not in(%d), not in(%d), not in(%d).\n" (atom ()) (atom ()) (atom ())
+  done;
+  for x = 1 to 48 do
+    Printf.bprintf b "w(%d,%d).\n" x (1 + Random.State.int st 9)
+  done;
+  Buffer.add_string b "#minimize { W@1,X : in(X), w(X,W) }.";
+  Buffer.contents b
+
+let atom_strings m = List.sort compare (List.map (Format.asprintf "%a" Asp.Gatom.pp) m)
+let model_strings models = List.sort compare (List.map atom_strings models)
+let strategies = [ Asp.Config.Bb; Asp.Config.Usc ]
+
+(* a raced round lists its models on the winner's own solver, under the
+   round's budget (the winner's sibling budget is cancelled when it wins):
+   the same optimal models as a sequential round and as the brute-force
+   reference, under either strategy *)
+let test_enumerate_raced () =
+  List.iter
+    (fun (name, src) ->
+      let prog = Asp.Parser.parse src in
+      let optima = model_strings (List.map fst (Asp.Naive.optimal_models prog)) in
+      List.iter
+        (fun strategy ->
+          let config = Asp.Config.make ~strategy () in
+          let listed jobs =
+            let what =
+              Printf.sprintf "%s, %s, %d job(s)" name (Asp.Config.strategy_name strategy) jobs
+            in
+            match Asp.Solve.solve_program ~config ~jobs ~enumerate:max_int prog with
+            | Asp.Solve.Sat o ->
+              Alcotest.(check (list (list string))) (what ^ ": the optimal models") optima
+                (model_strings o.Asp.Solve.models)
+            | _ -> Alcotest.failf "%s: no model" what
+          in
+          listed 1;
+          listed 2)
+        strategies)
+    (("two optima", two_optima_src) :: example_srcs);
+  (* each racer stops at its own conflict limit, with a model in hand: the
+     round's budget is untouched, yet a degraded round, whose levels are
+     not fixed, lists only its own model *)
+  let limits = { B.no_limits with B.conflicts = Some 5 } in
+  List.iter
+    (fun strategy ->
+      match
+        Asp.Solve.solve_program ~config:(Asp.Config.make ~strategy ~limits ()) ~jobs:2
+          ~enumerate:max_int (Asp.Parser.parse hard_cover_src)
+      with
+      | Asp.Solve.Sat { answer; models; stats = { quality = `Degraded _; _ }; _ } ->
+        Alcotest.(check (list (list string))) "a degraded race lists its own model"
+          [ atom_strings answer ] (model_strings models)
+      | _ -> Alcotest.fail "a race cut by conflict limits did not degrade")
+    strategies
+
+(* a fault in the descent cuts the round, and the listing follows its
+   verdict: an optimal round lists every optimal model, its own first, and
+   a degraded round exactly its own model *)
+let enumeration_fault_sweep () =
+  let prog = Asp.Parser.parse two_optima_src in
+  let optima = model_strings (List.map fst (Asp.Naive.optimal_models prog)) in
+  Alcotest.(check int) "two optimal models" 2 (List.length optima);
+  List.iter
+    (fun strategy ->
+      let optimal = ref 0 and degraded = ref 0 in
+      for n = 1 to 8 do
+        let fault _ b = Asp.Fault.arm b Asp.Fault.Opt_steps n in
+        let what =
+          Printf.sprintf "%s, listing after %d opt steps" (Asp.Config.strategy_name strategy) n
+        in
+        match
+          Asp.Solve.solve_program ~config:(Asp.Config.make ~strategy ()) ~fault
+            ~enumerate:max_int prog
+        with
+        | Asp.Solve.Sat { answer; models; stats = { quality = `Optimal; _ }; _ } ->
+          incr optimal;
+          Alcotest.(check (list (list string))) (what ^ ": every optimal model") optima
+            (model_strings models);
+          Alcotest.(check (list string)) (what ^ ": the round's model first")
+            (atom_strings answer) (atom_strings (List.hd models))
+        | Asp.Solve.Sat { answer; models; stats = { quality = `Degraded _; _ }; _ } ->
+          incr degraded;
+          Alcotest.(check (list (list string))) (what ^ ": the round's model only")
+            [ atom_strings answer ] (model_strings models)
+        | Asp.Solve.Interrupted { info; _ } ->
+          Alcotest.(check bool) (what ^ ": interrupted by the fault") true
+            (info.B.reason = B.Injected)
+        | Asp.Solve.Unsat _ -> Alcotest.failf "%s: reported UNSAT" what
+      done;
+      Alcotest.(check bool) "the sweep cut a descent and let one finish" true
+        (!optimal > 0 && !degraded > 0))
+    strategies
 
 let test_enumerate_budgeted () =
   (* an exhausted budget must yield the models found so far, not raise *)
   let prog = Asp.Parser.parse choice_src in
-  let expired = B.start { B.no_limits with B.wall = Some 0. } in
-  let models = Asp.Solve.enumerate ~budget:expired prog in
+  let limited limits = Asp.Config.make ~limits () in
+  let expired = limited { B.no_limits with B.wall = Some 0. } in
+  let models = enumerate ~config:expired prog in
   Alcotest.(check bool) "anytime enumeration" true (List.length models <= 8);
-  let tight = B.start { B.no_limits with B.conflicts = Some 2 } in
-  let some = Asp.Solve.enumerate ~budget:tight cover in
+  let tight = limited { B.no_limits with B.conflicts = Some 2 } in
+  let some = enumerate ~config:tight cover in
   Alcotest.(check bool) "budgeted enumeration returns a prefix" true
     (List.length some <= List.length naive_models);
   List.iter
     (fun m ->
       Alcotest.(check bool) "every enumerated model is stable" true
         (is_stable_model m))
-    some
+    some;
+  enumeration_fault_sweep ()
 
 let test_answer_index () =
   match Asp.Solve.solve_program cover with
@@ -421,6 +539,7 @@ let () =
         [
           Alcotest.test_case "enumerate limit" `Quick test_enumerate_limit;
           Alcotest.test_case "enumerate budgeted" `Quick test_enumerate_budgeted;
+          Alcotest.test_case "enumerate raced" `Quick test_enumerate_raced;
           Alcotest.test_case "answer index" `Quick test_answer_index;
           Alcotest.test_case "answer dedup" `Quick test_answer_dedup;
         ] );

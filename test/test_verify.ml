@@ -110,19 +110,22 @@ let test_solve_agrees_and_verifies () =
     let src = gen_program st in
     let g = ground_of src in
     let _, models = N.stable_models_ground g in
-    (match Asp.Solve.solve_program (Asp.Parser.parse src) with
-    | Asp.Solve.Sat o ->
-      if models = [] then
-        Alcotest.failf "iteration %d: solver SAT, naive UNSAT:\n%s" i src;
-      Alcotest.(check bool)
-        (Printf.sprintf "iteration %d: model is verified" i)
-        true o.Asp.Solve.stats.Asp.Solve.verified
-    | Asp.Solve.Unsat _ ->
-      if models <> [] then
-        Alcotest.failf "iteration %d: solver UNSAT, naive SAT:\n%s" i src
-    | Asp.Solve.Interrupted _ ->
-      Alcotest.failf "iteration %d: unlimited solve interrupted" i);
-    let enumerated = Asp.Solve.enumerate (Asp.Parser.parse src) in
+    let enumerated =
+      match Asp.Solve.solve_program ~enumerate:max_int (Asp.Parser.parse src) with
+      | Asp.Solve.Sat o ->
+        if models = [] then
+          Alcotest.failf "iteration %d: solver SAT, naive UNSAT:\n%s" i src;
+        Alcotest.(check bool)
+          (Printf.sprintf "iteration %d: model is verified" i)
+          true o.Asp.Solve.stats.Asp.Solve.verified;
+        o.Asp.Solve.models
+      | Asp.Solve.Unsat _ ->
+        if models <> [] then
+          Alcotest.failf "iteration %d: solver UNSAT, naive SAT:\n%s" i src;
+        []
+      | Asp.Solve.Interrupted _ ->
+        Alcotest.failf "iteration %d: unlimited solve interrupted" i
+    in
     Alcotest.(check int)
       (Printf.sprintf "iteration %d: enumerate count" i)
       (List.length models) (List.length enumerated)
