@@ -322,18 +322,6 @@ let solve_rows ?config ?installed ?cache ?(repo = repo) names =
       List.rev_append (List.map (fun r -> (!current_experiment, r)) rows) !recorded_rows;
   rows
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Per-experiment digests: spread (p50/p99) of full solve times plus the
    process RSS high-water observed across the experiment's rows. *)
 let summaries rows =
@@ -357,44 +345,36 @@ let summaries rows =
     !order
 
 let write_json path =
-  let oc = open_out path in
-  output_string oc "{\n  \"quick\": ";
-  output_string oc (if !quick then "true" else "false");
-  output_string oc ",\n  \"rows\": [\n";
+  let open Server.Json in
   let rows = List.rev !recorded_rows in
-  List.iteri
-    (fun i (exp, r) ->
-      Printf.fprintf oc
-        "    {\"experiment\": \"%s\", \"pkg\": \"%s\", \"possible\": %d, \
-         \"ground_s\": %.6f, \"solve_s\": %.6f, \"total_s\": %.6f, \
-         \"wall_s\": %.6f, \"jobs\": %d, \"outcome\": \"%s\", \"verified\": %b, \
-         \"cache\": \"%s\", \"peak_rss_mb\": %.1f, \"conflicts\": %d, \"decisions\": %s}%s\n"
-        (json_escape exp) (json_escape r.pkg) r.possible r.ground_t r.solve_t r.total_t
-        r.wall_t r.jobs (json_escape r.outcome) r.verified (json_escape r.cache)
-        r.peak_rss_mb r.conflicts
-        (match r.decisions with Some d -> string_of_int d | None -> "null")
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "  ],\n  \"summaries\": [\n";
-  let sums = summaries rows in
-  List.iteri
-    (fun i (exp, n, p50, p99, rss) ->
-      Printf.fprintf oc
-        "    {\"experiment\": \"%s\", \"n\": %d, \"p50_total_s\": %.6f, \
-         \"p99_total_s\": %.6f, \"peak_rss_mb\": %.1f}%s\n"
-        (json_escape exp) n p50 p99 rss
-        (if i = List.length sums - 1 then "" else ","))
-    sums;
-  output_string oc "  ],\n  \"metrics\": {\n";
-  let ms = List.rev !metrics in
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "    \"%s\": %.6f%s\n" (json_escape k) v
-        (if i = List.length ms - 1 then "" else ","))
-    ms;
-  output_string oc "  },\n";
-  Printf.fprintf oc "  \"peak_rss_mb\": %.1f\n}\n" (Rss.peak_mb ());
-  close_out oc;
+  let row (exp, r) =
+    Obj
+      [
+        ("experiment", Str exp); ("pkg", Str r.pkg); ("possible", Int r.possible);
+        ("ground_s", Float r.ground_t); ("solve_s", Float r.solve_t);
+        ("total_s", Float r.total_t); ("wall_s", Float r.wall_t); ("jobs", Int r.jobs);
+        ("outcome", Str r.outcome); ("verified", Bool r.verified); ("cache", Str r.cache);
+        ("peak_rss_mb", Float r.peak_rss_mb); ("conflicts", Int r.conflicts);
+        ("decisions", match r.decisions with Some d -> Int d | None -> Null);
+      ]
+  in
+  let summary (exp, n, p50, p99, rss) =
+    Obj
+      [
+        ("experiment", Str exp); ("n", Int n); ("p50_total_s", Float p50);
+        ("p99_total_s", Float p99); ("peak_rss_mb", Float rss);
+      ]
+  in
+  let doc =
+    Obj
+      [
+        ("quick", Bool !quick); ("rows", List (List.map row rows));
+        ("summaries", List (List.map summary (summaries rows)));
+        ("metrics", Obj (List.rev_map (fun (k, v) -> (k, Float v)) !metrics));
+        ("peak_rss_mb", Float (Rss.peak_mb ()));
+      ]
+  in
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_string doc ^ "\n"));
   Printf.printf "wrote %d timing rows to %s\n" (List.length rows) path
 
 let sample names = if !quick then List.filteri (fun i _ -> i mod 4 = 0) names else names

@@ -62,6 +62,14 @@ let rec is_cancelled t =
 
 type event = Conflict | Instance | Opt_step | Verify_step
 
+(* The round's timing record: the span the pipeline is in, when it entered
+   it, and the time charged so far. *)
+type clock = {
+  mutable span : Phases.span;
+  mutable since : float;
+  mutable spans : Phases.t;
+}
+
 type t = {
   deadline : float option;  (* absolute, seconds since the epoch *)
   max_conflicts : int;  (* max_int when unbounded *)
@@ -74,11 +82,13 @@ type t = {
   mutable opt_steps : int;
   mutable ticks : int;  (* all events, for periodic deadline checks *)
   mutable tripped : info option;
+  clock : clock option;  (* [None] only on {!unlimited} *)
 }
 
 let start ?cancel l =
+  let now = Unix.gettimeofday () in
   {
-    deadline = Option.map (fun w -> Unix.gettimeofday () +. w) l.wall;
+    deadline = Option.map (fun w -> now +. w) l.wall;
     max_conflicts = Option.value ~default:max_int l.conflicts;
     max_instances = Option.value ~default:max_int l.instances;
     cancel;
@@ -89,9 +99,11 @@ let start ?cancel l =
     opt_steps = 0;
     ticks = 0;
     tripped = None;
+    clock = Some { span = Phases.Setup; since = now; spans = Phases.zero };
   }
 
-let unlimited = start no_limits
+(* shared by every domain: it records no time *)
+let unlimited = { (start no_limits) with clock = None }
 
 let cancel_token_of b = b.cancel
 
@@ -102,20 +114,39 @@ let cancel_token_of b = b.cancel
    not copied: hooks count events of a single sequential solve. *)
 let sibling ?cancel b =
   {
+    (start no_limits) with
     deadline = b.deadline;
     max_conflicts = b.max_conflicts;
     max_instances = b.max_instances;
     cancel = (match cancel with Some _ as c -> c | None -> b.cancel);
-    hook = None;
-    phase = Ground;
-    conflicts = 0;
-    instances = 0;
-    opt_steps = 0;
-    ticks = 0;
-    tripped = None;
   }
 
-let enter b phase = b.phase <- phase
+let phase_of_span = function
+  | Phases.Setup | Load | Seed | Close | Emit -> Ground
+  | Translate | Search -> Search
+  | Optimize -> Optimize
+  | Verify -> Verify
+
+(* The pipeline's only clock: charge the open span up to now. *)
+let lap c =
+  let now = Unix.gettimeofday () in
+  c.spans <- Phases.charge c.spans c.span (now -. c.since);
+  c.since <- now
+
+let enter b span =
+  match b.clock with
+  | None -> ()
+  | Some c ->
+    lap c;
+    c.span <- span;
+    b.phase <- phase_of_span span
+
+let phases b =
+  match b.clock with
+  | None -> Phases.zero
+  | Some c ->
+    lap c;
+    c.spans
 
 let progress b =
   { conflicts = b.conflicts; instances = b.instances; opt_steps = b.opt_steps }

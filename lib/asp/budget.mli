@@ -15,7 +15,8 @@
 
     Budgets also host the deterministic fault-injection hook used by
     {!Fault}: the hook sees every tick and may force cancellation after an
-    exact event count, which is how the interruption points are tested. *)
+    exact event count, which is how the interruption points are tested.
+    A budget also keeps the round's timing record ({!enter}). *)
 
 type phase =
   | Ground  (** instantiating the program *)
@@ -78,12 +79,15 @@ type t
 val start : ?cancel:cancel_token -> limits -> t
 (** Arm a budget: the wall-clock deadline is [now + wall].  The same token
     may be shared by successive budgets (escalation keeps honouring a
-    SIGINT received during an earlier attempt). *)
+    SIGINT received during an earlier attempt).  Its timing record starts
+    empty, in the setup span. *)
 
 val unlimited : t
 (** Shared never-expiring budget, the default of the [?budget] parameters
     throughout the pipeline.  Its progress counters are meaningless (they
-    accumulate across unrelated solves); never arm a hook on it. *)
+    accumulate across unrelated solves); never arm a hook on it.  Every
+    domain shares it, so it records no time: {!enter} does nothing on it
+    and {!phases} is {!Phases.zero}. *)
 
 val cancel_token_of : t -> cancel_token option
 (** The token the budget was armed with, if any. *)
@@ -92,10 +96,22 @@ val sibling : ?cancel:cancel_token -> t -> t
 (** A budget with the {e same} absolute deadline and event limits but fresh
     counters, for parallel racers sharing one declarative budget.  [cancel]
     replaces the parent's token (default: share it); the fault hook is not
-    inherited.  Each sibling must be ticked by a single domain. *)
+    inherited.  Each sibling must be ticked by a single domain.  It has a
+    timing record of its own, which starts empty: a racer's solve steps. *)
 
-val enter : t -> phase -> unit
-(** Record the pipeline phase subsequent ticks are attributed to. *)
+val enter : t -> Phases.span -> unit
+(** Start a span of the round: charge the time since the previous
+    [enter] (or since {!start}) to the span being left, and attribute
+    subsequent ticks to the span's phase ([Ground] for setup, load and the
+    ground steps, [Search] for translate and search, then [Optimize] and
+    [Verify]).  It is the pipeline's only clock read for spans: the
+    grounder enters seed, close and emit, {!Optimize.run} optimize and
+    search, [Portfolio.solve_once] translate and verify, and
+    {!Solve.escalate} load and the solve phase's start. *)
+
+val phases : t -> Phases.t
+(** The timing record so far, the open span charged up to now.  The
+    record is a value: spans entered later do not change it. *)
 
 val progress : t -> progress
 

@@ -2,18 +2,11 @@ type stats = {
   possible_atoms : int;
   ground_rules : int;
   fixpoint_rounds : int;
-  seed_time : float;
-  close_time : float;
-  emit_time : float;
 }
 
 type facts = { count : int; replay : (Gatom.t -> unit) -> unit }
 
 let no_facts = { count = 0; replay = ignore }
-
-let steps_line s =
-  Printf.sprintf "Ground steps: seed %.3fs, close %.3fs, emit %.3fs" s.seed_time s.close_time
-    s.emit_time
 
 let errf fmt = Solver_error.ground_error fmt
 
@@ -1145,10 +1138,9 @@ let seed_fact store (a : Ast.atom) =
     (expand a.Ast.args)
 
 let ground ?(budget = Budget.unlimited) ?(facts = no_facts) (prog : Ast.program) =
-  Budget.enter budget Budget.Ground;
+  Budget.enter budget Phases.Seed;
   (* about one atom per statement or fact, most of them facts, is derived
      again *)
-  let t_seed = Unix.gettimeofday () in
   let store = Gatom.Store.create ~size:(2 * (List.length prog + facts.count)) () in
   let idb = Hashtbl.create 64 in
   let rules = ref [] and minimizes = ref [] in
@@ -1186,20 +1178,15 @@ let ground ?(budget = Budget.unlimited) ?(facts = no_facts) (prog : Ast.program)
   let mins = List.rev !minimizes in
   let max_nvars = List.fold_left (fun m r -> max m r.c_nvars) 0 rules in
   let st = new_state store ~idb ~budget ~nvars:max_nvars in
-  let t_close = Unix.gettimeofday () in
+  Budget.enter budget Phases.Close;
   let cl = new_closure rules in
   let rounds = close st cl in
-  let t_emit = Unix.gettimeofday () in
+  Budget.enter budget Phases.Emit;
   let out = Ground.create store in
   emit_all st out cl mins;
-  let stats =
+  ( out,
     {
       possible_atoms = Gatom.Store.count store;
       ground_rules = Ground.num_rules out;
       fixpoint_rounds = rounds;
-      seed_time = t_close -. t_seed;
-      close_time = t_emit -. t_close;
-      emit_time = Unix.gettimeofday () -. t_emit;
-    }
-  in
-  (out, stats)
+    } )

@@ -47,14 +47,7 @@ type stats = {
           round joins a rule only over those new atoms, so the last round
           derives nothing: a program whose rules come in dependency order,
           like the CUDF one, takes 2. *)
-  seed_time : float;  (** wall seconds spent seeding facts and compiling rules *)
-  close_time : float;  (** wall seconds in the possible-atom closure *)
-  emit_time : float;  (** wall seconds emitting ground rules *)
 }
-
-val steps_line : stats -> string
-(** ["Ground steps: seed 0.012s, close 0.010s, emit 0.031s"], the line
-    [--stats] prints under the phase timings. *)
 
 type facts = {
   count : int;  (** how many atoms [replay] pushes *)
@@ -73,7 +66,8 @@ val ground :
   Ast.program ->
   Ground.t * stats
 (** The budget is ticked once per rule instance the closure derives and
-    once per instance emitted.
+    once per instance emitted, and it times the three steps: it enters
+    {!Phases.Seed}, {!Phases.Close} and {!Phases.Emit} as each starts.
 
     [facts] (default {!no_facts}) is replayed once into the atom store
     after the program's own fact statements: every atom is seeded as an

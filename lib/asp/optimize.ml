@@ -100,8 +100,6 @@ type outcome = {
   models_enumerated : int;
   descent_searches : int;
   quality : quality;
-  search_time : float;
-  optimize_time : float;
 }
 
 (* Each level's descent returns [(value, lower, complete)]: the stored
@@ -230,19 +228,15 @@ let run ?(strategy = Config.Bb) ?(budget = Budget.unlimited) (t : Translate.t) ~
      them false first, highest priority first (the objective-driven sign
      and level heuristic of clasp): where every level's optimum is 0 the
      first model already meets it and the descent runs no search *)
-  let lvls, levels_time =
-    Phases.time (fun () ->
-        let lvls = levels t in
-        Sat.set_preferred sat
-          (List.concat_map (fun l -> List.map (fun (_, y) -> Sat.Lit.negate y) l.entries) lvls);
-        lvls)
-  in
-  Budget.enter budget Budget.Search;
-  match Phases.time (fun () -> solve ()) with
-  | Sat.Unsat, _ -> None
-  | Sat.Sat, search_time ->
-    let t0 = Unix.gettimeofday () in
-    Budget.enter budget Budget.Optimize;
+  Budget.enter budget Phases.Optimize;
+  let lvls = levels t in
+  Sat.set_preferred sat
+    (List.concat_map (fun l -> List.map (fun (_, y) -> Sat.Lit.negate y) l.entries) lvls);
+  Budget.enter budget Phases.Search;
+  match solve () with
+  | Sat.Unsat -> None
+  | Sat.Sat ->
+    Budget.enter budget Phases.Optimize;
     let interrupted = ref false in
     (* proved lower bounds (priority, bound) for the interrupted level and
        every level after it; earlier levels are exact *)
@@ -287,10 +281,4 @@ let run ?(strategy = Config.Bb) ?(budget = Budget.unlimited) (t : Translate.t) ~
         models_enumerated = !models;
         descent_searches = !searches - 1;
         quality;
-        search_time;
-        optimize_time = levels_time +. (Unix.gettimeofday () -. t0);
       }
-
-let descent_line ~costs ~descent_searches =
-  Printf.sprintf "Optimize: %d levels, %d descent searches" (List.length costs)
-    descent_searches

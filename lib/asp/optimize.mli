@@ -47,14 +47,7 @@ type outcome = {
   models_enumerated : int;  (** SAT answers seen during descent *)
   descent_searches : int;  (** searches after the first one *)
   quality : quality;
-  search_time : float;  (** wall seconds up to the first stable model *)
-  optimize_time : float;
-      (** wall seconds building the levels and descending through them *)
 }
-
-val descent_line : costs:(int * int) list -> descent_searches:int -> string
-(** ["Optimize: 14 levels, 0 descent searches"], the line [--stats] prints
-    under [Solve steps:]; [costs] has one entry per level. *)
 
 val run :
   ?strategy:Config.strategy ->
@@ -67,7 +60,9 @@ val run :
     the optimum when [quality] is [`Optimal]; otherwise the best model
     found before the budget expired, whose cost vector is lexicographically
     >= the optimum and satisfies every completed level's fixed bound (the
-    {e anytime} contract of clasp's [--time-limit]).
+    {e anytime} contract of clasp's [--time-limit]).  The budget times
+    the run: building the levels and the descent go to
+    {!Phases.Optimize}, the first search to {!Phases.Search}.
     @raise Budget.Exhausted only when the budget expires before any model
     is in hand (during the initial search); after that, expiry degrades the
     outcome instead of raising. *)

@@ -36,7 +36,7 @@ type model = {
   models_enumerated : int;
   descent_searches : int;
   verified : bool;
-  steps : Phases.steps;
+  phases : Phases.t;
   translation : Translate.t option;
 }
 
@@ -63,28 +63,30 @@ let cancelled_info =
    continues; a degraded one drops it, so a racer that stops early frees
    its solver while the race runs on. *)
 let solve_once ~verify ~params ~strategy ~budget ground =
-  let t, translate_time = Phases.time (fun () -> Translate.translate ~params ground) in
+  Budget.enter budget Phases.Translate;
+  let t = Translate.translate ~params ground in
   match Optimize.run ~strategy ~budget t ~on_model:(Stable.hook t) with
   | None -> Proved_unsat
-  | Some ({ Optimize.search_time; optimize_time; _ } as o) -> (
-    let checked, verify_time =
-      Phases.time (fun () ->
-          if verify then Some (Verify.check_translation ~costs:o.costs t) else None)
+  | Some o -> (
+    Budget.enter budget Phases.Verify;
+    let checked =
+      if verify then Some (Verify.check_translation ~costs:o.costs t) else None
     in
     let model verified =
       (* a copy of the counters: the round's enumeration searches on this
          solver *)
       let st = Sat.stats t.Translate.sat in
+      let answer = Translate.answer t in
       Model
         {
-          answer = Translate.answer t;
+          answer;
           costs = o.costs;
           quality = o.quality;
           sat_stats = { st with Sat.conflicts = st.Sat.conflicts };
           models_enumerated = o.models_enumerated;
           descent_searches = o.descent_searches;
           verified;
-          steps = { Phases.translate_time; search_time; optimize_time; verify_time };
+          phases = Budget.phases budget;
           translation = (match o.quality with `Optimal -> Some t | `Degraded _ -> None);
         }
     in

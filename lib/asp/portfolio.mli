@@ -56,7 +56,9 @@ type model = {
   models_enumerated : int;
   descent_searches : int;  (** {!Optimize.outcome}'s *)
   verified : bool;  (** passed {!Verify} (always true when verifying) *)
-  steps : Phases.steps;  (** how long this run's solve steps took *)
+  phases : Phases.t;
+      (** the run's budget's timing record, taken as it returned: a racer's
+          sibling budget's, whose solve steps are this run's alone *)
   translation : Translate.t option;
       (** with [`Optimal] quality, the one translation the run made, its
           solver holding [answer] as its last model.  {!Optimize.run} has
@@ -94,7 +96,9 @@ val solve_once :
     translate with [params], optimize with [strategy], then,
     with [verify], re-check the model with {!Verify} on a fresh unlimited
     budget (so a [budget] that expired mid-descent cannot veto checking
-    the degraded model).  An optimal [Model] carries that translation.  Never
+    the degraded model).  [budget] times the steps: the run enters
+    {!Phases.Translate} and {!Phases.Verify}, {!Optimize.run} the two
+    between.  An optimal [Model] carries that translation.  Never
     [Gave_up]: a model that fails the check is [Quarantined].
     @raise Budget.Exhausted before the first model, as {!Optimize.run}. *)
 

@@ -168,10 +168,6 @@ let create ?(params = default_params) ?(capacity = 16) () =
 let num_vars s = s.nvars
 let stats s = s.stats
 
-let instance_line st =
-  Printf.sprintf "Instance: %d variables, %d clauses, %d PB constraints" st.vars st.clauses
-    st.pb_constraints
-
 (* ---------------- heap (max-heap on activity) ---------------- *)
 
 (* [heap.(0 .. heap_len - 1)] holds variables, so every index below is

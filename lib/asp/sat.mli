@@ -121,10 +121,6 @@ val model_true_vars : t -> int list
 
 val stats : t -> stats
 
-val instance_line : stats -> string
-(** [Instance: <V> variables, <C> clauses, <P> PB constraints], the
-    instance's size as the counters stand. *)
-
 val shared_lists_empty : unit -> bool
 (** Self-check of the per-literal list allocation: the one watch list, the
     one binary-partner list and the one PB-occurrence list that every solver

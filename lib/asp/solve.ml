@@ -2,7 +2,6 @@ type stats = {
   phases : Phases.t;
   ground_stats : Grounder.stats;
   sat_stats : Sat.stats;
-  solve_steps : Phases.steps;
   descent_searches : int;
   costs : (int * int) list;
   quality : Optimize.quality;
@@ -10,7 +9,7 @@ type stats = {
 }
 
 let print_stats ?(vector = false) s =
-  let g = s.ground_stats and st = s.sat_stats in
+  let g = s.ground_stats and st = s.sat_stats and p = s.phases in
   Printf.printf "Ground: %d atoms, %d rules\n" g.Grounder.possible_atoms
     g.Grounder.ground_rules;
   Printf.printf "Search: %d conflicts, %d decisions, %d restarts\n"
@@ -21,12 +20,15 @@ let print_stats ?(vector = false) s =
       (List.filter (fun (_, v) -> v <> 0) s.costs);
     print_newline ()
   end;
-  print_endline (Phases.to_line s.phases);
-  print_endline (Grounder.steps_line g);
-  print_endline (Phases.steps_line s.solve_steps);
-  print_endline
-    (Optimize.descent_line ~costs:s.costs ~descent_searches:s.descent_searches);
-  print_endline (Sat.instance_line st)
+  print_endline (Phases.to_line p);
+  Printf.printf "Ground steps: seed %.3fs, close %.3fs, emit %.3fs\n" p.seed_time
+    p.close_time p.emit_time;
+  Printf.printf "Solve steps: translate %.3fs, search %.3fs, optimize %.3fs, verify %.3fs\n"
+    p.translate_time p.search_time p.optimize_time p.verify_time;
+  Printf.printf "Optimize: %d levels, %d descent searches\n" (List.length s.costs)
+    s.descent_searches;
+  Printf.printf "Instance: %d variables, %d clauses, %d PB constraints\n" st.Sat.vars
+    st.Sat.clauses st.Sat.pb_constraints
 
 type outcome = {
   answer : Gatom.t list;
@@ -162,27 +164,22 @@ type ('f, 'e) staged =
   | Stopped of { facts : 'f; phases : Phases.t; info : Budget.info }
 
 (* One round: setup, load, a budgeted ground of the logic program and the
-   frontend's fact atoms, then the solve stage, each timed.  The
-   explanation and the enumeration run after the solve phase's clock
-   stopped. *)
+   frontend's fact atoms, then the solve stage.  The budget times each
+   span (it starts in setup); its record is taken when the solve phase
+   ends, so the explanation and the enumeration do not change it.  A
+   raced round's parent budget stays in the translate span while its
+   racers run, and a model's solve steps are those of the budget it was
+   found on. *)
 let stage ~config ?pool ?racers ?enumerate ~params ~budget fe =
-  let (facts, atoms), setup_time = Phases.time fe.setup in
-  let lp, load_time = Phases.time fe.load in
-  let grounded, ground_time =
-    Phases.time (fun () ->
-        match Grounder.ground ~budget ~facts:atoms lp with
-        | exception Budget.Exhausted info -> Error info
-        | g -> Ok g)
-  in
-  let phases = { Phases.zero with setup_time; load_time; ground_time } in
-  match grounded with
-  | Error info -> Stopped { facts; phases; info }
-  | Ok (ground, ground_stats) -> (
-    let verdict, solve_time =
-      Phases.time (fun () ->
-          solve_ground ~config ~params ?pool ?racers ~budget ground)
-    in
-    let phases = { phases with solve_time } in
+  let facts, atoms = fe.setup () in
+  Budget.enter budget Phases.Load;
+  let lp = fe.load () in
+  match Grounder.ground ~budget ~facts:atoms lp with
+  | exception Budget.Exhausted info -> Stopped { facts; phases = Budget.phases budget; info }
+  | ground, ground_stats -> (
+    Budget.enter budget Phases.Translate;
+    let verdict = solve_ground ~config ~params ?pool ?racers ~budget ground in
+    let phases = Budget.phases budget in
     match verdict with
     | Portfolio.Gave_up info -> Stopped { facts; phases; info }
     | Portfolio.Quarantined { violations } ->
@@ -198,10 +195,12 @@ let stage ~config ?pool ?racers ?enumerate ~params ~budget fe =
           models_enumerated = m.models_enumerated;
           stats =
             {
-              phases;
+              phases =
+                (let w = m.phases in
+                 { phases with translate_time = w.translate_time; search_time = w.search_time;
+                   optimize_time = w.optimize_time; verify_time = w.verify_time });
               ground_stats;
               sat_stats = m.sat_stats;
-              solve_steps = m.steps;
               descent_searches = m.descent_searches;
               costs = m.costs;
               quality = m.quality;

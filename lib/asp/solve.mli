@@ -4,8 +4,9 @@
     CUDF's [Cudf.Solver] and the [clingo]-equivalent {!solve_program} each
     supply their facts producer, logic program and UNSAT explainer to it,
     and it times the paper's four phases ({e setup} — fact generation —,
-    {e load}, {e ground} and {e solve}) into one {!Phases.t}.  Every
-    frontend's budget is armed there.
+    {e load}, {e ground} and {e solve}) and their seven steps into one
+    {!Phases.t}.  Every frontend's budget is armed there, and the budget
+    keeps that record ({!Budget.enter}).
 
     No frontend steers the search: the first search decides the
     objective's literals toward zero before its heuristic picks a variable
@@ -22,9 +23,10 @@
 
 type stats = {
   phases : Phases.t;
+      (** the round's timing record; its solve steps are those of the run
+          that found the answer (a raced round's winner's) *)
   ground_stats : Grounder.stats;
   sat_stats : Sat.stats;
-  solve_steps : Phases.steps;  (** the parts of [phases.solve_time] *)
   descent_searches : int;  (** searches after the first ({!Optimize.outcome}) *)
   costs : (int * int) list;  (** optimization results: (priority, value) *)
   quality : Optimize.quality;
@@ -130,12 +132,19 @@ val escalate :
     [Cancelled] and fewer than [attempts] (default 1) rounds ran, the next
     round starts; otherwise its result is returned.
 
+    The round's budget times it ({!Budget.enter}); its record is taken
+    when the solve phase ends, or when the budget stops the round, and
+    the result carries it.  A [Stopped] round reports the time its cut-off
+    phase ran.  A raced round reports the winning racer's solve steps,
+    from its sibling budget ({!Portfolio.model}'s [phases]), under its own
+    solve phase's wall time.
+
     A model that fails verification is retried once from a reseeded
     search.  [pool] with [racers > 1] races that many diverse
     configurations ({!Portfolio.race}) in the solve phase; when every
     racer's model failed verification, a sequential reseeded solve rescues
     the round.  [enumerate n] makes a solved round also list up to [n]
-    models (clingo's [--models n]), after the solve phase's clock stopped.
+    models (clingo's [--models n]), after the round's record is taken.
     The list starts with the round's model.  When the round proved it
     optimal, the solver that found it ({!Portfolio.model}'s translation,
     a raced round's winner's) searches on under the round's budget, each

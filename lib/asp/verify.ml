@@ -116,7 +116,7 @@ let founded_set (g : Ground.t) natoms is_true =
 let max_reported = 20
 
 let check ?(budget = Budget.unlimited) ?costs (g : Ground.t) ~is_true =
-  Budget.enter budget Budget.Verify;
+  Budget.enter budget Phases.Verify;
   let store = g.Ground.store in
   let natoms = Gatom.Store.count store in
   let violations = ref [] in

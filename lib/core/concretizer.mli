@@ -73,8 +73,9 @@ val request :
     implementation).  Keys come from {!request_key}; only proven-optimal
     {!Concrete} results are stored (degraded/interrupted outcomes depend on
     the budget that produced them, UNSAT diagnoses on [explain]).  A cached
-    result is returned exactly as solved — cost vector, [verified] flag and
-    original phase timings intact. *)
+    result is returned exactly as solved — cost vector, [verified] flag,
+    the round's phase and step timings, descent count and instance size
+    intact. *)
 
 type cache = {
   lookup : string -> result option;

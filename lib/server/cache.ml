@@ -1,15 +1,16 @@
 (* File format (one file per key, [<dir>/<key>.solve]):
 
-     spack-solve-cache v1
+     spack-solve-cache v2
      <key>
      <result as one JSON line>
      digest <hex over the three preceding lines>
 
    The version lives in the header line: bumping the format makes every
    old file unreadable (a miss), which is exactly the invalidation rule —
-   stale formats are ignored, never misparsed. *)
+   stale formats are ignored, never misparsed.  v2 results carry the
+   round's eleven spans, its descent count and its instance size. *)
 
-let format_header = "spack-solve-cache v1"
+let format_header = "spack-solve-cache v2"
 
 type entry = { value : Concretize.Concretizer.result; mutable used : int }
 

@@ -33,14 +33,18 @@ let concrete_to_json (c : Specs.Spec.concrete) =
       ("nodes", Json.List (List.map node (Specs.Spec.concrete_nodes c)));
     ]
 
-let phases_to_json (p : Asp.Phases.t) =
-  Json.Obj
+(* the four phases first, under the keys perfbench reads, then the seven
+   steps; [phases_of_json] reads them in this order *)
+let phase_fields (p : Asp.Phases.t) =
+  Asp.Phases.
     [
-      ("setup", Json.Float p.Asp.Phases.setup_time);
-      ("load", Json.Float p.Asp.Phases.load_time);
-      ("ground", Json.Float p.Asp.Phases.ground_time);
-      ("solve", Json.Float p.Asp.Phases.solve_time);
+      ("setup", p.setup_time); ("load", p.load_time); ("ground", p.ground_time);
+      ("solve", p.solve_time); ("seed", p.seed_time); ("close", p.close_time);
+      ("emit", p.emit_time); ("translate", p.translate_time); ("search", p.search_time);
+      ("optimize", p.optimize_time); ("verify", p.verify_time);
     ]
+
+let phases_to_json p = Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) (phase_fields p))
 
 let quality_to_json = function
   | `Optimal -> Json.Str "optimal"
@@ -55,6 +59,8 @@ let budget_info_to_json (info : Asp.Budget.info) =
       ("instances", Json.Int info.Asp.Budget.progress.Asp.Budget.instances);
       ("opt_steps", Json.Int info.Asp.Budget.progress.Asp.Budget.opt_steps);
     ]
+
+let ints l = Json.List (List.map (fun i -> Json.Int i) l)
 
 let result_to_json = function
   | C.Concrete s ->
@@ -72,22 +78,17 @@ let result_to_json = function
         ("n_facts", Json.Int s.C.n_facts);
         ("n_possible", Json.Int s.C.n_possible);
         ( "ground_stats",
-          Json.List
-            [
-              Json.Int g.Asp.Grounder.possible_atoms;
-              Json.Int g.Asp.Grounder.ground_rules;
-              Json.Int g.Asp.Grounder.fixpoint_rounds;
-            ] );
+          ints Asp.Grounder.[ g.possible_atoms; g.ground_rules; g.fixpoint_rounds ] );
+        (* perfbench reads the first two counts of each list: new counts
+           are appended *)
         ( "sat_stats",
-          Json.List
-            [
-              Json.Int ss.Asp.Sat.conflicts;
-              Json.Int ss.Asp.Sat.decisions;
-              Json.Int ss.Asp.Sat.propagations;
-              Json.Int ss.Asp.Sat.restarts;
-              Json.Int ss.Asp.Sat.learnt_literals;
-              Json.Int ss.Asp.Sat.pb_propagations;
-            ] );
+          ints
+            Asp.Sat.
+              [
+                ss.conflicts; ss.decisions; ss.propagations; ss.restarts; ss.learnt_literals;
+                ss.pb_propagations; ss.vars; ss.clauses; ss.pb_constraints;
+              ] );
+        ("descent_searches", Json.Int st.Asp.Solve.descent_searches);
         ("verified", Json.Bool st.Asp.Solve.verified);
       ]
   | C.Unsatisfiable { phases; n_facts; n_possible; reasons } ->
@@ -116,32 +117,24 @@ let result_to_json = function
 
 let ( let* ) o f = match o with Some v -> f v | None -> None
 
-let str_pairs_of_json j =
+(* every element through [conv], or [None] if one fails *)
+let list_of conv j =
   let* l = Json.to_list j in
   let rec go acc = function
     | [] -> Some (List.rev acc)
-    | Json.List [ Json.Str a; Json.Str b ] :: rest -> go ((a, b) :: acc) rest
-    | _ -> None
+    | x :: rest ->
+      let* v = conv x in
+      go (v :: acc) rest
   in
   go [] l
 
-let int_pairs_of_json j =
-  let* l = Json.to_list j in
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | Json.List [ Json.Int a; Json.Int b ] :: rest -> go ((a, b) :: acc) rest
-    | _ -> None
-  in
-  go [] l
+let str_pairs_of_json =
+  list_of (function Json.List [ Json.Str a; Json.Str b ] -> Some (a, b) | _ -> None)
 
-let str_list_of_json j =
-  let* l = Json.to_list j in
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | Json.Str s :: rest -> go (s :: acc) rest
-    | _ -> None
-  in
-  go [] l
+let int_pairs_of_json =
+  list_of (function Json.List [ Json.Int a; Json.Int b ] -> Some (a, b) | _ -> None)
+
+let str_list_of_json = list_of Json.to_str
 
 let field k conv j =
   let* v = Json.member k j in
@@ -174,26 +167,22 @@ let concrete_of_json j =
     | exception _ -> None
   in
   let* root = field "root" Json.to_str j in
-  let* njs = field "nodes" Json.to_list j in
-  let rec nodes acc = function
-    | [] -> Some (List.rev acc)
-    | nj :: rest ->
-      let* n = node nj in
-      nodes (n :: acc) rest
-  in
-  let* ns = nodes [] njs in
+  let* ns = field "nodes" (list_of node) j in
   match Specs.Spec.make_concrete ~root ns with
   | c -> Some c
   | exception Invalid_argument _ -> None
 
 let phases_of_json j =
-  let* setup_time = field "setup" Json.to_float j in
-  let* load_time = field "load" Json.to_float j in
-  let* ground_time = field "ground" Json.to_float j in
-  let* solve_time = field "solve" Json.to_float j in
-  (* entries persisted by older daemons also carry the split of the ground
-     time into base build and extension, which is ignored *)
-  Some { Asp.Phases.setup_time; load_time; ground_time; solve_time }
+  match List.map (fun (k, _) -> field k Json.to_float j) (phase_fields Asp.Phases.zero) with
+  | [
+   Some setup_time; Some load_time; Some ground_time; Some solve_time; Some seed_time;
+   Some close_time; Some emit_time; Some translate_time; Some search_time;
+   Some optimize_time; Some verify_time;
+  ] ->
+    Some
+      { Asp.Phases.setup_time; load_time; ground_time; solve_time; seed_time; close_time;
+        emit_time; translate_time; search_time; optimize_time; verify_time }
+  | _ -> None
 
 let quality_of_json = function
   | Json.Str "optimal" -> Some `Optimal
@@ -241,49 +230,25 @@ let success_of_json j =
   let* phases = field "phases" phases_of_json j in
   let* n_facts = field "n_facts" Json.to_int j in
   let* n_possible = field "n_possible" Json.to_int j in
-  let* gs = field "ground_stats" Json.to_list j in
   let* ground_stats =
-    match gs with
-    | [ Json.Int possible_atoms; Json.Int ground_rules; Json.Int fixpoint_rounds ] ->
-      (* the ground-step times describe the solve that produced the answer,
-         not this reply: they are not carried *)
-      Some
-        {
-          Asp.Grounder.possible_atoms;
-          ground_rules;
-          fixpoint_rounds;
-          seed_time = 0.;
-          close_time = 0.;
-          emit_time = 0.;
-        }
+    match field "ground_stats" (list_of Json.to_int) j with
+    | Some [ possible_atoms; ground_rules; fixpoint_rounds ] ->
+      Some { Asp.Grounder.possible_atoms; ground_rules; fixpoint_rounds }
     | _ -> None
   in
-  let* ss = field "sat_stats" Json.to_list j in
   let* sat_stats =
-    match ss with
-    | [
-     Json.Int conflicts;
-     Json.Int decisions;
-     Json.Int propagations;
-     Json.Int restarts;
-     Json.Int learnt_literals;
-     Json.Int pb_propagations;
-    ] ->
+    match field "sat_stats" (list_of Json.to_int) j with
+    | Some
+        [
+          conflicts; decisions; propagations; restarts; learnt_literals; pb_propagations;
+          vars; clauses; pb_constraints;
+        ] ->
       Some
-        {
-          Asp.Sat.conflicts;
-          decisions;
-          propagations;
-          restarts;
-          learnt_literals;
-          pb_propagations;
-          (* replies carry no instance size *)
-          vars = 0;
-          clauses = 0;
-          pb_constraints = 0;
-        }
+        { Asp.Sat.conflicts; decisions; propagations; restarts; learnt_literals;
+          pb_propagations; vars; clauses; pb_constraints }
     | _ -> None
   in
+  let* descent_searches = field "descent_searches" Json.to_int j in
   let* verified = field "verified" Json.to_bool j in
   Some
     {
@@ -297,10 +262,7 @@ let success_of_json j =
           Asp.Solve.phases;
           ground_stats;
           sat_stats;
-          (* like the ground-step times, the solve-step times are not
-             carried *)
-          solve_steps = Asp.Phases.no_steps;
-          descent_searches = 0;
+          descent_searches;
           costs;
           quality;
           verified;

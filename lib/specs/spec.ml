@@ -192,7 +192,9 @@ let make_concrete ~root nodes =
       Hashtbl.replace state name `Done
   in
   Node_map.iter (fun name _ -> visit name) map;
-  { root; nodes = map }
+  (* rebuilt in key order, so that equal node sets give equal values
+     whatever order the nodes came in *)
+  { root; nodes = Node_map.of_seq (Node_map.to_seq map) }
 
 let concrete_root c = Node_map.find c.root c.nodes
 

@@ -67,7 +67,9 @@ module Node_map : Map.S with type key = string
 type concrete = { root : string; nodes : concrete_node Node_map.t }
 
 val make_concrete : root:string -> concrete_node list -> concrete
-(** @raise Invalid_argument if the root is missing, an edge dangles, or the
+(** Equal node sets give structurally equal values, in whatever order the
+    nodes are listed.
+    @raise Invalid_argument if the root is missing, an edge dangles, or the
     graph is cyclic. *)
 
 val concrete_root : concrete -> concrete_node

@@ -75,17 +75,41 @@ timeout 60 dune exec bin/spack_solve.exe -- --connect "$SOCK" zlib \
 timeout 60 dune exec bin/spack_solve.exe -- --connect "$SOCK" zlib \
   | grep -q "cache hit: zlib"
 # the daemon solves a miss exactly as an offline solve does: the same spec
-# lines (and verification line) after its cache line
-timeout 60 dune exec bin/spack_solve.exe -- --connect "$SOCK" hdf5+szip \
+# lines (and verification line) after its cache line, and above the
+# --stats block, which starts at Facts:
+timeout 60 dune exec bin/spack_solve.exe -- --connect "$SOCK" --stats hdf5+szip \
   > "$SMOKE_DIR/remote.out"
 grep -q "^cache miss: hdf5+szip" "$SMOKE_DIR/remote.out"
-grep -v '^cache ' "$SMOKE_DIR/remote.out" > "$SMOKE_DIR/remote.spec"
-timeout 60 dune exec bin/spack_solve.exe -- hdf5+szip > "$SMOKE_DIR/offline.spec"
+sed -e '/^cache /d' -e '/^Facts: /,$d' "$SMOKE_DIR/remote.out" > "$SMOKE_DIR/remote.spec"
+timeout 60 dune exec bin/spack_solve.exe -- --stats hdf5+szip > "$SMOKE_DIR/offline.out"
+sed '/^Facts: /,$d' "$SMOKE_DIR/offline.out" > "$SMOKE_DIR/offline.spec"
 grep -q '^hdf5@' "$SMOKE_DIR/offline.spec"
 cmp "$SMOKE_DIR/remote.spec" "$SMOKE_DIR/offline.spec"
 STATS=$(timeout 60 dune exec bin/spack_solve.exe -- --connect "$SOCK" --remote-stats)
 echo "$STATS" | grep -q '"hits":1'
 echo "$STATS" | grep -q '"misses":2'
+# a reply carries the round's whole stats: --stats through the daemon, on
+# the miss above and on a hit, prints the offline solve's counts and sizes,
+# and its step times are real
+timeout 60 dune exec bin/spack_solve.exe -- --connect "$SOCK" --stats hdf5+szip \
+  > "$SMOKE_DIR/remote_hit.out"
+grep -q "^cache hit: hdf5+szip" "$SMOKE_DIR/remote_hit.out"
+python3 - "$SMOKE_DIR/offline.out" "$SMOKE_DIR/remote.out" "$SMOKE_DIR/remote_hit.out" << 'EOF'
+import re, sys
+SAME = ["Facts:", "Ground:", "Search:", "Optimization vector", "Optimize:", "Instance:"]
+def lines(path):
+    return {p: l for l in open(path).read().splitlines() for p in SAME if l.startswith(p)}
+offline = lines(sys.argv[1])
+assert sorted(offline) == sorted(SAME), offline
+for path in sys.argv[2:]:
+    assert lines(path) == offline, (path, lines(path), offline)
+    text = open(path).read()
+    for step in ("Ground steps:", "Solve steps:"):
+        m = re.search("^" + step + ".*$", text, re.M)
+        assert m and any(float(x) > 0 for x in re.findall(r"([0-9.]+)s", m.group(0))), (path, step)
+print("remote --stats on a miss and a hit: %s as offline, step times nonzero"
+      % ", ".join(SAME))
+EOF
 timeout 60 dune exec bin/spack_solve.exe -- --connect "$SOCK" --remote-shutdown
 wait "$SERVE_PID"
 trap - EXIT
@@ -252,7 +276,11 @@ timeout 600 dune exec bench/main.exe -- fig3 fig7d --quick --json BENCH_ci.json
 
 echo "== portfolio smoke (fig7d --quick --jobs 4)"
 timeout 600 dune exec bench/main.exe -- fig7d --quick --jobs 4 --json BENCH_ci_jobs4.json
-grep -q '"jobs": 4' BENCH_ci_jobs4.json
+python3 - << 'EOF'
+import json
+rows = json.load(open("BENCH_ci_jobs4.json"))["rows"]
+assert rows and all(r["jobs"] == 4 for r in rows), [r["jobs"] for r in rows]
+EOF
 
 echo "== E4S-scale reuse smoke (5k-spec buildcache, reuse facts from the slots)"
 # medium-scale rehearsal of the paper's §VII-C stress test: grows a ~5,000

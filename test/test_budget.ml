@@ -137,12 +137,15 @@ let test_sweep_opt_steps strategy () =
   Alcotest.(check bool) "descent takes optimization steps" true (c > 0);
   sweep strategy Asp.Fault.Opt_steps c
 
-(* an injected fault during grounding interrupts in the Ground phase *)
+(* an injected fault during grounding interrupts in the Ground phase, and
+   the round still reports the time its grounding ran *)
 let test_ground_phase_attribution () =
   let fault _ b = Asp.Fault.arm b Asp.Fault.Instances 1 in
   match Asp.Solve.solve_program ~fault prog with
-  | Asp.Solve.Interrupted { info; _ } ->
-    Alcotest.(check bool) "phase is grounding" true (info.B.phase = B.Ground)
+  | Asp.Solve.Interrupted { info; phases } ->
+    Alcotest.(check bool) "phase is grounding" true (info.B.phase = B.Ground);
+    Alcotest.(check bool) "ground time > 0" true (phases.Asp.Phases.ground_time > 0.);
+    Alcotest.(check (float 0.)) "no solve time" 0. phases.Asp.Phases.solve_time
   | _ -> Alcotest.fail "fault at the first instance did not interrupt"
 
 (* once tripped, the same budget keeps re-raising the original info *)

@@ -140,7 +140,22 @@ let test_sibling_budget () =
   (* the sibling has the same limit but fresh counters *)
   B.tick_conflict s;
   B.tick_conflict s;
-  Alcotest.(check int) "sibling counts from zero" 2 (B.progress s).B.conflicts
+  Alcotest.(check int) "sibling counts from zero" 2 (B.progress s).B.conflicts;
+  (* and it has a timing record of its own, while the shared unlimited
+     budget records nothing *)
+  B.enter b Asp.Phases.Search;
+  B.enter s Asp.Phases.Translate;
+  Unix.sleepf 0.002;
+  let ps = B.phases s and pb = B.phases b in
+  Alcotest.(check bool) "each budget charges its own span" true
+    (ps.Asp.Phases.search_time = 0.
+    && ps.Asp.Phases.translate_time >= 0.002
+    && pb.Asp.Phases.search_time >= 0.002
+    && pb.Asp.Phases.translate_time = 0.);
+  B.enter B.unlimited Asp.Phases.Search;
+  B.enter B.unlimited Asp.Phases.Verify;
+  Alcotest.(check bool) "unlimited records nothing" true
+    (B.phases B.unlimited = Asp.Phases.zero)
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio                                                           *)
@@ -174,6 +189,59 @@ let test_portfolio_matches_sequential () =
               | _ -> Alcotest.failf "%s: portfolio did not return SAT" name)
             example_srcs)
         [ Asp.Config.Bb; Asp.Config.Usc ])
+
+(* A round's timing record: every step took time, the ground steps tile
+   the ground phase and the solve steps (a raced round's winner's) fit in
+   the solve phase, each sum within 5% of its phase. *)
+let check_spans what (p : Asp.Phases.t) =
+  let open Asp.Phases in
+  List.iter
+    (fun (step, t) -> Alcotest.(check bool) (Printf.sprintf "%s: %s > 0" what step) true (t > 0.))
+    [
+      ("seed", p.seed_time);
+      ("close", p.close_time);
+      ("emit", p.emit_time);
+      ("translate", p.translate_time);
+      ("search", p.search_time);
+      ("optimize", p.optimize_time);
+      ("verify", p.verify_time);
+    ];
+  Alcotest.(check bool) (what ^ ": ground steps within the ground phase") true
+    (p.seed_time +. p.close_time +. p.emit_time <= p.ground_time *. 1.05);
+  Alcotest.(check bool) (what ^ ": solve steps within the solve phase") true
+    (p.translate_time +. p.search_time +. p.optimize_time +. p.verify_time
+    <= p.solve_time *. 1.05)
+
+(* a 3-coloring of 80 nodes that pays for blue: big enough that each step
+   of its round takes measurable time, and its first model is optimal *)
+let spans_src =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "node(1..80). col(r). col(g). col(b).\n";
+  for i = 1 to 80 do
+    Printf.bprintf b "e(%d,%d). e(%d,%d). pay(%d,%d).\n" i ((i mod 80) + 1) i
+      ((i * 7 mod 80) + 1)
+      i (i * 13 mod 5)
+  done;
+  Buffer.add_string b
+    "1 { color(V,C) : col(C) } 1 :- node(V).\n\
+     :- e(X,Y), color(X,C), color(Y,C).\n\
+     #minimize { P,V : color(V,b), pay(V,P) }.\n";
+  Buffer.contents b
+
+let test_round_spans () =
+  let prog = Asp.Parser.parse spans_src in
+  let spans what = function
+    | Asp.Solve.Sat o -> check_spans what o.Asp.Solve.stats.Asp.Solve.phases
+    | _ -> Alcotest.failf "%s: not SAT" what
+  in
+  spans "sequential" (Asp.Solve.solve_program prog);
+  Asp.Pool.with_pool ~domains:2 (fun pool ->
+      spans "jobs 2" (Asp.Solve.solve_program ~pool ~jobs:2 prog);
+      match
+        Cudf.Solver.solve ~pool ~racers:2 (Cudf.Synth.universe ~seed:5 ~n:400 ())
+      with
+      | Cudf.Solver.Solution s -> check_spans "cudf racers 2" s.Cudf.Solver.stats.Asp.Solve.phases
+      | _ -> Alcotest.fail "cudf racers 2: no solution")
 
 let test_portfolio_unsat () =
   Asp.Pool.with_pool ~domains:2 (fun pool ->
@@ -523,6 +591,7 @@ let () =
         [
           Alcotest.test_case "matches sequential" `Quick
             test_portfolio_matches_sequential;
+          Alcotest.test_case "round spans" `Quick test_round_spans;
           Alcotest.test_case "proves unsat" `Quick test_portfolio_unsat;
           Alcotest.test_case "racers agree or cancelled" `Quick
             test_racers_agree_or_cancelled;
