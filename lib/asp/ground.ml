@@ -83,14 +83,15 @@ let pp_rule store ppf = function
     Format.fprintf ppf "%a :- %a." Gatom.pp (Gatom.Store.atom store h) (pp_body store) b
   | Rconstraint b -> Format.fprintf ppf ":- %a." (pp_body store) b
   | Rchoice { lb; ub; heads; cbody } ->
-    let pp_b ppf = function None -> () | Some n -> Format.fprintf ppf "%d" n in
-    Format.fprintf ppf "%a { " pp_b lb;
+    Option.iter (Format.fprintf ppf "%d ") lb;
+    Format.pp_print_string ppf "{ ";
     Array.iteri
       (fun i h ->
         if i > 0 then Format.pp_print_string ppf "; ";
         Gatom.pp ppf (Gatom.Store.atom store h))
       heads;
-    Format.fprintf ppf " } %a" pp_b ub;
+    Format.pp_print_string ppf " }";
+    Option.iter (Format.fprintf ppf " %d") ub;
     if body_size cbody > 0 then Format.fprintf ppf " :- %a" (pp_body store) cbody;
     Format.pp_print_string ppf "."
 

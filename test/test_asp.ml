@@ -824,6 +824,17 @@ let models_strings ?(only = fun _ -> true) models =
 let unverified_models prog =
   models_strings (enumerate ~config:(Asp.Config.make ~verify:false ()) prog)
 
+(* [Ground.pp] prints a missing bound as nothing: no space before the
+   brace or the period, as in the source *)
+let test_choice_printed_bounds () =
+  let g, _ =
+    Asp.Grounder.ground
+      (Asp.Parser.parse "{ a; b } 1.\n1 { c; d }.\n{ e }.\n2 { f; g } 2 :- e.")
+  in
+  Alcotest.(check (list string)) "choice rules as written"
+    [ "{ a; b } 1."; "1 { c; d }."; "{ e }."; "2 { f; g } 2 :- e."; "" ]
+    (String.split_on_char '\n' (Format.asprintf "%a" Asp.Ground.pp g))
+
 let test_choice_body_heads () =
   List.iter
     (fun src ->
@@ -1666,7 +1677,10 @@ let () =
             test_condition_triggers_choice;
         ] );
       ( "choice rules",
-        [ Alcotest.test_case "body among the heads" `Quick test_choice_body_heads ] );
+        [
+          Alcotest.test_case "body among the heads" `Quick test_choice_body_heads;
+          Alcotest.test_case "printed bounds" `Quick test_choice_printed_bounds;
+        ] );
       ( "bound lookup",
         [
           Alcotest.test_case "constant, function and arithmetic" `Quick test_bound_literals;

@@ -161,9 +161,12 @@ let check_fixture name prog () =
    seeded straight into the store), so they pin atom interning
    order and rule order too; the statement reference (Fact_ref) must give
    the same bytes.  The CUDF digests were re-recorded when the encoder
-   began to split conflicts (the program and its facts changed); the Spack
-   ones were re-recorded when emission started to follow the closure's
-   instance order (the sorted digests below did not move). *)
+   began to split conflicts (the program and its facts changed), and again
+   when [Ground.pp] stopped printing a space before a choice rule without
+   a lower bound and after one without an upper bound (the texts are equal
+   once spaces are removed); the Spack ones were re-recorded when emission
+   started to follow the closure's instance order (the sorted digests
+   below did not move). *)
 
 (* The two ways to ground a logic program [lp] with a frontend's facts:
    the fact atoms straight into the store, and the statement reference. *)
@@ -192,10 +195,10 @@ let digest_fixtures =
       "5630f21680c70c576589842ae7ad3155" );
     ( "cudf synth 1k paranoid",
       (fun ground -> cudf_ground ~ground Cudf.Criteria.Paranoid),
-      "debb7c183517eebb562e2dec61286cf3" );
+      "401b72c05116465ad6b3ec684e9e2f5e" );
     ( "cudf synth 1k trendy",
       (fun ground -> cudf_ground ~ground Cudf.Criteria.Trendy),
-      "c19cdcf3bd30ce149ee1233cf2b178eb" );
+      "a6cf603fcb166a892de1aeccdfca4a6c" );
   ]
 
 let check_digest mk want () =
